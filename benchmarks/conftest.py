@@ -109,22 +109,13 @@ def bench_once(benchmark):
         else:
             benchmark.extra_info["stepping"] = default_stepping()
         # The registry is per-process, but the process-pool executor merges
-        # worker snapshot deltas back into this one, so the keys below are
+        # worker snapshot deltas back into this one, so the ratio below is
         # meaningful on every backend.  A zero broadcast count still means
         # "not observed" (e.g. a crashed round) — omit rather than record
-        # fabricated zeros.
+        # a fabricated zero.  The raw counts live in ``metrics``.
         if broadcasts:
-            benchmark.extra_info["broadcasts"] = int(broadcasts)
-            benchmark.extra_info["control_steps"] = int(steps)
             benchmark.extra_info["control_steps_per_broadcast"] = round(
                 steps / broadcasts, 1
-            )
-            # Average lanes per batched lock-step run (1 for scalar rows),
-            # so the BENCH record distinguishes batched from serial rows.
-            lanes = delta.counter("batched.lanes")
-            batched_runs = delta.counter("batched.runs")
-            benchmark.extra_info["batch_width"] = (
-                round(lanes / batched_runs, 1) if batched_runs else 1
             )
         # Full registry delta, for BENCH rows and post-hoc attribution.
         benchmark.extra_info["metrics"] = delta.jsonable()

@@ -129,33 +129,26 @@ def metadata(profile: str, stepping: str) -> dict:
 
 
 def normalize(raw_json: Path, executor: str, profile: str, stepping: str) -> dict:
+    """One BENCH row per pytest-benchmark entry.
+
+    A row's ``extra_info`` is copied whole, so every key a benchmark
+    records (stepping, metrics, workload or fault metadata) reaches the
+    BENCH file without a list kept in step here.
+    """
     raw = json.loads(raw_json.read_text())
     benchmarks = []
     for entry in raw.get("benchmarks", []):
         stats = entry["stats"]
-        extra = entry.get("extra_info") or {}
-        row = {
+        benchmarks.append({
             "name": entry["name"],
             "file": entry.get("fullname", "").split("::")[0],
             "wall_clock_s": stats["mean"],
             "stddev_s": stats["stddev"],
             "rounds": stats["rounds"],
             "executor": executor,
-            "stepping": extra.get("stepping", stepping),
-        }
-        for key in (
-            "broadcasts",
-            "control_steps",
-            "control_steps_per_broadcast",
-            "batch_width",
-            "workload",
-            "workload_actors",
-            "interference_intensity",
-            "metrics",
-        ):
-            if key in extra:
-                row[key] = extra[key]
-        benchmarks.append(row)
+            "stepping": stepping,
+            **(entry.get("extra_info") or {}),
+        })
     benchmarks.sort(key=lambda item: item["name"])
     return {**metadata(profile, stepping), "benchmarks": benchmarks}
 
@@ -184,8 +177,6 @@ def run_scenarios(
         delta = METRICS.snapshot().delta_since(before)
         broadcasts = int(delta.counter("swarm.broadcasts"))
         steps = int(delta.counter("swarm.control_steps"))
-        lanes = delta.counter("batched.lanes")
-        batched_runs = delta.counter("batched.runs")
         print(f"  scenario:{name:<30s} {elapsed:8.3f}s  "
               f"({executor_name}, {stepping})")
         row = {
@@ -196,17 +187,10 @@ def run_scenarios(
             "rounds": 1,
             "executor": executor_name,
             "stepping": stepping,
-            "broadcasts": broadcasts,
-            "control_steps": steps,
             "control_steps_per_broadcast": (
                 round(steps / broadcasts, 1) if broadcasts else 0.0
             ),
-            # Average lanes per batched lock-step run; 1 for scalar rows.
-            "batch_width": (
-                round(lanes / batched_runs, 1) if batched_runs else 1
-            ),
-            # Full registry delta for the scenario run (back-compat keys
-            # above are derived from the same counters).
+            # Full registry delta for the scenario run.
             "metrics": delta.jsonable(),
         }
         # Interference scenarios describe the contention they measured under.
@@ -273,7 +257,7 @@ def main() -> int:
                         metavar="NAME",
                         help="time this registered scenario instead of the "
                              "pytest suite (repeatable; see `python -m repro list`)")
-    parser.add_argument("--executor", choices=("serial", "process", "batched"),
+    parser.add_argument("--executor", choices=("serial", "process"),
                         default="serial",
                         help="campaign-executor backend recorded per row")
     parser.add_argument("--workers", type=int, default=None,

@@ -13,10 +13,9 @@ Fruchterman–Reingold spring embedding as a cross-check.
 from __future__ import annotations
 
 import math
-from typing import Dict, Hashable, List, Optional, Tuple
+from typing import Dict, Hashable, List, Tuple
 
 import numpy as np
-from scipy import optimize
 
 from repro.clustering.partition import Partition
 from repro.graph.wgraph import WeightedGraph
@@ -62,6 +61,10 @@ def kamada_kawai_layout(
     communicating nodes are placed close together, exactly as in the paper's
     figures.
     """
+    # Deferred: scipy is only needed here, and importing it eagerly would
+    # make every ``import repro`` pay for (and depend on) scipy.
+    from scipy import optimize
+
     order = graph.nodes()
     n = len(order)
     if n == 0:

@@ -20,11 +20,10 @@ Two stepping policies decide *which* control points are executed
 
 * ``"fixed"`` — the classic loop: every grid point is visited in turn.  This
   is the oracle: the reference semantics all other modes must reproduce.
-* ``"event"`` — the control loop is driven by the discrete-event engine
-  (:mod:`repro.simulation.engine`): rechoke timers, predicted fragment-
-  boundary conversions and fluid-flow transitions are scheduled events on an
-  :class:`~repro.simulation.engine.EventQueue`, and simulated time jumps
-  straight from one state-changing control point to the next.  Because all
+* ``"event"`` — after a quiescent control point the loop predicts the
+  next rechoke, the next fluid-flow transition and the next fragment-
+  boundary conversion, and simulated time jumps straight to the earliest of
+  the three (the next state-changing control point).  Because all
   inter-point state is *anchored* (byte counts are analytic functions of the
   last transition, never per-tick accumulations), skipping the inert points
   is exact: the event mode replays the fixed-step loop bit for bit — same
@@ -67,7 +66,6 @@ from repro.network.routing import RoutingTable
 from repro.network.topology import Topology
 from repro.observability.metrics import METRICS
 from repro.observability.tracer import TRACER
-from repro.simulation.engine import Event, EventQueue
 
 #: Recognised control-loop stepping policies (see module docstring).
 STEPPING_MODES = ("fixed", "event")
@@ -156,10 +154,6 @@ class BroadcastResult:
         figure of merit: fixed stepping executes every grid point).
     stepping:
         Stepping policy that produced this result (``"fixed"``/``"event"``).
-    batch_width:
-        Number of lanes in the batched lock-step run that produced this
-        result (1 for the scalar path).  Purely diagnostic: lane records are
-        bit-identical to their scalar replays regardless of width.
     """
 
     fragments: FragmentMatrix
@@ -169,55 +163,10 @@ class BroadcastResult:
     distinct_edges: int
     control_steps: int = 0
     stepping: str = "event"
-    batch_width: int = 1
 
     @property
     def hosts(self) -> List[str]:
         return list(self.fragments.labels)
-
-
-class _ControlAgenda:
-    """Scheduled control points of the event-stepped swarm loop.
-
-    A thin, typed agenda over the simulation engine's
-    :class:`~repro.simulation.engine.EventQueue`: each *kind* of control
-    event (the rechoke timer, the predicted fragment-boundary conversion,
-    the next fluid-flow transition, the simulation horizon) occupies at most
-    one queue slot, keyed by the control-step index it is due at.
-    Re-scheduling a kind lazily cancels its previous event, and events
-    landing on the same step coalesce into a single visit — the queue's
-    deterministic (time, insertion-order) ordering is what makes the event
-    mode's replay exactly reproducible.
-    """
-
-    def __init__(self) -> None:
-        self._queue = EventQueue()
-        self._pending: Dict[str, Event] = {}
-
-    def schedule(self, kind: str, step: int) -> None:
-        """(Re)schedule ``kind`` to fire at control step ``step``."""
-        previous = self._pending.get(kind)
-        if previous is not None:
-            previous.cancel()
-        self._pending[kind] = self._queue.push(float(step), lambda: None)
-
-    def pop_next_step(self) -> Optional[int]:
-        """Earliest scheduled control step; coalesces same-step events.
-
-        Events of other kinds stay pending (already-popped ones are inert:
-        re-scheduling their kind later cancels a dead handle, which is a
-        no-op), so every round of :meth:`schedule` calls supersedes the
-        whole previous round.
-        """
-        event = self._queue.pop()
-        if event is None:
-            return None
-        while True:
-            upcoming = self._queue.peek_time()
-            if upcoming is None or upcoming > event.time:
-                break
-            self._queue.pop()
-        return int(event.time)
 
 
 class BroadcastSession:
@@ -237,13 +186,6 @@ class BroadcastSession:
       the environment changed (cross traffic, churn, capacity drift) —
       landing early is always exact, since the fixed-dt oracle visits every
       grid point.
-    * ``("interest", step, time, have)`` — only when the session was built
-      with ``batch_interest=True`` and the matmul interest path is active:
-      the loop asks the driver for this step's wanted matrix instead of
-      computing it, and must be resumed with an ``(n, n)`` float32 array
-      bitwise equal to what ``recompute_wanted()`` would have produced.
-      :class:`repro.bittorrent.batched.BatchedBroadcast` answers a whole
-      batch of lanes with one stacked matmul.
 
     :meth:`run_to_completion` is the degenerate driver: one session, a fresh
     private fluid network, start time zero — byte-identical to the classic
@@ -265,15 +207,8 @@ class BroadcastSession:
         trace: Optional[List[Tuple[float, str, str, int]]] = None,
         fluid: Optional[FluidNetwork] = None,
         start_time: float = 0.0,
-        batch_interest: bool = False,
     ) -> None:
         self.broadcast = broadcast
-        #: When True the loop *yields* ``("interest", step, time, have)``
-        #: instead of computing the matmul-path interest matrix itself, so a
-        #: batched driver (:class:`repro.bittorrent.batched.BatchedBroadcast`)
-        #: can answer many lanes with one stacked matmul.  Scalar drivers
-        #: (run_to_completion, the workload engine) never set this.
-        self._batch_interest = batch_interest
         self.fluid = (
             fluid
             if fluid is not None
@@ -339,8 +274,8 @@ class BroadcastSession:
     def resume(self, value=None) -> Optional[Tuple]:
         """Fulfil the pending request and run the loop to its next one.
 
-        ``value`` is the granted step for ``"sleep"`` requests, the wanted
-        matrix for ``"interest"`` requests, and ``None`` for ``"advance"``.
+        ``value`` is the granted step for ``"sleep"`` requests and ``None``
+        for ``"advance"``.
         """
         return self._resume(value)
 
@@ -518,10 +453,6 @@ class BitTorrentBroadcast:
         # receipt batch, which is O(hosts) per received fragment.
         lack = ~have
         interest_by_matmul = n * n * num_fragments <= MATMUL_INTEREST_LIMIT
-        # Batched lanes on the incremental-interest path need no driver help
-        # (the int64 updates are exact per lane), so the flag only matters
-        # when the matmul path is active.
-        batch_interest = session._batch_interest and interest_by_matmul
         wanted = np.zeros((n, n), dtype=np.int64)
         wanted[root_index, :] = num_fragments
         wanted[root_index, root_index] = 0
@@ -809,7 +740,6 @@ class BitTorrentBroadcast:
         max_steps = int(np.ceil(cfg.max_sim_time / dt)) + 1
         upload_slots = self.choking.upload_slots
         event_mode = cfg.stepping == "event"
-        agenda = _ControlAgenda() if event_mode else None
         step = 0
         control_steps = 0
         # Telemetry flags are hoisted once per broadcast: with tracing off the
@@ -917,16 +847,7 @@ class BitTorrentBroadcast:
                 pipes_dirty = True
                 step_active = True
             if interest_by_matmul:
-                if batch_interest:
-                    # Park at the interest point: the batched lock-step
-                    # driver gathers every lane due at this step and answers
-                    # each with one slice of a stacked (lanes, n, n) matmul.
-                    # All values are exact integers < 2**24, so any summation
-                    # order yields bit-identical float32 results and the
-                    # slice equals recompute_wanted() exactly.
-                    wanted = yield ("interest", step, time, have)
-                else:
-                    wanted = recompute_wanted()
+                wanted = recompute_wanted()
 
             # --- choking -------------------------------------------------- #
             if time >= next_rechoke - 1e-12:
@@ -1136,27 +1057,24 @@ class BitTorrentBroadcast:
                 step += 1
                 continue
             # Quiescent point: nothing changed, so no random draws or pipe
-            # transitions can occur before the next scheduled control event.
+            # transitions can occur before the next predicted control event.
             # Fast path: if the very next point converts anyway (the common
             # case in conversion-dense configs), one predicate evaluation
-            # replaces the whole agenda round.  A conservative answer only
+            # replaces the whole jump prediction.  A conservative answer only
             # ever visits a point the fixed loop visits too.
             if pipe_order and conversion_due(start + (step + 2) * dt):
                 step += 1
                 continue
-            # Put the three event sources on the agenda and jump straight to
-            # the earliest — the grid points in between are provably inert
-            # under the current rates.  The driver may grant an earlier
+            # Jump straight to the earliest of the three event sources — the
+            # grid points in between are provably inert under the current
+            # rates.  The conversion search is capped by the other two, so
+            # its answer is that minimum.  The driver may grant an earlier
             # landing (another tenant changed the rates, or churn arrived);
             # extra visits are exact, since the fixed loop visits them all.
-            rechoke_step = next_rechoke_step(step)
-            fluid_step = next_fluid_step(step)
-            horizon = min(rechoke_step, fluid_step, max_steps)
-            conv_step = next_conversion_step(step, horizon)
-            agenda.schedule("rechoke", rechoke_step)
-            agenda.schedule("fluid", fluid_step)
-            agenda.schedule("conversion", conv_step)
-            target = agenda.pop_next_step()
+            target = next_conversion_step(
+                step,
+                min(next_rechoke_step(step), next_fluid_step(step), max_steps),
+            )
             granted = yield ("sleep", step, target, start + target * dt)
             if granted is not None:
                 target = max(min(granted, target), step + 1)

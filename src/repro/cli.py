@@ -436,9 +436,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="extra scenario tunable (repeatable); "
                             "comma-separated values parse as lists")
         p.add_argument("--executor", choices=EXECUTOR_NAMES, default="serial",
-                       help="campaign backend (process = fan out over cores, "
-                            "batched = run all seeds lock-step as one array "
-                            "program; records are bit-identical to serial)")
+                       help="campaign backend (process = fan out over cores; "
+                            "records are bit-identical to serial)")
         p.add_argument("--stepping", choices=STEPPING_MODES, default=None,
                        help="swarm control-loop policy (event = jump between "
                             "state changes; results are bit-identical to "

@@ -8,7 +8,7 @@ sanity checks the rest of the code relies on.
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Iterable, List, Mapping, Sequence, Set, Tuple
+from typing import Dict, Hashable, Iterable, List, Mapping, Set, Tuple
 
 Node = Hashable
 
@@ -129,10 +129,6 @@ class Partition:
 
     def __hash__(self) -> int:
         return hash(frozenset(self._clusters))
-
-    def agrees_with(self, other: "Partition") -> bool:
-        """True when both partitions group the (same) node set identically."""
-        return self == other
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         sizes = ", ".join(str(s) for s in self.sizes())

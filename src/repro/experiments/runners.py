@@ -11,17 +11,16 @@ what reproduces the paper, not the absolute magnitudes.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.analysis.convergence import ConvergenceStudy, nmi_convergence
+from repro.analysis.convergence import ConvergenceStudy
 from repro.clustering.louvain import louvain
 from repro.clustering.partition import Partition
 from repro.experiments.datasets import Dataset, dataset, dataset_b
 from repro.graph.wgraph import WeightedGraph
 from repro.network.grid5000 import Grid5000Builder, build_multi_site, default_cluster_of
-from repro.network.routing import RoutingTable
 from repro.scenarios.executors import (
     BroadcastTask,
     CampaignExecutor,
@@ -35,7 +34,7 @@ from repro.tomography.baselines import (
 from repro.tomography.measurement import MeasurementCampaign
 from repro.tomography.metric import edge_weight_history, local_remote_split
 from repro.tomography.netpipe import NetPipeProbe
-from repro.tomography.pipeline import TomographyPipeline, TomographyResult, default_swarm_config
+from repro.tomography.pipeline import TomographyPipeline, default_swarm_config
 
 
 def _default_clusterer(graph: WeightedGraph) -> Partition:
@@ -126,39 +125,6 @@ def run_dataset_clustering(
         # try/except), never the fan-out path — record what actually ran.
         summary["executor"] = "serial"
     return summary
-
-
-def run_named_dataset(
-    name: str,
-    per_site: Optional[int] = None,
-    iterations: int = 8,
-    num_fragments: int = 600,
-    seed: int = 7,
-    executor: Optional[CampaignExecutor] = None,
-    stepping: Optional[str] = None,
-    **dataset_kwargs,
-) -> Dict[str, object]:
-    """Convenience wrapper: build a named dataset (optionally scaled) and run it."""
-    if per_site is not None:
-        if name == "B":
-            ds = dataset_b(
-                bordeplage=per_site, bordereau=max(per_site - per_site // 4, 1),
-                borderline=max(per_site // 4, 1),
-            )
-        elif name == "2x2":
-            ds = dataset(name)
-        else:
-            ds = dataset(name, per_site=per_site)
-    else:
-        ds = dataset(name, **dataset_kwargs)
-    return run_dataset_clustering(
-        ds,
-        iterations=iterations,
-        num_fragments=num_fragments,
-        seed=seed,
-        executor=executor,
-        stepping=stepping,
-    )
 
 
 # ---------------------------------------------------------------------- #

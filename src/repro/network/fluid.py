@@ -260,15 +260,6 @@ class FluidNetwork:
         self._materialize(self.now)
         self._detach(transfer)
 
-    @property
-    def active_transfers(self) -> List[FluidTransfer]:
-        return list(self._active.values())
-
-    @property
-    def active_count(self) -> int:
-        """Number of in-flight transfers (O(1))."""
-        return len(self._active)
-
     def repin_routes(self, routing: RoutingTable) -> int:
         """Re-pin every in-flight transfer onto ``routing``'s current routes.
 
@@ -386,10 +377,6 @@ class FluidNetwork:
             remaining = remaining - self._rate[slots] * elapsed
             np.maximum(remaining, 0.0, out=remaining)
         return self._size[slots] - remaining
-
-    def transferred_for(self, slots: np.ndarray) -> np.ndarray:
-        """Bulk read of transferred bytes at the current clock (hot path)."""
-        return self.transferred_at(slots, self.now)
 
     # ------------------------------------------------------------------ #
     # time stepping

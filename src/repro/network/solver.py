@@ -19,7 +19,7 @@ tolerances), which is what the equivalence property tests in
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -145,10 +145,6 @@ class FlowSet:
             self._has_links[slot] = False
         self._free.append(slot)
         self.num_flows -= 1
-
-    def active_slots(self) -> np.ndarray:
-        """Slot ids of the active flows, ascending."""
-        return np.flatnonzero(self._active)
 
     # ------------------------------------------------------------------ #
     # capacity changes

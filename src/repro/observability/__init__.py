@@ -5,8 +5,8 @@ Two independent halves share this package:
 * :data:`METRICS` — the always-on, per-process
   :class:`~repro.observability.metrics.MetricsRegistry` of counters, gauges
   and histograms.  Executor workers ship snapshot *deltas* back to the
-  parent, which merges them, so campaign totals agree across the serial,
-  process-pool and batched backends.
+  parent, which merges them, so campaign totals agree across the serial
+  and process-pool backends.
 * :data:`TRACER` — the off-by-default
   :class:`~repro.observability.tracer.Tracer` writing typed span/event
   JSONL records, enabled by ``--trace PATH`` / ``REPRO_TRACE`` and exported

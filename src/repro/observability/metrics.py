@@ -218,8 +218,6 @@ METRIC_CATALOGUE: Dict[str, Tuple[str, str]] = {
     "swarm.broadcasts.fixed": ("counter", "broadcasts run with fixed stepping"),
     "swarm.broadcasts.event": ("counter", "broadcasts run with event stepping"),
     "swarm.receipts": ("counter", "fragments received across all broadcasts"),
-    "batched.runs": ("counter", "batched lock-step runs"),
-    "batched.lanes": ("counter", "lanes finished inside batched runs"),
     "executor.tasks": ("counter", "campaign task chunks executed"),
     "executor.retries": ("counter", "retry rounds the process pool needed"),
     "executor.timeouts": ("counter", "tasks declared hung past their deadline"),

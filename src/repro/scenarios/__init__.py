@@ -13,7 +13,6 @@ scenario.
 """
 
 from repro.scenarios.executors import (
-    BatchedExecutor,
     BroadcastTask,
     CampaignExecutionError,
     CampaignExecutor,
@@ -22,7 +21,6 @@ from repro.scenarios.executors import (
     SerialExecutor,
     TaskOutput,
     default_executor,
-    execute_task,
     execute_task_output,
     executor_from_name,
     workers_from_env,
@@ -45,7 +43,6 @@ from repro.scenarios.spec import ScenarioSpec, jsonable_summary, to_jsonable
 # an eager import here would close an import cycle.
 
 __all__ = [
-    "BatchedExecutor",
     "BroadcastTask",
     "CampaignExecutionError",
     "CampaignExecutor",
@@ -56,7 +53,6 @@ __all__ = [
     "TaskOutput",
     "all_scenarios",
     "default_executor",
-    "execute_task",
     "execute_task_output",
     "executor_from_name",
     "workers_from_env",

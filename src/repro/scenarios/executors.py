@@ -14,10 +14,7 @@ This module makes that fan-out explicit:
   one topology/config (the unit of work shipped to a backend);
 * :class:`CampaignExecutor` — the backend interface;
 * :class:`SerialExecutor` — runs chunks in-process (the reference backend);
-* :class:`ProcessPoolExecutor` — fans chunks out across worker processes;
-* :class:`BatchedExecutor` — runs a chunk's seeds as lanes of one lock-step
-  array program (:class:`~repro.bittorrent.batched.BatchedBroadcast`),
-  falling back to the scalar path for workload/fault tasks.
+* :class:`ProcessPoolExecutor` — fans chunks out across worker processes.
 
 Executors are injected into :class:`~repro.tomography.measurement
 .MeasurementCampaign` and :class:`~repro.tomography.pipeline
@@ -91,8 +88,8 @@ class TaskOutput:
 
     ``metrics`` is the :class:`~repro.observability.metrics.MetricsSnapshot`
     *delta* the task accumulated in its process.  Only the process-pool
-    backend merges it into the parent registry — serial and batched tasks
-    run in-process, where the counters already landed in the global
+    backend merges it into the parent registry — serial tasks run
+    in-process, where the counters already landed in the global
     registry, and merging again would double-count.
     """
 
@@ -165,11 +162,6 @@ def execute_task_output(task: BroadcastTask) -> TaskOutput:
     return TaskOutput(output.results, output.stats, delta)
 
 
-def execute_task(task: BroadcastTask) -> List[BroadcastResult]:
-    """Back-compat worker entry: results only (see :func:`execute_task_output`)."""
-    return list(execute_task_output(task).results)
-
-
 class CampaignExecutionError(RuntimeError):
     """A task kept failing after every retry (crash, hang, broken pool)."""
 
@@ -177,11 +169,10 @@ class CampaignExecutionError(RuntimeError):
 class CampaignExecutor:
     """Backend interface for running independent seeded broadcasts.
 
-    Subclasses implement :meth:`run_task_outputs`; the convenience entry
-    points chunk a homogeneous campaign (one topology, many iteration
-    specs) into tasks according to the backend's parallelism and return the
-    flattened results in spec order — :meth:`run_broadcasts` results only,
-    :meth:`run_campaign` results plus per-iteration workload stats.
+    Subclasses implement :meth:`run_task_outputs`; :meth:`run_campaign`
+    chunks a homogeneous campaign (one topology, many iteration specs) into
+    tasks according to the backend's parallelism and returns the flattened
+    results plus per-iteration workload stats in spec order.
     """
 
     #: Backend name recorded in CLI/benchmark output.
@@ -224,19 +215,6 @@ class CampaignExecutor:
             )
             for chunk in self.chunk_specs(list(specs))
         ]
-
-    def run_broadcasts(
-        self,
-        topology: Topology,
-        config: SwarmConfig,
-        hosts: Optional[Sequence[str]],
-        base_seed: int,
-        specs: Sequence[IterationSpec],
-    ) -> List[BroadcastResult]:
-        """Run one campaign's broadcasts, preserving spec order in the output."""
-        return self.run_tasks(
-            self._make_tasks(topology, config, hosts, base_seed, specs)
-        )
 
     def run_campaign(
         self,
@@ -462,67 +440,9 @@ class ProcessPoolExecutor(CampaignExecutor):
         return failed, errors
 
 
-class BatchedExecutor(CampaignExecutor):
-    """Run each task's seeds as lanes of one batched lock-step engine.
-
-    Single-tenant tasks (empty workload/fault plan) go through
-    :class:`~repro.bittorrent.batched.BatchedBroadcast`: all iteration specs
-    of a chunk become lanes of one lock-step run whose per-step interest
-    matrices are computed by a single stacked matmul, with every lane's
-    record bit-identical to its scalar replay (``tests/test_seed_replay.py``
-    pins the goldens per lane).  Multi-tenant tasks — any workload or fault
-    plan — cannot hold lock-step (actors couple lanes through the shared
-    fluid network), so they fall back to :func:`execute_task_output`, the
-    scalar oracle, and their results keep ``batch_width == 1``.
-
-    Parameters
-    ----------
-    max_width:
-        Optional cap on lanes per batched run; ``None`` (default) runs the
-        whole campaign as one batch.  Purely an execution knob — lane
-        records are bit-identical at any width.
-    """
-
-    name = "batched"
-
-    def __init__(self, max_width: Optional[int] = None) -> None:
-        if max_width is not None and max_width < 1:
-            raise ValueError("max_width must be at least 1")
-        self.max_width = max_width
-
-    def chunk_specs(
-        self, specs: Sequence[IterationSpec]
-    ) -> List[Tuple[IterationSpec, ...]]:
-        if not specs:
-            return []
-        if self.max_width is None:
-            return [tuple(specs)]
-        size = self.max_width
-        return [tuple(specs[i : i + size]) for i in range(0, len(specs), size)]
-
-    def run_task_outputs(
-        self, tasks: Sequence[BroadcastTask]
-    ) -> List[TaskOutput]:
-        from repro.bittorrent.batched import BatchedBroadcast
-
-        outputs: List[TaskOutput] = []
-        for task in tasks:
-            if task.workload is not None or task.faults is not None:
-                # Lanes would lose lock-step: run the scalar oracle instead.
-                outputs.append(execute_task_output(task))
-                continue
-            hosts = list(task.hosts) if task.hosts is not None else None
-            engine = BatchedBroadcast(task.topology, task.config, hosts=hosts)
-            results = engine.run_specs(task.base_seed, task.specs)
-            outputs.append(
-                TaskOutput(tuple(results), tuple(None for _ in results))
-            )
-        return outputs
-
-
 #: Known backends, keyed by the names accepted on the CLI and in the
 #: :data:`EXECUTOR_ENV` environment variable.
-EXECUTOR_NAMES = ("serial", "process", "batched")
+EXECUTOR_NAMES = ("serial", "process")
 
 
 def executor_from_name(
@@ -538,10 +458,6 @@ def executor_from_name(
         if workers is None:
             workers = workers_from_env()
         return ProcessPoolExecutor(workers=workers, chunk_size=chunk_size)
-    if key == "batched":
-        # ``workers`` has no meaning in-process; ``chunk_size`` caps the
-        # lane width of each lock-step run.
-        return BatchedExecutor(max_width=chunk_size)
     raise ValueError(
         f"unknown executor {name!r}; available: {', '.join(EXECUTOR_NAMES)}"
     )
@@ -552,10 +468,9 @@ def default_executor() -> Optional[CampaignExecutor]:
 
     ``REPRO_EXECUTOR=process`` (optionally with ``REPRO_EXECUTOR_WORKERS=n``)
     routes every campaign that does not receive an explicit executor through
-    the process pool, and ``REPRO_EXECUTOR=batched`` through the lock-step
-    batched engine — this is how ``benchmarks/run_benchmarks.py
-    --executor process|batched`` switches the whole benchmark suite over
-    without touching each benchmark.
+    the process pool — this is how ``benchmarks/run_benchmarks.py
+    --executor process`` switches the whole benchmark suite over without
+    touching each benchmark.
     """
     name = os.environ.get(EXECUTOR_ENV, "").strip().lower()
     if not name or name == "serial":

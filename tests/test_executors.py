@@ -10,19 +10,16 @@ import pytest
 
 from repro.experiments.runners import run_broadcast_efficiency
 from repro.scenarios.executors import (
-    BatchedExecutor,
     BroadcastTask,
     CampaignExecutionError,
     ProcessPoolExecutor,
     SerialExecutor,
     default_executor,
-    execute_task,
     execute_task_output,
     executor_from_name,
     workers_from_env,
 )
 from repro.tomography.measurement import MeasurementCampaign
-from repro.tomography.pipeline import default_swarm_config
 
 #: Sentinel file for the chaos task functions: the first worker to find it
 #: missing creates it and misbehaves; retries then run clean.  Module-level
@@ -94,9 +91,7 @@ class TestResolution:
         assert executor_from_name(None).name == "serial"
         assert executor_from_name("serial").name == "serial"
         assert executor_from_name("process", workers=3).workers == 3
-        assert executor_from_name("batched").name == "batched"
-        assert executor_from_name("batched", chunk_size=2).max_width == 2
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="available: serial, process$"):
             executor_from_name("gpu")
 
     def test_default_executor_unset(self, monkeypatch):
@@ -114,11 +109,6 @@ class TestResolution:
         assert executor.name == "process"
         assert executor.workers == 3
 
-    def test_default_executor_batched(self, monkeypatch):
-        monkeypatch.setenv("REPRO_EXECUTOR", "batched")
-        monkeypatch.delenv("REPRO_EXECUTOR_WORKERS", raising=False)
-        assert default_executor().name == "batched"
-
 
 class TestExecuteTask:
     def test_task_replays_campaign_iteration(self, two_site_topology, tiny_swarm_config):
@@ -133,7 +123,7 @@ class TestExecuteTask:
             9,
             ((("broadcast", 0), campaign.hosts[0]),),
         )
-        (replayed,) = execute_task(task)
+        (replayed,) = execute_task_output(task).results
         assert np.array_equal(replayed.fragments.counts, expected.fragments.counts)
         assert replayed.duration == expected.duration
 
@@ -174,41 +164,6 @@ class TestBackendEquality:
         ).run(5)
         assert {r.root for r in pooled.results} != {pooled.hosts[0]}
         assert_records_identical(inline, pooled)
-
-    def test_batched_matches_inline_loop(self, two_site_topology, tiny_swarm_config):
-        inline = self._campaign(two_site_topology, tiny_swarm_config, None).run(4)
-        batched = self._campaign(
-            two_site_topology, tiny_swarm_config, BatchedExecutor()
-        ).run(4)
-        assert_records_identical(inline, batched)
-        assert all(r.batch_width == 4 for r in batched.results)
-
-    def test_batched_matches_serial_with_rotating_root(
-        self, two_site_topology, tiny_swarm_config
-    ):
-        inline = self._campaign(
-            two_site_topology, tiny_swarm_config, None, rotate_root=True
-        ).run(5)
-        batched = self._campaign(
-            two_site_topology,
-            tiny_swarm_config,
-            BatchedExecutor(),
-            rotate_root=True,
-        ).run(5)
-        assert {r.root for r in batched.results} != {batched.hosts[0]}
-        assert_records_identical(inline, batched)
-
-    def test_batched_width_does_not_change_results(
-        self, dumbbell_topology, tiny_swarm_config
-    ):
-        full = self._campaign(
-            dumbbell_topology, tiny_swarm_config, BatchedExecutor()
-        ).run(4)
-        capped = self._campaign(
-            dumbbell_topology, tiny_swarm_config, BatchedExecutor(max_width=2)
-        ).run(4)
-        assert_records_identical(full, capped)
-        assert [r.batch_width for r in capped.results] == [2, 2, 2, 2]
 
     def test_rerunning_same_campaign_is_idempotent(
         self, two_site_topology, tiny_swarm_config
@@ -338,8 +293,8 @@ class TestTelemetryMerge:
     """The metrics registry is per-process; the process pool ships worker
     snapshot deltas back inside each TaskOutput and merges them into the
     parent.  The simulation-side counters must therefore agree exactly
-    across serial, process and batched backends — the executor is an
-    execution strategy, not a different instrument."""
+    across the serial and process backends — the executor is an execution
+    strategy, not a different instrument."""
 
     SIM_COUNTERS = (
         "swarm.broadcasts",
@@ -366,19 +321,12 @@ class TestTelemetryMerge:
         pooled_record, pooled = self._campaign_delta(
             two_site_topology, tiny_swarm_config, ProcessPoolExecutor(workers=2)
         )
-        batched_record, batched = self._campaign_delta(
-            two_site_topology, tiny_swarm_config, BatchedExecutor()
-        )
         assert_records_identical(serial_record, pooled_record)
-        assert_records_identical(serial_record, batched_record)
         for key in self.SIM_COUNTERS:
             assert pooled.counter(key) == serial.counter(key), key
-            assert batched.counter(key) == serial.counter(key), key
         # The pooled counters arrived via worker snapshot merging: more than
         # one task chunk executed, none of them in this process.
         assert pooled.counter("executor.tasks") >= 2
-        # The batched backend additionally records its lock-step shape.
-        assert batched.counter("batched.lanes") == 4
 
 
 @pytest.mark.chaos

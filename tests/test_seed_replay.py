@@ -118,61 +118,6 @@ def test_rechoke_heavy_broadcast_replays_scalar_implementation(stepping):
     assert result.distinct_edges == 51
 
 
-def batched_lane_fingerprints(topology, num_fragments, seeds, **config_kwargs):
-    """Run seeds as lanes of one batched lock-step run; hash each lane."""
-    from repro.bittorrent.batched import BatchedBroadcast
-    from repro.bittorrent.torrent import TorrentMeta
-
-    meta = TorrentMeta(
-        name="golden", fragment_size=16384, num_fragments=num_fragments
-    )
-    config = SwarmConfig(torrent=meta, **config_kwargs)
-    engine = BatchedBroadcast(topology, config)
-    results = engine.run_many(
-        [(None, np.random.default_rng(seed)) for seed in seeds]
-    )
-    fingerprints = []
-    for result in results:
-        counts = result.fragments.counts.astype(np.int64)
-        digest = hashlib.sha256()
-        digest.update(("|".join(result.fragments.labels)).encode())
-        digest.update(counts.tobytes())
-        fingerprints.append(digest.hexdigest())
-    return fingerprints, results
-
-
-@pytest.mark.parametrize("stepping", STEPPING_MODES)
-def test_batched_lanes_replay_every_scalar_golden(stepping):
-    """Extracting any single lane of a batched run reproduces the pinned
-    scalar fingerprints bit for bit: the batched engine is a pure execution
-    strategy, not a new measurement semantics.  The golden seed runs as lane
-    0 with other seeds alongside, so the cross-lane interest matmul really
-    sees a full-width batch; a sibling lane is additionally cross-checked
-    against its own scalar replay."""
-    topology = build_multi_site(
-        {site: {default_cluster_of(site): 4} for site in ("bordeaux", "grenoble")}
-    )
-    fingerprints, results = batched_lane_fingerprints(
-        topology, 80, seeds=(73, 7, 41), stepping=stepping
-    )
-    assert fingerprints[0] == GOLDENS[stepping]["multi-site"]
-    assert [r.batch_width for r in results] == [3, 3, 3]
-    sibling, _ = broadcast_fingerprint(topology, 80, seed=7, stepping=stepping)
-    assert fingerprints[1] == sibling
-
-    topology = build_bordeaux_site(bordeplage=5, bordereau=4, borderline=2)
-    fingerprints, _ = batched_lane_fingerprints(
-        topology, 120, seeds=(2012, 5, 99), stepping=stepping
-    )
-    assert fingerprints[0] == GOLDENS[stepping]["bordeaux"]
-
-    fingerprints, _ = batched_lane_fingerprints(
-        topology, 2000, seeds=(99, 2012), rechoke_interval=0.3,
-        optimistic_every=2, stepping=stepping,
-    )
-    assert fingerprints[0] == GOLDENS[stepping]["rechoke-heavy"]
-
-
 def test_golden_columns_coincide():
     """The anchored event refactor did not fork the measurement semantics:
     the per-mode golden columns are pinned to the same fingerprints."""
@@ -375,18 +320,13 @@ def full_tracing(tmp_path):
 
 @pytest.mark.parametrize("stepping", STEPPING_MODES)
 def test_tracing_preserves_the_classic_goldens(full_tracing, stepping):
-    """Telemetry only *reads* state: with full tracing on, the scalar and
-    batched broadcasts reproduce their pinned fingerprints bit for bit."""
+    """Telemetry only *reads* state: with full tracing on, the broadcast
+    reproduces its pinned fingerprint bit for bit."""
     topology = build_multi_site(
         {site: {default_cluster_of(site): 4} for site in ("bordeaux", "grenoble")}
     )
     fingerprint, _ = broadcast_fingerprint(topology, 80, seed=73, stepping=stepping)
     assert fingerprint == GOLDENS[stepping]["multi-site"]
-
-    fingerprints, _ = batched_lane_fingerprints(
-        topology, 80, seeds=(73, 7, 41), stepping=stepping
-    )
-    assert fingerprints[0] == GOLDENS[stepping]["multi-site"]
 
     # The trace actually recorded the work it watched.
     from repro.observability.tracer import TRACER
