@@ -17,7 +17,7 @@ import numpy as np
 
 from benchmarks.conftest import ITERATIONS, SEED, report
 from repro.experiments.datasets import dataset
-from repro.tomography.faults import run_fault_study
+from repro.experiments.runners import run_dataset_clustering
 from repro.tomography.measurement import MeasurementCampaign
 from repro.tomography.pipeline import default_swarm_config
 
@@ -28,7 +28,7 @@ FRAGMENTS = 300
 
 
 def _study(faults, noise_threshold, **kwargs):
-    return run_fault_study(
+    return run_dataset_clustering(
         dataset("G-T", per_site=PER_SITE),
         faults=faults,
         iterations=max(ITERATIONS // 2, 5),

@@ -11,7 +11,7 @@ contention each number was measured under.
 
 from benchmarks.conftest import ITERATIONS, SEED, report
 from repro.experiments.datasets import dataset
-from repro.tomography.interference import run_interference_study
+from repro.experiments.runners import run_dataset_clustering
 from repro.workloads import (
     churn_workload,
     cross_traffic_workload,
@@ -25,9 +25,9 @@ FRAGMENTS = 300
 
 
 def _study(workload, noise_threshold):
-    return run_interference_study(
+    return run_dataset_clustering(
         dataset("G-T", per_site=PER_SITE),
-        workload,
+        workload=workload,
         iterations=max(ITERATIONS // 2, 4),
         num_fragments=FRAGMENTS,
         seed=SEED,

@@ -23,7 +23,8 @@ metric catalogue every run records into.
 
 Every subcommand accepts ``--json <path>`` to write a machine-readable
 record of what it printed.  Commands exit 0 on success, 2 on unknown
-scenarios/parameters, so they compose with shell scripts.
+scenarios/parameters or a knob the scenario does not take (``repro run
+netpipe --quorum 1``), so they compose with shell scripts.
 """
 
 from __future__ import annotations

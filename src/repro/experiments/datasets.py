@@ -33,8 +33,7 @@ inter-switch link, or two sites' worth of upload capacity squeezed through a
 dataset factories scale the shared links (site bottleneck, site uplinks and
 the Renater backbone) by ``requested nodes / reference nodes`` while leaving
 the per-node access links untouched.  Full-scale datasets (32 per site) use
-the unscaled, physical capacities.  This substitution is recorded in
-DESIGN.md.
+the unscaled, physical capacities.
 """
 
 from __future__ import annotations

@@ -47,7 +47,7 @@ def _resolve_executor(executor: Optional[CampaignExecutor]) -> Optional[Campaign
 
 
 # ---------------------------------------------------------------------- #
-# generic dataset clustering (Figs. 8-12 and the 2x2 experiment)
+# the campaign study (Figs. 8-12, 2x2, interference and fault scenarios)
 # ---------------------------------------------------------------------- #
 def run_dataset_clustering(
     ds: Dataset,
@@ -61,24 +61,31 @@ def run_dataset_clustering(
     workload=None,
     faults=None,
     quorum: Optional[int] = None,
+    noise_threshold: Optional[float] = None,
+    detect_factor: Optional[float] = None,
 ) -> Dict[str, object]:
     """Run the full tomography pipeline on a dataset and summarise the outcome.
 
-    ``workload`` (a :class:`~repro.workloads.WorkloadSpec` or preset name)
-    embeds every measured broadcast in a multi-tenant workload — concurrent
-    broadcasts, cross traffic, churn, capacity drift on a shared clock —
-    instead of the paper's idle network (``repro run <scenario> --workload
-    cross-heavy``; see docs/workloads.md).  ``faults`` (a
-    :class:`~repro.faults.FaultPlan` or preset name) additionally injects
+    The one measure → cluster → evaluate study behind every campaign-shaped
+    scenario.  ``workload`` (a :class:`~repro.workloads.WorkloadSpec` or
+    preset name) embeds every measured broadcast in a multi-tenant
+    workload — concurrent broadcasts, cross traffic, churn, capacity drift
+    on a shared clock — instead of the paper's idle network (``repro run
+    <scenario> --workload cross-heavy``; see docs/workloads.md).  ``faults``
+    (a :class:`~repro.faults.FaultPlan` or preset name) additionally injects
     deterministic failures into every iteration, and ``quorum`` lets the
     campaign proceed with ≥k surviving iterations instead of aborting on
-    the first failed one (see docs/faults.md).
+    the first failed one (see docs/faults.md).  A non-empty fault plan adds
+    the detection and localization verdicts (spike ratio ``detect_factor``,
+    see :func:`repro.tomography.faults.fault_verdicts`); ``noise_threshold``
+    adds ``recovered``: whether the overlapping NMI stays at or above it.
     """
     if workload is not None:
         from repro.workloads import workload_from_name
 
         workload = workload_from_name(workload)
     config = default_swarm_config(num_fragments, stepping=stepping)
+    executor = _resolve_executor(executor)
     pipeline = TomographyPipeline(
         ds.topology,
         hosts=ds.hosts,
@@ -86,19 +93,21 @@ def run_dataset_clustering(
         config=config,
         seed=seed,
         rotate_root=rotate_root,
-        executor=_resolve_executor(executor),
+        executor=executor,
         workload=workload,
         faults=faults,
     )
     result = pipeline.run(
         iterations, track_convergence=track_convergence, quorum=quorum
     )
+    record = result.record
     summary = {
         "dataset": ds.name,
         "hosts": ds.num_hosts,
         "iterations": iterations,
         "achieved_iterations": result.achieved_iterations,
         "degraded": result.degraded,
+        "failed_iterations": record.failed_iterations,
         "found_clusters": result.num_clusters,
         "expected_clusters": ds.expectation.expected_clusters,
         "paper_nmi": ds.expectation.paper_nmi,
@@ -108,22 +117,36 @@ def run_dataset_clustering(
         "measurement_time_s": result.measurement_time,
         "nmi_per_iteration": result.nmi_per_iteration,
         "stepping": config.stepping,
-        "control_steps": result.record.total_control_steps(),
+        "control_steps": record.total_control_steps(),
+        # Quorum campaigns take the resilient in-process loop (per-iteration
+        # try/except), never the fan-out path — record what actually ran.
+        "executor": (
+            executor.name if executor is not None and quorum is None
+            else "serial"
+        ),
         "result": result,
         "ground_truth": ds.ground_truth,
     }
-    if workload is not None or pipeline.campaign.faults is not None:
+    if noise_threshold is not None:
+        summary["noise_threshold"] = noise_threshold
+        summary["recovered"] = (
+            result.nmi is not None and result.nmi >= noise_threshold
+        )
+    plan = pipeline.campaign.faults
+    if plan is not None:
+        from repro.tomography.faults import fault_verdicts
+
+        summary.update(fault_verdicts(
+            record, plan, pipeline.campaign.routing, config, detect_factor
+        ))
+    if workload is not None or plan is not None:
         from repro.tomography.interference import summarize_workload_stats
 
         if workload is not None:
             summary.update(workload.metadata())
-        if pipeline.campaign.faults is not None:
-            summary.update(pipeline.campaign.faults.metadata())
-        summary.update(summarize_workload_stats(result.record.workload_stats))
-    if quorum is not None and executor is not None:
-        # Quorum campaigns take the resilient in-process loop (per-iteration
-        # try/except), never the fan-out path — record what actually ran.
-        summary["executor"] = "serial"
+        if plan is not None:
+            summary.update(plan.metadata())
+        summary.update(summarize_workload_stats(record.workload_stats))
     return summary
 
 

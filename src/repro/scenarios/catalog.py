@@ -29,6 +29,7 @@ from repro.experiments.datasets import (
 from repro.experiments.runners import (
     run_baseline_cost,
     run_broadcast_efficiency,
+    run_dataset_clustering,
     run_fig4,
     run_fig5,
     run_fig13,
@@ -58,19 +59,42 @@ def _bordeaux_split(per_site: int) -> Dict[str, int]:
 # formatters (terminal rendering of summary dicts)
 # ---------------------------------------------------------------------- #
 def format_campaign(summary: Dict[str, object]) -> str:
-    """Human rendering of a measure→cluster→evaluate campaign summary."""
+    """Human rendering of a measure→cluster→evaluate campaign summary.
+
+    Workload, noise-threshold and fault lines (detection, localization,
+    injected events) appear when the summary carries them.
+    """
+    iterations = f"{summary['iterations']} iterations"
+    if summary.get("degraded"):
+        iterations = f"{summary['achieved_iterations']}/{iterations} (DEGRADED)"
     lines = [
         f"scenario {summary['scenario']} (family {summary['family']}, "
         f"executor {summary['executor']})",
-        f"dataset {summary['dataset']}: {summary['hosts']} hosts, "
-        f"{summary['iterations']} iterations",
-        f"clusters found: {summary['found_clusters']} "
-        f"(expected: {summary['expected_clusters']})",
+        f"dataset {summary['dataset']}: {summary['hosts']} hosts, {iterations}",
     ]
+    if "workload" in summary:
+        lines.append(
+            f"workload {summary['workload']}: "
+            f"{summary['workload_actors']} tenants per broadcast"
+        )
+    if "faults" in summary:
+        lines.append(
+            f"faults {summary['faults']}: "
+            f"{summary['fault_injectors']} injector(s)"
+        )
+    lines.append(
+        f"clusters found: {summary['found_clusters']} "
+        f"(expected: {summary['expected_clusters']})"
+    )
     if summary.get("measured_nmi") is not None:
         lines.append(
             f"overlapping NMI vs ground truth: {summary['measured_nmi']:.3f} "
             f"(paper/model: {summary['paper_nmi']})"
+        )
+    if "noise_threshold" in summary:
+        lines.append(
+            f"noise threshold {summary['noise_threshold']:.2f} -> "
+            f"{'recovered' if summary['recovered'] else 'DEGRADED'}"
         )
     lines.append(f"modularity: {summary['modularity']:.3f}")
     curve = summary.get("nmi_per_iteration") or []
@@ -79,6 +103,81 @@ def format_campaign(summary: Dict[str, object]) -> str:
     lines.append(
         f"simulated measurement time: {summary['measurement_time_s']:.1f} s"
     )
+    if summary.get("detected"):
+        lines.append(
+            f"failure detected at iteration {summary['detected_iteration']} "
+            f"({summary['iterations_to_detect']} post-onset measurements, "
+            f"time to detect {summary['time_to_detect_s']:.3f} s)"
+        )
+    elif "detected" in summary:
+        lines.append(
+            "failure not detected "
+            f"(no duration spike over {summary['detect_factor']:.2f}x baseline)"
+        )
+    if summary.get("localized_link"):
+        rank = summary.get("localization_rank")
+        ttl = summary.get("time_to_localize_s")
+        lines.append(
+            f"failure localized: {summary['localized_link']}"
+            f"{f' (true link at rank {rank})' if rank is not None else ''}"
+            + (f", time to localize {ttl:.3f} s" if ttl is not None else "")
+        )
+    elif "localization_status" in summary:
+        candidates = summary.get("localization_candidates") or []
+        suffix = (
+            f"; candidates: {', '.join(c['link'] for c in candidates[:3])}"
+            if candidates else ""
+        )
+        lines.append(
+            f"failure not localized ({summary['localization_status']}{suffix})"
+        )
+    epochs = summary.get("epochs") or []
+    if len(epochs) > 1:
+        for e in epochs:
+            verdict = e.get("localized_link") or e.get("localization_status")
+            lines.append(
+                f"  epoch {e['epoch']} (iterations {e['onset_iteration']}.."
+                f"{e['end_iteration'] - 1}): "
+                f"{'detected' if e.get('detected') else 'not detected'}, "
+                f"localized -> {verdict}"
+                + (
+                    f" (rank {e['localization_rank']})"
+                    if e.get("localization_rank") is not None else ""
+                )
+            )
+    if summary.get("background_flows"):
+        lines.append(
+            f"cross traffic: {summary['background_flows']} flows, "
+            f"{summary['background_bytes_offered'] / 1e6:.1f} MB offered"
+        )
+    if summary.get("churn_leaves"):
+        lines.append(
+            f"churn: {summary['churn_leaves']} departures, "
+            f"{summary['churn_rejoins']} rejoins"
+        )
+    if summary.get("capacity_changes"):
+        lines.append(f"capacity drift events: {summary['capacity_changes']}")
+    if summary.get("rival_broadcasts"):
+        lines.append(f"rival broadcasts: {summary['rival_broadcasts']}")
+    if summary.get("link_failures"):
+        lines.append(
+            f"link failures: {summary['link_failures']} "
+            f"({summary['link_repairs']} repaired, "
+            f"{summary['link_downtime_s']:.3f} s downtime)"
+        )
+    if summary.get("route_flaps"):
+        lines.append(f"route flaps: {summary['route_flaps']}")
+    if summary.get("tracker_outages"):
+        lines.append(
+            f"tracker outages: {summary['tracker_outages']} "
+            f"({summary['announce_retries']} announce retries, "
+            f"{summary['announce_failures']} gave up)"
+        )
+    if summary.get("tenant_arrivals"):
+        lines.append(
+            f"tenant cycling: {summary['tenant_arrivals']} arrivals, "
+            f"{summary['tenant_departures']} departures"
+        )
     result = summary.get("result")
     truth = summary.get("ground_truth")
     if result is not None:
@@ -392,36 +491,6 @@ def _scenario_hetero(
 # interference families: tomography under multi-tenant workloads
 # (repro.workloads + repro.tomography.interference; docs/workloads.md)
 # ---------------------------------------------------------------------- #
-def _format_interference(summary: Dict[str, object]) -> str:
-    lines = [
-        f"scenario {summary['scenario']} (family {summary['family']}, "
-        f"workload {summary['workload']})",
-        f"dataset {summary['dataset']}: {summary['hosts']} hosts, "
-        f"{summary['iterations']} iterations, "
-        f"{summary['workload_actors']} tenants per broadcast",
-        f"clusters found: {summary['found_clusters']} "
-        f"(expected: {summary['expected_clusters']})",
-        f"overlapping NMI: {summary['measured_nmi']:.3f} "
-        f"(noise threshold {summary['noise_threshold']:.2f} -> "
-        f"{'recovered' if summary['recovered'] else 'DEGRADED'})",
-    ]
-    if summary.get("background_flows"):
-        lines.append(
-            f"cross traffic: {summary['background_flows']} flows, "
-            f"{summary['background_bytes_offered'] / 1e6:.1f} MB offered"
-        )
-    if summary.get("churn_leaves"):
-        lines.append(
-            f"churn: {summary['churn_leaves']} departures, "
-            f"{summary['churn_rejoins']} rejoins"
-        )
-    if summary.get("capacity_changes"):
-        lines.append(f"capacity drift events: {summary['capacity_changes']}")
-    if summary.get("rival_broadcasts"):
-        lines.append(f"rival broadcasts: {summary['rival_broadcasts']}")
-    return "\n".join(lines)
-
-
 def _reject_workload_override(name: str, workload, params: str) -> None:
     """Interference scenarios *are* their workload: an explicit ``--workload``
     would silently shadow the family's sweepable parameters (a sweep over
@@ -482,7 +551,7 @@ def _localization_dataset(per_site: int, backup: bool = False) -> Dataset:
 
 @runner_scenario("RIVAL-BROADCAST", family="rival-broadcast",
                  iterations=4, num_fragments=240,
-                 formatter=_format_interference,
+                 formatter=format_campaign,
                  tags=("beyond-paper", "interference", "sweepable"),
                  description="concurrent-broadcast contention: rival swarms "
                              "share clock and links with the measured one")
@@ -500,13 +569,12 @@ def _scenario_rival(
     faults=None,
     quorum: Optional[int] = None,
 ):
-    from repro.tomography.interference import run_interference_study
     from repro.workloads import rival_broadcast_workload
 
     _reject_workload_override("RIVAL-BROADCAST", workload, "rivals/stagger")
     wl = rival_broadcast_workload(rivals=rivals, stagger=stagger)
-    return run_interference_study(
-        _interference_dataset(per_site), wl,
+    return run_dataset_clustering(
+        _interference_dataset(per_site), workload=wl,
         iterations=iterations, num_fragments=num_fragments, seed=seed,
         noise_threshold=noise_threshold, stepping=stepping,
         executor=executor, faults=faults, quorum=quorum,
@@ -515,7 +583,7 @@ def _scenario_rival(
 
 @runner_scenario("CROSS-TRAFFIC", family="cross-traffic",
                  iterations=4, num_fragments=240,
-                 formatter=_format_interference,
+                 formatter=format_campaign,
                  tags=("beyond-paper", "interference", "sweepable"),
                  description="generative Poisson/on-off cross traffic; sweep "
                              "`intensity` to chart where recovery degrades")
@@ -534,13 +602,12 @@ def _scenario_cross_traffic(
     faults=None,
     quorum: Optional[int] = None,
 ):
-    from repro.tomography.interference import run_interference_study
     from repro.workloads import cross_traffic_workload
 
     _reject_workload_override("CROSS-TRAFFIC", workload, "intensity/sources/bulk")
     wl = cross_traffic_workload(intensity=intensity, sources=sources, bulk=bulk)
-    return run_interference_study(
-        _interference_dataset(per_site), wl,
+    return run_dataset_clustering(
+        _interference_dataset(per_site), workload=wl,
         iterations=iterations, num_fragments=num_fragments, seed=seed,
         noise_threshold=noise_threshold, stepping=stepping,
         executor=executor, faults=faults, quorum=quorum,
@@ -549,7 +616,7 @@ def _scenario_cross_traffic(
 
 @runner_scenario("CHURN", family="churn",
                  iterations=4, num_fragments=240,
-                 formatter=_format_interference,
+                 formatter=format_campaign,
                  tags=("beyond-paper", "interference", "sweepable"),
                  description="peer churn: leave/rejoin mid-broadcast; sweep "
                              "`churn_rate` for the degradation curve")
@@ -567,13 +634,12 @@ def _scenario_churn(
     faults=None,
     quorum: Optional[int] = None,
 ):
-    from repro.tomography.interference import run_interference_study
     from repro.workloads import churn_workload
 
     _reject_workload_override("CHURN", workload, "churn_rate/downtime_frac")
     wl = churn_workload(churn_rate=churn_rate, downtime_frac=downtime_frac)
-    return run_interference_study(
-        _interference_dataset(per_site), wl,
+    return run_dataset_clustering(
+        _interference_dataset(per_site), workload=wl,
         iterations=iterations, num_fragments=num_fragments, seed=seed,
         noise_threshold=noise_threshold, stepping=stepping,
         executor=executor, faults=faults, quorum=quorum,
@@ -582,7 +648,7 @@ def _scenario_churn(
 
 @runner_scenario("MIXED-TENANCY", family="cross-traffic",
                  iterations=4, num_fragments=240,
-                 formatter=_format_interference,
+                 formatter=format_campaign,
                  tags=("beyond-paper", "interference"),
                  description="everything at once: rival broadcast, cross "
                              "traffic, capacity drift and churn")
@@ -599,13 +665,12 @@ def _scenario_mixed_tenancy(
     faults=None,
     quorum: Optional[int] = None,
 ):
-    from repro.tomography.interference import run_interference_study
     from repro.workloads import mixed_workload
 
     _reject_workload_override("MIXED-TENANCY", workload, "intensity")
     wl = mixed_workload(intensity=intensity)
-    return run_interference_study(
-        _interference_dataset(per_site), wl,
+    return run_dataset_clustering(
+        _interference_dataset(per_site), workload=wl,
         iterations=iterations, num_fragments=num_fragments, seed=seed,
         noise_threshold=noise_threshold, stepping=stepping,
         executor=executor, faults=faults, quorum=quorum,
@@ -616,83 +681,6 @@ def _scenario_mixed_tenancy(
 # fault-injection family: tomography under injected failure
 # (repro.faults + repro.tomography.faults; docs/faults.md)
 # ---------------------------------------------------------------------- #
-def _format_faults(summary: Dict[str, object]) -> str:
-    lines = [
-        f"scenario {summary['scenario']} (family {summary['family']}, "
-        f"faults {summary['faults']})",
-        f"dataset {summary['dataset']}: {summary['hosts']} hosts, "
-        f"{summary['achieved_iterations']}/{summary['iterations']} iterations"
-        f"{' (DEGRADED)' if summary.get('degraded') else ''}",
-        f"clusters found: {summary['found_clusters']} "
-        f"(expected: {summary['expected_clusters']})",
-        f"overlapping NMI: {summary['measured_nmi']:.3f} "
-        f"(noise threshold {summary['noise_threshold']:.2f} -> "
-        f"{'recovered' if summary['recovered'] else 'DEGRADED'})",
-    ]
-    if summary.get("detected"):
-        lines.append(
-            f"failure detected at iteration {summary['detected_iteration']} "
-            f"({summary['iterations_to_detect']} post-onset measurements, "
-            f"time to detect {summary['time_to_detect_s']:.3f} s)"
-        )
-    elif summary.get("fault_injectors"):
-        lines.append(
-            "failure not detected "
-            f"(no duration spike over {summary['detect_factor']:.2f}x baseline)"
-        )
-    if summary.get("localized_link"):
-        rank = summary.get("localization_rank")
-        ttl = summary.get("time_to_localize_s")
-        lines.append(
-            f"failure localized: {summary['localized_link']}"
-            f"{f' (true link at rank {rank})' if rank is not None else ''}"
-            + (f", time to localize {ttl:.3f} s" if ttl is not None else "")
-        )
-    elif summary.get("localization_status") not in (None, "no-faults"):
-        candidates = summary.get("localization_candidates") or []
-        suffix = (
-            f"; candidates: {', '.join(c['link'] for c in candidates[:3])}"
-            if candidates else ""
-        )
-        lines.append(
-            f"failure not localized ({summary['localization_status']}{suffix})"
-        )
-    epochs = summary.get("epochs") or []
-    if len(epochs) > 1:
-        for e in epochs:
-            verdict = e.get("localized_link") or e.get("localization_status")
-            lines.append(
-                f"  epoch {e['epoch']} (iterations {e['onset_iteration']}.."
-                f"{e['end_iteration'] - 1}): "
-                f"{'detected' if e.get('detected') else 'not detected'}, "
-                f"localized -> {verdict}"
-                + (
-                    f" (rank {e['localization_rank']})"
-                    if e.get("localization_rank") is not None else ""
-                )
-            )
-    if summary.get("link_failures"):
-        lines.append(
-            f"link failures: {summary['link_failures']} "
-            f"({summary['link_repairs']} repaired, "
-            f"{summary['link_downtime_s']:.3f} s downtime)"
-        )
-    if summary.get("route_flaps"):
-        lines.append(f"route flaps: {summary['route_flaps']}")
-    if summary.get("tracker_outages"):
-        lines.append(
-            f"tracker outages: {summary['tracker_outages']} "
-            f"({summary['announce_retries']} announce retries, "
-            f"{summary['announce_failures']} gave up)"
-        )
-    if summary.get("tenant_arrivals"):
-        lines.append(
-            f"tenant cycling: {summary['tenant_arrivals']} arrivals, "
-            f"{summary['tenant_departures']} departures"
-        )
-    return "\n".join(lines)
-
-
 def _reject_faults_override(name: str, faults, params: str) -> None:
     """Fault scenarios *are* their fault plan — same contract as
     :func:`_reject_workload_override` for ``--faults``."""
@@ -707,7 +695,7 @@ def _reject_faults_override(name: str, faults, params: str) -> None:
 
 @runner_scenario("FAULT-INJECTION", family="fault-injection",
                  iterations=4, num_fragments=240,
-                 formatter=_format_faults,
+                 formatter=format_campaign,
                  tags=("beyond-paper", "faults", "sweepable"),
                  description="tomography under injected failures; sweep "
                              "`intensity` to map NMI vs failure intensity")
@@ -729,7 +717,6 @@ def _scenario_fault_injection(
         chaos_plan, link_failure_plan, route_flap_plan,
         tenant_cycle_plan, tracker_outage_plan,
     )
-    from repro.tomography.faults import run_fault_study
 
     _reject_faults_override("FAULT-INJECTION", faults, "preset/intensity")
     builders = {
@@ -746,8 +733,8 @@ def _scenario_fault_injection(
             f"unknown fault preset {preset!r}; "
             f"available: {', '.join(sorted(builders))}"
         ) from None
-    return run_fault_study(
-        _interference_dataset(per_site), plan, workload=workload,
+    return run_dataset_clustering(
+        _interference_dataset(per_site), faults=plan, workload=workload,
         iterations=iterations, num_fragments=num_fragments, seed=seed,
         noise_threshold=noise_threshold, stepping=stepping,
         executor=executor, quorum=quorum,
@@ -756,7 +743,7 @@ def _scenario_fault_injection(
 
 @runner_scenario("LINK-BLACKOUT", family="fault-injection",
                  iterations=6, num_fragments=240,
-                 formatter=_format_faults,
+                 formatter=format_campaign,
                  tags=("beyond-paper", "faults", "sweepable"),
                  description="persistent bottleneck failure mid-campaign; "
                              "headline metrics: time to detect and time to "
@@ -777,7 +764,6 @@ def _scenario_link_blackout(
     faults=None,
 ):
     from repro.faults import blackout_plan
-    from repro.tomography.faults import DETECT_FACTOR, run_fault_study
 
     _reject_faults_override("LINK-BLACKOUT", faults, "from_iteration/residual")
     plan = blackout_plan(
@@ -785,18 +771,17 @@ def _scenario_link_blackout(
         residual=residual,
         link="bordeaux.bordeplage.bottleneck",
     )
-    return run_fault_study(
-        _localization_dataset(per_site), plan, workload=workload,
+    return run_dataset_clustering(
+        _localization_dataset(per_site), faults=plan, workload=workload,
         iterations=iterations, num_fragments=num_fragments, seed=seed,
         noise_threshold=noise_threshold, stepping=stepping,
-        detect_factor=DETECT_FACTOR if detect_factor is None else detect_factor,
-        executor=executor, quorum=quorum,
+        detect_factor=detect_factor, executor=executor, quorum=quorum,
     )
 
 
 @runner_scenario("MIGRATING-BOTTLENECK", family="fault-injection",
                  iterations=8, num_fragments=240,
-                 formatter=_format_faults,
+                 formatter=format_campaign,
                  tags=("beyond-paper", "faults", "sweepable"),
                  description="self-healing routing under a relocating "
                              "failure: the control plane reroutes around "
@@ -825,7 +810,6 @@ def _scenario_migrating_bottleneck(
     and localization keep up with the moving target (per-epoch verdicts
     under ``epochs``)."""
     from repro.faults import migrating_plan
-    from repro.tomography.faults import DETECT_FACTOR, run_fault_study
 
     _reject_faults_override("MIGRATING-BOTTLENECK", faults, "residual/onsets")
     if iterations < 3:
@@ -843,10 +827,10 @@ def _scenario_migrating_bottleneck(
         onsets=(onset_1, onset_2),
         residual=residual,
     )
-    return run_fault_study(
-        _localization_dataset(per_site, backup=True), plan, workload=workload,
+    return run_dataset_clustering(
+        _localization_dataset(per_site, backup=True), faults=plan,
+        workload=workload,
         iterations=iterations, num_fragments=num_fragments, seed=seed,
         noise_threshold=noise_threshold, stepping=stepping,
-        detect_factor=DETECT_FACTOR if detect_factor is None else detect_factor,
-        executor=executor, quorum=quorum,
+        detect_factor=detect_factor, executor=executor, quorum=quorum,
     )

@@ -46,8 +46,6 @@ def scenario(
     iterations: int = 8,
     num_fragments: int = 600,
     seed: int = 2012,
-    rotate_root: bool = False,
-    track_convergence: bool = True,
     tags: tuple = (),
     formatter: Optional[Callable] = None,
 ) -> Callable[[Callable], Callable]:
@@ -63,8 +61,6 @@ def scenario(
                 iterations=iterations,
                 num_fragments=num_fragments,
                 seed=seed,
-                rotate_root=rotate_root,
-                track_convergence=track_convergence,
                 tags=tuple(tags),
                 formatter=formatter,
             )

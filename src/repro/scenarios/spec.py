@@ -3,10 +3,10 @@
 A :class:`ScenarioSpec` bundles everything needed to reproduce one
 experimental setting: how to build the substrate (topology + hosts + ground
 truth, via a :class:`~repro.experiments.datasets.Dataset` factory), the
-campaign parameters (iterations, fragments per broadcast, seed, root
-rotation), and the expectations recorded on the dataset.  Specs are frozen:
-running one never mutates it, so the same spec can be executed repeatedly,
-swept over parameter grids, and fanned out across executor backends.
+campaign parameters (iterations, fragments per broadcast, seed), and the
+expectations recorded on the dataset.  Specs are frozen: running one never
+mutates it, so the same spec can be executed repeatedly, swept over
+parameter grids, and fanned out across executor backends.
 
 Two flavours exist:
 
@@ -59,15 +59,6 @@ class ScenarioSpec:
         executor=..., **extra_overrides)`` and must return a summary dict.
     iterations / num_fragments / seed:
         Campaign defaults, overridable per run.
-    rotate_root:
-        Whether the campaign rotates the seeding root across iterations.
-    track_convergence:
-        Whether the default pipeline records the NMI-vs-iterations curve.
-    stepping:
-        Swarm control-loop stepping policy (``"fixed"``/``"event"``) the
-        scenario pins, or ``None`` to follow the environment default
-        (``REPRO_STEPPING``, ultimately ``"event"``).  Both policies produce
-        bit-for-bit identical measurements (docs/simulation.md).
     tags:
         Free-form labels (``"beyond-paper"``, ``"sweepable"``, ...).
     formatter:
@@ -82,9 +73,6 @@ class ScenarioSpec:
     iterations: int = 8
     num_fragments: int = 600
     seed: int = 2012
-    rotate_root: bool = False
-    track_convergence: bool = True
-    stepping: Optional[str] = None
     tags: Tuple[str, ...] = ()
     formatter: Optional[Callable[[Dict[str, object]], str]] = None
 
@@ -132,7 +120,6 @@ class ScenarioSpec:
         iterations: Optional[int] = None,
         num_fragments: Optional[int] = None,
         seed: Optional[int] = None,
-        track_convergence: Optional[bool] = None,
         stepping: Optional[str] = None,
         workload: Optional[object] = None,
         faults: Optional[object] = None,
@@ -148,91 +135,63 @@ class ScenarioSpec:
         :class:`~repro.workloads.WorkloadSpec`) layers a multi-tenant
         interference workload under the measurement campaign; ``faults``
         (a preset name or :class:`~repro.faults.FaultPlan`) injects
-        deterministic failures, and ``quorum`` lets the campaign proceed
-        with ≥k surviving iterations.  The summary always carries
-        ``scenario``, ``family``, ``executor`` and ``stepping`` keys so
-        downstream records know what produced them.
+        deterministic failures, ``quorum`` lets the campaign proceed with
+        ≥k surviving iterations, and ``detect_factor`` sets the failure
+        detector's spike ratio.  Campaign scenarios run
+        :func:`~repro.experiments.runners.run_dataset_clustering` with
+        convergence tracking, and runner scenarios their runner.  One rule
+        routes the knobs to that body: ``stepping`` reaches it only if it
+        takes it (swarm-less experiments such as the NetPIPE probes have no
+        control loop, so a suite-wide default must not break them); the
+        other four are forwarded if it takes them and otherwise raise
+        ``ValueError``, so an explicit request is never silently dropped.
+        A campaign has a failure detector only under a fault plan.  The
+        summary always carries ``scenario``, ``family``, ``executor`` and
+        ``stepping`` keys so downstream records know what produced them.
         """
+        from repro.experiments.runners import run_dataset_clustering
+
         iterations = self.iterations if iterations is None else iterations
         num_fragments = self.num_fragments if num_fragments is None else num_fragments
         seed = self.seed if seed is None else seed
-        track = self.track_convergence if track_convergence is None else track_convergence
-        stepping = self.stepping if stepping is None else stepping
-
-        if self.runner is not None:
-            if track_convergence is not None:
-                # Only forward an *explicit* request: runners that have no
-                # convergence notion then raise a clear TypeError instead of
-                # silently ignoring the caller's toggle.
-                overrides = {**overrides, "track_convergence": track_convergence}
-            parameters = inspect.signature(self.runner).parameters
-            accepts_kwargs = any(
-                p.kind == p.VAR_KEYWORD for p in parameters.values()
-            )
-            if stepping is not None:
-                # Forward the stepping policy only to runners that take it:
-                # swarm-less experiments (e.g. the NetPIPE probes) have no
-                # control loop, so a suite-wide default must not break them.
-                if "stepping" in parameters or accepts_kwargs:
-                    overrides = {**overrides, "stepping": stepping}
-            if workload is not None:
-                # Same contract for the interference workload: an explicit
-                # request against a runner with no measurement campaign
-                # (NetPIPE) raises instead of being silently dropped.
-                overrides = {**overrides, "workload": workload}
-            if faults is not None:
-                # And for fault plans — explicit-only, never silently lost.
-                overrides = {**overrides, "faults": faults}
-            if quorum is not None:
-                overrides = {**overrides, "quorum": quorum}
-            if detect_factor is not None:
-                # The detector threshold only means something to runners
-                # with a failure-detection stage; anywhere else an explicit
-                # request is an error, not a silently ignored knob.
-                if "detect_factor" not in parameters and not accepts_kwargs:
-                    raise ValueError(
-                        f"scenario {self.name} has no failure detector; "
-                        "--detect-factor only applies to fault-injection "
-                        "scenarios"
-                    )
-                overrides = {**overrides, "detect_factor": detect_factor}
-            summary = self.runner(
-                iterations=iterations,
-                num_fragments=num_fragments,
-                seed=seed,
-                executor=executor,
-                **overrides,
-            )
-        else:
-            from repro.experiments.runners import run_dataset_clustering
-
-            if detect_factor is not None:
+        body = self.runner or run_dataset_clustering
+        parameters = inspect.signature(body).parameters
+        takes_all = any(p.kind == p.VAR_KEYWORD for p in parameters.values())
+        kwargs: Dict[str, object] = {}
+        if stepping is not None and (takes_all or "stepping" in parameters):
+            kwargs["stepping"] = stepping
+        for name, value in (("workload", workload), ("faults", faults),
+                            ("quorum", quorum), ("detect_factor", detect_factor)):
+            if value is None:
+                continue
+            if name == "detect_factor" and self.runner is None and faults is None:
                 raise ValueError(
                     f"scenario {self.name} has no failure detector; "
-                    "--detect-factor only applies to fault-injection "
-                    "scenarios"
+                    "--detect-factor needs a fault plan (--faults)"
                 )
-            ds = self.build_dataset(**overrides)
-            summary = run_dataset_clustering(
-                ds,
-                iterations=iterations,
-                num_fragments=num_fragments,
-                seed=seed,
-                track_convergence=track,
-                rotate_root=self.rotate_root,
-                executor=executor,
-                stepping=stepping,
-                workload=workload,
-                faults=faults,
-                quorum=quorum,
-            )
+            if not (takes_all or name in parameters):
+                raise ValueError(
+                    f"scenario {self.name} does not take "
+                    f"--{name.replace('_', '-')}"
+                )
+            kwargs[name] = value
+        if self.runner is None:
+            kwargs.update(ds=self.build_dataset(**overrides), track_convergence=True)
+        else:
+            kwargs.update(overrides)
+        summary = body(
+            iterations=iterations,
+            num_fragments=num_fragments,
+            seed=seed,
+            executor=executor,
+            **kwargs,
+        )
         from repro.bittorrent.swarm import default_stepping
 
         summary["scenario"] = self.name
         summary["family"] = self.family
-        # Runners that cannot fan out (workload campaigns are serial-only)
-        # pre-stamp their actual backend; everything else records the one it
-        # was handed.
+        # Runners that do not report their backend record the one they
+        # were handed; campaign studies report the one that actually ran.
         summary.setdefault(
             "executor", executor.name if executor is not None else "serial"
         )

@@ -15,7 +15,6 @@
   workloads: concurrent broadcasts, cross traffic, churn, capacity drift).
 """
 
-from repro.tomography.interference import run_interference_study
 from repro.tomography.metric import EdgeMetric, aggregate_mean, metric_graph
 from repro.tomography.measurement import MeasurementCampaign, MeasurementRecord
 from repro.tomography.pipeline import TomographyPipeline, TomographyResult
@@ -43,5 +42,4 @@ __all__ = [
     "BaselineResult",
     "PairwiseSaturationTomography",
     "TripletSaturationTomography",
-    "run_interference_study",
 ]

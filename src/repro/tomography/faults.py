@@ -2,12 +2,11 @@
 
 The interference studies ask whether the fragment metric survives *load*;
 this module asks whether it survives *failure* — and how fast it notices
-one.  :func:`run_fault_study` runs a full measure → aggregate → cluster →
-evaluate campaign with every iteration carrying a
-:class:`~repro.faults.FaultPlan`'s injectors, and reports the recovered
-clustering, the injected-failure totals, and the study's two headline
-metrics: **time to detect** a failed bottleneck link and **time to
-localize** it (:mod:`repro.tomography.localization`).
+one.  Any campaign run under a non-empty :class:`~repro.faults.FaultPlan`
+(:func:`repro.experiments.runners.run_dataset_clustering`) reports, via
+:func:`fault_verdicts`, the study's two headline metrics: **time to
+detect** a failed bottleneck link and **time to localize** it
+(:mod:`repro.tomography.localization`).
 
 Detection is duration-based, which is exactly the signal a production
 tomography service has for free: a persistent capacity collapse on a
@@ -24,7 +23,7 @@ noticing, in measurement time.
 
 For plans whose failure *relocates* mid-campaign (``migrating_plan``),
 :func:`detect_epochs` re-runs the verdict per failure epoch against the
-pre-first-onset healthy history, and ``run_fault_study`` reports the
+pre-first-onset healthy history, and :func:`fault_verdicts` reports the
 merged per-epoch detection + localization verdicts under ``epochs``.
 """
 
@@ -33,11 +32,8 @@ from __future__ import annotations
 import statistics
 from typing import Dict, List, Optional, Sequence
 
-from repro.experiments.datasets import Dataset
-from repro.faults import FaultPlan, fault_plan_from_name
-from repro.tomography.interference import summarize_workload_stats
+from repro.faults import FaultPlan
 from repro.tomography.localization import localize_epochs
-from repro.tomography.pipeline import TomographyPipeline, default_swarm_config
 from repro.workloads.spec import expected_broadcast_duration
 
 #: Default duration-spike ratio that counts as "failure detected".
@@ -236,132 +232,38 @@ def _aligned_record(record, planned: int):
     return completions, durations, stats
 
 
-def run_fault_study(
-    ds: Dataset,
-    faults="blackout",
-    workload=None,
-    iterations: int = 6,
-    num_fragments: int = 300,
-    seed: int = 2012,
-    noise_threshold: float = 0.8,
-    stepping: Optional[str] = None,
-    track_convergence: bool = False,
-    detect_factor: float = DETECT_FACTOR,
-    executor=None,
-    quorum: Optional[int] = None,
-) -> Dict[str, object]:
-    """Measure a dataset under a fault plan and evaluate recovery,
-    detection and localization.
-
-    ``workload`` optionally layers an interference workload under the
-    faults (failures rarely arrive on an idle cluster).  ``quorum`` lets
-    the campaign proceed with ≥k surviving iterations; the summary then
-    reports ``degraded`` and the achieved count instead of raising.
-    """
-    plan = fault_plan_from_name(faults)
-    config = default_swarm_config(num_fragments, stepping=stepping)
-    pipeline = TomographyPipeline(
-        ds.topology,
-        hosts=ds.hosts,
-        ground_truth=ds.ground_truth,
-        config=config,
-        seed=seed,
-        workload=workload,
-        faults=plan,
-        executor=executor,
-    )
-    result = pipeline.run(
-        iterations, track_convergence=track_convergence, quorum=quorum
-    )
-    record = result.record
-    planned = record.planned_iterations or record.iterations
-    completions, durations, stats = _aligned_record(record, planned)
-    expected = expected_broadcast_duration(config)
-    detection = detect_failure(
-        durations,
-        fault_onset_iteration(plan),
-        expected,
-        detect_factor=detect_factor,
-    )
-    summary: Dict[str, object] = {
-        "dataset": ds.name,
-        "hosts": ds.num_hosts,
-        "iterations": iterations,
-        "achieved_iterations": result.achieved_iterations,
-        "degraded": result.degraded,
-        "failed_iterations": record.failed_iterations,
-        "found_clusters": result.num_clusters,
-        "expected_clusters": ds.expectation.expected_clusters,
-        "measured_nmi": result.nmi,
-        "measured_classical_nmi": result.classical_nmi,
-        "modularity": result.modularity,
-        "measurement_time_s": result.measurement_time,
-        "nmi_per_iteration": result.nmi_per_iteration,
-        "stepping": config.stepping,
-        "control_steps": record.total_control_steps(),
-        "executor": getattr(executor, "name", None) or "serial",
-        "noise_threshold": noise_threshold,
-        "recovered": result.nmi is not None and result.nmi >= noise_threshold,
-        "result": result,
-        "ground_truth": ds.ground_truth,
-    }
-    summary.update(detection)
-    summary.update(_localization_summary(
-        plan, completions, durations, stats, planned,
-        pipeline.campaign.routing, expected, detect_factor,
-    ))
-    summary.update(plan.metadata())
-    if pipeline.campaign.workload is not None:
-        summary.update(pipeline.campaign.workload.metadata())
-    summary.update(summarize_workload_stats(record.workload_stats))
-    return summary
-
-
-def _localization_summary(
+def fault_verdicts(
+    record,
     plan: FaultPlan,
-    completions: Sequence[Optional[Dict[str, float]]],
-    durations: Sequence[Optional[float]],
-    stats: Sequence[Optional[list]],
-    planned: int,
     routing,
-    expected_duration: float,
-    detect_factor: float,
+    config,
+    detect_factor: Optional[float] = None,
 ) -> Dict[str, object]:
-    """Localization + per-epoch verdicts for the study summary.
+    """Detection and localization verdicts of a campaign run under ``plan``.
 
-    The top-level headline numbers aggregate across epochs the way an
+    ``plan`` must inject something (campaigns drop the empty plan).  The
+    top-level headline numbers aggregate across failure epochs the way an
     operator would score the study: ``time_to_localize_s`` sums the
     per-epoch costs (``None`` if any epoch never converged),
     ``localization_rank`` is the *worst* epoch's rank, and
-    ``localized_link`` is the most recent epoch's verdict.
+    ``localized_link`` is the most recent epoch's verdict.  The merged
+    per-epoch detection + localization verdicts are under ``epochs``.
     """
-    out: Dict[str, object] = {
-        "localized_link": None,
-        "localization_status": "no-faults",
-        "localization_rank": None,
-        "localization_candidates": [],
-        "true_link": None,
-        "iterations_to_localize": None,
-        "time_to_localize_s": None,
-        "epochs": [],
-    }
+    if detect_factor is None:
+        detect_factor = DETECT_FACTOR
+    planned = record.planned_iterations or record.iterations
+    completions, durations, stats = _aligned_record(record, planned)
+    expected = expected_broadcast_duration(config)
+    out = detect_failure(
+        durations, fault_onset_iteration(plan), expected,
+        detect_factor=detect_factor,
+    )
     onsets = fault_epoch_onsets(plan)
-    if not onsets:
-        return out
-    ends = [
-        onsets[k + 1] if k + 1 < len(onsets) else planned
-        for k in range(len(onsets))
-    ]
-    truths = _epoch_truths(plan, onsets, ends, stats)
+    truths = _epoch_truths(plan, onsets, onsets[1:] + [planned], stats)
     located = localize_epochs(completions, durations, onsets, routing, truths)
     detected = detect_epochs(
-        durations, onsets, expected_duration, detect_factor=detect_factor
+        durations, onsets, expected, detect_factor=detect_factor
     )
-    epochs = []
-    for det, loc in zip(detected, located):
-        merged = dict(det)
-        merged.update(loc)
-        epochs.append(merged)
     ranks = [e["localization_rank"] for e in located]
     times = [e["time_to_localize_s"] for e in located]
     iters = [e["iterations_to_localize"] for e in located]
@@ -369,17 +271,11 @@ def _localization_summary(
     out.update(
         localized_link=last["localized_link"],
         localization_status=last["localization_status"],
+        localization_rank=None if None in ranks else max(ranks),
         localization_candidates=last["localization_candidates"],
         true_link=last["true_link"],
-        localization_rank=(
-            max(ranks) if ranks and all(r is not None for r in ranks) else None
-        ),
-        time_to_localize_s=(
-            float(sum(times)) if times and all(t is not None for t in times) else None
-        ),
-        iterations_to_localize=(
-            int(sum(iters)) if iters and all(i is not None for i in iters) else None
-        ),
-        epochs=epochs,
+        iterations_to_localize=None if None in iters else int(sum(iters)),
+        time_to_localize_s=None if None in times else float(sum(times)),
+        epochs=[{**det, **loc} for det, loc in zip(detected, located)],
     )
     return out

@@ -1,13 +1,14 @@
 """Interference-robustness measurement: tomography under shared-cluster load.
 
-The paper's campaigns measure in an idle network; this module asks the
-question its premise raises — does the fragment metric still recover the
-planted bandwidth structure when the measured broadcasts compete with other
-tenants?  :func:`run_interference_study` runs a full measure → aggregate →
-cluster → evaluate campaign with every broadcast embedded in a
-:class:`~repro.workloads.WorkloadSpec` (rival broadcasts, Poisson/on-off
-cross traffic, peer churn, link-capacity drift) and reports the recovered
-clustering together with the interference that was actually injected.
+The paper's campaigns measure in an idle network; the interference
+scenarios ask the question its premise raises — does the fragment metric
+still recover the planted bandwidth structure when the measured broadcasts
+compete with other tenants?  They run the standard campaign study
+(:func:`repro.experiments.runners.run_dataset_clustering`) with every
+broadcast embedded in a :class:`~repro.workloads.WorkloadSpec` (rival
+broadcasts, Poisson/on-off cross traffic, peer churn, link-capacity drift);
+:func:`summarize_workload_stats` totals the interference that was actually
+injected for the summary.
 
 Each scenario family documents a *noise threshold*: the overlapping-NMI
 floor the recovery is expected to stay above at the family's default
@@ -18,11 +19,7 @@ chart exactly where recovery degrades.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
-
-from repro.experiments.datasets import Dataset
-from repro.tomography.pipeline import TomographyPipeline, default_swarm_config
-from repro.workloads import WorkloadSpec, workload_from_name
+from typing import Dict, List
 
 
 def summarize_workload_stats(stats_per_iteration: List[List[Dict]]) -> Dict[str, object]:
@@ -82,68 +79,3 @@ def summarize_workload_stats(stats_per_iteration: List[List[Dict]]) -> Dict[str,
                 totals["announce_retries"] += int(row.get("announce_retries", 0))
                 totals["announce_failures"] += int(row.get("announce_failures", 0))
     return totals
-
-
-def run_interference_study(
-    ds: Dataset,
-    workload: WorkloadSpec,
-    iterations: int = 6,
-    num_fragments: int = 300,
-    seed: int = 2012,
-    noise_threshold: float = 0.8,
-    stepping: Optional[str] = None,
-    track_convergence: bool = False,
-    executor=None,
-    faults=None,
-    quorum: Optional[int] = None,
-) -> Dict[str, object]:
-    """Measure a dataset under a workload and evaluate the recovery.
-
-    Returns the standard campaign summary extended with the workload
-    metadata, the injected-interference totals, and the
-    ``noise_threshold`` / ``recovered`` verdict.  ``faults`` additionally
-    injects a :class:`~repro.faults.FaultPlan`'s failures (its metadata and
-    fault totals join the summary), and ``quorum`` lets the campaign
-    degrade gracefully instead of aborting on a failed iteration.
-    """
-    workload = workload_from_name(workload)
-    config = default_swarm_config(num_fragments, stepping=stepping)
-    pipeline = TomographyPipeline(
-        ds.topology,
-        hosts=ds.hosts,
-        ground_truth=ds.ground_truth,
-        config=config,
-        seed=seed,
-        workload=workload,
-        executor=executor,
-        faults=faults,
-    )
-    result = pipeline.run(
-        iterations, track_convergence=track_convergence, quorum=quorum
-    )
-    summary: Dict[str, object] = {
-        "dataset": ds.name,
-        "hosts": ds.num_hosts,
-        "iterations": iterations,
-        "achieved_iterations": result.achieved_iterations,
-        "degraded": result.degraded,
-        "found_clusters": result.num_clusters,
-        "expected_clusters": ds.expectation.expected_clusters,
-        "measured_nmi": result.nmi,
-        "measured_classical_nmi": result.classical_nmi,
-        "modularity": result.modularity,
-        "measurement_time_s": result.measurement_time,
-        "nmi_per_iteration": result.nmi_per_iteration,
-        "stepping": config.stepping,
-        "control_steps": result.record.total_control_steps(),
-        "executor": getattr(executor, "name", None) or "serial",
-        "noise_threshold": noise_threshold,
-        "recovered": result.nmi is not None and result.nmi >= noise_threshold,
-        "result": result,
-        "ground_truth": ds.ground_truth,
-    }
-    summary.update(workload.metadata())
-    if pipeline.campaign.faults is not None:
-        summary.update(pipeline.campaign.faults.metadata())
-    summary.update(summarize_workload_stats(result.record.workload_stats))
-    return summary

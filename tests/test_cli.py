@@ -251,6 +251,16 @@ class TestDetectionKnobs:
         assert "time_to_localize_s" in payload
         assert "localization_status" in payload
 
+    def test_detect_factor_with_faults_on_campaign_scenario(self, tmp_path):
+        path = tmp_path / "out.json"
+        code = main(
+            ["run", "G-T", "--iterations", "4", "--fragments", "80",
+             "--per-site", "2", "--faults", "blackout", "--detect-factor",
+             "1.1", "--json", str(path)]
+        )
+        assert code == 0
+        assert json.loads(path.read_text())["detect_factor"] == 1.1
+
     def test_sweep_prints_localization_column(self, capsys):
         code = main(
             ["sweep", "LINK-BLACKOUT", "--param", "residual", "--values",
@@ -260,3 +270,59 @@ class TestDetectionKnobs:
         assert code == 0
         out = capsys.readouterr().out
         assert "time_to_localize_s" in out
+
+
+class TestKnobRule:
+    """One rule for the campaign knobs on every scenario: forwarded when
+    the scenario's body takes them, a one-line exit 2 otherwise."""
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["run", "netpipe", "--quorum", "1"], "--quorum"),
+            (["run", "fig4", "--workload", "cross-heavy", "--iterations", "2",
+              "--fragments", "80", "--per-site", "4"], "--workload"),
+            (["run", "broadcast-efficiency", "--faults", "blackout",
+              "--fragments", "80", "--set", "node_counts=4,8"], "--faults"),
+        ],
+        ids=["netpipe-quorum", "fig4-workload", "efficiency-faults"],
+    )
+    def test_unsupported_knob_exits_2_naming_scenario_and_flag(
+        self, capsys, argv, flag
+    ):
+        assert main(argv) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert argv[1] in err[0] and flag in err[0]
+
+    def test_stepping_skips_runners_without_a_control_loop(self, capsys):
+        assert main(["run", "netpipe", "--stepping", "fixed",
+                     "--set", "repeats=2"]) == 0
+
+
+class TestUnifiedSummary:
+    """Every campaign under --workload/--faults reports through the one
+    study and prints through the one formatter."""
+
+    def test_faults_on_campaign_scenario_report_verdicts(self, capsys, tmp_path):
+        path = tmp_path / "out.json"
+        code = main(
+            ["run", "G-T", "--iterations", "4", "--fragments", "80",
+             "--per-site", "2", "--faults", "blackout", "--json", str(path)]
+        )
+        assert code == 0
+        out = capsys.readouterr().out
+        payload = json.loads(path.read_text())
+        assert payload["detected"]
+        assert payload["time_to_detect_s"] > 0
+        assert payload["localization_status"]
+        assert "faults blackout" in out
+        assert "failure detected at iteration" in out
+
+    def test_workload_on_campaign_scenario_prints_tenants(self, capsys):
+        code = main(
+            ["run", "G-T", "--iterations", "2", "--fragments", "80",
+             "--per-site", "2", "--workload", "cross-heavy"]
+        )
+        assert code == 0
+        assert "tenants per broadcast" in capsys.readouterr().out

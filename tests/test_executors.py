@@ -446,3 +446,30 @@ class TestPipelineIntegration:
         assert serial["nmi_per_iteration"] == pooled["nmi_per_iteration"]
         assert pooled["executor"] == "process"
         assert_records_identical(serial["result"].record, pooled["result"].record)
+
+    def test_quorum_campaign_reports_the_serial_loop_it_ran(self):
+        from repro.observability.metrics import METRICS
+        from repro.scenarios import get_scenario
+
+        before = METRICS.snapshot()
+        summary = get_scenario("CHURN").run(
+            executor=ProcessPoolExecutor(workers=2), quorum=2,
+            iterations=3, num_fragments=80, per_site=2,
+        )
+        delta = METRICS.snapshot().delta_since(before)
+        assert summary["executor"] == "serial"
+        assert delta.counter("executor.tasks") == 0
+
+    def test_environment_executor_is_the_one_reported(self, monkeypatch):
+        from repro.observability.metrics import METRICS
+        from repro.scenarios import get_scenario
+
+        monkeypatch.setenv("REPRO_EXECUTOR", "process")
+        monkeypatch.setenv("REPRO_EXECUTOR_WORKERS", "2")
+        before = METRICS.snapshot()
+        summary = get_scenario("G-T").run(
+            iterations=2, num_fragments=80, per_site=2
+        )
+        delta = METRICS.snapshot().delta_since(before)
+        assert summary["executor"] == "process"
+        assert delta.counter("executor.tasks") >= 1

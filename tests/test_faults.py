@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from repro.experiments.datasets import dataset
+from repro.experiments.runners import run_dataset_clustering
 from repro.faults import (
     FAULT_NAMES,
     FAULT_PRESETS,
@@ -37,7 +38,6 @@ from repro.tomography.faults import (
     detect_failure,
     fault_epoch_onsets,
     fault_onset_iteration,
-    run_fault_study,
 )
 from repro.tomography.measurement import MeasurementCampaign
 from repro.tomography.pipeline import default_swarm_config
@@ -473,8 +473,8 @@ class TestDetection:
         with pytest.raises(ValueError, match="strictly increasing"):
             detect_epochs([1.0, 2.0], onsets=[1, 1], expected_duration=1.0)
 
-    def test_run_fault_study_headline_metric(self, gt_dataset):
-        summary = run_fault_study(
+    def test_fault_campaign_headline_metric(self, gt_dataset):
+        summary = run_dataset_clustering(
             gt_dataset, faults="blackout", iterations=4, num_fragments=150,
             seed=2012,
         )
@@ -486,8 +486,8 @@ class TestDetection:
         assert not summary["degraded"]
         assert summary["achieved_iterations"] == 4
 
-    def test_run_fault_study_with_quorum_and_workload(self, gt_dataset):
-        summary = run_fault_study(
+    def test_fault_campaign_with_quorum_and_workload(self, gt_dataset):
+        summary = run_dataset_clustering(
             gt_dataset, faults=blackout_plan(from_iteration=2),
             workload="rival", iterations=4, num_fragments=150, seed=2012,
             quorum=2,
