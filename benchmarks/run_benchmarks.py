@@ -164,10 +164,7 @@ def run_scenarios(
     from repro.scenarios import executor_from_name
 
     trace_from_env()
-    executor = (
-        None if executor_name == "serial"
-        else executor_from_name(executor_name, workers=workers)
-    )
+    executor = executor_from_name(executor_name, workers=workers)
     rows = []
     for name, spec in specs:
         before = METRICS.snapshot()

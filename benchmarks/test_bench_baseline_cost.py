@@ -16,7 +16,7 @@ def test_baseline_measurement_cost_scales_worse_than_bittorrent(bench_once):
         node_counts=(6, 10, 14),
         probe_size=16e6,
         num_fragments=300,
-        bt_iterations=4,
+        iterations=4,
         seed=SEED,
     )
     rows = outcome["rows"]

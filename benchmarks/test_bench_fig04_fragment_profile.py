@@ -13,9 +13,7 @@ from repro.experiments.runners import run_fig4
 def test_fig4_local_edges_dominate(bench_once):
     outcome = bench_once(
         run_fig4,
-        bordeplage=8,
-        bordereau=6,
-        borderline=2,
+        per_site=8,
         iterations=ITERATIONS,
         num_fragments=NUM_FRAGMENTS,
         seed=SEED,

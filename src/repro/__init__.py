@@ -18,8 +18,7 @@ The package provides:
 * :mod:`repro.experiments` — the paper's named datasets and per-figure
   runners;
 * :mod:`repro.scenarios` — the declarative scenario registry and the
-  pluggable campaign executors (serial / process-pool) behind
-  ``python -m repro run <scenario>``.
+  process-pool campaign executor behind ``python -m repro run <scenario>``.
 
 Quickstart
 ----------
@@ -46,10 +45,8 @@ from repro.graph.wgraph import WeightedGraph
 from repro.network.grid5000 import Grid5000Builder, build_bordeaux_site, build_flat_site, build_multi_site
 from repro.network.topology import Topology
 from repro.scenarios import (
-    CampaignExecutor,
     ProcessPoolExecutor,
     ScenarioSpec,
-    SerialExecutor,
     all_scenarios,
     get_scenario,
     scenario_names,
@@ -78,10 +75,8 @@ __all__ = [
     "build_flat_site",
     "build_multi_site",
     "Topology",
-    "CampaignExecutor",
     "ProcessPoolExecutor",
     "ScenarioSpec",
-    "SerialExecutor",
     "all_scenarios",
     "get_scenario",
     "scenario_names",

@@ -48,7 +48,6 @@ from repro.observability import (
     METRIC_CATALOGUE,
     METRICS,
     TRACE_DETAILS,
-    TraceConfigError,
     configure_tracing,
 )
 from repro.scenarios.spec import CAMPAIGN_PARAMS
@@ -95,13 +94,6 @@ def _parse_overrides(pairs: Optional[Sequence[str]]) -> Dict[str, object]:
     return overrides
 
 
-def _make_executor(args: argparse.Namespace):
-    """Executor instance for ``--executor`` (``None`` → serial inline path)."""
-    if args.executor in (None, "serial"):
-        return None
-    return executor_from_name(args.executor, workers=args.workers)
-
-
 def _write_json(path: Optional[str], payload: Dict[str, object]) -> None:
     if not path:
         return
@@ -111,23 +103,7 @@ def _write_json(path: Optional[str], payload: Dict[str, object]) -> None:
     print(f"wrote {path}")
 
 
-def _setup_tracing(args: argparse.Namespace) -> Optional[int]:
-    """Configure ``--trace`` before a run; ``2`` on a bad destination.
-
-    Failing here — before the first iteration — is the fail-fast contract:
-    an unwritable path must not surface hours into a campaign.
-    """
-    if not getattr(args, "trace", None):
-        return None
-    try:
-        configure_tracing(args.trace, detail=args.trace_detail)
-    except TraceConfigError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
-    return None
-
-
-def _validate_detection_args(args: argparse.Namespace, spec) -> Optional[str]:
+def _validate_detection_args(args: argparse.Namespace, spec) -> None:
     """Fail-fast checks on the detection/quorum knobs, before any run.
 
     A bad threshold or an unsatisfiable quorum must surface immediately,
@@ -135,22 +111,54 @@ def _validate_detection_args(args: argparse.Namespace, spec) -> Optional[str]:
     silently detect nothing because the factor was below 1).
     """
     if args.detect_factor is not None and args.detect_factor <= 1.0:
-        return (
+        raise ValueError(
             f"--detect-factor must exceed 1.0 (a duration-spike *ratio*), "
             f"got {args.detect_factor:g}"
         )
     if args.quorum is not None:
         if args.quorum < 1:
-            return f"--quorum must be at least 1, got {args.quorum}"
+            raise ValueError(f"--quorum must be at least 1, got {args.quorum}")
         iterations = (
             args.iterations if args.iterations is not None else spec.iterations
         )
         if args.quorum > iterations:
-            return (
+            raise ValueError(
                 f"--quorum ({args.quorum}) cannot exceed the campaign's "
                 f"iterations ({iterations}): the quorum could never be met"
             )
-    return None
+
+
+def _prologue(
+    args: argparse.Namespace,
+    what: str = "override",
+    probe: Optional[Dict[str, object]] = None,
+):
+    """The fail-fast checks ``run`` and ``sweep`` share, before any run.
+
+    Resolves the scenario, parses ``--set`` with ``--per-site`` merged in,
+    rejects tunables the scenario does not take (``probe`` adds the swept
+    parameter), checks the detection knobs and configures ``--trace``: an
+    unwritable path must not surface hours into a campaign.  Returns
+    ``(spec, overrides)``; raises ``ValueError`` with the one line the
+    command prints before exiting 2.
+    """
+    try:
+        spec = get_scenario(args.scenario)
+    except KeyError as exc:
+        raise ValueError(exc.args[0]) from None
+    overrides = _parse_overrides(args.set)
+    if args.per_site is not None:
+        overrides.setdefault("per_site", args.per_site)
+    unknown = spec.unknown_overrides({**overrides, **(probe or {})})
+    if unknown:
+        raise ValueError(
+            f"bad {what} for scenario {spec.name!r}: "
+            f"unknown tunables {', '.join(unknown)}"
+        )
+    _validate_detection_args(args, spec)
+    if args.trace:
+        configure_tracing(args.trace, detail=args.trace_detail)
+    return spec, overrides
 
 
 def _campaign_kwargs(args: argparse.Namespace) -> Dict[str, object]:
@@ -200,36 +208,10 @@ def _cmd_list(args: argparse.Namespace) -> int:
 
 def _cmd_run(args: argparse.Namespace) -> int:
     try:
-        spec = get_scenario(args.scenario)
-    except KeyError as exc:
-        print(str(exc.args[0]), file=sys.stderr)
-        return 2
-    try:
-        overrides = _parse_overrides(args.set)
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
-    if args.per_site is not None:
-        overrides.setdefault("per_site", args.per_site)
-    unknown = spec.unknown_overrides(overrides)
-    if unknown:
-        print(
-            f"bad override for scenario {spec.name!r}: "
-            f"unknown tunables {', '.join(unknown)}",
-            file=sys.stderr,
-        )
-        return 2
-    problem = _validate_detection_args(args, spec)
-    if problem:
-        print(problem, file=sys.stderr)
-        return 2
-    status = _setup_tracing(args)
-    if status is not None:
-        return status
-    before = METRICS.snapshot()
-    try:
+        spec, overrides = _prologue(args)
+        before = METRICS.snapshot()
         summary = spec.run(
-            executor=_make_executor(args),
+            executor=executor_from_name(args.executor, workers=args.workers),
             stepping=args.stepping,
             workload=args.workload,
             faults=args.faults,
@@ -255,42 +237,20 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    try:
-        spec = get_scenario(args.scenario)
-    except KeyError as exc:
-        print(str(exc.args[0]), file=sys.stderr)
-        return 2
     values = _parse_value(args.values)
     if not isinstance(values, tuple):
         values = (values,)
+    param = args.param.replace("-", "_")
+    param_is_campaign = param in CAMPAIGN_PARAMS
     try:
-        base_overrides = _parse_overrides(args.set)
+        spec, base_overrides = _prologue(
+            args, "sweep parameter(s)",
+            {} if param_is_campaign else {param: values[0]},
+        )
+        executor = executor_from_name(args.executor, workers=args.workers)
     except ValueError as exc:
         print(str(exc), file=sys.stderr)
         return 2
-    if args.per_site is not None:
-        base_overrides.setdefault("per_site", args.per_site)
-    param = args.param.replace("-", "_")
-    param_is_campaign = param in CAMPAIGN_PARAMS
-    probe = dict(base_overrides)
-    if not param_is_campaign:
-        probe[param] = values[0]
-    unknown = spec.unknown_overrides(probe)
-    if unknown:
-        print(
-            f"bad sweep parameter(s) for scenario {spec.name!r}: "
-            f"unknown tunables {', '.join(unknown)}",
-            file=sys.stderr,
-        )
-        return 2
-    problem = _validate_detection_args(args, spec)
-    if problem:
-        print(problem, file=sys.stderr)
-        return 2
-    status = _setup_tracing(args)
-    if status is not None:
-        return status
-    executor = _make_executor(args)
     rows: List[Dict[str, object]] = []
     print(f"sweep {spec.name} over {param} = {list(values)}")
     for value in values:

@@ -169,6 +169,17 @@ def dataset_b(bordeplage: int = 32, bordereau: int = 27, borderline: int = 5) ->
     )
 
 
+def bordeaux_split(per_site: int) -> Dict[str, int]:
+    """The :func:`dataset_b` cluster sizes for ``per_site`` Bordeplage nodes
+    at reduced scale: Bordereau three quarters of it, Borderline a quarter
+    (at least one node each)."""
+    return {
+        "bordeplage": per_site,
+        "bordereau": max(per_site - per_site // 4, 1),
+        "borderline": max(per_site // 4, 1),
+    }
+
+
 def _multi_site_dataset(
     name: str,
     site_nodes: Mapping[str, int],

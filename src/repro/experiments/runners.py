@@ -7,6 +7,10 @@ scale parameters — node counts, fragment counts, iteration counts — because
 the simulated campaigns are run at laptop scale by default; the *shape* of
 the results (who wins, which edges are heavy, where the NMI converges) is
 what reproduces the paper, not the absolute magnitudes.
+
+The figure runners are registered as scenarios as they are (see
+:mod:`repro.scenarios.catalog`), so their parameter names are the CLI's
+``--per-site``/``--set`` tunables.
 """
 
 from __future__ import annotations
@@ -18,14 +22,14 @@ import numpy as np
 from repro.analysis.convergence import ConvergenceStudy
 from repro.clustering.louvain import louvain
 from repro.clustering.partition import Partition
-from repro.experiments.datasets import Dataset, dataset, dataset_b
+from repro.experiments.datasets import Dataset, bordeaux_split, dataset, dataset_b
 from repro.graph.wgraph import WeightedGraph
 from repro.network.grid5000 import Grid5000Builder, build_multi_site, default_cluster_of
 from repro.scenarios.executors import (
     BroadcastTask,
-    CampaignExecutor,
-    SerialExecutor,
+    ProcessPoolExecutor,
     default_executor,
+    execute_task_output,
 )
 from repro.tomography.baselines import (
     PairwiseSaturationTomography,
@@ -41,7 +45,9 @@ def _default_clusterer(graph: WeightedGraph) -> Partition:
     return louvain(graph).partition
 
 
-def _resolve_executor(executor: Optional[CampaignExecutor]) -> Optional[CampaignExecutor]:
+def _resolve_executor(
+    executor: Optional[ProcessPoolExecutor],
+) -> Optional[ProcessPoolExecutor]:
     """Explicit executor, else the environment's default (usually ``None``)."""
     return executor if executor is not None else default_executor()
 
@@ -55,8 +61,7 @@ def run_dataset_clustering(
     num_fragments: int = 600,
     seed: int = 7,
     track_convergence: bool = False,
-    rotate_root: bool = False,
-    executor: Optional[CampaignExecutor] = None,
+    executor: Optional[ProcessPoolExecutor] = None,
     stepping: Optional[str] = None,
     workload=None,
     faults=None,
@@ -92,7 +97,6 @@ def run_dataset_clustering(
         ground_truth=ds.ground_truth,
         config=config,
         seed=seed,
-        rotate_root=rotate_root,
         executor=executor,
         workload=workload,
         faults=faults,
@@ -154,23 +158,23 @@ def run_dataset_clustering(
 # Fig. 4 — per-edge metric of a fixed node, local vs remote
 # ---------------------------------------------------------------------- #
 def run_fig4(
-    bordeplage: int = 16,
-    bordereau: int = 12,
-    borderline: int = 4,
+    per_site: int = 8,
     iterations: int = 12,
     num_fragments: int = 600,
     seed: int = 3,
     focus_host: Optional[str] = None,
-    executor: Optional[CampaignExecutor] = None,
+    executor: Optional[ProcessPoolExecutor] = None,
     stepping: Optional[str] = None,
 ) -> Dict[str, object]:
     """Metric values for all edges of a fixed node, split local vs remote.
 
     The paper's Fig. 4 uses a 64-node Bordeaux+remote configuration and shows
     that edges to local-cluster peers carry several times more fragments in
-    total than edges to peers across the bottleneck.
+    total than edges to peers across the bottleneck.  Here dataset B has
+    ``per_site`` Bordeplage nodes and the other two clusters follow
+    :func:`~repro.experiments.datasets.bordeaux_split`.
     """
-    ds = dataset_b(bordeplage=bordeplage, bordereau=bordereau, borderline=borderline)
+    ds = dataset_b(**bordeaux_split(per_site))
     pipeline = TomographyPipeline(
         ds.topology,
         hosts=ds.hosts,
@@ -209,21 +213,22 @@ def run_fig4(
 # Fig. 5 — single-edge variance across independent runs
 # ---------------------------------------------------------------------- #
 def run_fig5(
-    cluster_nodes: int = 24,
+    per_site: int = 8,
     iterations: int = 36,
     num_fragments: int = 400,
     seed: int = 11,
-    executor: Optional[CampaignExecutor] = None,
+    executor: Optional[ProcessPoolExecutor] = None,
     stepping: Optional[str] = None,
 ) -> Dict[str, object]:
     """Distribution of ``w(e)`` for one intra-cluster edge over independent runs.
 
     The paper observes 23 of 36 runs with zero exchanged fragments on the
     fixed edge, and 3–6304 fragments otherwise: a very high variance compared
-    to the tight NetPIPE distribution.
+    to the tight NetPIPE distribution.  The cluster has ``2 * per_site``
+    nodes.
     """
     builder = Grid5000Builder()
-    topology = builder.build_single_site("bordeaux", {"bordereau": cluster_nodes})
+    topology = builder.build_single_site("bordeaux", {"bordereau": 2 * per_site})
     hosts = topology.host_names
     campaign = MeasurementCampaign(
         topology,
@@ -262,7 +267,7 @@ def run_fig13(
     iterations: int = 12,
     num_fragments: int = 500,
     seed: int = 5,
-    executor: Optional[CampaignExecutor] = None,
+    executor: Optional[ProcessPoolExecutor] = None,
     stepping: Optional[str] = None,
 ) -> Dict[str, ConvergenceStudy]:
     """NMI-vs-iterations curves for the Fig. 13 datasets (scaled down)."""
@@ -270,11 +275,7 @@ def run_fig13(
     studies: Dict[str, ConvergenceStudy] = {}
     for name in names:
         if name == "B":
-            ds = dataset_b(
-                bordeplage=per_site,
-                bordereau=max(per_site - per_site // 4, 1),
-                borderline=max(per_site // 4, 1),
-            )
+            ds = dataset_b(**bordeaux_split(per_site))
         else:
             ds = dataset(name, per_site=per_site)
         campaign = MeasurementCampaign(
@@ -299,7 +300,7 @@ def run_broadcast_efficiency(
     num_fragments: int = 400,
     sites: Sequence[str] = ("bordeaux", "grenoble", "toulouse", "lyon"),
     seed: int = 13,
-    executor: Optional[CampaignExecutor] = None,
+    executor: Optional[ProcessPoolExecutor] = None,
     stepping: Optional[str] = None,
 ) -> Dict[str, object]:
     """Broadcast completion time as a function of swarm size and file size.
@@ -313,7 +314,7 @@ def run_broadcast_efficiency(
     fans out through the campaign executor — across topologies, not just
     within one campaign.
     """
-    executor = _resolve_executor(executor) or SerialExecutor()
+    executor = _resolve_executor(executor)
     tasks: List[BroadcastTask] = []
     node_hosts: List[int] = []
     for count in node_counts:
@@ -342,7 +343,10 @@ def run_broadcast_efficiency(
             )
         )
 
-    results = executor.run_tasks(tasks)
+    results = (
+        executor.run_tasks(tasks) if executor is not None
+        else [r for task in tasks for r in execute_task_output(task).results]
+    )
     durations: Dict[int, float] = {
         hosts: result.duration
         for hosts, result in zip(node_hosts, results[: len(node_hosts)])
@@ -381,9 +385,9 @@ def run_baseline_cost(
     node_counts: Sequence[int] = (6, 10, 14),
     probe_size: float = 16e6,
     num_fragments: int = 300,
-    bt_iterations: int = 4,
+    iterations: int = 4,
     seed: int = 17,
-    executor: Optional[CampaignExecutor] = None,
+    executor: Optional[ProcessPoolExecutor] = None,
     stepping: Optional[str] = None,
 ) -> Dict[str, object]:
     """Measurement cost of the BitTorrent method vs the saturation baselines.
@@ -410,7 +414,7 @@ def run_baseline_cost(
             seed=seed,
             executor=_resolve_executor(executor),
         )
-        record = campaign.run(bt_iterations)
+        record = campaign.run(iterations)
         bt_time = record.total_measurement_time()
 
         pairwise = PairwiseSaturationTomography(

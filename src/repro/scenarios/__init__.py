@@ -3,10 +3,11 @@
 ``repro.scenarios`` turns the repo's experiment menu into data: a
 :class:`~repro.scenarios.spec.ScenarioSpec` describes one setting (topology
 factory, hosts, swarm/tomography configuration, iterations, seeds and
-expectations), a decorator-based registry names them, and pluggable
-:class:`~repro.scenarios.executors.CampaignExecutor` backends decide *how*
-the independent seeded broadcasts of a campaign run — serially in-process
-or fanned out over a process pool — without changing a single measured bit.
+expectations), a decorator-based registry names them, and the executor
+decides *how* the independent seeded broadcasts of a campaign run —
+in-process (``executor=None``) or fanned out over a
+:class:`~repro.scenarios.executors.ProcessPoolExecutor` — without changing
+a single measured bit.
 
 See ``docs/scenarios.md`` for the full guide, including how to add a
 scenario.
@@ -15,10 +16,8 @@ scenario.
 from repro.scenarios.executors import (
     BroadcastTask,
     CampaignExecutionError,
-    CampaignExecutor,
     EXECUTOR_NAMES,
     ProcessPoolExecutor,
-    SerialExecutor,
     TaskOutput,
     default_executor,
     execute_task_output,
@@ -45,10 +44,8 @@ from repro.scenarios.spec import ScenarioSpec, jsonable_summary, to_jsonable
 __all__ = [
     "BroadcastTask",
     "CampaignExecutionError",
-    "CampaignExecutor",
     "EXECUTOR_NAMES",
     "ProcessPoolExecutor",
-    "SerialExecutor",
     "ScenarioSpec",
     "TaskOutput",
     "all_scenarios",

@@ -16,11 +16,12 @@ used (8 nodes per site, 600 fragments, seed 2012); the paper-scale settings
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 
 from repro.analysis.visualize import ascii_cluster_table, render_fig4_bars
 from repro.experiments.datasets import (
     Dataset,
+    bordeaux_split,
     dataset,
     dataset_2x2,
     dataset_b,
@@ -44,15 +45,6 @@ from repro.scenarios.topologies import (
 
 #: Laptop-scale default for paper datasets (the paper itself runs 32).
 DEFAULT_PER_SITE = 8
-
-
-def _bordeaux_split(per_site: int) -> Dict[str, int]:
-    """The B-dataset cluster split used at reduced scale (CLI convention)."""
-    return {
-        "bordeplage": per_site,
-        "bordereau": max(per_site - per_site // 4, 1),
-        "borderline": max(per_site // 4, 1),
-    }
 
 
 # ---------------------------------------------------------------------- #
@@ -267,7 +259,7 @@ def _scenario_2x2() -> Dataset:
 @scenario("B", family="paper", formatter=format_campaign,
           description="Bordeaux only; Bordeplage split off by the 1 GbE bottleneck")
 def _scenario_b(per_site: int = DEFAULT_PER_SITE) -> Dataset:
-    return dataset_b(**_bordeaux_split(per_site))
+    return dataset_b(**bordeaux_split(per_site))
 
 
 @scenario("B-T", family="paper", formatter=format_campaign,
@@ -301,125 +293,34 @@ def _scenario_nested(alpha: int = 6, beta: int = 6, gamma: int = 12) -> Dataset:
 
 
 # ---------------------------------------------------------------------- #
-# per-figure experiment runners
+# per-figure experiment runners, registered as they are
 # ---------------------------------------------------------------------- #
-@runner_scenario("fig4", family="figure", iterations=12, formatter=_format_fig4,
-                 description="per-edge metric of a fixed node, local vs remote (Fig. 4)")
-def _scenario_fig4(
-    iterations: int,
-    num_fragments: int,
-    seed: int,
-    executor=None,
-    per_site: int = DEFAULT_PER_SITE,
-    focus_host: Optional[str] = None,
-    stepping: Optional[str] = None,
-):
-    return run_fig4(
-        iterations=iterations,
-        num_fragments=num_fragments,
-        seed=seed,
-        focus_host=focus_host,
-        executor=executor,
-        stepping=stepping,
-        **_bordeaux_split(per_site),
-    )
-
-
-@runner_scenario("fig5", family="figure", iterations=24, formatter=_format_fig5,
-                 description="single-edge variance across independent runs (Fig. 5)")
-def _scenario_fig5(
-    iterations: int,
-    num_fragments: int,
-    seed: int,
-    executor=None,
-    per_site: int = DEFAULT_PER_SITE,
-    stepping: Optional[str] = None,
-):
-    return run_fig5(
-        cluster_nodes=per_site * 2,
-        iterations=iterations,
-        num_fragments=num_fragments,
-        seed=seed,
-        executor=executor,
-        stepping=stepping,
-    )
-
-
-@runner_scenario("fig13", family="figure", iterations=10, formatter=_format_fig13,
-                 description="NMI convergence for all paper datasets (Fig. 13)")
-def _scenario_fig13(
-    iterations: int,
-    num_fragments: int,
-    seed: int,
-    executor=None,
-    per_site: int = DEFAULT_PER_SITE,
-    datasets: Optional[Tuple[str, ...]] = None,
-    stepping: Optional[str] = None,
-):
-    return run_fig13(
-        datasets=datasets,
-        per_site=per_site,
-        iterations=iterations,
-        num_fragments=num_fragments,
-        seed=seed,
-        executor=executor,
-        stepping=stepping,
-    )
-
-
-@runner_scenario("broadcast-efficiency", family="figure", num_fragments=400,
-                 formatter=_format_efficiency,
-                 description="broadcast completion vs swarm and file size (Sec. II-B)")
-def _scenario_efficiency(
-    iterations: int,
-    num_fragments: int,
-    seed: int,
-    executor=None,
-    node_counts: Tuple[int, ...] = (8, 16, 32),
-    stepping: Optional[str] = None,
-):
-    return run_broadcast_efficiency(
-        node_counts=tuple(int(c) for c in node_counts),
-        num_fragments=num_fragments,
-        seed=seed,
-        executor=executor,
-        stepping=stepping,
-    )
-
-
-@runner_scenario("baseline-cost", family="figure", iterations=4, num_fragments=300,
-                 formatter=_format_baseline,
-                 description="measurement cost vs saturation baselines (Sec. II-B)")
-def _scenario_baseline(
-    iterations: int,
-    num_fragments: int,
-    seed: int,
-    executor=None,
-    node_counts: Tuple[int, ...] = (6, 10, 14),
-    probe_size: float = 16e6,
-    stepping: Optional[str] = None,
-):
-    return run_baseline_cost(
-        node_counts=tuple(int(c) for c in node_counts),
-        probe_size=probe_size,
-        num_fragments=num_fragments,
-        bt_iterations=iterations,
-        seed=seed,
-        executor=executor,
-        stepping=stepping,
-    )
-
-
-@runner_scenario("netpipe", family="figure", formatter=_format_netpipe,
-                 description="NetPIPE reference bandwidths (Sec. II-C / IV-A)")
-def _scenario_netpipe(
-    iterations: int,
-    num_fragments: int,
-    seed: int,
-    executor=None,
-    repeats: int = 5,
-):
-    return run_netpipe_reference(repeats=repeats)
+runner_scenario(
+    "fig4", family="figure", iterations=12, formatter=_format_fig4,
+    description="per-edge metric of a fixed node, local vs remote (Fig. 4)",
+)(run_fig4)
+runner_scenario(
+    "fig5", family="figure", iterations=24, formatter=_format_fig5,
+    description="single-edge variance across independent runs (Fig. 5)",
+)(run_fig5)
+runner_scenario(
+    "fig13", family="figure", iterations=10, formatter=_format_fig13,
+    description="NMI convergence for all paper datasets (Fig. 13)",
+)(run_fig13)
+runner_scenario(
+    "broadcast-efficiency", family="figure", num_fragments=400,
+    formatter=_format_efficiency,
+    description="broadcast completion vs swarm and file size (Sec. II-B)",
+)(run_broadcast_efficiency)
+runner_scenario(
+    "baseline-cost", family="figure", iterations=4, num_fragments=300,
+    formatter=_format_baseline,
+    description="measurement cost vs saturation baselines (Sec. II-B)",
+)(run_baseline_cost)
+runner_scenario(
+    "netpipe", family="figure", formatter=_format_netpipe,
+    description="NetPIPE reference bandwidths (Sec. II-C / IV-A)",
+)(run_netpipe_reference)
 
 
 # ---------------------------------------------------------------------- #
@@ -490,21 +391,11 @@ def _scenario_hetero(
 # ---------------------------------------------------------------------- #
 # interference families: tomography under multi-tenant workloads
 # (repro.workloads + repro.tomography.interference; docs/workloads.md)
+#
+# Each of these scenarios *is* its workload, built from its parameters, so
+# its body takes no ``workload``: an explicit --workload would shadow the
+# sweepable parameters, and the knob rule rejects it instead.
 # ---------------------------------------------------------------------- #
-def _reject_workload_override(name: str, workload, params: str) -> None:
-    """Interference scenarios *are* their workload: an explicit ``--workload``
-    would silently shadow the family's sweepable parameters (a sweep over
-    ``intensity`` would tabulate identical runs under different labels), so
-    the conflict is rejected instead of resolved."""
-    if workload is not None:
-        raise ValueError(
-            f"scenario {name} builds its own workload from its parameters "
-            f"({params}); drop --workload, or layer a preset workload under "
-            "a campaign scenario instead (e.g. `repro run G-T --workload "
-            "cross-heavy`)"
-        )
-
-
 def _interference_dataset(per_site: int) -> Dataset:
     """The interference families' default substrate: two flat sites whose
     planted structure the recovery must keep finding under load."""
@@ -565,13 +456,11 @@ def _scenario_rival(
     stagger: float = 0.3,
     noise_threshold: float = 0.85,
     stepping: Optional[str] = None,
-    workload=None,
     faults=None,
     quorum: Optional[int] = None,
 ):
     from repro.workloads import rival_broadcast_workload
 
-    _reject_workload_override("RIVAL-BROADCAST", workload, "rivals/stagger")
     wl = rival_broadcast_workload(rivals=rivals, stagger=stagger)
     return run_dataset_clustering(
         _interference_dataset(per_site), workload=wl,
@@ -598,13 +487,11 @@ def _scenario_cross_traffic(
     bulk: bool = False,
     noise_threshold: float = 0.8,
     stepping: Optional[str] = None,
-    workload=None,
     faults=None,
     quorum: Optional[int] = None,
 ):
     from repro.workloads import cross_traffic_workload
 
-    _reject_workload_override("CROSS-TRAFFIC", workload, "intensity/sources/bulk")
     wl = cross_traffic_workload(intensity=intensity, sources=sources, bulk=bulk)
     return run_dataset_clustering(
         _interference_dataset(per_site), workload=wl,
@@ -630,13 +517,11 @@ def _scenario_churn(
     downtime_frac: float = 0.15,
     noise_threshold: float = 0.8,
     stepping: Optional[str] = None,
-    workload=None,
     faults=None,
     quorum: Optional[int] = None,
 ):
     from repro.workloads import churn_workload
 
-    _reject_workload_override("CHURN", workload, "churn_rate/downtime_frac")
     wl = churn_workload(churn_rate=churn_rate, downtime_frac=downtime_frac)
     return run_dataset_clustering(
         _interference_dataset(per_site), workload=wl,
@@ -661,13 +546,11 @@ def _scenario_mixed_tenancy(
     intensity: float = 0.5,
     noise_threshold: float = 0.75,
     stepping: Optional[str] = None,
-    workload=None,
     faults=None,
     quorum: Optional[int] = None,
 ):
     from repro.workloads import mixed_workload
 
-    _reject_workload_override("MIXED-TENANCY", workload, "intensity")
     wl = mixed_workload(intensity=intensity)
     return run_dataset_clustering(
         _interference_dataset(per_site), workload=wl,
@@ -680,19 +563,10 @@ def _scenario_mixed_tenancy(
 # ---------------------------------------------------------------------- #
 # fault-injection family: tomography under injected failure
 # (repro.faults + repro.tomography.faults; docs/faults.md)
+#
+# Each of these scenarios *is* its fault plan, so its body takes no
+# ``faults`` and --faults is rejected by the same rule.
 # ---------------------------------------------------------------------- #
-def _reject_faults_override(name: str, faults, params: str) -> None:
-    """Fault scenarios *are* their fault plan — same contract as
-    :func:`_reject_workload_override` for ``--faults``."""
-    if faults is not None:
-        raise ValueError(
-            f"scenario {name} builds its own fault plan from its parameters "
-            f"({params}); drop --faults, or inject a preset plan under a "
-            "campaign scenario instead (e.g. `repro run G-T --faults "
-            "blackout`)"
-        )
-
-
 @runner_scenario("FAULT-INJECTION", family="fault-injection",
                  iterations=4, num_fragments=240,
                  formatter=format_campaign,
@@ -711,14 +585,12 @@ def _scenario_fault_injection(
     quorum: Optional[int] = None,
     stepping: Optional[str] = None,
     workload=None,
-    faults=None,
 ):
     from repro.faults import (
         chaos_plan, link_failure_plan, route_flap_plan,
         tenant_cycle_plan, tracker_outage_plan,
     )
 
-    _reject_faults_override("FAULT-INJECTION", faults, "preset/intensity")
     builders = {
         "link-failure": link_failure_plan,
         "route-flap": route_flap_plan,
@@ -761,11 +633,9 @@ def _scenario_link_blackout(
     quorum: Optional[int] = None,
     stepping: Optional[str] = None,
     workload=None,
-    faults=None,
 ):
     from repro.faults import blackout_plan
 
-    _reject_faults_override("LINK-BLACKOUT", faults, "from_iteration/residual")
     plan = blackout_plan(
         from_iteration=from_iteration,
         residual=residual,
@@ -799,7 +669,6 @@ def _scenario_migrating_bottleneck(
     quorum: Optional[int] = None,
     stepping: Optional[str] = None,
     workload=None,
-    faults=None,
 ):
     """The failure moves mid-campaign: first the Bordeplage bottleneck
     collapses, then (after it recovers) the Bordereau uplink does.  Both
@@ -811,7 +680,6 @@ def _scenario_migrating_bottleneck(
     under ``epochs``)."""
     from repro.faults import migrating_plan
 
-    _reject_faults_override("MIGRATING-BOTTLENECK", faults, "residual/onsets")
     if iterations < 3:
         raise ValueError(
             "MIGRATING-BOTTLENECK needs at least 3 iterations "

@@ -11,17 +11,16 @@ identical to the serial one.
 This module makes that fan-out explicit:
 
 * :class:`BroadcastTask` — a picklable chunk of per-seed broadcasts sharing
-  one topology/config (the unit of work shipped to a backend);
-* :class:`CampaignExecutor` — the backend interface;
-* :class:`SerialExecutor` — runs chunks in-process (the reference backend);
+  one topology/config (the unit of work shipped to a worker);
 * :class:`ProcessPoolExecutor` — fans chunks out across worker processes.
 
-Executors are injected into :class:`~repro.tomography.measurement
+The executor is injected into :class:`~repro.tomography.measurement
 .MeasurementCampaign` and :class:`~repro.tomography.pipeline
-.TomographyPipeline`; ``tests/test_executors.py`` pins the bit-for-bit
-equality between backends.  On a single-core box the process pool only adds
-overhead — the point is that campaign wall-clock scales ~linearly with cores
-on real hardware without touching the experiment code.
+.TomographyPipeline`; ``executor=None`` is the one in-process path, and
+``tests/test_executors.py`` pins the bit-for-bit equality between the two.
+On a single-core box the process pool only adds overhead — the point is
+that campaign wall-clock scales ~linearly with cores on real hardware
+without touching the experiment code.
 """
 
 from __future__ import annotations
@@ -87,10 +86,10 @@ class TaskOutput:
     (``None`` entries for plain single-tenant broadcasts).
 
     ``metrics`` is the :class:`~repro.observability.metrics.MetricsSnapshot`
-    *delta* the task accumulated in its process.  Only the process-pool
-    backend merges it into the parent registry — serial tasks run
-    in-process, where the counters already landed in the global
-    registry, and merging again would double-count.
+    *delta* the task accumulated in its process.  It is merged into the
+    parent registry only when it crossed a process boundary — a task run
+    in-process already recorded into the global registry, and merging
+    again would double-count.
     """
 
     results: Tuple[BroadcastResult, ...]
@@ -166,94 +165,7 @@ class CampaignExecutionError(RuntimeError):
     """A task kept failing after every retry (crash, hang, broken pool)."""
 
 
-class CampaignExecutor:
-    """Backend interface for running independent seeded broadcasts.
-
-    Subclasses implement :meth:`run_task_outputs`; :meth:`run_campaign`
-    chunks a homogeneous campaign (one topology, many iteration specs) into
-    tasks according to the backend's parallelism and returns the flattened
-    results plus per-iteration workload stats in spec order.
-    """
-
-    #: Backend name recorded in CLI/benchmark output.
-    name = "abstract"
-
-    def run_task_outputs(
-        self, tasks: Sequence[BroadcastTask]
-    ) -> List[TaskOutput]:
-        """Run tasks (possibly concurrently); outputs come back in task order."""
-        raise NotImplementedError
-
-    def run_tasks(self, tasks: Sequence[BroadcastTask]) -> List[BroadcastResult]:
-        """Run tasks and flatten the broadcast results, in task order."""
-        return [
-            result
-            for output in self.run_task_outputs(tasks)
-            for result in output.results
-        ]
-
-    def chunk_specs(
-        self, specs: Sequence[IterationSpec]
-    ) -> List[Tuple[IterationSpec, ...]]:
-        """Split iteration specs into contiguous per-task chunks."""
-        return [tuple(specs)] if specs else []
-
-    def _make_tasks(
-        self,
-        topology: Topology,
-        config: SwarmConfig,
-        hosts: Optional[Sequence[str]],
-        base_seed: int,
-        specs: Sequence[IterationSpec],
-        workload=None,
-        faults=None,
-    ) -> List[BroadcastTask]:
-        host_tuple = tuple(hosts) if hosts is not None else None
-        return [
-            BroadcastTask(
-                topology, config, host_tuple, base_seed, chunk, workload, faults
-            )
-            for chunk in self.chunk_specs(list(specs))
-        ]
-
-    def run_campaign(
-        self,
-        topology: Topology,
-        config: SwarmConfig,
-        hosts: Optional[Sequence[str]],
-        base_seed: int,
-        specs: Sequence[IterationSpec],
-        workload=None,
-        faults=None,
-    ) -> Tuple[List[BroadcastResult], List[Optional[List[dict]]]]:
-        """Run one campaign with its workload/fault plans.
-
-        Returns ``(results, stats)`` flattened in spec order; ``stats[i]``
-        is the iteration's per-actor stats list (``None`` for single-tenant
-        iterations).
-        """
-        outputs = self.run_task_outputs(
-            self._make_tasks(
-                topology, config, hosts, base_seed, specs, workload, faults
-            )
-        )
-        results = [r for output in outputs for r in output.results]
-        stats = [s for output in outputs for s in output.stats]
-        return results, stats
-
-
-class SerialExecutor(CampaignExecutor):
-    """Run every task in-process, one broadcast after another."""
-
-    name = "serial"
-
-    def run_task_outputs(
-        self, tasks: Sequence[BroadcastTask]
-    ) -> List[TaskOutput]:
-        return [execute_task_output(task) for task in tasks]
-
-
-class ProcessPoolExecutor(CampaignExecutor):
+class ProcessPoolExecutor:
     """Fan tasks out across worker processes, surviving worker failure.
 
     Parameters
@@ -280,12 +192,13 @@ class ProcessPoolExecutor(CampaignExecutor):
 
     Determinism: each broadcast's random stream is derived from the base
     seed and its own label inside the worker, and outputs are reassembled
-    in submission order, so the resulting record is byte-identical to
-    :class:`SerialExecutor`'s regardless of worker scheduling — including
+    in submission order, so the resulting record is byte-identical to the
+    in-process loop's regardless of worker scheduling — including
     after crash/hang recovery, because a retried task replays the same
     streams from scratch.
     """
 
+    #: Backend name recorded in CLI/benchmark output.
     name = "process"
 
     def __init__(
@@ -320,14 +233,51 @@ class ProcessPoolExecutor(CampaignExecutor):
     def chunk_specs(
         self, specs: Sequence[IterationSpec]
     ) -> List[Tuple[IterationSpec, ...]]:
+        """Split iteration specs into contiguous per-task chunks."""
         if not specs:
             return []
         size = self.chunk_size or math.ceil(len(specs) / self.workers)
         return [tuple(specs[i : i + size]) for i in range(0, len(specs), size)]
 
+    def run_tasks(self, tasks: Sequence[BroadcastTask]) -> List[BroadcastResult]:
+        """Run tasks and flatten the broadcast results, in task order."""
+        return [
+            result
+            for output in self.run_task_outputs(tasks)
+            for result in output.results
+        ]
+
+    def run_campaign(
+        self,
+        topology: Topology,
+        config: SwarmConfig,
+        hosts: Optional[Sequence[str]],
+        base_seed: int,
+        specs: Sequence[IterationSpec],
+        workload=None,
+        faults=None,
+    ) -> Tuple[List[BroadcastResult], List[Optional[List[dict]]]]:
+        """Run one campaign with its workload/fault plans.
+
+        Returns ``(results, stats)`` flattened in spec order; ``stats[i]``
+        is the iteration's per-actor stats list (``None`` for single-tenant
+        iterations).
+        """
+        host_tuple = tuple(hosts) if hosts is not None else None
+        outputs = self.run_task_outputs([
+            BroadcastTask(
+                topology, config, host_tuple, base_seed, chunk, workload, faults
+            )
+            for chunk in self.chunk_specs(list(specs))
+        ])
+        results = [r for output in outputs for r in output.results]
+        stats = [s for output in outputs for s in output.stats]
+        return results, stats
+
     def run_task_outputs(
         self, tasks: Sequence[BroadcastTask]
     ) -> List[TaskOutput]:
+        """Run tasks concurrently; outputs come back in task order."""
         if not tasks:
             return []
         if (
@@ -407,7 +357,7 @@ class ProcessPoolExecutor(CampaignExecutor):
             else:
                 outputs[index] = output
                 # Only here — results that crossed a process boundary — are
-                # worker registry deltas folded in; in-process backends
+                # worker registry deltas folded in; tasks run in-process
                 # already recorded straight into the parent registry.
                 METRICS.merge(getattr(output, "metrics", None))
         for future in not_done:
@@ -449,11 +399,12 @@ def executor_from_name(
     name: Optional[str],
     workers: Optional[int] = None,
     chunk_size: Optional[int] = None,
-) -> CampaignExecutor:
-    """Instantiate a backend by name (``None``/empty → serial)."""
-    key = (name or "serial").strip().lower()
+) -> Optional[ProcessPoolExecutor]:
+    """Instantiate a backend by name; ``None``/empty/``serial`` → ``None``,
+    the in-process path."""
+    key = (name or "").strip().lower() or "serial"
     if key == "serial":
-        return SerialExecutor()
+        return None
     if key == "process":
         if workers is None:
             workers = workers_from_env()
@@ -463,7 +414,7 @@ def executor_from_name(
     )
 
 
-def default_executor() -> Optional[CampaignExecutor]:
+def default_executor() -> Optional[ProcessPoolExecutor]:
     """Backend selected by the environment, or ``None`` for the serial path.
 
     ``REPRO_EXECUTOR=process`` (optionally with ``REPRO_EXECUTOR_WORKERS=n``)
@@ -472,10 +423,7 @@ def default_executor() -> Optional[CampaignExecutor]:
     --executor process`` switches the whole benchmark suite over without
     touching each benchmark.
     """
-    name = os.environ.get(EXECUTOR_ENV, "").strip().lower()
-    if not name or name == "serial":
-        return None
-    return executor_from_name(name, workers=workers_from_env())
+    return executor_from_name(os.environ.get(EXECUTOR_ENV))
 
 
 def workers_from_env() -> Optional[int]:

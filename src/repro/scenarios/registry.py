@@ -6,9 +6,8 @@ Scenarios register themselves at import time:
 ... def _gt(per_site: int = 8) -> Dataset:
 ...     return dataset_gt(per_site=per_site)
 
->>> @runner_scenario("netpipe", family="figure", description="NetPIPE probes")
-... def _netpipe(iterations, num_fragments, seed, executor=None, **extra):
-...     return run_netpipe_reference(**extra)
+>>> runner_scenario("netpipe", family="figure",
+...                 description="NetPIPE probes")(run_netpipe_reference)
 
 The CLI (``repro run/list/sweep``) and the benchmark harness resolve names
 through :func:`get_scenario`; the built-in catalogue lives in

@@ -29,7 +29,7 @@ from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.experiments.datasets import Dataset
-from repro.scenarios.executors import CampaignExecutor
+from repro.scenarios.executors import ProcessPoolExecutor, default_executor
 
 #: Campaign parameters every scenario understands; ``ScenarioSpec.run``
 #: resolves them from spec defaults and per-run overrides.
@@ -54,9 +54,11 @@ class ScenarioSpec:
         the scenario's tunables (e.g. ``per_site``).  Exactly one of
         ``dataset_factory`` and ``runner`` must be set.
     runner:
-        Custom experiment body for scenarios that are not a single campaign.
-        Called as ``runner(iterations=..., num_fragments=..., seed=...,
-        executor=..., **extra_overrides)`` and must return a summary dict.
+        Custom experiment body for scenarios that are not a single campaign
+        (the figure runners are registered as they are).  Called with the
+        per-run overrides plus whichever of ``iterations``,
+        ``num_fragments``, ``seed``, ``executor`` and ``stepping`` it takes,
+        and must return a summary dict.
     iterations / num_fragments / seed:
         Campaign defaults, overridable per run.
     tags:
@@ -116,7 +118,7 @@ class ScenarioSpec:
 
     def run(
         self,
-        executor: Optional[CampaignExecutor] = None,
+        executor: Optional[ProcessPoolExecutor] = None,
         iterations: Optional[int] = None,
         num_fragments: Optional[int] = None,
         seed: Optional[int] = None,
@@ -139,11 +141,13 @@ class ScenarioSpec:
         ≥k surviving iterations, and ``detect_factor`` sets the failure
         detector's spike ratio.  Campaign scenarios run
         :func:`~repro.experiments.runners.run_dataset_clustering` with
-        convergence tracking, and runner scenarios their runner.  One rule
-        routes the knobs to that body: ``stepping`` reaches it only if it
-        takes it (swarm-less experiments such as the NetPIPE probes have no
-        control loop, so a suite-wide default must not break them); the
-        other four are forwarded if it takes them and otherwise raise
+        convergence tracking, and runner scenarios their runner.  The
+        executor is resolved once (``REPRO_EXECUTOR`` when none is passed).
+        One rule routes the knobs to that body: the campaign parameters,
+        the executor and ``stepping`` reach it only if it takes them
+        (swarm-less experiments such as the NetPIPE probes have no campaign
+        and no control loop, so suite-wide defaults must not break them);
+        the other four are forwarded if it takes them and otherwise raise
         ``ValueError``, so an explicit request is never silently dropped.
         A campaign has a failure detector only under a fault plan.  The
         summary always carries ``scenario``, ``family``, ``executor`` and
@@ -154,12 +158,17 @@ class ScenarioSpec:
         iterations = self.iterations if iterations is None else iterations
         num_fragments = self.num_fragments if num_fragments is None else num_fragments
         seed = self.seed if seed is None else seed
+        if executor is None:
+            executor = default_executor()
         body = self.runner or run_dataset_clustering
         parameters = inspect.signature(body).parameters
         takes_all = any(p.kind == p.VAR_KEYWORD for p in parameters.values())
-        kwargs: Dict[str, object] = {}
-        if stepping is not None and (takes_all or "stepping" in parameters):
-            kwargs["stepping"] = stepping
+        routed = {"iterations": iterations, "num_fragments": num_fragments,
+                  "seed": seed, "executor": executor, "stepping": stepping}
+        kwargs: Dict[str, object] = {
+            name: value for name, value in routed.items()
+            if takes_all or name in parameters
+        }
         for name, value in (("workload", workload), ("faults", faults),
                             ("quorum", quorum), ("detect_factor", detect_factor)):
             if value is None:
@@ -179,21 +188,18 @@ class ScenarioSpec:
             kwargs.update(ds=self.build_dataset(**overrides), track_convergence=True)
         else:
             kwargs.update(overrides)
-        summary = body(
-            iterations=iterations,
-            num_fragments=num_fragments,
-            seed=seed,
-            executor=executor,
-            **kwargs,
-        )
+        summary = body(**kwargs)
         from repro.bittorrent.swarm import default_stepping
 
         summary["scenario"] = self.name
         summary["family"] = self.family
-        # Runners that do not report their backend record the one they
-        # were handed; campaign studies report the one that actually ran.
+        # Campaign studies report the backend that actually ran (quorum
+        # forces the in-process loop); a runner ran the one it was handed,
+        # and a runner that takes no executor ran in-process.
         summary.setdefault(
-            "executor", executor.name if executor is not None else "serial"
+            "executor",
+            executor.name if executor is not None and "executor" in kwargs
+            else "serial",
         )
         summary.setdefault("stepping", stepping or default_stepping())
         summary["iterations_run"] = iterations

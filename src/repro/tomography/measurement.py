@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
-    from repro.scenarios.executors import CampaignExecutor
+    from repro.scenarios.executors import ProcessPoolExecutor
 
 from repro.bittorrent.instrumentation import FragmentMatrix
 from repro.bittorrent.swarm import BitTorrentBroadcast, BroadcastResult, SwarmConfig
@@ -142,7 +142,7 @@ class MeasurementCampaign:
         When True, iteration ``i`` is seeded by host ``i mod len(hosts)``;
         otherwise the first host always seeds (the paper's default setup).
     executor:
-        Optional :class:`~repro.scenarios.executors.CampaignExecutor` the
+        Optional :class:`~repro.scenarios.executors.ProcessPoolExecutor` the
         independent iterations are fanned out through.  ``None`` runs the
         classic in-process loop.  Because every iteration's random stream is
         derived statelessly from ``(seed, "broadcast", i)`` and results are
@@ -178,7 +178,7 @@ class MeasurementCampaign:
         hosts: Optional[Sequence[str]] = None,
         seed: int = 0,
         rotate_root: bool = False,
-        executor: Optional["CampaignExecutor"] = None,
+        executor: Optional["ProcessPoolExecutor"] = None,
         workload=None,
         faults=None,
         checkpoint=None,

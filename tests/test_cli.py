@@ -284,8 +284,14 @@ class TestKnobRule:
               "--fragments", "80", "--per-site", "4"], "--workload"),
             (["run", "broadcast-efficiency", "--faults", "blackout",
               "--fragments", "80", "--set", "node_counts=4,8"], "--faults"),
+            (["run", "CHURN", "--workload", "churn", "--iterations", "2",
+              "--fragments", "80", "--per-site", "2"], "--workload"),
+            (["run", "LINK-BLACKOUT", "--faults", "blackout",
+              "--iterations", "3", "--fragments", "80", "--per-site", "2"],
+             "--faults"),
         ],
-        ids=["netpipe-quorum", "fig4-workload", "efficiency-faults"],
+        ids=["netpipe-quorum", "fig4-workload", "efficiency-faults",
+             "churn-workload", "blackout-faults"],
     )
     def test_unsupported_knob_exits_2_naming_scenario_and_flag(
         self, capsys, argv, flag

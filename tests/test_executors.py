@@ -1,5 +1,5 @@
 """Campaign executor backends: chunking, resolution, and — crucially —
-bit-for-bit equality between the serial and process-pool paths, including
+bit-for-bit equality between the in-process and process-pool paths, including
 recovery from crashed and hung workers (the ``chaos`` marker)."""
 
 import os
@@ -13,7 +13,6 @@ from repro.scenarios.executors import (
     BroadcastTask,
     CampaignExecutionError,
     ProcessPoolExecutor,
-    SerialExecutor,
     default_executor,
     execute_task_output,
     executor_from_name,
@@ -61,10 +60,6 @@ def assert_records_identical(a, b):
 
 
 class TestChunking:
-    def test_serial_is_one_chunk(self):
-        specs = [(("broadcast", i), None) for i in range(5)]
-        assert SerialExecutor().chunk_specs(specs) == [tuple(specs)]
-
     def test_process_splits_evenly_and_contiguously(self):
         specs = [(("broadcast", i), None) for i in range(5)]
         chunks = ProcessPoolExecutor(workers=2).chunk_specs(specs)
@@ -88,8 +83,8 @@ class TestChunking:
 
 class TestResolution:
     def test_names(self):
-        assert executor_from_name(None).name == "serial"
-        assert executor_from_name("serial").name == "serial"
+        assert executor_from_name(None) is None
+        assert executor_from_name("serial") is None
         assert executor_from_name("process", workers=3).workers == 3
         with pytest.raises(ValueError, match="available: serial, process$"):
             executor_from_name("gpu")
@@ -135,13 +130,6 @@ class TestBackendEquality:
         return MeasurementCampaign(
             topology, config, seed=42, rotate_root=rotate_root, executor=executor
         )
-
-    def test_serial_executor_matches_inline_loop(self, two_site_topology, tiny_swarm_config):
-        inline = self._campaign(two_site_topology, tiny_swarm_config, None).run(4)
-        serial = self._campaign(
-            two_site_topology, tiny_swarm_config, SerialExecutor()
-        ).run(4)
-        assert_records_identical(inline, serial)
 
     def test_process_pool_matches_serial(self, two_site_topology, tiny_swarm_config):
         inline = self._campaign(two_site_topology, tiny_swarm_config, None).run(4)
@@ -460,16 +448,39 @@ class TestPipelineIntegration:
         assert summary["executor"] == "serial"
         assert delta.counter("executor.tasks") == 0
 
-    def test_environment_executor_is_the_one_reported(self, monkeypatch):
+    @pytest.mark.parametrize(
+        "name, overrides",
+        [
+            ("G-T", {"iterations": 2, "num_fragments": 80, "per_site": 2}),
+            ("fig13", {"iterations": 2, "num_fragments": 80, "per_site": 2,
+                       "datasets": ("G-T",)}),
+            ("broadcast-efficiency", {"num_fragments": 80,
+                                      "node_counts": (4, 8)}),
+        ],
+        ids=["G-T", "fig13", "broadcast-efficiency"],
+    )
+    def test_environment_executor_is_the_one_reported(
+        self, monkeypatch, name, overrides
+    ):
         from repro.observability.metrics import METRICS
         from repro.scenarios import get_scenario
 
         monkeypatch.setenv("REPRO_EXECUTOR", "process")
         monkeypatch.setenv("REPRO_EXECUTOR_WORKERS", "2")
         before = METRICS.snapshot()
-        summary = get_scenario("G-T").run(
-            iterations=2, num_fragments=80, per_site=2
-        )
+        summary = get_scenario(name).run(**overrides)
         delta = METRICS.snapshot().delta_since(before)
         assert summary["executor"] == "process"
         assert delta.counter("executor.tasks") >= 1
+
+    def test_runner_without_executor_reports_serial(self):
+        from repro.observability.metrics import METRICS
+        from repro.scenarios import get_scenario
+
+        before = METRICS.snapshot()
+        summary = get_scenario("netpipe").run(
+            executor=ProcessPoolExecutor(workers=2), repeats=2
+        )
+        delta = METRICS.snapshot().delta_since(before)
+        assert summary["executor"] == "serial"
+        assert delta.counter("executor.tasks") == 0

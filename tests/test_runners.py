@@ -28,9 +28,7 @@ class TestDatasetClusteringRunner:
 
 class TestFig4Runner:
     def test_local_traffic_dominates_remote(self):
-        outcome = run_fig4(
-            bordeplage=6, bordereau=4, borderline=2, iterations=6, num_fragments=300, seed=2
-        )
+        outcome = run_fig4(per_site=6, iterations=6, num_fragments=300, seed=2)
         assert outcome["local_total"] > 0
         assert outcome["remote_total"] > 0
         # The paper's headline observation: local-cluster peers receive several
@@ -43,7 +41,7 @@ class TestFig4Runner:
 
 class TestFig5Runner:
     def test_single_edge_variance_is_high(self):
-        outcome = run_fig5(cluster_nodes=10, iterations=12, num_fragments=200, seed=3)
+        outcome = run_fig5(per_site=5, iterations=12, num_fragments=200, seed=3)
         assert len(outcome["history"]) == 12
         # High coefficient of variation (vs. near-zero for NetPIPE).
         assert outcome["coefficient_of_variation"] > 0.5
@@ -76,7 +74,7 @@ class TestEfficiencyRunners:
 
     def test_baseline_cost_grows_faster_than_bittorrent(self):
         outcome = run_baseline_cost(
-            node_counts=(4, 8), probe_size=4e6, num_fragments=150, bt_iterations=2
+            node_counts=(4, 8), probe_size=4e6, num_fragments=150, iterations=2
         )
         rows = outcome["rows"]
         assert len(rows) == 2

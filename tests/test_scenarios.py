@@ -77,6 +77,19 @@ class TestRegistry:
         assert {"fig4", "fig5", "fig13", "broadcast-efficiency",
                 "baseline-cost", "netpipe"} <= names
 
+    def test_figure_scenarios_are_their_runners(self):
+        from repro.experiments import runners
+
+        for name, runner in (
+            ("fig4", runners.run_fig4),
+            ("fig5", runners.run_fig5),
+            ("fig13", runners.run_fig13),
+            ("broadcast-efficiency", runners.run_broadcast_efficiency),
+            ("baseline-cost", runners.run_baseline_cost),
+            ("netpipe", runners.run_netpipe_reference),
+        ):
+            assert get_scenario(name).runner is runner, name
+
     def test_at_least_three_non_paper_families(self):
         beyond = set(families()) - {"paper", "figure"}
         assert {"fat-tree", "random-bottleneck", "hetero-uplink"} <= beyond
