@@ -814,6 +814,132 @@ class BitTorrentBroadcast:
                 candidate += 1
             return candidate
 
+        def convert(time: float) -> bool:
+            """Turn each pipe's whole accumulated fragments into receipts.
+
+            The conversion check of the grid point at ``time``: only pipes
+            that accumulated a whole fragment need Python work; their
+            anchored bases are settled here, everything else stays a pure
+            function of its last conversion event.  Returns whether any pipe
+            was ready; when none is, nothing changes and no random number is
+            drawn.
+            """
+            if not pipe_order:
+                return False
+            moved = moved_at(time)
+            deltas = moved - pipe_consumed
+            progress_now = pipe_progress + deltas
+            ready = np.flatnonzero((deltas > 0) & (progress_now >= fragment_size))
+            if not ready.size:
+                return False
+            # Unbox the per-event scalars in bulk; the loop below then runs on
+            # plain Python ints/floats.
+            ready_list = ready.tolist()
+            ready_up = pipe_up[ready].tolist()
+            ready_down = pipe_down[ready].tolist()
+            ready_progress = progress_now[ready].tolist()
+            ready_moved = moved[ready].tolist()
+            if trace_full:
+                conversion_started = TRACER.now()
+                pass_receipts = 0
+            for event, position in enumerate(ready_list):
+                uploader, downloader = pipe_order[position]
+                uploader_index = ready_up[event]
+                downloader_index = ready_down[event]
+                down = peers[downloader]
+                surplus = ready_progress[event]
+                downloader_have = have[downloader_index]
+                downloader_lack = lack[downloader_index]
+                held = down._fragment_count
+                received: List[int] = []
+                # Inlined rarest-first selection (PieceSelector.select_from
+                # semantics, identical random-stream consumption).  Within one
+                # pipe's conversion loop only the downloader's bitfield
+                # changes, and only at just-received fragments — so the
+                # candidate set is computed once, consumed via an alive mask,
+                # and the rarest tie group drains through cheap list pops; the
+                # next tier is recomputed exactly when the scalar code's min
+                # would move on.
+                np.logical_and(have[uploader_index], downloader_lack, out=wanted_buf)
+                candidates = wanted_buf.nonzero()[0]
+                if candidates.size == 0:
+                    # Nothing useful left on this pipe; drop the surplus.
+                    pipe_consumed[position] = ready_moved[event]
+                    pipe_progress[position] = 0.0
+                    continue
+                alive = alive_buf[: candidates.size]
+                alive.fill(True)
+                counts_vals: Optional[np.ndarray] = None
+                tie_positions: Optional[List[int]] = None
+                while surplus >= fragment_size:
+                    if held < random_first_threshold:
+                        live = candidates[alive]
+                        if live.size == 0:
+                            surplus = 0.0
+                            break
+                        fragment = int(live[int(rng.integers(0, live.size))])
+                        alive[int(np.searchsorted(candidates, fragment))] = False
+                        tie_positions = None
+                    else:
+                        if not tie_positions:
+                            if counts_vals is None:
+                                counts_vals = availability[candidates]
+                            live_counts = counts_vals[alive]
+                            if live_counts.size == 0:
+                                surplus = 0.0
+                                break
+                            rarest = live_counts.min()
+                            tie_positions = (
+                                ((counts_vals == rarest) & alive).nonzero()[0].tolist()
+                            )
+                        r = int(rng.integers(0, len(tie_positions)))
+                        pos = tie_positions.pop(r)
+                        fragment = int(candidates[pos])
+                        alive[pos] = False
+                    surplus -= fragment_size
+                    received.append(fragment)
+                    downloader_lack[fragment] = False
+                    downloader_have[fragment] = True
+                    availability[fragment] += 1
+                    held += 1
+                    if held == num_fragments:
+                        down._fragment_count = held
+                        down.completion_time = time
+                        incomplete.discard(downloader)
+                        incomplete_mask[downloader_index] = False
+                        break
+                down._fragment_count = held
+                pipe_consumed[position] = ready_moved[event]
+                pipe_progress[position] = surplus
+                if received:
+                    if trace_full:
+                        pass_receipts += len(received)
+                    if trace is not None:
+                        for fragment in received:
+                            trace.append((time, downloader, uploader, fragment))
+                    fragments.counts[downloader_index, uploader_index] += len(received)
+                    if not interest_by_matmul:
+                        # Batched interest update: within this loop only the
+                        # downloader's row/column changed, so the per-receipt
+                        # column sums collapse into one fancy-indexed sum (the
+                        # diagonal is forced back to zero afterwards; the row
+                        # update uses lack = ~have elementwise).
+                        shared = have[:, received].sum(axis=1)
+                        wanted[:, downloader_index] -= shared
+                        wanted[downloader_index, :] += len(received) - shared
+                        wanted[downloader_index, downloader_index] = 0
+            if trace_full:
+                # Per-receipt conversion cost: wall seconds of the pass over
+                # the number of fragments it converted (sim-time stamped).
+                TRACER.event(
+                    "swarm.conversion",
+                    sim_time=time,
+                    pipes=len(ready_list),
+                    receipts=pass_receipts,
+                    wall_s=TRACER.now() - conversion_started,
+                )
+            return True
+
         while incomplete:
             if step >= max_steps:
                 raise RuntimeError(
@@ -927,127 +1053,8 @@ class BitTorrentBroadcast:
                 pipes_dirty = True
                 step_active = True
 
-            ready_list: List[int] = []
-            if pipe_order:
-                moved = moved_at(time)
-                deltas = moved - pipe_consumed
-                progress_now = pipe_progress + deltas
-                # Only pipes that accumulated a whole fragment need Python
-                # work; their anchored bases are settled below, everything
-                # else stays a pure function of its last conversion event.
-                ready = np.flatnonzero(
-                    (deltas > 0) & (progress_now >= fragment_size)
-                )
-                if ready.size:
-                    step_active = True
-                    # Unbox the per-event scalars in bulk; the loop below then
-                    # runs on plain Python ints/floats.
-                    ready_list = ready.tolist()
-                    ready_up = pipe_up[ready].tolist()
-                    ready_down = pipe_down[ready].tolist()
-                    ready_progress = progress_now[ready].tolist()
-                    ready_moved = moved[ready].tolist()
-
-            if trace_full and ready_list:
-                conversion_started = TRACER.now()
-                pass_receipts = 0
-            for event, position in enumerate(ready_list):
-                uploader, downloader = pipe_order[position]
-                uploader_index = ready_up[event]
-                downloader_index = ready_down[event]
-                down = peers[downloader]
-                surplus = ready_progress[event]
-                downloader_have = have[downloader_index]
-                downloader_lack = lack[downloader_index]
-                held = down._fragment_count
-                received: List[int] = []
-                # Inlined rarest-first selection (PieceSelector.select_from
-                # semantics, identical random-stream consumption).  Within one
-                # pipe's conversion loop only the downloader's bitfield
-                # changes, and only at just-received fragments — so the
-                # candidate set is computed once, consumed via an alive mask,
-                # and the rarest tie group drains through cheap list pops; the
-                # next tier is recomputed exactly when the scalar code's min
-                # would move on.
-                np.logical_and(have[uploader_index], downloader_lack, out=wanted_buf)
-                candidates = wanted_buf.nonzero()[0]
-                if candidates.size == 0:
-                    # Nothing useful left on this pipe; drop the surplus.
-                    pipe_consumed[position] = ready_moved[event]
-                    pipe_progress[position] = 0.0
-                    continue
-                alive = alive_buf[: candidates.size]
-                alive.fill(True)
-                counts_vals: Optional[np.ndarray] = None
-                tie_positions: Optional[List[int]] = None
-                while surplus >= fragment_size:
-                    if held < random_first_threshold:
-                        live = candidates[alive]
-                        if live.size == 0:
-                            surplus = 0.0
-                            break
-                        fragment = int(live[int(rng.integers(0, live.size))])
-                        alive[int(np.searchsorted(candidates, fragment))] = False
-                        tie_positions = None
-                    else:
-                        if not tie_positions:
-                            if counts_vals is None:
-                                counts_vals = availability[candidates]
-                            live_counts = counts_vals[alive]
-                            if live_counts.size == 0:
-                                surplus = 0.0
-                                break
-                            rarest = live_counts.min()
-                            tie_positions = (
-                                ((counts_vals == rarest) & alive).nonzero()[0].tolist()
-                            )
-                        r = int(rng.integers(0, len(tie_positions)))
-                        pos = tie_positions.pop(r)
-                        fragment = int(candidates[pos])
-                        alive[pos] = False
-                    surplus -= fragment_size
-                    received.append(fragment)
-                    downloader_lack[fragment] = False
-                    downloader_have[fragment] = True
-                    availability[fragment] += 1
-                    held += 1
-                    if held == num_fragments:
-                        down._fragment_count = held
-                        down.completion_time = time
-                        incomplete.discard(downloader)
-                        incomplete_mask[downloader_index] = False
-                        break
-                down._fragment_count = held
-                pipe_consumed[position] = ready_moved[event]
-                pipe_progress[position] = surplus
-                if received:
-                    if trace_full:
-                        pass_receipts += len(received)
-                    if trace is not None:
-                        for fragment in received:
-                            trace.append((time, downloader, uploader, fragment))
-                    fragments.counts[downloader_index, uploader_index] += len(received)
-                    if not interest_by_matmul:
-                        # Batched interest update: within this loop only the
-                        # downloader's row/column changed, so the per-receipt
-                        # column sums collapse into one fancy-indexed sum (the
-                        # diagonal is forced back to zero afterwards; the row
-                        # update uses lack = ~have elementwise).
-                        shared = have[:, received].sum(axis=1)
-                        wanted[:, downloader_index] -= shared
-                        wanted[downloader_index, :] += len(received) - shared
-                        wanted[downloader_index, downloader_index] = 0
-
-            if trace_full and ready_list:
-                # Per-receipt conversion cost: wall seconds of the pass over
-                # the number of fragments it converted (sim-time stamped).
-                TRACER.event(
-                    "swarm.conversion",
-                    sim_time=time,
-                    pipes=len(ready_list),
-                    receipts=pass_receipts,
-                    wall_s=TRACER.now() - conversion_started,
-                )
+            if convert(time):
+                step_active = True
 
             # --- next control point ---------------------------------------- #
             if not event_mode or step_active:
@@ -1089,12 +1096,17 @@ class BitTorrentBroadcast:
                 )
             step = target
             # Bring the fluid clock to the landing point before its control
-            # logic runs: the skipped span is transition-free (the jump is
-            # capped by the next fluid transition), so this only moves the
-            # clock — but pipe opens/closes at the landing step must anchor
+            # logic runs: pipe opens/closes at the landing step must anchor
             # their rate change at the landing time, exactly as the fixed
             # loop (whose clock always sits at the current grid point) does.
-            fluid.advance_to(start + step * dt)
+            # Then run the conversion check the fixed loop evaluates at this
+            # point (at the end of the previous step).  Under the predicted
+            # rates nothing is ready, but another tenant may have raised
+            # them during the jump (a repaired link, a settled flap, a
+            # cancelled foreign flow), and those receipts land here.
+            time = start + step * dt
+            fluid.advance_to(time)
+            convert(time)
 
         receipts = int(fragments.counts.sum())
         METRICS.count("swarm.broadcasts")

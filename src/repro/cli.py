@@ -352,7 +352,7 @@ def _cmd_faults(args: argparse.Namespace) -> int:
             {
                 "name": name,
                 "description": plan.description,
-                "injectors": plan.fault_count,
+                "injectors": plan.actor_count,
                 "kinds": plan.counts_by_kind(),
                 "intensity": plan.intensity,
             }

@@ -77,7 +77,8 @@ def run_dataset_clustering(
     workload — concurrent broadcasts, cross traffic, churn, capacity drift
     on a shared clock — instead of the paper's idle network (``repro run
     <scenario> --workload cross-heavy``; see docs/workloads.md).  ``faults``
-    (a :class:`~repro.faults.FaultPlan` or preset name) additionally injects
+    (a fault plan — a :class:`~repro.workloads.WorkloadSpec` of fault
+    injectors — or a :mod:`repro.faults` preset name) additionally injects
     deterministic failures into every iteration, and ``quorum`` lets the
     campaign proceed with ≥k surviving iterations instead of aborting on
     the first failed one (see docs/faults.md).  A non-empty fault plan adds
@@ -149,7 +150,12 @@ def run_dataset_clustering(
         if workload is not None:
             summary.update(workload.metadata())
         if plan is not None:
-            summary.update(plan.metadata())
+            summary.update(
+                faults=plan.name,
+                fault_injectors=plan.actor_count,
+                fault_kinds=plan.counts_by_kind(),
+                fault_intensity=plan.intensity,
+            )
         summary.update(summarize_workload_stats(record.workload_stats))
     return summary
 

@@ -1,9 +1,9 @@
 """Deterministic fault injection for measurement campaigns.
 
-Declarative :class:`FaultPlan` presets compose fault actors — link
-failures, route flaps, tracker outages, tenant arrival/departure — onto
-the shared workload agenda, seeded from stateless
-``(seed, "fault", iteration, label)`` streams so campaigns stay
+Fault plans are :class:`~repro.workloads.spec.WorkloadSpec` presets of
+fault actors — link failures, route flaps, tracker outages, tenant
+arrival/departure — scheduled on the shared workload agenda, seeded from
+stateless ``(seed, "fault", iteration, label)`` streams so campaigns stay
 bit-for-bit reproducible under injected failure.  See ``docs/faults.md``.
 """
 
@@ -18,16 +18,12 @@ from repro.faults.actors import (
     shared_links,
 )
 from repro.faults.spec import (
-    FAULT_KINDS,
+    FAULT_BUILDERS,
     FAULT_NAMES,
     FAULT_PRESETS,
     NO_FAULTS,
-    FaultPlan,
-    FaultSpec,
     blackout_plan,
-    build_fault_actors,
     chaos_plan,
-    fault,
     fault_plan_from_name,
     link_failure_plan,
     migrating_plan,
@@ -39,21 +35,17 @@ from repro.faults.spec import (
 __all__ = [
     "FAILURE_RESIDUAL",
     "MAX_ANNOUNCE_RETRIES",
-    "FAULT_KINDS",
+    "FAULT_BUILDERS",
     "FAULT_NAMES",
     "FAULT_PRESETS",
     "NO_FAULTS",
     "FaultActor",
-    "FaultPlan",
-    "FaultSpec",
     "LinkFailureActor",
     "RouteFlapActor",
     "TenantCycleActor",
     "TrackerOutageActor",
     "blackout_plan",
-    "build_fault_actors",
     "chaos_plan",
-    "fault",
     "fault_plan_from_name",
     "link_failure_plan",
     "migrating_plan",

@@ -5,10 +5,10 @@ Faults are tenants too: every injector below is a
 :class:`~repro.workloads.engine.WorkloadEngine` agenda as the measured
 broadcast and its background workload, drawing from its own stateless RNG
 stream (``(seed, "fault", iteration, label)``, see
-:mod:`repro.faults.spec`).  Injecting a fault is therefore just another
-agenda dispatch: capacity transitions notify every other actor through
-``on_network_change`` exactly like capacity drift does, so fixed and
-event stepping stay bit-identical under faults.
+:func:`~repro.workloads.spec.run_workload_iteration`).  Injecting a fault
+is therefore just another agenda dispatch: capacity transitions notify
+every other actor through ``on_network_change`` exactly like capacity
+drift does, so fixed and event stepping stay bit-identical under faults.
 
 The catalogue:
 
@@ -38,7 +38,12 @@ import numpy as np
 
 from repro.observability.metrics import METRICS
 from repro.observability.tracer import TRACER
-from repro.workloads.actors import MAX_ANNOUNCE_RETRIES, WorkloadActor
+from repro.workloads.actors import (
+    MAX_ANNOUNCE_RETRIES,
+    LinkWatcher,
+    WorkloadActor,
+    shared_links,
+)
 
 #: Fraction of nominal capacity a "failed" link retains.  The fluid engine
 #: rejects non-positive capacities, so an outage is a collapse to a residual
@@ -58,17 +63,8 @@ __all__ = [
 ]
 
 
-def shared_links(topology) -> list:
-    """Switch-to-switch link names: the shared resources faults target."""
-    return [
-        link.name
-        for link in topology.links
-        if not (topology.is_host(link.a) or topology.is_host(link.b))
-    ]
-
-
 class FaultActor(WorkloadActor):
-    """Base class for fault injectors (a plain actor with a fault tag).
+    """Base class for fault injectors (stats rows carry ``fault: True``).
 
     Besides the fault tag, the base carries the injectors' shared *control
     plane*: :meth:`_routing_for` derives (and caches, per avoid-set) a
@@ -76,9 +72,6 @@ class FaultActor(WorkloadActor):
     steers around a set of failed/flapping links, falling back to the
     nominal table for pairs the exclusion would disconnect.
     """
-
-    #: Distinguishes fault rows in per-iteration stats aggregation.
-    fault = True
 
     def __init__(self, label: str) -> None:
         super().__init__(label)
@@ -145,7 +138,7 @@ class FaultActor(WorkloadActor):
 # ---------------------------------------------------------------------- #
 # link failures
 # ---------------------------------------------------------------------- #
-class LinkFailureActor(FaultActor):
+class LinkFailureActor(LinkWatcher, FaultActor):
     """Fail-and-repair cycles on shared links.
 
     Every ``mtbf`` (exponential) seconds one of the watched links that is
@@ -181,7 +174,7 @@ class LinkFailureActor(FaultActor):
         start_time: float = 0.0,
         reroute: bool = False,
     ) -> None:
-        super().__init__(label)
+        super().__init__(label, links)
         if mtbf <= 0:
             raise ValueError("mtbf must be positive")
         if not persistent and repair_mean <= 0:
@@ -191,7 +184,6 @@ class LinkFailureActor(FaultActor):
         self.rng = rng
         self.mtbf = mtbf
         self.repair_mean = repair_mean
-        self.links = list(links) if links is not None else None
         self.residual = residual
         self.persistent = persistent
         self.limit = limit
@@ -201,18 +193,7 @@ class LinkFailureActor(FaultActor):
         self.repairs = 0
         self.downtime = 0.0
         self.failed_links: List[str] = []  # victims, in failure order
-        self._nominal: Dict[str, float] = {}
         self._down: Dict[str, float] = {}  # link -> failure time
-
-    def bind(self, engine) -> None:
-        super().bind(engine)
-        if self.links is None:
-            self.links = shared_links(engine.topology)
-        if not self.links:
-            raise ValueError(f"link-failure actor {self.label!r} has no links")
-        self._nominal = {
-            name: engine.fluid.link_capacity(name) for name in self.links
-        }
 
     def start(self) -> None:
         self._schedule_failure(self.start_time)
@@ -282,7 +263,7 @@ class LinkFailureActor(FaultActor):
 # ---------------------------------------------------------------------- #
 # route flaps
 # ---------------------------------------------------------------------- #
-class RouteFlapActor(FaultActor):
+class RouteFlapActor(LinkWatcher, FaultActor):
     """Routing instability: recompute routing around a flapping link.
 
     Every ``interval_mean`` (exponential) seconds one watched link starts a
@@ -311,7 +292,7 @@ class RouteFlapActor(FaultActor):
         start_time: float = 0.0,
         repin: bool = False,
     ) -> None:
-        super().__init__(label)
+        super().__init__(label, links)
         if interval_mean <= 0 or duration_mean <= 0:
             raise ValueError("interval and duration means must be positive")
         if not 0 < severity <= 1:
@@ -319,24 +300,12 @@ class RouteFlapActor(FaultActor):
         self.rng = rng
         self.interval_mean = interval_mean
         self.duration_mean = duration_mean
-        self.links = list(links) if links is not None else None
         self.severity = severity
         self.start_time = float(start_time)
         self.repin = bool(repin)
         self.flaps = 0
         self.reroutes = 0
-        self._nominal: Dict[str, float] = {}
         self._active: set = set()
-
-    def bind(self, engine) -> None:
-        super().bind(engine)
-        if self.links is None:
-            self.links = shared_links(engine.topology)
-        if not self.links:
-            raise ValueError(f"route-flap actor {self.label!r} has no links")
-        self._nominal = {
-            name: engine.fluid.link_capacity(name) for name in self.links
-        }
 
     def start(self) -> None:
         self._schedule_flap(self.start_time)
@@ -463,7 +432,7 @@ class TenantCycleActor(FaultActor):
     in-flight flows are cancelled.  Tenants that must announce to the
     tracker (``needs_tracker=True``, e.g. rival broadcasts) respect
     tracker outages: the arrival is retried with bounded exponential
-    backoff until the tracker is reachable again.
+    backoff off ``retry_base`` until the tracker is reachable again.
     """
 
     kind = "tenant-cycle"
@@ -474,9 +443,9 @@ class TenantCycleActor(FaultActor):
         rng: np.random.Generator,
         factory: Callable[[float], WorkloadActor],
         arrival: float,
+        retry_base: float,
         departure: Optional[float] = None,
         needs_tracker: bool = False,
-        retry_base: Optional[float] = None,
     ) -> None:
         super().__init__(label)
         if arrival < 0:
@@ -499,19 +468,7 @@ class TenantCycleActor(FaultActor):
         self.engine.schedule(self, self.arrival, self._on_arrival)
 
     def _on_arrival(self, attempt: int = 0) -> None:
-        if self.needs_tracker and getattr(self.engine, "tracker_down", False):
-            if attempt >= MAX_ANNOUNCE_RETRIES:
-                self.announce_failures += 1
-                return
-            base = self.retry_base
-            if base is None:
-                base = max(self.arrival, 1e-3) * 0.05
-            self.announce_retries += 1
-            self.engine.schedule(
-                self,
-                self.engine.now + base * (2.0 ** attempt),
-                lambda: self._on_arrival(attempt + 1),
-            )
+        if self.needs_tracker and self._tracker_dark(attempt, self._on_arrival):
             return
         self.tenant = self.factory(self.engine.now)
         self.engine.add_runtime(self.tenant)

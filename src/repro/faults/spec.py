@@ -1,281 +1,30 @@
-"""Declarative fault plans and the preset registry.
+"""Fault plans: the preset registry.
 
-A :class:`FaultPlan` mirrors :class:`~repro.workloads.spec.WorkloadSpec`:
-a frozen, picklable composition of fault injectors whose parameters are
-expressed *relative* to the measured campaign's scale (fractions of the
-expected broadcast duration), so one plan applies unchanged to any
-topology and fragment count.  Absolute values are resolved at build time
-by :func:`build_fault_actors`, and every injector's RNG stream is derived
-statelessly from the campaign seed and the fault label —
-``(seed, "fault", iteration, label)`` — the same discipline workload
-actors (``"workload"``) and measured broadcasts (``"broadcast"``) use.
-The empty plan (:data:`NO_FAULTS`) therefore adds no actor, draws no
-random number and perturbs no existing stream: campaigns replay their
-pinned sha256 goldens bit for bit (``tests/test_seed_replay.py``).
+A fault plan is a :class:`~repro.workloads.spec.WorkloadSpec` whose actors
+are fault injectors declared with :func:`~repro.workloads.spec.actor` —
+kinds ``link-failure``, ``route-flap``, ``tracker-outage`` and
+``tenant-cycle`` — so one plan applies unchanged to any topology and
+fragment count.  Passed as a campaign's ``faults``, its injectors are built
+by the same builder as workload tenants, each on its own stateless
+``(seed, "fault", iteration, label)`` stream (the role comes from the
+argument the plan is passed as).  The empty plan (:data:`NO_FAULTS`)
+therefore adds no actor, draws no random number and perturbs no existing
+stream: campaigns replay their pinned sha256 goldens bit for bit
+(``tests/test_seed_replay.py``).
 
-A fault may be scoped to part of a campaign with the ``from_iteration`` /
-``until_iteration`` params — the substrate of the detection scenarios,
-where a bottleneck link fails halfway through a campaign and the question
-is how many iterations the tomography needs to notice.
+Any injector may be scoped to part of a campaign with the
+``from_iteration`` / ``until_iteration`` params — the substrate of the
+detection scenarios, where a bottleneck link fails halfway through a
+campaign and the question is how many iterations the tomography needs to
+notice.
 """
 
 from __future__ import annotations
 
-import dataclasses
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Optional, Sequence
 
-import numpy as np
-
-from repro.bittorrent.swarm import SwarmConfig
-from repro.faults.actors import (
-    FAILURE_RESIDUAL,
-    LinkFailureActor,
-    RouteFlapActor,
-    TenantCycleActor,
-    TrackerOutageActor,
-)
-from repro.simulation.rng import derive_seed
-from repro.workloads.spec import expected_broadcast_duration
-
-#: Fault kinds a plan may declare.
-FAULT_KINDS = ("link-failure", "route-flap", "tracker-outage", "tenant-cycle")
-
-#: Sub-tenant kinds :class:`TenantCycleActor` can cycle in and out.
-TENANT_KINDS = ("poisson", "bulk", "rival")
-
-
-@dataclasses.dataclass(frozen=True)
-class FaultSpec:
-    """One declared fault injector.
-
-    ``params`` is a frozen ``(key, value)`` mapping of *relative* knobs;
-    the accepted keys depend on ``kind`` (see :func:`_build_fault_actor`).
-    Every kind accepts ``from_iteration`` / ``until_iteration`` to scope
-    the fault to a slice of the campaign.
-    """
-
-    kind: str
-    label: str
-    params: Tuple[Tuple[str, object], ...] = ()
-
-    def __post_init__(self) -> None:
-        if self.kind not in FAULT_KINDS:
-            raise ValueError(
-                f"unknown fault kind {self.kind!r}; expected one of {FAULT_KINDS}"
-            )
-        if not self.label:
-            raise ValueError("fault label must be non-empty")
-
-    def param_dict(self) -> Dict[str, object]:
-        return dict(self.params)
-
-    def applies_to(self, iteration: int) -> bool:
-        """Whether this fault is active in campaign iteration ``iteration``."""
-        p = self.param_dict()
-        if iteration < int(p.get("from_iteration", 0)):
-            return False
-        until = p.get("until_iteration")
-        return until is None or iteration < int(until)
-
-
-def fault(kind: str, label: str, **params) -> FaultSpec:
-    """Convenience constructor: ``fault("link-failure", "lf", mtbf_frac=0.4)``."""
-    return FaultSpec(kind=kind, label=label, params=tuple(sorted(params.items())))
-
-
-@dataclasses.dataclass(frozen=True)
-class FaultPlan:
-    """A named composition of fault injectors.
-
-    ``intensity`` is the plan's headline failure-intensity knob (recorded
-    in summaries and BENCH rows); its meaning is per-family — failure
-    frequency relative to the broadcast timescale, outage pressure,
-    cycled-tenant load.
-    """
-
-    name: str
-    description: str = ""
-    faults: Tuple[FaultSpec, ...] = ()
-    intensity: float = 0.0
-
-    def __post_init__(self) -> None:
-        if not self.name:
-            raise ValueError("fault plan name must be non-empty")
-        labels = [spec.label for spec in self.faults]
-        if len(set(labels)) != len(labels):
-            raise ValueError(f"duplicate fault labels in plan {self.name!r}")
-
-    def __bool__(self) -> bool:
-        return bool(self.faults)
-
-    @property
-    def fault_count(self) -> int:
-        return len(self.faults)
-
-    def counts_by_kind(self) -> Dict[str, int]:
-        counts: Dict[str, int] = {}
-        for spec in self.faults:
-            counts[spec.kind] = counts.get(spec.kind, 0) + 1
-        return counts
-
-    def active_in(self, iteration: int) -> Tuple[FaultSpec, ...]:
-        """The plan's faults that apply to campaign iteration ``iteration``."""
-        return tuple(s for s in self.faults if s.applies_to(iteration))
-
-    def metadata(self) -> Dict[str, object]:
-        """Fault descriptors recorded in summaries and BENCH rows."""
-        return {
-            "faults": self.name,
-            "fault_injectors": self.fault_count,
-            "fault_kinds": self.counts_by_kind(),
-            "fault_intensity": self.intensity,
-        }
-
-
-# ---------------------------------------------------------------------- #
-# fault builders (relative spec -> absolute actor)
-# ---------------------------------------------------------------------- #
-def _build_fault_actor(
-    spec: FaultSpec,
-    config: SwarmConfig,
-    hosts: Sequence[str],
-    primary,
-    rng: np.random.Generator,
-):
-    p = spec.param_dict()
-    duration = expected_broadcast_duration(config)
-    hosts = list(hosts)
-
-    if spec.kind == "link-failure":
-        return LinkFailureActor(
-            spec.label,
-            rng,
-            mtbf=float(p.get("mtbf_frac", 0.35)) * duration,
-            repair_mean=float(p.get("repair_frac", 0.1)) * duration,
-            links=p.get("links"),
-            residual=float(p.get("residual", FAILURE_RESIDUAL)),
-            persistent=bool(p.get("persistent", False)),
-            limit=p.get("limit"),
-            start_time=float(p.get("start_frac", 0.0)) * duration,
-            reroute=bool(p.get("reroute", False)),
-        )
-    if spec.kind == "route-flap":
-        return RouteFlapActor(
-            spec.label,
-            rng,
-            interval_mean=float(p.get("interval_frac", 0.35)) * duration,
-            duration_mean=float(p.get("duration_frac", 0.08)) * duration,
-            links=p.get("links"),
-            severity=float(p.get("severity", 0.25)),
-            start_time=float(p.get("start_frac", 0.0)) * duration,
-            repin=bool(p.get("repin", False)),
-        )
-    if spec.kind == "tracker-outage":
-        return TrackerOutageActor(
-            spec.label,
-            rng,
-            interval_mean=float(p.get("interval_frac", 0.3)) * duration,
-            outage_mean=float(p.get("outage_frac", 0.15)) * duration,
-            start_time=float(p.get("start_frac", 0.0)) * duration,
-        )
-    if spec.kind == "tenant-cycle":
-        return _build_tenant_cycle(spec, p, config, hosts, rng, duration)
-    raise ValueError(f"unknown fault kind {spec.kind!r}")  # pragma: no cover
-
-
-def _build_tenant_cycle(
-    spec: FaultSpec,
-    p: Dict[str, object],
-    config: SwarmConfig,
-    hosts: List[str],
-    rng: np.random.Generator,
-    duration: float,
-):
-    from repro.network.grid5000 import NODE_ACCESS_CAPACITY
-    from repro.workloads.actors import (
-        BroadcastActor,
-        BulkTransferActor,
-        PoissonTrafficActor,
-    )
-
-    tenant_kind = str(p.get("tenant", "poisson"))
-    if tenant_kind not in TENANT_KINDS:
-        raise ValueError(
-            f"unknown cycled tenant {tenant_kind!r}; expected one of {TENANT_KINDS}"
-        )
-    size = float(config.torrent.size)
-    intensity = float(p.get("intensity", 0.5))
-    sub_label = f"{spec.label}.tenant"
-
-    if tenant_kind == "poisson":
-        def factory(start_time: float):
-            return PoissonTrafficActor(
-                sub_label,
-                rng,
-                offered_load=intensity * NODE_ACCESS_CAPACITY,
-                mean_size=0.25 * size,
-                hosts=hosts,
-                start_time=start_time,
-            )
-    elif tenant_kind == "bulk":
-        def factory(start_time: float):
-            return BulkTransferActor(
-                sub_label,
-                rng,
-                src=hosts[int(p.get("src_index", 0)) % len(hosts)],
-                dst=hosts[int(p.get("dst_index", -1)) % len(hosts)],
-                size=float(p.get("size_frac", 2.0)) * size,
-                start_time=start_time,
-            )
-    else:  # rival broadcast: runs to completion, never "departs"
-        def factory(start_time: float):
-            return BroadcastActor(
-                sub_label,
-                config,
-                hosts=hosts,
-                root=hosts[int(p.get("root_index", -1)) % len(hosts)],
-                rng=rng,
-                start_time=start_time,
-                blocking=False,
-            )
-
-    departure_frac = p.get("departure_frac", 0.7)
-    if tenant_kind == "rival":
-        departure_frac = None
-    return TenantCycleActor(
-        spec.label,
-        rng,
-        factory=factory,
-        arrival=float(p.get("arrival_frac", 0.2)) * duration,
-        departure=(
-            None if departure_frac is None else float(departure_frac) * duration
-        ),
-        needs_tracker=(tenant_kind == "rival"),
-        retry_base=float(p.get("retry_frac", 0.02)) * duration,
-    )
-
-
-def build_fault_actors(
-    plan: "FaultPlan",
-    config: SwarmConfig,
-    hosts: Sequence[str],
-    primary,
-    base_seed: int,
-    iteration: int,
-) -> List[object]:
-    """Instantiate the plan's injectors active in ``iteration``.
-
-    Each actor draws from ``(seed, "fault", iteration, label)`` — derived
-    statelessly, never shared — so fault campaigns replay bit-for-bit and
-    the measured broadcast / workload streams are never perturbed.
-    """
-    actors = []
-    for spec in plan.active_in(iteration):
-        rng = np.random.default_rng(
-            derive_seed(base_seed, "fault", iteration, spec.label)
-        )
-        actors.append(_build_fault_actor(spec, config, hosts, primary, rng))
-    return actors
+from repro.faults.actors import FAILURE_RESIDUAL
+from repro.workloads.spec import WorkloadSpec, actor
 
 
 # ---------------------------------------------------------------------- #
@@ -285,17 +34,17 @@ def link_failure_plan(
     intensity: float = 1.0,
     residual: float = FAILURE_RESIDUAL,
     from_iteration: int = 0,
-) -> FaultPlan:
+) -> WorkloadSpec:
     """Transient fail-and-repair cycles on the shared links; ``intensity``
     scales the failure frequency (mean time between failures is
     ``0.35 / intensity`` of the expected broadcast duration)."""
     if intensity <= 0:
         raise ValueError("intensity must be positive")
-    return FaultPlan(
+    return WorkloadSpec(
         name=f"link-failure-{intensity:g}",
         description=f"transient link failures at intensity {intensity:g}",
-        faults=(
-            fault(
+        actors=(
+            actor(
                 "link-failure",
                 "linkfail",
                 mtbf_frac=0.35 / intensity,
@@ -313,7 +62,7 @@ def blackout_plan(
     residual: float = 0.02,
     start_frac: float = 0.1,
     link: Optional[str] = None,
-) -> FaultPlan:
+) -> WorkloadSpec:
     """A persistent bottleneck failure landing mid-campaign.
 
     From iteration ``from_iteration`` on, one shared link collapses to
@@ -333,12 +82,12 @@ def blackout_plan(
     )
     if link is not None:
         params["links"] = (link,)
-    return FaultPlan(
+    return WorkloadSpec(
         name="blackout",
         description=(
             f"persistent bottleneck failure from iteration {from_iteration}"
         ),
-        faults=(fault("link-failure", "blackout", **params),),
+        actors=(actor("link-failure", "blackout", **params),),
         intensity=1.0 - float(residual),
     )
 
@@ -349,7 +98,7 @@ def migrating_plan(
     residual: float = 0.02,
     start_frac: float = 0.1,
     reroute: bool = True,
-) -> FaultPlan:
+) -> WorkloadSpec:
     """A persistent failure that *relocates* between campaign epochs.
 
     ``links[k]`` fails persistently for the epoch spanning iterations
@@ -372,7 +121,7 @@ def migrating_plan(
     for k, (link, onset) in enumerate(zip(links, onsets)):
         until = onsets[k + 1] if k + 1 < len(onsets) else None
         specs.append(
-            fault(
+            actor(
                 "link-failure",
                 f"migrate-{k}",
                 mtbf_frac=start_frac,
@@ -386,27 +135,27 @@ def migrating_plan(
                 reroute=reroute,
             )
         )
-    return FaultPlan(
+    return WorkloadSpec(
         name="migrating",
         description=(
             f"persistent failure relocating across {len(links)} epochs "
             f"(onsets {', '.join(str(o) for o in onsets)})"
         ),
-        faults=tuple(specs),
+        actors=tuple(specs),
         intensity=1.0 - float(residual),
     )
 
 
-def route_flap_plan(intensity: float = 1.0, severity: float = 0.25) -> FaultPlan:
+def route_flap_plan(intensity: float = 1.0, severity: float = 0.25) -> WorkloadSpec:
     """Route flaps on the shared links: new flows are steered around the
     flapping link and its capacity is degraded for the flap window."""
     if intensity <= 0:
         raise ValueError("intensity must be positive")
-    return FaultPlan(
+    return WorkloadSpec(
         name=f"route-flap-{intensity:g}",
         description=f"route flaps at intensity {intensity:g}",
-        faults=(
-            fault(
+        actors=(
+            actor(
                 "route-flap",
                 "flap",
                 interval_frac=0.35 / intensity,
@@ -418,37 +167,37 @@ def route_flap_plan(intensity: float = 1.0, severity: float = 0.25) -> FaultPlan
     )
 
 
-def tracker_outage_plan(intensity: float = 1.0) -> FaultPlan:
+def tracker_outage_plan(intensity: float = 1.0) -> WorkloadSpec:
     """Tracker outages plus a late-arriving rival tenant whose announce
     exercises the peer-side retry/backoff path."""
     if intensity <= 0:
         raise ValueError("intensity must be positive")
-    return FaultPlan(
+    return WorkloadSpec(
         name=f"tracker-outage-{intensity:g}",
         description=f"tracker outages at intensity {intensity:g} + rival arrival",
-        faults=(
-            fault(
+        actors=(
+            actor(
                 "tracker-outage",
                 "outage",
                 interval_frac=0.3 / intensity,
                 outage_frac=0.15 * intensity,
             ),
-            fault("tenant-cycle", "latecomer", tenant="rival", arrival_frac=0.3),
+            actor("tenant-cycle", "latecomer", tenant="rival", arrival_frac=0.3),
         ),
         intensity=float(intensity),
     )
 
 
-def tenant_cycle_plan(intensity: float = 0.5) -> FaultPlan:
+def tenant_cycle_plan(intensity: float = 0.5) -> WorkloadSpec:
     """Whole-tenant arrival and departure mid-iteration: a Poisson tenant
     and a staggered bulk tenant cycle in and out of the live engine."""
     if intensity <= 0:
         raise ValueError("intensity must be positive")
-    return FaultPlan(
+    return WorkloadSpec(
         name=f"tenant-cycle-{intensity:g}",
         description="background tenants arriving and departing mid-iteration",
-        faults=(
-            fault(
+        actors=(
+            actor(
                 "tenant-cycle",
                 "cycle-poisson",
                 tenant="poisson",
@@ -456,7 +205,7 @@ def tenant_cycle_plan(intensity: float = 0.5) -> FaultPlan:
                 arrival_frac=0.15,
                 departure_frac=0.6,
             ),
-            fault(
+            actor(
                 "tenant-cycle",
                 "cycle-bulk",
                 tenant="bulk",
@@ -468,22 +217,22 @@ def tenant_cycle_plan(intensity: float = 0.5) -> FaultPlan:
     )
 
 
-def chaos_plan(intensity: float = 1.0) -> FaultPlan:
+def chaos_plan(intensity: float = 1.0) -> WorkloadSpec:
     """Everything at once: link failures, route flaps, tracker outages and
     tenant cycling — the chaos suite's standard plan."""
     if intensity <= 0:
         raise ValueError("intensity must be positive")
-    return FaultPlan(
+    return WorkloadSpec(
         name=f"chaos-{intensity:g}",
         description="link failures + route flaps + tracker outages + tenant cycling",
-        faults=(
-            fault("link-failure", "linkfail", mtbf_frac=0.4 / intensity,
+        actors=(
+            actor("link-failure", "linkfail", mtbf_frac=0.4 / intensity,
                   repair_frac=0.1),
-            fault("route-flap", "flap", interval_frac=0.5 / intensity,
+            actor("route-flap", "flap", interval_frac=0.5 / intensity,
                   duration_frac=0.06),
-            fault("tracker-outage", "outage", interval_frac=0.45 / intensity,
+            actor("tracker-outage", "outage", interval_frac=0.45 / intensity,
                   outage_frac=0.1),
-            fault("tenant-cycle", "cycle", tenant="poisson",
+            actor("tenant-cycle", "cycle", tenant="poisson",
                   intensity=0.5 * intensity, arrival_frac=0.2,
                   departure_frac=0.7),
         ),
@@ -491,27 +240,33 @@ def chaos_plan(intensity: float = 1.0) -> FaultPlan:
     )
 
 
+#: The intensity-scaled plan families: ``FAULT-INJECTION`` sweeps their
+#: ``intensity``, and each one's default is a named preset.
+FAULT_BUILDERS: Dict[str, Callable[..., WorkloadSpec]] = {
+    "link-failure": link_failure_plan,
+    "route-flap": route_flap_plan,
+    "tracker-outage": tracker_outage_plan,
+    "tenant-cycle": tenant_cycle_plan,
+    "chaos": chaos_plan,
+}
+
 #: The empty plan: nothing ever breaks (today's campaigns, bit for bit).
-NO_FAULTS = FaultPlan(name="none", description="no injected faults")
+NO_FAULTS = WorkloadSpec(name="none", description="no injected faults")
 
 #: Named presets reachable from the CLI (``repro run <scenario> --faults X``).
-FAULT_PRESETS: Dict[str, FaultPlan] = {
+FAULT_PRESETS: Dict[str, WorkloadSpec] = {
     "none": NO_FAULTS,
-    "link-failure": link_failure_plan(intensity=1.0),
     "blackout": blackout_plan(),
-    "route-flap": route_flap_plan(intensity=1.0),
-    "tracker-outage": tracker_outage_plan(intensity=1.0),
-    "tenant-cycle": tenant_cycle_plan(intensity=0.5),
-    "chaos": chaos_plan(intensity=1.0),
+    **{name: build() for name, build in FAULT_BUILDERS.items()},
 }
 
 #: Preset names in CLI display order.
 FAULT_NAMES = tuple(sorted(FAULT_PRESETS))
 
 
-def fault_plan_from_name(name) -> FaultPlan:
+def fault_plan_from_name(name) -> WorkloadSpec:
     """Resolve a preset name (or pass a plan through unchanged)."""
-    if isinstance(name, FaultPlan):
+    if isinstance(name, WorkloadSpec):
         return name
     key = (name or "none").strip().lower()
     try:

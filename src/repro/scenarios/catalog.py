@@ -586,24 +586,14 @@ def _scenario_fault_injection(
     stepping: Optional[str] = None,
     workload=None,
 ):
-    from repro.faults import (
-        chaos_plan, link_failure_plan, route_flap_plan,
-        tenant_cycle_plan, tracker_outage_plan,
-    )
+    from repro.faults import FAULT_BUILDERS
 
-    builders = {
-        "link-failure": link_failure_plan,
-        "route-flap": route_flap_plan,
-        "tracker-outage": tracker_outage_plan,
-        "tenant-cycle": tenant_cycle_plan,
-        "chaos": chaos_plan,
-    }
     try:
-        plan = builders[preset](intensity=intensity)
+        plan = FAULT_BUILDERS[preset](intensity=intensity)
     except KeyError:
         raise ValueError(
             f"unknown fault preset {preset!r}; "
-            f"available: {', '.join(sorted(builders))}"
+            f"available: {', '.join(sorted(FAULT_BUILDERS))}"
         ) from None
     return run_dataset_clustering(
         _interference_dataset(per_site), faults=plan, workload=workload,

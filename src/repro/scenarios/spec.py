@@ -136,7 +136,7 @@ class ScenarioSpec:
         spec's values.  ``workload`` (a preset name or
         :class:`~repro.workloads.WorkloadSpec`) layers a multi-tenant
         interference workload under the measurement campaign; ``faults``
-        (a preset name or :class:`~repro.faults.FaultPlan`) injects
+        (a preset name or a fault plan, also a ``WorkloadSpec``) injects
         deterministic failures, ``quorum`` lets the campaign proceed with
         ≥k surviving iterations, and ``detect_factor`` sets the failure
         detector's spike ratio.  Campaign scenarios run
@@ -149,7 +149,8 @@ class ScenarioSpec:
         and no control loop, so suite-wide defaults must not break them);
         the other four are forwarded if it takes them and otherwise raise
         ``ValueError``, so an explicit request is never silently dropped.
-        A campaign has a failure detector only under a fault plan.  The
+        A campaign has a failure detector only under a fault plan that
+        injects something (``--faults none`` has none).  The
         summary always carries ``scenario``, ``family``, ``executor`` and
         ``stepping`` keys so downstream records know what produced them.
         """
@@ -173,11 +174,14 @@ class ScenarioSpec:
                             ("quorum", quorum), ("detect_factor", detect_factor)):
             if value is None:
                 continue
-            if name == "detect_factor" and self.runner is None and faults is None:
-                raise ValueError(
-                    f"scenario {self.name} has no failure detector; "
-                    "--detect-factor needs a fault plan (--faults)"
-                )
+            if name == "detect_factor" and self.runner is None:
+                from repro.faults import fault_plan_from_name
+
+                if not fault_plan_from_name(faults):
+                    raise ValueError(
+                        f"scenario {self.name} has no failure detector; "
+                        "--detect-factor needs a fault plan (--faults)"
+                    )
             if not (takes_all or name in parameters):
                 raise ValueError(
                     f"scenario {self.name} does not take "

@@ -2,8 +2,10 @@
 
 The interference studies ask whether the fragment metric survives *load*;
 this module asks whether it survives *failure* — and how fast it notices
-one.  Any campaign run under a non-empty :class:`~repro.faults.FaultPlan`
-(:func:`repro.experiments.runners.run_dataset_clustering`) reports, via
+one.  Any campaign run under a non-empty fault plan (a
+:class:`~repro.workloads.spec.WorkloadSpec` of fault injectors, see
+:mod:`repro.faults`; :func:`repro.experiments.runners
+.run_dataset_clustering`) reports, via
 :func:`fault_verdicts`, the study's two headline metrics: **time to
 detect** a failed bottleneck link and **time to localize** it
 (:mod:`repro.tomography.localization`).
@@ -32,9 +34,8 @@ from __future__ import annotations
 import statistics
 from typing import Dict, List, Optional, Sequence
 
-from repro.faults import FaultPlan
 from repro.tomography.localization import localize_epochs
-from repro.workloads.spec import expected_broadcast_duration
+from repro.workloads.spec import WorkloadSpec, expected_broadcast_duration
 
 #: Default duration-spike ratio that counts as "failure detected".
 DETECT_FACTOR = 1.25
@@ -46,26 +47,26 @@ DETECT_WINDOW = 8
 MAD_FACTOR = 3.0
 
 
-def fault_onset_iteration(plan: FaultPlan) -> int:
+def fault_onset_iteration(plan: WorkloadSpec) -> int:
     """First campaign iteration any of the plan's faults is active in."""
-    if not plan.faults:
+    if not plan.actors:
         return 0
     return min(
-        int(spec.param_dict().get("from_iteration", 0)) for spec in plan.faults
+        int(spec.param_dict().get("from_iteration", 0)) for spec in plan.actors
     )
 
 
-def fault_epoch_onsets(plan: FaultPlan) -> List[int]:
+def fault_epoch_onsets(plan: WorkloadSpec) -> List[int]:
     """Distinct fault-onset iterations, sorted — the plan's failure epochs.
 
     A plan whose injectors all start together has one epoch; a migrating
     plan (per-epoch ``from_iteration`` scoping) has several, and each is
     detected and localized independently.
     """
-    if not plan.faults:
+    if not plan.actors:
         return []
     return sorted(
-        {int(s.param_dict().get("from_iteration", 0)) for s in plan.faults}
+        {int(s.param_dict().get("from_iteration", 0)) for s in plan.actors}
     )
 
 
@@ -180,7 +181,7 @@ def detect_epochs(
 
 
 def _epoch_truths(
-    plan: FaultPlan,
+    plan: WorkloadSpec,
     onsets: Sequence[int],
     ends: Sequence[int],
     aligned_stats: Sequence[Optional[list]],
@@ -195,7 +196,7 @@ def _epoch_truths(
     truths: List[Optional[str]] = []
     for onset, end in zip(onsets, ends):
         pinned = set()
-        for spec in plan.faults:
+        for spec in plan.actors:
             if spec.kind != "link-failure":
                 continue
             p = spec.param_dict()
@@ -234,7 +235,7 @@ def _aligned_record(record, planned: int):
 
 def fault_verdicts(
     record,
-    plan: FaultPlan,
+    plan: WorkloadSpec,
     routing,
     config,
     detect_factor: Optional[float] = None,

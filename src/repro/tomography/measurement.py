@@ -157,7 +157,8 @@ class MeasurementCampaign:
         keeps the standard ``(seed, "broadcast", i)`` stream, so the empty
         workload reproduces the single-tenant campaign bit for bit.
     faults:
-        Optional :class:`~repro.faults.FaultPlan` (or preset name): each
+        Optional fault plan (a :class:`~repro.workloads.WorkloadSpec` of
+        fault injectors, or a :mod:`repro.faults` preset name): each
         iteration then also carries the plan's fault injectors — link
         failures, route flaps, tracker outages, tenant cycling — on the
         shared agenda, seeded from ``(seed, "fault", i, label)`` streams.
@@ -189,21 +190,17 @@ class MeasurementCampaign:
         self.streams = RandomStreams(seed)
         self.rotate_root = rotate_root
         self.executor = executor
+        # The empty workload is the classic single-tenant campaign, and the
+        # empty fault plan the fault-free one.
         if workload is not None:
             from repro.workloads import workload_from_name
 
-            workload = workload_from_name(workload)
-            if not workload.actors:
-                # The empty workload is the classic single-tenant campaign.
-                workload = None
+            workload = workload_from_name(workload) or None
         self.workload = workload
         if faults is not None:
             from repro.faults import fault_plan_from_name
 
-            faults = fault_plan_from_name(faults)
-            if not faults.faults:
-                # The empty plan is the fault-free campaign.
-                faults = None
+            faults = fault_plan_from_name(faults) or None
         self.faults = faults
         self.checkpoint = Path(checkpoint) if checkpoint is not None else None
         self.routing = RoutingTable(topology)

@@ -154,7 +154,8 @@ class TomographyPipeline:
         shared clock) — the interference-robustness setting of
         ``docs/workloads.md``.
     faults:
-        Optional :class:`~repro.faults.FaultPlan` (or preset name): the
+        Optional fault plan (a :class:`~repro.workloads.WorkloadSpec` of
+        fault injectors, or a :mod:`repro.faults` preset name): the
         measurement phase then injects the plan's deterministic failures —
         link outages, route flaps, tracker outages, tenant cycling — into
         every iteration (see ``docs/faults.md``).

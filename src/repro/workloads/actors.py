@@ -25,7 +25,7 @@ derive per-broadcast streams), and schedules callbacks on the shared
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -33,6 +33,16 @@ from repro.bittorrent.swarm import BitTorrentBroadcast, BroadcastSession, SwarmC
 
 #: Bounded announce retries before a caller gives up on a dark tracker.
 MAX_ANNOUNCE_RETRIES = 10
+
+
+def shared_links(topology) -> List[str]:
+    """Switch-to-switch link names: the shared resources whose contention
+    the tomography metric measures, and which drift and faults target."""
+    return [
+        link.name
+        for link in topology.links
+        if not (topology.is_host(link.a) or topology.is_host(link.b))
+    ]
 
 
 class WorkloadActor:
@@ -78,6 +88,55 @@ class WorkloadActor:
     def stats(self) -> Dict[str, object]:
         """Summary dictionary recorded per iteration (override and extend)."""
         return {"actor": self.label, "kind": self.kind}
+
+    def _tracker_dark(self, attempt: int, retry: Callable[[int], None]) -> bool:
+        """Hold back a tracker announce (churn rejoin, tenant arrival).
+
+        Returns ``False`` while the tracker is up.  While the engine's
+        ``tracker_down`` flag is set, ``retry(attempt + 1)`` is scheduled
+        after bounded exponential backoff off ``self.retry_base`` — a
+        deterministic schedule, no random draws — and after
+        :data:`MAX_ANNOUNCE_RETRIES` attempts the announce is abandoned.
+        Callers keep ``retry_base``, ``announce_retries`` and
+        ``announce_failures``.
+        """
+        if not self.engine.tracker_down:
+            return False
+        if attempt >= MAX_ANNOUNCE_RETRIES:
+            self.announce_failures += 1
+            return True
+        self.announce_retries += 1
+        self.engine.schedule(
+            self,
+            self.engine.now + self.retry_base * (2.0 ** attempt),
+            lambda: retry(attempt + 1),
+        )
+        return True
+
+
+class LinkWatcher(WorkloadActor):
+    """An actor that rescales a set of watched links (drift, link faults).
+
+    ``links`` defaults to every :func:`shared_links` link — leaving host
+    access links untouched.  Binding resolves it and records each watched
+    link's nominal capacity in ``_nominal``, the reference every rescale
+    multiplies.
+    """
+
+    def __init__(self, label: str, links: Optional[Sequence[str]] = None) -> None:
+        super().__init__(label)
+        self.links = list(links) if links is not None else None
+        self._nominal: Dict[str, float] = {}
+
+    def bind(self, engine) -> None:
+        super().bind(engine)
+        if self.links is None:
+            self.links = shared_links(engine.topology)
+        if not self.links:
+            raise ValueError(f"{self.kind} actor {self.label!r} has no links")
+        self._nominal = {
+            name: engine.fluid.link_capacity(name) for name in self.links
+        }
 
 
 # ---------------------------------------------------------------------- #
@@ -181,8 +240,9 @@ class BroadcastActor(WorkloadActor):
         """Cut a planned jump short: land at the first grid point >= ``time``.
 
         No-op unless the session is sleeping past ``time``.  Early landings
-        are always exact — the fixed-dt oracle visits every grid point — so
-        callers may wake conservatively (e.g. on every foreign transition).
+        are exact — the session runs the landing point's conversion check
+        before its control phase, as the fixed-dt oracle does — so callers
+        may wake conservatively (e.g. on every foreign transition).
         """
         pending = self._pending_sleep
         if pending is None:
@@ -450,13 +510,11 @@ class BulkTransferActor(_TrafficActor):
 # ---------------------------------------------------------------------- #
 # capacity drift
 # ---------------------------------------------------------------------- #
-class CapacityDriftActor(WorkloadActor):
+class CapacityDriftActor(LinkWatcher):
     """Slow link-capacity drift on shared links.
 
     Every ``interval_mean`` (exponential) seconds one of the watched links
-    is rescaled to ``nominal × U(floor, ceiling)``.  Defaults watch every
-    switch-to-switch link — the shared resources whose contention the
-    tomography metric measures — leaving host access links untouched.
+    is rescaled to ``nominal × U(floor, ceiling)``.
     """
 
     kind = "drift"
@@ -471,34 +529,17 @@ class CapacityDriftActor(WorkloadActor):
         ceiling: float = 1.0,
         start_time: float = 0.0,
     ) -> None:
-        super().__init__(label)
+        super().__init__(label, links)
         if interval_mean <= 0:
             raise ValueError("interval_mean must be positive")
         if not 0 < floor <= ceiling:
             raise ValueError("need 0 < floor <= ceiling")
         self.rng = rng
         self.interval_mean = interval_mean
-        self.links = list(links) if links is not None else None
         self.floor = floor
         self.ceiling = ceiling
         self.start_time = float(start_time)
         self.changes = 0
-        self._nominal: Dict[str, float] = {}
-
-    def bind(self, engine) -> None:
-        super().bind(engine)
-        topology = engine.topology
-        if self.links is None:
-            self.links = [
-                link.name
-                for link in topology.links
-                if not (topology.is_host(link.a) or topology.is_host(link.b))
-            ]
-        if not self.links:
-            raise ValueError(f"drift actor {self.label!r} has no links to drift")
-        self._nominal = {
-            name: engine.fluid.link_capacity(name) for name in self.links
-        }
 
     def start(self) -> None:
         self._schedule_tick(self.start_time)
@@ -606,18 +647,9 @@ class ChurnActor(WorkloadActor):
 
     def _on_rejoin(self, name: str, attempt: int = 0) -> None:
         target = self.target
-        if target.done:
-            return
-        if getattr(self.engine, "tracker_down", False):
-            if attempt >= MAX_ANNOUNCE_RETRIES:
-                self.announce_failures += 1
-                return
-            self.announce_retries += 1
-            self.engine.schedule(
-                self,
-                self.engine.now + self.retry_base * (2.0 ** attempt),
-                lambda: self._on_rejoin(name, attempt + 1),
-            )
+        if target.done or self._tracker_dark(
+            attempt, lambda retry: self._on_rejoin(name, retry)
+        ):
             return
         target.session.request_rejoin(name, self.rng)
         target.wake_at(self.engine.now)

@@ -1,17 +1,20 @@
 """Declarative workload composition and the preset registry.
 
-A :class:`WorkloadSpec` names the *background* tenants that share the
-cluster with a measured broadcast: rival broadcasts, Poisson / on-off cross
-traffic, long-lived bulk transfers, capacity drift, peer churn.  Specs are
-frozen and picklable — all parameters are plain values expressed *relative*
-to the measured campaign's scale (fractions of the expected broadcast
-duration, of the torrent size, of a node access link), so one spec applies
-unchanged to any topology and fragment count.
+A :class:`WorkloadSpec` names the tenants that share the cluster with a
+measured broadcast: rival broadcasts, Poisson / on-off cross traffic,
+long-lived bulk transfers, capacity drift, peer churn — and the fault
+injectors (link failures, route flaps, tracker outages, tenant cycling) of
+a fault plan, which is a spec of fault-kind actors (:mod:`repro.faults`).
+Specs are frozen and picklable — all parameters are plain values expressed
+*relative* to the measured campaign's scale (fractions of the expected
+broadcast duration, of the torrent size, of a node access link), so one
+spec applies unchanged to any topology and fragment count.
 
 Absolute values are resolved at build time by :func:`run_workload_iteration`,
 which also derives every actor's RNG stream statelessly from the campaign
-seed and the actor label (``(seed, "workload", iteration, label)``) — the
-same discipline the campaign executors use for broadcasts, so a workload
+seed, the plan's role and the actor label (``(seed, "workload", iteration,
+label)`` for tenants, ``(seed, "fault", iteration, label)`` for injectors)
+— the same discipline the campaign executors use for broadcasts, so a
 campaign replays bit-for-bit from its seed and the measured broadcast's own
 stream (``(seed, "broadcast", iteration)``) is never perturbed.  With the
 empty spec (:data:`NONE`) the iteration reduces to the classic single-tenant
@@ -42,8 +45,11 @@ from repro.workloads.actors import (
 )
 from repro.workloads.engine import WorkloadEngine
 
-#: Actor kinds a spec may declare.
-ACTOR_KINDS = ("rival", "poisson", "onoff", "bulk", "drift", "churn")
+#: Actor kinds a spec may declare: background tenants, then fault injectors.
+ACTOR_KINDS = (
+    "rival", "poisson", "onoff", "bulk", "drift", "churn",
+    "link-failure", "route-flap", "tracker-outage", "tenant-cycle",
+)
 
 
 def expected_broadcast_duration(config: SwarmConfig) -> float:
@@ -56,10 +62,12 @@ def expected_broadcast_duration(config: SwarmConfig) -> float:
 
 @dataclasses.dataclass(frozen=True)
 class ActorSpec:
-    """One declared background tenant.
+    """One declared tenant or fault injector.
 
     ``params`` is a frozen ``(key, value)`` mapping of *relative* knobs; the
-    accepted keys depend on ``kind`` (see the builders in this module).
+    accepted keys depend on ``kind`` (see :func:`_build_actor`).  Every kind
+    accepts ``from_iteration`` / ``until_iteration`` to scope the actor to
+    a slice of the campaign.
     """
 
     kind: str
@@ -77,6 +85,14 @@ class ActorSpec:
     def param_dict(self) -> Dict[str, object]:
         return dict(self.params)
 
+    def applies_to(self, iteration: int) -> bool:
+        """Whether this actor runs in campaign iteration ``iteration``."""
+        p = self.param_dict()
+        if iteration < int(p.get("from_iteration", 0)):
+            return False
+        until = p.get("until_iteration")
+        return until is None or iteration < int(until)
+
 
 def actor(kind: str, label: str, **params) -> ActorSpec:
     """Convenience constructor: ``actor("poisson", "bg", intensity=0.5)``."""
@@ -85,11 +101,12 @@ def actor(kind: str, label: str, **params) -> ActorSpec:
 
 @dataclasses.dataclass(frozen=True)
 class WorkloadSpec:
-    """A named composition of background tenants.
+    """A named composition of tenants (a workload) or injectors (a fault plan).
 
-    ``intensity`` is the spec's headline interference knob (recorded in
-    summaries and BENCH rows); its meaning is per-family — offered cross
-    load as a fraction of a node access link, churn pressure, rival count.
+    ``intensity`` is the spec's headline knob (recorded in summaries and
+    BENCH rows); its meaning is per-family — offered cross load as a
+    fraction of a node access link, churn pressure, rival count, failure
+    frequency relative to the broadcast timescale.
     """
 
     name: str
@@ -104,10 +121,17 @@ class WorkloadSpec:
         if len(set(labels)) != len(labels):
             raise ValueError(f"duplicate actor labels in workload {self.name!r}")
 
+    def __bool__(self) -> bool:
+        return bool(self.actors)
+
     @property
     def actor_count(self) -> int:
-        """Background tenants declared (the measured broadcast adds one)."""
+        """Actors declared (in a workload, the measured broadcast adds one)."""
         return len(self.actors)
+
+    def active_in(self, iteration: int) -> Tuple[ActorSpec, ...]:
+        """The actors that run in campaign iteration ``iteration``."""
+        return tuple(s for s in self.actors if s.applies_to(iteration))
 
     def counts_by_kind(self) -> Dict[str, int]:
         counts: Dict[str, int] = {}
@@ -139,6 +163,7 @@ def _build_actor(
     duration = expected_broadcast_duration(config)
     size = float(config.torrent.size)
     hosts = list(hosts)
+    start_time = float(p.get("start_frac", 0.0)) * duration
 
     if spec.kind == "rival":
         fragments = p.get("fragments")
@@ -154,7 +179,7 @@ def _build_actor(
             hosts=hosts,
             root=root,
             rng=rng,
-            start_time=float(p.get("start_frac", 0.0)) * duration,
+            start_time=start_time,
             blocking=False,
         )
     if spec.kind == "poisson":
@@ -164,7 +189,7 @@ def _build_actor(
             rng,
             offered_load=intensity * NODE_ACCESS_CAPACITY,
             mean_size=float(p.get("mean_size_frac", 0.25)) * size,
-            start_time=float(p.get("start_frac", 0.0)) * duration,
+            start_time=start_time,
         )
     if spec.kind == "onoff":
         intensity = float(p.get("intensity", 0.5))
@@ -177,7 +202,7 @@ def _build_actor(
             # Big enough that a burst is ended by its timer, not its budget.
             burst_size=4.0 * NODE_ACCESS_CAPACITY * on_mean + size,
             rate_cap=intensity * NODE_ACCESS_CAPACITY,
-            start_time=float(p.get("start_frac", 0.0)) * duration,
+            start_time=start_time,
         )
     if spec.kind == "bulk":
         return BulkTransferActor(
@@ -187,7 +212,7 @@ def _build_actor(
             dst=hosts[int(p.get("dst_index", -1)) % len(hosts)],
             size=float(p.get("size_frac", 2.0)) * size,
             repeat=bool(p.get("repeat", True)),
-            start_time=float(p.get("start_frac", 0.0)) * duration,
+            start_time=start_time,
         )
     if spec.kind == "drift":
         return CapacityDriftActor(
@@ -196,7 +221,7 @@ def _build_actor(
             interval_mean=float(p.get("interval_frac", 0.25)) * duration,
             floor=float(p.get("floor", 0.5)),
             ceiling=float(p.get("ceiling", 1.0)),
-            start_time=float(p.get("start_frac", 0.0)) * duration,
+            start_time=start_time,
         )
     if spec.kind == "churn":
         return ChurnActor(
@@ -205,9 +230,74 @@ def _build_actor(
             target=primary,
             interval_mean=float(p.get("interval_frac", 0.25)) * duration,
             downtime_mean=float(p.get("downtime_frac", 0.15)) * duration,
-            start_time=float(p.get("start_frac", 0.0)) * duration,
+            start_time=start_time,
         )
-    raise ValueError(f"unknown actor kind {spec.kind!r}")  # pragma: no cover
+
+    # Imported here because repro.faults imports this module.
+    from repro.faults.actors import (
+        FAILURE_RESIDUAL,
+        LinkFailureActor,
+        RouteFlapActor,
+        TenantCycleActor,
+        TrackerOutageActor,
+    )
+
+    if spec.kind == "link-failure":
+        return LinkFailureActor(
+            spec.label,
+            rng,
+            mtbf=float(p.get("mtbf_frac", 0.35)) * duration,
+            repair_mean=float(p.get("repair_frac", 0.1)) * duration,
+            links=p.get("links"),
+            residual=float(p.get("residual", FAILURE_RESIDUAL)),
+            persistent=bool(p.get("persistent", False)),
+            limit=p.get("limit"),
+            start_time=start_time,
+            reroute=bool(p.get("reroute", False)),
+        )
+    if spec.kind == "route-flap":
+        return RouteFlapActor(
+            spec.label,
+            rng,
+            interval_mean=float(p.get("interval_frac", 0.35)) * duration,
+            duration_mean=float(p.get("duration_frac", 0.08)) * duration,
+            links=p.get("links"),
+            severity=float(p.get("severity", 0.25)),
+            start_time=start_time,
+            repin=bool(p.get("repin", False)),
+        )
+    if spec.kind == "tracker-outage":
+        return TrackerOutageActor(
+            spec.label,
+            rng,
+            interval_mean=float(p.get("interval_frac", 0.3)) * duration,
+            outage_mean=float(p.get("outage_frac", 0.15)) * duration,
+            start_time=start_time,
+        )
+    # tenant-cycle: the cycled tenant is this builder's own actor of kind
+    # ``tenant`` (same params), drawing from the injector's stream and
+    # starting at its arrival time.
+    tenant = ActorSpec(str(p.get("tenant", "poisson")), f"{spec.label}.tenant",
+                       spec.params)
+
+    def factory(arrival: float) -> WorkloadActor:
+        cycled = _build_actor(tenant, config, hosts, primary, rng)
+        cycled.start_time = arrival
+        return cycled
+
+    # A rival broadcast announces to the tracker and runs to completion.
+    rival = tenant.kind == "rival"
+    return TenantCycleActor(
+        spec.label,
+        rng,
+        factory=factory,
+        arrival=float(p.get("arrival_frac", 0.2)) * duration,
+        retry_base=float(p.get("retry_frac", 0.02)) * duration,
+        departure=(
+            None if rival else float(p.get("departure_frac", 0.7)) * duration
+        ),
+        needs_tracker=rival,
+    )
 
 
 # ---------------------------------------------------------------------- #
@@ -223,7 +313,7 @@ def run_workload_iteration(
     workload: Optional[WorkloadSpec],
     routing: Optional[RoutingTable] = None,
     trace=None,
-    faults=None,
+    faults: Optional[WorkloadSpec] = None,
 ):
     """Run one measured broadcast inside its interference workload.
 
@@ -233,10 +323,11 @@ def run_workload_iteration(
     .MeasurementCampaign` uses — so the empty workload reproduces the
     single-tenant campaign bit for bit.
 
-    ``faults`` optionally adds a :class:`~repro.faults.spec.FaultPlan`'s
-    injectors to the same agenda, each on its own
-    ``(seed, "fault", iteration, label)`` stream; the empty plan adds no
-    actor and changes nothing.
+    ``faults`` is a fault plan: its injectors join the same agenda after
+    the workload's tenants.  Each actor active in ``iteration`` draws from
+    its own ``(seed, stream, iteration, label)`` stream, where the stream
+    is ``"workload"`` or ``"fault"`` by the argument its plan came in; an
+    empty plan adds no actor and changes nothing.
     """
     engine = WorkloadEngine(topology, routing=routing)
     rng = np.random.default_rng(derive_seed(base_seed, "broadcast", iteration))
@@ -245,19 +336,12 @@ def run_workload_iteration(
     )
     engine.add(primary)
     swarm_hosts = primary.broadcast.hosts
-    if workload is not None:
-        for spec in workload.actors:
+    for stream, plan in (("workload", workload), ("fault", faults)):
+        for spec in (plan or NONE).active_in(iteration):
             actor_rng = np.random.default_rng(
-                derive_seed(base_seed, "workload", iteration, spec.label)
+                derive_seed(base_seed, stream, iteration, spec.label)
             )
             engine.add(_build_actor(spec, config, swarm_hosts, primary, actor_rng))
-    if faults is not None:
-        from repro.faults.spec import build_fault_actors
-
-        for injector in build_fault_actors(
-            faults, config, swarm_hosts, primary, base_seed, iteration
-        ):
-            engine.add(injector)
     engine.run()
     return primary.result, engine.stats()
 

@@ -200,10 +200,16 @@ class TestDetectionKnobs:
         assert code == 2
         assert "--detect-factor must exceed 1.0" in capsys.readouterr().err
 
-    def test_detect_factor_on_detectorless_scenario_fails(self, capsys):
+    @pytest.mark.parametrize(
+        "faults",
+        [pytest.param([], id="no-faults"),
+         pytest.param(["--faults", "none"], id="faults-none")],
+    )
+    def test_detect_factor_on_detectorless_scenario_fails(self, capsys, faults):
+        # The empty plan injects nothing, so it has no detector either.
         code = main(
             ["run", "G-T", "--iterations", "1", "--fragments", "80",
-             "--per-site", "2", "--detect-factor", "1.5"]
+             "--per-site", "2", "--detect-factor", "1.5", *faults]
         )
         assert code == 2
         assert "has no failure detector" in capsys.readouterr().err

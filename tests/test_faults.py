@@ -1,6 +1,7 @@
 """Fault-injection subsystem and fault-tolerant campaign machinery.
 
-Covers the declarative fault plans (:mod:`repro.faults.spec`), the
+Covers the declarative fault plans (:mod:`repro.faults.spec`: workload
+specs of fault-kind actors), the
 injector actors on the shared workload agenda, determinism under faults
 (same seed ⇒ byte-identical records, empty plan ⇒ no-op), the
 checkpoint/resume path of :class:`~repro.tomography.measurement
@@ -19,12 +20,8 @@ from repro.faults import (
     FAULT_NAMES,
     FAULT_PRESETS,
     NO_FAULTS,
-    FaultPlan,
-    FaultSpec,
     blackout_plan,
-    build_fault_actors,
     chaos_plan,
-    fault,
     fault_plan_from_name,
     link_failure_plan,
     migrating_plan,
@@ -41,7 +38,12 @@ from repro.tomography.faults import (
 )
 from repro.tomography.measurement import MeasurementCampaign
 from repro.tomography.pipeline import default_swarm_config
-from repro.workloads.spec import run_workload_iteration
+from repro.workloads.spec import (
+    ActorSpec,
+    WorkloadSpec,
+    actor,
+    run_workload_iteration,
+)
 
 
 @pytest.fixture
@@ -70,17 +72,26 @@ def record_digest(record):
 # ---------------------------------------------------------------------- #
 # declarative specs and presets
 # ---------------------------------------------------------------------- #
+def injector_rows(ds, config, plan, iteration):
+    """Stats rows of the fault injectors one iteration under ``plan`` ran."""
+    _, stats = run_workload_iteration(
+        ds.topology, config, ds.hosts, ds.hosts[0], 7, iteration, None,
+        faults=plan,
+    )
+    return [row for row in stats if row.get("fault")]
+
+
 class TestFaultSpec:
     def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError, match="unknown fault kind"):
-            fault("meteor-strike", "boom")
+        with pytest.raises(ValueError, match="unknown actor kind"):
+            actor("meteor-strike", "boom")
 
     def test_empty_label_rejected(self):
         with pytest.raises(ValueError, match="label"):
-            FaultSpec(kind="link-failure", label="")
+            ActorSpec(kind="link-failure", label="")
 
     def test_iteration_scoping(self):
-        spec = fault("link-failure", "lf", from_iteration=2, until_iteration=4)
+        spec = actor("link-failure", "lf", from_iteration=2, until_iteration=4)
         assert [spec.applies_to(i) for i in range(5)] == [
             False, False, True, True, False,
         ]
@@ -116,26 +127,27 @@ class TestFaultSpec:
             with pytest.raises(ValueError, match="positive"):
                 builder(intensity=0.0)
 
-    def test_metadata_keys(self):
-        meta = chaos_plan().metadata()
-        assert meta["fault_injectors"] == 4
-        assert meta["fault_intensity"] == 1.0
-        assert "link-failure" in meta["fault_kinds"]
+    def test_metadata_keys(self, gt_dataset):
+        summary = run_dataset_clustering(
+            gt_dataset, faults=chaos_plan(), iterations=1, num_fragments=60,
+            seed=2012,
+        )
+        assert summary["faults"] == "chaos-1"
+        assert summary["fault_injectors"] == 4
+        assert summary["fault_intensity"] == 1.0
+        assert summary["fault_kinds"] == {
+            "link-failure": 1, "route-flap": 1, "tracker-outage": 1,
+            "tenant-cycle": 1,
+        }
 
     def test_every_preset_builds_actors(self, gt_dataset, small_config):
         for name, plan in FAULT_PRESETS.items():
-            actors = build_fault_actors(
-                plan, small_config, gt_dataset.hosts, None, 7, iteration=5
-            )
-            assert len(actors) == sum(
-                1 for s in plan.faults if s.applies_to(5)
-            ), name
+            rows = injector_rows(gt_dataset, small_config, plan, iteration=5)
+            assert len(rows) == len(plan.active_in(5)), name
 
     def test_blackout_inert_before_onset(self, gt_dataset, small_config):
         plan = blackout_plan(from_iteration=2)
-        assert build_fault_actors(
-            plan, small_config, gt_dataset.hosts, None, 7, iteration=1
-        ) == []
+        assert injector_rows(gt_dataset, small_config, plan, iteration=1) == []
 
 
 # ---------------------------------------------------------------------- #
@@ -163,7 +175,14 @@ class TestFaultDeterminism:
         assert record_digest(first) == record_digest(second)
         assert first.workload_stats == second.workload_stats
 
-    @pytest.mark.parametrize("preset", sorted(set(FAULT_NAMES) - {"none"}))
+    @pytest.mark.parametrize(
+        "preset",
+        sorted(set(FAULT_NAMES) - {"none"})
+        # Dense enough to fail and repair links mid-jump: a repair raises a
+        # sleeping session's rates, and its receipts must land at the same
+        # grid point as in the fixed loop.
+        + [pytest.param(link_failure_plan(intensity=4.0), id="link-failure-4")],
+    )
     def test_fixed_and_event_stepping_agree_under_faults(
         self, gt_dataset, preset
     ):
@@ -390,12 +409,12 @@ class TestDetection:
         assert fault_onset_iteration(chaos_plan()) == 0
 
     def test_onset_of_mixed_from_iteration_specs(self):
-        plan = FaultPlan(
+        plan = WorkloadSpec(
             name="mixed",
-            faults=(
-                fault("link-failure", "late", from_iteration=5),
-                fault("route-flap", "early", from_iteration=2),
-                fault("tracker-outage", "always"),
+            actors=(
+                actor("link-failure", "late", from_iteration=5),
+                actor("route-flap", "early", from_iteration=2),
+                actor("tracker-outage", "always"),
             ),
         )
         assert fault_onset_iteration(plan) == 0

@@ -276,16 +276,43 @@ FAULT_GOLDENS = {
     "chaos": (
         "ead717e92ef73e49b6b9135f9fd31fc0d7667c4621fe8a9c53c1d14be1b0d5ac"
     ),
+    # In this campaign the link-failure and route-flap presets inject
+    # nothing ("link-failure" equals the fault-free fingerprint); the
+    # entries below pin transient failures and repairs, route flaps,
+    # tracker outages and the cycled bulk and rival tenants.
+    "link-failure-4": (
+        "069635cc475c70f6b39ad7b657ab54f06be1fb9ff0ad9774a376da730ef9579a"
+    ),
+    "route-flap-4": (
+        "cb9ff792ec07b3712189aa0f13c753f1ae9fa5cfd69fac729e09187d1e305cb6"
+    ),
+    "tracker-outage": (
+        "ee53210418195894e80fb020f2c77b2d1ae97d689c5d88ee76699baa749a4c2d"
+    ),
+    "tenant-cycle": (
+        "9db0e483201db0b3d5c201d8e02d02a1268b5f406ab83ebcb2c93ccc016f5ffd"
+    ),
 }
 
 
 def fault_plan(family):
-    from repro.faults import blackout_plan, chaos_plan, link_failure_plan
+    from repro.faults import (
+        blackout_plan,
+        chaos_plan,
+        link_failure_plan,
+        route_flap_plan,
+        tenant_cycle_plan,
+        tracker_outage_plan,
+    )
 
     return {
         "link-failure": lambda: link_failure_plan(intensity=1.0),
         "blackout": lambda: blackout_plan(from_iteration=1),
         "chaos": lambda: chaos_plan(intensity=1.0),
+        "link-failure-4": lambda: link_failure_plan(intensity=4.0),
+        "route-flap-4": lambda: route_flap_plan(intensity=4.0),
+        "tracker-outage": tracker_outage_plan,
+        "tenant-cycle": tenant_cycle_plan,
     }[family]()
 
 
@@ -374,7 +401,7 @@ def test_tracing_preserves_the_workload_and_fault_goldens(full_tracing, stepping
 
 @pytest.mark.parametrize("stepping", STEPPING_MODES)
 def test_empty_fault_plan_replays_the_faultless_goldens(stepping):
-    """The acceptance gate of the fault subsystem: an *empty* FaultPlan is a
+    """The acceptance gate of the fault subsystem: an *empty* fault plan is a
     bitwise no-op — the campaign fingerprint equals the plain campaign's,
     and the workload path still reproduces the scalar-era broadcast
     goldens."""
