@@ -12,9 +12,9 @@ variable (``benchmarks/run_benchmarks.py --profile`` sets it):
 * ``ci`` (default) — 8 nodes per site, 600 fragments, 10 iterations: every
   benchmark stays in the seconds range.
 * ``nightly`` — the paper's scale: 32 nodes per site, 15 259 fragments, 30
-  iterations.  At this scale ``hosts² × fragments`` crosses
-  ``MATMUL_INTEREST_LIMIT``, so the campaigns exercise the incremental
-  interest-update path end to end.
+  iterations.  At this scale rarest-first ties are thousands of fragments
+  wide, every bitset the conversion step keeps is 15k bits wide, and the
+  interest matmul spans 128 hosts.
 
 Every benchmark row records the swarm stepping mode and the control steps
 executed per broadcast (``benchmark.extra_info``): the harness snapshots the

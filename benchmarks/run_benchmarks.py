@@ -12,8 +12,8 @@ Usage::
     python benchmarks/run_benchmarks.py -k "broadcast or solver" -o out.json
     python benchmarks/run_benchmarks.py --compare BENCH_PR0.json -o BENCH_PR1.json
 
-    # paper-scale nightly profile (32/site, 15 259 fragments, 30 iterations,
-    # exercising the MATMUL_INTEREST_LIMIT crossover end to end)
+    # paper-scale nightly profile (32/site, 15 259 fragments, 30 iterations:
+    # wide ties, 15k-bit bitsets, a 128-host interest matmul)
     python benchmarks/run_benchmarks.py --profile nightly -o BENCH_nightly.json
 
     # flip the whole suite onto the fixed-dt oracle loop for a mode comparison
@@ -262,7 +262,7 @@ def main() -> int:
     parser.add_argument("--profile", choices=("ci", "nightly"), default="ci",
                         help="scale profile: ci = laptop scale, nightly = "
                              "paper scale (32/site, 15 259 fragments, 30 "
-                             "iterations, incremental-interest crossover)")
+                             "iterations)")
     parser.add_argument("--stepping", choices=("fixed", "event"),
                         default="event",
                         help="swarm control-loop policy for the whole run "

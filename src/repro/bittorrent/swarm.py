@@ -57,7 +57,7 @@ import numpy as np
 from repro.bittorrent.choking import DEFAULT_UPLOAD_SLOTS, ChokingPolicy
 from repro.bittorrent.instrumentation import FragmentMatrix
 from repro.bittorrent.peer import PeerState
-from repro.bittorrent.selection import PieceSelector
+from repro.bittorrent.selection import bitset, take_fragments, unpack_threshold
 from repro.bittorrent.torrent import TorrentMeta
 from repro.bittorrent.tracker import DEFAULT_MAX_PEERS, Tracker
 from repro.network.fluid import FluidNetwork, FluidTransfer
@@ -87,13 +87,6 @@ def default_stepping() -> str:
             f"{STEPPING_ENV} must be one of {STEPPING_MODES}, got {value!r}"
         )
     return value
-
-
-#: Below this ``hosts² × fragments`` product the interest matrix is simply
-#: recomputed every control step with one BLAS matmul; above it (paper scale)
-#: it is maintained incrementally per receipt batch.  Both paths produce
-#: identical integer counts — this is purely a performance crossover.
-MATMUL_INTEREST_LIMIT = 4_000_000
 
 
 @dataclass(frozen=True)
@@ -425,12 +418,20 @@ class BitTorrentBroadcast:
         }
         peers[root].make_seed()
         peers[root].completion_time = start
+        peer_at = list(peers.values())
 
-        selector = PieceSelector(
-            num_fragments, random_first_threshold=cfg.random_first_threshold
-        )
-        for peer in peers.values():
-            selector.register_bitfield(peer.have)
+        # The conversion step's state as Python-int bitsets (see
+        # selection.take_fragments): host_bits[i] mirrors have[i], and
+        # levels[c] holds the fragments held by exactly c hosts.  Churn keeps
+        # bitfields, so availability never falls and the lowest non-empty
+        # level only rises.
+        host_bits = [bitset(row) for row in have]
+        held_by = have.sum(axis=0)
+        availability = held_by.tolist()
+        levels = [bitset(held_by == c) for c in range(n + 1)]
+        lowest = 0
+        unpack_above = unpack_threshold(num_fragments)
+        random_first_threshold = cfg.random_first_threshold
 
         connections = self.tracker.build_connections(self.hosts, rng)
         neighbor_mask = np.zeros((n, n), dtype=bool)
@@ -440,22 +441,18 @@ class BitTorrentBroadcast:
             for other in neighbor_set:
                 neighbor_mask[i, index[other]] = True
 
-        # lack = ~have, maintained incrementally; wanted[u, d] counts the
-        # fragments u holds that d lacks, so "d is interested in u" is the
-        # O(1) test wanted[u, d] > 0 (equivalent to the wire-protocol rule:
-        # seeds want nothing, empty peers offer nothing, and a seeding
-        # uploader always has something an incomplete downloader needs).
-        #
-        # Two equivalent maintenance strategies (both produce exact integer
-        # counts, so behaviour is identical): small swarms recompute the
-        # matrix each control step with one BLAS matmul; large ones (paper
-        # scale: 128 hosts x 15k fragments) update it incrementally per
-        # receipt batch, which is O(hosts) per received fragment.
-        lack = ~have
-        interest_by_matmul = n * n * num_fragments <= MATMUL_INTEREST_LIMIT
+        # wanted[u, d] counts the fragments u holds that d lacks, so "d is
+        # interested in u" is the O(1) test wanted[u, d] > 0 (equivalent to
+        # the wire-protocol rule: seeds want nothing, empty peers offer
+        # nothing, and a seeding uploader always has something an incomplete
+        # downloader needs).  It depends only on ``have``, which only
+        # ``convert`` changes, so one matmul refreshes it at the first
+        # control step after a pass that received something; the initial
+        # value is that matmul of the seeded bitfields.
         wanted = np.zeros((n, n), dtype=np.int64)
         wanted[root_index, :] = num_fragments
         wanted[root_index, root_index] = 0
+        have_changed = False
 
         def recompute_wanted() -> np.ndarray:
             # counts[u] - |u ∩ d| via one float32 matmul; exact because the
@@ -466,10 +463,6 @@ class BitTorrentBroadcast:
 
         fluid = session.fluid
         fragments = FragmentMatrix(self.hosts)
-        availability = selector.availability
-        random_first_threshold = selector.random_first_threshold
-        wanted_buf = np.empty(num_fragments, dtype=bool)
-        alive_buf = np.empty(num_fragments, dtype=bool)
 
         # Active fluid pipes keyed by (uploader, downloader); ``pipe_order``
         # mirrors the keys in sorted order (maintained by bisect on
@@ -824,6 +817,7 @@ class BitTorrentBroadcast:
             was ready; when none is, nothing changes and no random number is
             drawn.
             """
+            nonlocal lowest, have_changed
             if not pipe_order:
                 return False
             moved = moved_at(time)
@@ -832,110 +826,58 @@ class BitTorrentBroadcast:
             ready = np.flatnonzero((deltas > 0) & (progress_now >= fragment_size))
             if not ready.size:
                 return False
-            # Unbox the per-event scalars in bulk; the loop below then runs on
-            # plain Python ints/floats.
-            ready_list = ready.tolist()
-            ready_up = pipe_up[ready].tolist()
-            ready_down = pipe_down[ready].tolist()
-            ready_progress = progress_now[ready].tolist()
-            ready_moved = moved[ready].tolist()
             if trace_full:
                 conversion_started = TRACER.now()
-                pass_receipts = 0
-            for event, position in enumerate(ready_list):
-                uploader, downloader = pipe_order[position]
-                uploader_index = ready_up[event]
-                downloader_index = ready_down[event]
-                down = peers[downloader]
-                surplus = ready_progress[event]
-                downloader_have = have[downloader_index]
-                downloader_lack = lack[downloader_index]
+            while not levels[lowest]:
+                lowest += 1
+            ready_up = pipe_up[ready]
+            ready_down = pipe_down[ready]
+            surpluses = progress_now[ready].tolist()
+            counts: List[int] = []
+            receipts: List[int] = []
+            # One selection call per ready pipe, in pipe order; nothing here
+            # reads the per-pipe vectors, ``have`` or the fragment counts, and
+            # a (downloader, uploader) pair is ready at most once per pass, so
+            # those are written once, after the loop.
+            for event, (uploader_index, downloader_index) in enumerate(
+                zip(ready_up.tolist(), ready_down.tolist())
+            ):
+                down = peer_at[downloader_index]
                 held = down._fragment_count
-                received: List[int] = []
-                # Inlined rarest-first selection (PieceSelector.select_from
-                # semantics, identical random-stream consumption).  Within one
-                # pipe's conversion loop only the downloader's bitfield
-                # changes, and only at just-received fragments — so the
-                # candidate set is computed once, consumed via an alive mask,
-                # and the rarest tie group drains through cheap list pops; the
-                # next tier is recomputed exactly when the scalar code's min
-                # would move on.
-                np.logical_and(have[uploader_index], downloader_lack, out=wanted_buf)
-                candidates = wanted_buf.nonzero()[0]
-                if candidates.size == 0:
-                    # Nothing useful left on this pipe; drop the surplus.
-                    pipe_consumed[position] = ready_moved[event]
-                    pipe_progress[position] = 0.0
+                received, surpluses[event] = take_fragments(
+                    host_bits, levels, availability, lowest,
+                    uploader_index, downloader_index, held, surpluses[event],
+                    fragment_size, random_first_threshold, num_fragments,
+                    unpack_above, rng,
+                )
+                counts.append(len(received))
+                if not received:
                     continue
-                alive = alive_buf[: candidates.size]
-                alive.fill(True)
-                counts_vals: Optional[np.ndarray] = None
-                tie_positions: Optional[List[int]] = None
-                while surplus >= fragment_size:
-                    if held < random_first_threshold:
-                        live = candidates[alive]
-                        if live.size == 0:
-                            surplus = 0.0
-                            break
-                        fragment = int(live[int(rng.integers(0, live.size))])
-                        alive[int(np.searchsorted(candidates, fragment))] = False
-                        tie_positions = None
-                    else:
-                        if not tie_positions:
-                            if counts_vals is None:
-                                counts_vals = availability[candidates]
-                            live_counts = counts_vals[alive]
-                            if live_counts.size == 0:
-                                surplus = 0.0
-                                break
-                            rarest = live_counts.min()
-                            tie_positions = (
-                                ((counts_vals == rarest) & alive).nonzero()[0].tolist()
-                            )
-                        r = int(rng.integers(0, len(tie_positions)))
-                        pos = tie_positions.pop(r)
-                        fragment = int(candidates[pos])
-                        alive[pos] = False
-                    surplus -= fragment_size
-                    received.append(fragment)
-                    downloader_lack[fragment] = False
-                    downloader_have[fragment] = True
-                    availability[fragment] += 1
-                    held += 1
-                    if held == num_fragments:
-                        down._fragment_count = held
-                        down.completion_time = time
-                        incomplete.discard(downloader)
-                        incomplete_mask[downloader_index] = False
-                        break
+                held += len(received)
                 down._fragment_count = held
-                pipe_consumed[position] = ready_moved[event]
-                pipe_progress[position] = surplus
-                if received:
-                    if trace_full:
-                        pass_receipts += len(received)
-                    if trace is not None:
-                        for fragment in received:
-                            trace.append((time, downloader, uploader, fragment))
-                    fragments.counts[downloader_index, uploader_index] += len(received)
-                    if not interest_by_matmul:
-                        # Batched interest update: within this loop only the
-                        # downloader's row/column changed, so the per-receipt
-                        # column sums collapse into one fancy-indexed sum (the
-                        # diagonal is forced back to zero afterwards; the row
-                        # update uses lack = ~have elementwise).
-                        shared = have[:, received].sum(axis=1)
-                        wanted[:, downloader_index] -= shared
-                        wanted[downloader_index, :] += len(received) - shared
-                        wanted[downloader_index, downloader_index] = 0
+                if held == num_fragments:
+                    down.completion_time = time
+                    incomplete.discard(down.name)
+                    incomplete_mask[downloader_index] = False
+                if trace is not None:
+                    uploader = self.hosts[uploader_index]
+                    for fragment in received:
+                        trace.append((time, down.name, uploader, fragment))
+                receipts.extend(received)
+            pipe_consumed[ready] = moved[ready]
+            pipe_progress[ready] = surpluses
+            fragments.counts[ready_down, ready_up] += counts
+            if receipts:
+                have[ready_down.repeat(counts), receipts] = True
+                have_changed = True
             if trace_full:
                 # Per-receipt conversion cost: wall seconds of the pass over
                 # the number of fragments it converted (sim-time stamped).
                 TRACER.event(
                     "swarm.conversion",
                     sim_time=time,
-                    pipes=len(ready_list),
-                    receipts=pass_receipts,
+                    pipes=len(counts),
+                    receipts=len(receipts),
                     wall_s=TRACER.now() - conversion_started,
                 )
             return True
@@ -972,8 +914,9 @@ class BitTorrentBroadcast:
                 session._pipe_completed = False
                 pipes_dirty = True
                 step_active = True
-            if interest_by_matmul:
+            if have_changed:
                 wanted = recompute_wanted()
+                have_changed = False
 
             # --- choking -------------------------------------------------- #
             if time >= next_rechoke - 1e-12:

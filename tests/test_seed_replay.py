@@ -132,19 +132,6 @@ def test_same_seed_is_deterministic_across_runs():
     assert first == second
 
 
-def test_interest_bookkeeping_modes_agree(monkeypatch):
-    """The per-step matmul and the incremental interest updates are the same
-    computation; forcing the incremental path must not change the result."""
-    import repro.bittorrent.swarm as swarm_module
-
-    topology = build_bordeaux_site(bordeplage=3, bordereau=3, borderline=2)
-    baseline, _ = broadcast_fingerprint(topology, 60, seed=11)
-
-    monkeypatch.setattr(swarm_module, "MATMUL_INTEREST_LIMIT", 0)
-    incremental, _ = broadcast_fingerprint(topology, 60, seed=11)
-    assert incremental == baseline
-
-
 # ---------------------------------------------------------------------- #
 # multi-tenant workload replay (PR 4)
 # ---------------------------------------------------------------------- #
@@ -222,15 +209,17 @@ def interference_workload(family):
     }[family]()
 
 
-def campaign_fingerprint(stepping, workload=None, faults=None):
-    """sha256 over a two-iteration G-T campaign (per_site=3, 150 fragments,
-    seed 2012) — the shared fingerprint of the interference/fault goldens."""
+def campaign_fingerprint(stepping, workload=None, faults=None, name="G-T",
+                         per_site=3, num_fragments=150, iterations=2):
+    """sha256 over the labels and int64 fragment counts of a seed-2012
+    campaign; the defaults (two-iteration G-T, per_site=3, 150 fragments)
+    are the shared fingerprint of the interference/fault goldens."""
     from repro.experiments.datasets import dataset
     from repro.tomography.measurement import MeasurementCampaign
     from repro.tomography.pipeline import default_swarm_config
 
-    ds = dataset("G-T", per_site=3)
-    config = default_swarm_config(150, stepping=stepping)
+    ds = dataset(name, per_site=per_site)
+    config = default_swarm_config(num_fragments, stepping=stepping)
     record = MeasurementCampaign(
         ds.topology,
         config,
@@ -238,12 +227,30 @@ def campaign_fingerprint(stepping, workload=None, faults=None):
         seed=2012,
         workload=workload,
         faults=faults,
-    ).run(2)
+    ).run(iterations)
     digest = hashlib.sha256()
     for result in record.results:
         digest.update(("|".join(result.fragments.labels)).encode())
         digest.update(result.fragments.counts.astype(np.int64).tobytes())
     return digest.hexdigest()
+
+
+#: One-iteration B-G-T-L campaign at 16 hosts per site and 1,200 fragments
+#: (64 hosts, hosts² × fragments ≈ 4.9 M): the paper-scale benchmark's
+#: regime, where ties are wide and availability spans 64 hosts.
+PAPER_SCALE_GOLDEN = (
+    "4718a87c9d1b5770ee546d9dca1c7a226e6a61b9482090f0cce0f509ecb1ae8c"
+)
+
+
+@pytest.mark.parametrize("stepping", STEPPING_MODES)
+def test_paper_scale_campaign_replays_its_golden(stepping):
+    """The largest golden: wide ties and one interest matmul over 64 hosts
+    after every pass that received fragments, in both stepping modes."""
+    fingerprint = campaign_fingerprint(
+        stepping, name="B-G-T-L", per_site=16, num_fragments=1200, iterations=1
+    )
+    assert fingerprint == PAPER_SCALE_GOLDEN
 
 
 @pytest.mark.parametrize("stepping", STEPPING_MODES)

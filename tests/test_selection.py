@@ -2,9 +2,16 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.bittorrent.peer import PeerState
-from repro.bittorrent.selection import PieceSelector
+from repro.bittorrent.selection import (
+    PieceSelector,
+    bitset,
+    set_bits,
+    take_fragments,
+    unpack_threshold,
+)
 
 
 def make_peer(name, fragments=8):
@@ -87,3 +94,145 @@ class TestPieceSelector:
     def test_invalid_construction(self):
         with pytest.raises(ValueError):
             PieceSelector(0)
+
+
+# ---------------------------------------------------------------------- #
+# the broadcast loop's bitset form against the reference selector
+# ---------------------------------------------------------------------- #
+def convert_both(uploader, downloader, availability, threshold, draws, seed,
+                 fragment_size=16384.0, extra=0.0):
+    """Convert ``draws`` fragments' worth of bytes (plus ``extra``) with
+    :func:`take_fragments` and with a :meth:`PieceSelector.select_from` loop
+    on a cloned generator; assert they agree on every receipt, the surplus
+    left, the updated state and the final generator state, which is
+    returned with the receipts and the surplus."""
+    uploader = np.asarray(uploader, dtype=bool)
+    downloader = np.asarray(downloader, dtype=bool)
+    availability = np.asarray(availability, dtype=np.int64)
+    num_fragments = uploader.size
+    held = int(downloader.sum())
+    surplus = draws * fragment_size + extra
+
+    host_bits = [bitset(uploader), bitset(downloader)]
+    counts = availability.tolist()
+    levels = [bitset(availability == c) for c in range(int(availability.max()) + 2)]
+    rng = np.random.default_rng(seed)
+    received, left = take_fragments(
+        host_bits, levels, counts, int(availability.min()), 0, 1, held,
+        surplus, fragment_size, threshold, num_fragments,
+        unpack_threshold(num_fragments), rng,
+    )
+
+    selector = PieceSelector(num_fragments, random_first_threshold=threshold)
+    selector.availability[:] = availability
+    reference_rng = np.random.default_rng(seed)
+    have = downloader.copy()
+    expected = []
+    remaining = surplus
+    while remaining >= fragment_size:
+        fragment = selector.select_from(uploader, ~have, held, reference_rng)
+        if fragment is None:
+            remaining = 0.0
+            break
+        expected.append(fragment)
+        have[fragment] = True
+        selector.record_receipt(fragment)
+        held += 1
+        remaining -= fragment_size
+        if held == num_fragments:
+            break
+
+    assert received == expected
+    assert left == remaining
+    assert rng.bit_generator.state == reference_rng.bit_generator.state
+    assert host_bits == [bitset(uploader), bitset(have)]
+    assert counts == selector.availability.tolist()
+    assert levels == [bitset(selector.availability == c) for c in range(len(levels))]
+    return received, left, rng.bit_generator.state
+
+
+@st.composite
+def conversion_cases(draw):
+    num_fragments = draw(st.integers(1, 160))
+    bits = st.lists(st.booleans(), min_size=num_fragments, max_size=num_fragments)
+    top = draw(st.integers(1, 6))
+    availability = draw(st.lists(st.integers(0, top), min_size=num_fragments,
+                                 max_size=num_fragments))
+    return dict(
+        uploader=draw(bits),
+        downloader=draw(bits),
+        availability=availability,
+        threshold=draw(st.integers(0, 6)),
+        draws=draw(st.integers(1, 40)),
+        seed=draw(st.integers(0, 2**32 - 1)),
+        fragment_size=draw(st.sampled_from([16384.0, 1500.7])),
+        extra=draw(st.floats(0.0, 1000.0)),
+    )
+
+
+@given(conversion_cases())
+@settings(max_examples=300, deadline=None)
+def test_take_fragments_matches_the_reference_selector(case):
+    convert_both(**case)
+
+
+def test_random_first_then_rarest_first():
+    received, _, _ = convert_both(
+        [True] * 64, [False] * 64, [1 + f % 3 for f in range(64)],
+        threshold=4, draws=10, seed=1,
+    )
+    assert len(received) == 10
+    assert all(f % 3 == 0 for f in received[4:])
+
+
+def test_tie_of_one_draws_nothing():
+    availability = [5] * 32
+    availability[7] = 1
+    received, _, state = convert_both(
+        [True] * 32, [f < 4 for f in range(32)], availability,
+        threshold=4, draws=1, seed=3,
+    )
+    assert received == [7]
+    assert state == np.random.default_rng(3).bit_generator.state
+
+
+@pytest.mark.parametrize("num_fragments,tier", [(15259, 15259), (600, 5)])
+def test_ties_on_each_side_of_the_unpack_crossover(num_fragments, tier):
+    """A wide tie at the paper's fragment count is unpacked with numpy; a
+    narrow one is walked bit by bit.  Both draw the same fragments."""
+    availability = [1 + f // tier for f in range(num_fragments)]
+    downloader = [f % tier == 0 for f in range(num_fragments)]
+    received, _, _ = convert_both(
+        [True] * num_fragments, downloader, availability,
+        threshold=0, draws=12, seed=2012,
+    )
+    wide = tier - 1 > unpack_threshold(num_fragments)
+    assert wide == (num_fragments == 15259)
+    assert len(received) == 12
+
+
+def test_pool_emptied_by_random_first_draws_drops_the_surplus():
+    uploader = [f in (3, 9) for f in range(16)]
+    received, left, _ = convert_both(
+        uploader, [False] * 16, [1] * 16, threshold=4, draws=5, seed=7,
+    )
+    assert sorted(received) == [3, 9]
+    assert left == 0.0
+
+
+def test_completion_keeps_the_surplus():
+    downloader = [f not in (2, 5, 11) for f in range(12)]
+    received, left, _ = convert_both(
+        [True] * 12, downloader, [2] * 12, threshold=4, draws=5, seed=11,
+        extra=100.0,
+    )
+    assert sorted(received) == [2, 5, 11]
+    assert left == 2 * 16384.0 + 100.0
+
+
+@given(st.integers(0, 2**700))
+@settings(max_examples=200, deadline=None)
+def test_set_bits_paths_agree(bits):
+    expected = [f for f in range(bits.bit_length()) if bits >> f & 1]
+    assert set_bits(bits, 0) == expected
+    assert set_bits(bits, bits.bit_count()) == expected
