@@ -1,11 +1,17 @@
 """Scaling benchmark for the vectorized max-min solver.
 
-Times :meth:`repro.network.solver.FlowSet.solve` on synthetic multi-site
-contention patterns at 10² – 10⁴ concurrent flows (the fluid engine calls
-this on every pipe open/close and every control step, so its throughput
-bounds the whole broadcast simulation), and cross-checks the smallest scale
-against the scalar reference oracle.
+Times building a :class:`repro.network.solver.FlowSet` and one
+:meth:`~repro.network.solver.FlowSet.solve` on synthetic multi-site
+contention patterns at 10² – 10⁴ concurrent flows.  The fluid engine solves
+lazily, at the first rate read after a batch of pipe opens and closes: a
+paper-4site campaign makes 2,486 solves for 68,536 opens and closes, a
+blackout campaign 19,514 for 105,514.  These instances are far wider than
+any campaign solve (at most 256 flows in the perfbench workloads).  The same
+seeded instances pin the solver's bits (sha256 goldens) and are
+cross-checked against the scalar reference oracle.
 """
+
+import hashlib
 
 import numpy as np
 import pytest
@@ -42,10 +48,13 @@ def build_scenario(num_flows: int, seed: int = 2012):
 
 
 def solve_once(capacities, routes, caps):
+    """Add the routes in order and solve; rates come aligned with ``routes``."""
     flow_set = FlowSet(capacities)
-    for route, cap in zip(routes, caps):
+    slots = [
         flow_set.add(route, cap, assume_unique=True)
-    return flow_set.solve()
+        for route, cap in zip(routes, caps)
+    ]
+    return flow_set.solve()[slots]
 
 
 @pytest.mark.parametrize("num_flows", [100, 1_000, 10_000])
@@ -71,9 +80,23 @@ def test_solver_scales_to_many_flows(benchmark, num_flows):
     )
 
 
-def test_vectorized_solver_matches_scalar_oracle_at_100_flows():
-    capacities, routes, caps = build_scenario(100)
-    rates = solve_once(capacities, routes, caps)
+#: sha256 of ``solve()`` over the seeded instances, flows added in order.
+SOLVER_GOLDENS = {
+    100: "3e265add4bc258d92f8f600166dd189ceebf2261350f686997889a702e45291c",
+    1_000: "a251ee3938961623018f2d78f7278cfb978d5c7e3c9f43a25a2b0f3146f2730b",
+    10_000: "e9674b2401055da4ec870d45b279fa1e2f2242b869af337b1aea0830ac11dda5",
+}
+
+
+@pytest.mark.parametrize("num_flows", sorted(SOLVER_GOLDENS))
+def test_solver_replays_its_golden(num_flows):
+    """Every rate keeps its bits (the 1,000-flow solve freezes all once)."""
+    rates = solve_once(*build_scenario(num_flows))
+    assert hashlib.sha256(rates.tobytes()).hexdigest() == SOLVER_GOLDENS[num_flows]
+
+
+def oracle_rates(capacities, routes, caps):
+    """The scalar reference allocation, as a list aligned with ``routes``."""
     link_names = [f"L{i}" for i in range(capacities.size)]
     flows = [
         FlowDemand(i, tuple(link_names[j] for j in route), rate_cap=cap)
@@ -82,5 +105,26 @@ def test_vectorized_solver_matches_scalar_oracle_at_100_flows():
     reference = max_min_fair_allocation_scalar(
         flows, dict(zip(link_names, capacities))
     )
-    for i in range(100):
-        assert rates[i] == pytest.approx(reference[i], rel=1e-6)
+    return [reference[i] for i in range(len(routes))]
+
+
+def test_vectorized_solver_matches_scalar_oracle_at_100_flows():
+    capacities, routes, caps = build_scenario(100)
+    rates = solve_once(capacities, routes, caps)
+    assert rates.tolist() == oracle_rates(capacities, routes, caps)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason=(
+        "FlowSet.solve freezes every unfrozen flow when a round freezes "
+        "nothing: a 1.25 GB/s core link left at 1.86e-9 B/s, above the "
+        "absolute SATURATION_EPS = 1e-9, freezes 115 flows at once, 95 of "
+        "them below their max-min rate; the scalar oracle keeps drained "
+        "links saturated and runs one more round"
+    ),
+)
+def test_vectorized_solver_matches_scalar_oracle_at_1000_flows():
+    capacities, routes, caps = build_scenario(1_000)
+    rates = solve_once(capacities, routes, caps)
+    assert rates.tolist() == oracle_rates(capacities, routes, caps)

@@ -23,9 +23,9 @@ class RoutingTable:
 
     Besides the name-based routes, the table maintains a dense integer index
     over the topology's links (:attr:`link_index`) and interns each route as
-    an immutable ``int32`` array of link indices (:meth:`route_indices`).
-    The fluid engine keeps only these interned arrays, so route lookups and
-    flow-set updates never touch link-name strings on the hot path.
+    a tuple of link indices (:meth:`route_indices`).  The fluid engine hands
+    these interned tuples to its flow set as they are, so opening a transfer
+    neither copies a route nor touches link-name strings.
 
     A table may be built with ``avoid`` — a set of link names excluded from
     path computation — to model routing around failed or flapping links.
@@ -56,7 +56,7 @@ class RoutingTable:
         self._capacity_vector = np.array(
             [link.capacity for link in links], dtype=np.float64
         )
-        self._index_routes: Dict[Tuple[str, str], np.ndarray] = {}
+        self._index_routes: Dict[Tuple[str, str], Tuple[int, ...]] = {}
         self._name_routes: Dict[Tuple[str, str], Tuple[str, ...]] = {}
         self._warned_fallback = False
 
@@ -64,20 +64,17 @@ class RoutingTable:
         """Per-link capacities aligned with :attr:`link_index` (a copy)."""
         return self._capacity_vector.copy()
 
-    def route_indices(self, src: str, dst: str) -> np.ndarray:
-        """The route as an interned, read-only array of dense link indices.
+    def route_indices(self, src: str, dst: str) -> Tuple[int, ...]:
+        """The route as an interned tuple of dense link indices.
 
-        Repeated calls for the same pair return the same array object, so
-        route storage across thousands of transfers costs one array per pair.
+        Repeated calls for the same pair return the same tuple, so route
+        storage across thousands of transfers costs one tuple per pair.
         """
         key = (src, dst)
         cached = self._index_routes.get(key)
         if cached is None:
             index = self.link_index
-            cached = np.array(
-                [index[name] for name in self.route(src, dst)], dtype=np.int32
-            )
-            cached.setflags(write=False)
+            cached = tuple(index[name] for name in self.route(src, dst))
             self._index_routes[key] = cached
         return cached
 

@@ -3,23 +3,28 @@
 This is the batch counterpart of the scalar progressive-filling allocator in
 :mod:`repro.network.flows`.  Links are identified by dense integer indices
 (see :meth:`repro.network.routing.RoutingTable.link_index`) and the set of
-concurrent flows is held in a :class:`FlowSet`: a link×flow incidence
-structure stored as flat CSR-style index arrays that is maintained
-*incrementally* as flows come and go, so a reallocation never rebuilds the
-incidence from Python dicts.
+concurrent flows is held in a :class:`FlowSet` whose state changes only where
+a flow changes: each slot keeps its route (a tuple of link indices) and its
+rate cap, and each link keeps its count of crossing flows and the set of
+slots crossing it.  Adding or removing a flow touches only its route's links.
 
-Each progressive-filling round is a handful of NumPy array operations —
-``bincount`` for the per-link crossing-flow counts, vector minima for the
-common increment, boolean masks for freezing — so the cost per round is
-O(entries) in C rather than O(flows × links) in Python.  The arithmetic
-mirrors the scalar reference exactly (same increments, same freeze
-tolerances), which is what the equivalence property tests in
-``tests/test_solver.py`` assert.
+A solve runs progressive filling over the links that unfrozen flows cross;
+links nobody crosses are never read.  Each round takes the common increment
+from the crossed links' ``remaining / count`` (NumPy vectors) and from the
+smallest unfrozen rate cap (the finite caps are kept sorted as flows come
+and go), and freezes flows by set operations on the saturated links'
+members.  The arithmetic mirrors the scalar reference (same increments, same
+freeze tolerances), which the equivalence tests in ``tests/test_solver.py``
+and the seeded goldens in ``benchmarks/test_bench_solver_scale.py`` hold
+bitwise.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+import math
+from bisect import bisect_left, insort
+from itertools import chain
+from typing import List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -41,11 +46,11 @@ class FlowSet:
     Notes
     -----
     Slots are recycled: :meth:`add` returns a small integer slot id that
-    stays valid until :meth:`remove`.  The link×flow incidence is kept as two
-    flat arrays ``(entry_link, entry_flow)``; adding a flow appends its route
-    entries, removing one masks its entries out.  Both are single C-level
-    array operations, so the structure survives thousands of open/close
-    cycles without ever being rebuilt from scratch.
+    stays valid until :meth:`remove`.  Freed slots are reused last in, first
+    out, and the pool doubles when none is free, so callers can keep vectors
+    aligned with the slot ids.  Adding or removing a flow updates its slot,
+    the crossing count and member set of each link on its route, and the
+    sorted cap order; no per-link or per-flow vector is rebuilt.
     """
 
     def __init__(self, link_capacities: Sequence[float]) -> None:
@@ -57,18 +62,19 @@ class FlowSet:
             raise ValueError(f"link {bad} has non-positive capacity {caps[bad]}")
         self._caps = caps
         self.num_links = int(caps.size)
-        # Pool-sized (per-slot) state; grown geometrically.
+        # Per-slot state: the route (None while the slot is free) and the cap.
         pool = 8
-        self._active = np.zeros(pool, dtype=bool)
-        self._has_links = np.zeros(pool, dtype=bool)
-        self._rate_caps = np.full(pool, np.inf, dtype=np.float64)
+        self._routes: List[Optional[Tuple[int, ...]]] = [None] * pool
+        self._rate_caps: List[float] = [math.inf] * pool
         self._free: List[int] = list(range(pool - 1, -1, -1))
-        # Flat incidence (only entries of active flows are present) stored in
-        # oversized buffers; the valid prefix is ``[:_entry_count]``.
-        self._entry_link = np.empty(64, dtype=np.int32)
-        self._entry_flow = np.empty(64, dtype=np.int32)
-        self._entry_count = 0
-        self.num_flows = 0
+        # Per-link state: how many active flows cross it, and which.
+        self._counts = np.zeros(self.num_links, dtype=np.int64)
+        self._members: List[Set[int]] = [set() for _ in range(self.num_links)]
+        # Active slots with links, ``(cap, slot)`` of those with a finite
+        # cap in ascending order, and the linkless (loopback) slots.
+        self._linked: Set[int] = set()
+        self._cap_order: List[Tuple[float, int]] = []
+        self._loopback: Set[int] = set()
 
     # ------------------------------------------------------------------ #
     # pool management
@@ -76,15 +82,13 @@ class FlowSet:
     @property
     def pool_size(self) -> int:
         """Current slot-array length (valid slot ids are ``< pool_size``)."""
-        return int(self._active.size)
+        return len(self._routes)
 
     def _grow(self) -> None:
-        old = self._active.size
-        new = old * 2
-        self._active = np.concatenate([self._active, np.zeros(old, dtype=bool)])
-        self._has_links = np.concatenate([self._has_links, np.zeros(old, dtype=bool)])
-        self._rate_caps = np.concatenate([self._rate_caps, np.full(old, np.inf)])
-        self._free.extend(range(new - 1, old - 1, -1))
+        old = len(self._routes)
+        self._routes.extend([None] * old)
+        self._rate_caps.extend([math.inf] * old)
+        self._free.extend(range(2 * old - 1, old - 1, -1))
 
     def add(
         self,
@@ -97,54 +101,57 @@ class FlowSet:
         Duplicate links in the route count once, as in the scalar allocator;
         callers whose routes are simple paths (e.g. the fluid engine's
         shortest-path routes) pass ``assume_unique=True`` to skip the dedup.
+        A tuple route is kept as given, so an interned route costs no copy.
         """
         if rate_cap is not None and rate_cap <= 0:
             raise ValueError(f"rate_cap must be positive, got {rate_cap}")
-        route = np.asarray(link_indices, dtype=np.int32)
-        if route.size:
-            if not assume_unique:
-                route = np.unique(route)
-            if int(route.min()) < 0 or int(route.max()) >= self.num_links:
-                raise IndexError("link index out of range")
+        if type(link_indices) is tuple:
+            route = link_indices
+        else:
+            route = tuple(map(int, link_indices))
+        if not assume_unique:
+            route = tuple(dict.fromkeys(route))
+        if route and (min(route) < 0 or max(route) >= self.num_links):
+            raise IndexError("link index out of range")
         if not self._free:
             self._grow()
         slot = self._free.pop()
-        self._active[slot] = True
-        self._has_links[slot] = route.size > 0
-        self._rate_caps[slot] = np.inf if rate_cap is None else float(rate_cap)
-        if route.size:
-            end = self._entry_count + route.size
-            if end > self._entry_link.size:
-                capacity = max(self._entry_link.size * 2, end)
-                grown_link = np.empty(capacity, dtype=np.int32)
-                grown_flow = np.empty(capacity, dtype=np.int32)
-                grown_link[: self._entry_count] = self._entry_link[: self._entry_count]
-                grown_flow[: self._entry_count] = self._entry_flow[: self._entry_count]
-                self._entry_link = grown_link
-                self._entry_flow = grown_flow
-            self._entry_link[self._entry_count : end] = route
-            self._entry_flow[self._entry_count : end] = slot
-            self._entry_count = end
-        self.num_flows += 1
+        self._routes[slot] = route
+        cap = math.inf if rate_cap is None else float(rate_cap)
+        self._rate_caps[slot] = cap
+        if route:
+            counts = self._counts
+            members = self._members
+            for link in route:
+                counts[link] += 1
+                members[link].add(slot)
+            self._linked.add(slot)
+            if math.isfinite(cap):
+                insort(self._cap_order, (cap, slot))
+        else:
+            self._loopback.add(slot)
         return slot
 
     def remove(self, slot: int) -> None:
-        """Drop the flow in ``slot``; its entries are masked out of the incidence."""
-        if not (0 <= slot < self._active.size) or not self._active[slot]:
+        """Drop the flow in ``slot``; only its route's links are touched."""
+        if not 0 <= slot < len(self._routes) or self._routes[slot] is None:
             raise KeyError(f"slot {slot} is not an active flow")
-        self._active[slot] = False
-        self._rate_caps[slot] = np.inf
-        if self._has_links[slot]:
-            count = self._entry_count
-            keep = self._entry_flow[:count] != slot
-            kept = int(keep.sum())
-            if kept != count:
-                self._entry_link[:kept] = self._entry_link[:count][keep]
-                self._entry_flow[:kept] = self._entry_flow[:count][keep]
-                self._entry_count = kept
-            self._has_links[slot] = False
+        route = self._routes[slot]
+        self._routes[slot] = None
+        if route:
+            counts = self._counts
+            members = self._members
+            for link in route:
+                counts[link] -= 1
+                members[link].remove(slot)
+            self._linked.remove(slot)
+            cap = self._rate_caps[slot]
+            if math.isfinite(cap):
+                order = self._cap_order
+                del order[bisect_left(order, (cap, slot))]
+        else:
+            self._loopback.remove(slot)
         self._free.append(slot)
-        self.num_flows -= 1
 
     # ------------------------------------------------------------------ #
     # capacity changes
@@ -175,103 +182,93 @@ class FlowSet:
     def solve(self) -> np.ndarray:
         """Max-min fair rates, indexed by slot id.
 
-        Inactive slots read 0.  Flows with no links and no rate cap read
-        ``inf`` (loopback transfers are only bounded by the caller).
+        Inactive slots read 0.  Flows with no links read their rate cap, or
+        ``inf`` without one (loopback transfers are only bounded by the
+        caller).
 
-        The progressive filling works on arrays compacted to the active
-        linked flows, and exploits the filling invariant that every unfrozen
+        The progressive filling exploits the invariant that every unfrozen
         flow carries the same allocation: the common *fill level* is a
         scalar accumulating exactly the increments the scalar reference adds
-        per flow, so the two implementations produce identical rates.
+        per flow.  A round that freezes nothing freezes every unfrozen flow
+        to guarantee termination.  The scalar reference instead keeps
+        drained links saturated and runs another round, so the two differ
+        when a link's residue after its fair share stays above
+        :data:`SATURATION_EPS` (an ulp of a 1.25 GB/s capacity is 2.4e-7).
         """
-        pool = self._active.size
-        rates = np.zeros(pool, dtype=np.float64)
-        # Link-free flows are bounded only by their cap.
-        loop = self._active & ~self._has_links
-        if loop.any():
-            rates[loop] = self._rate_caps[loop]
-        linked = self._active & self._has_links
-        if not linked.any():
+        rates = np.zeros(len(self._routes))
+        if self._loopback:
+            loopback = list(self._loopback)
+            rates[loopback] = [self._rate_caps[slot] for slot in loopback]
+        linked = self._linked
+        if not linked:
             return rates
+        routes = self._routes
+        members = self._members
+        crossed = self._counts.nonzero()[0]
+        count = self._counts[crossed]
+        remaining = self._caps[crossed]
+        unfrozen = set(linked)
 
-        slots = np.flatnonzero(linked)
-        flow_count = slots.size
-        caps = self._rate_caps[slots]
-        finite_cap = np.isfinite(caps)
-        any_finite_cap = bool(finite_cap.any())
-        entry_link = self._entry_link[: self._entry_count]
-        # Entries reference pool slots; renumber them to the compact ids.
-        entry_flow = np.searchsorted(slots, self._entry_flow[: self._entry_count])
-
-        out = np.zeros(flow_count, dtype=np.float64)
-        unfrozen = np.ones(flow_count, dtype=bool)
-        remaining = self._caps.copy()
+        cap_order = self._cap_order
+        head = 0  # cap_order before ``head`` is frozen
         fill = 0.0
+        frozen_slots: List[int] = []
+        frozen_rates: List[float] = []
 
-        # Every unfrozen flow crosses at least one link, so some link always
-        # has a positive crossing count and the common increment is finite.
-        # Each round freezes at least one flow (defensively: all of them),
-        # so the loop terminates after at most flow_count rounds.
-        for _ in range(flow_count + self.num_links + 2):
-            entry_live = unfrozen[entry_flow]
-            counts = np.bincount(entry_link[entry_live], minlength=self.num_links)
-            crossed = counts > 0
-            increment = float((remaining[crossed] / counts[crossed]).min())
-            frozen = np.zeros(flow_count, dtype=bool)
-            if any_finite_cap:
-                cap_flows = unfrozen & finite_cap
-                if cap_flows.any():
-                    residual = caps[cap_flows] - fill
-                    res_min = float(residual.min())
-                    if res_min < increment:
-                        increment = res_min
-                    frozen[np.flatnonzero(cap_flows)[residual <= increment + CAP_EPS]] = True
+        # Every unfrozen flow crosses at least one link, so ``count`` is
+        # positive everywhere and the common increment is finite.  Each
+        # round freezes at least one flow, so the loop ends within
+        # len(linked) rounds.
+        for _ in range(len(linked) + self.num_links + 2):
+            increment = float(np.minimum.reduce(remaining / count))
+            frozen: Set[int] = set()
+            while head < len(cap_order) and cap_order[head][1] not in unfrozen:
+                head += 1
+            if head < len(cap_order):
+                # fl(cap - fill) is monotone in cap: the first unfrozen cap
+                # has the smallest residual, and the flows that reach their
+                # cap are a prefix of the unfrozen ones.
+                residual = cap_order[head][0] - fill
+                if residual < increment:
+                    increment = residual
+                limit = increment + CAP_EPS
+                for position in range(head, len(cap_order)):
+                    cap, slot = cap_order[position]
+                    if slot in unfrozen:
+                        if cap - fill > limit:
+                            break
+                        frozen.add(slot)
             if increment < 0.0:
                 increment = 0.0
 
             fill += increment
-            remaining -= increment * counts
+            remaining -= increment * count
             np.maximum(remaining, 0.0, out=remaining)
-
-            saturated = crossed & (remaining <= SATURATION_EPS)
-            if saturated.any():
-                frozen[entry_flow[entry_live & saturated[entry_link]]] = True
-            frozen &= unfrozen
-            if not frozen.any():
+            for link in crossed[remaining <= SATURATION_EPS].tolist():
+                frozen |= members[link] & unfrozen
+            if not frozen:
                 # Numerical corner: freeze everything to guarantee termination.
-                frozen = unfrozen.copy()
-            out[frozen] = fill
-            unfrozen &= ~frozen
-            if not unfrozen.any():
+                frozen = set(unfrozen)
+            frozen_slots.extend(frozen)
+            frozen_rates.extend([fill] * len(frozen))
+            unfrozen -= frozen
+            if not unfrozen:
                 break
-        rates[slots] = out
+            # The frozen flows leave their links' counts; a link they all
+            # left leaves the crossed set.
+            links = chain.from_iterable(map(routes.__getitem__, frozen))
+            lost = np.bincount(np.fromiter(links, np.intp), minlength=self.num_links)
+            count -= lost[crossed]
+            kept = count.nonzero()[0]
+            if kept.size < count.size:
+                crossed = crossed[kept]
+                count = count[kept]
+                remaining = remaining[kept]
+        rates[frozen_slots] = frozen_rates
         return rates
 
     def __len__(self) -> int:
-        return self.num_flows
+        return len(self._linked) + len(self._loopback)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"FlowSet(links={self.num_links}, flows={self.num_flows}, "
-            f"entries={self._entry_count})"
-        )
-
-
-def solve_indexed(
-    routes: Sequence[Sequence[int]],
-    link_capacities: Sequence[float],
-    rate_caps: Optional[Sequence[Optional[float]]] = None,
-) -> np.ndarray:
-    """One-shot vectorized allocation for pre-indexed routes.
-
-    Convenience wrapper used by the functional dispatch path and the
-    benchmarks: builds a transient :class:`FlowSet`, adds every route, and
-    returns the rate vector aligned with ``routes``.
-    """
-    flow_set = FlowSet(link_capacities)
-    slots = np.empty(len(routes), dtype=np.int64)
-    for i, route in enumerate(routes):
-        cap = None if rate_caps is None else rate_caps[i]
-        slots[i] = flow_set.add(route, cap)
-    rates = flow_set.solve()
-    return rates[slots]
+        return f"FlowSet(links={self.num_links}, flows={len(self)})"
