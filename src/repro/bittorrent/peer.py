@@ -32,7 +32,8 @@ class PeerState:
     neighbors:
         Names of peers this client may exchange data with (tracker-provided).
     unchoked:
-        Peers this client is currently uploading to (at most ``upload_slots``).
+        Peers this client is currently uploading to (at most ``upload_slots``),
+        sorted by name.
     optimistic:
         The current optimistic-unchoke target, if any (member of ``unchoked``).
     downloaded_this_round:
@@ -45,7 +46,7 @@ class PeerState:
     num_fragments: int
     have: np.ndarray = field(default=None)  # type: ignore[assignment]
     neighbors: Set[str] = field(default_factory=set)
-    unchoked: Set[str] = field(default_factory=set)
+    unchoked: List[str] = field(default_factory=list)
     optimistic: Optional[str] = None
     downloaded_this_round: Dict[str, float] = field(default_factory=dict)
     completion_time: Optional[float] = None

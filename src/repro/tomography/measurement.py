@@ -30,7 +30,7 @@ from repro.simulation.rng import RandomStreams, derive_seed
 from repro.tomography.metric import EdgeMetric, aggregate_mean
 
 #: On-disk checkpoint layout version (bump on incompatible change).
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 @dataclass
@@ -257,6 +257,16 @@ class MeasurementCampaign:
     def _checkpoint_path(self, iteration: int) -> Path:
         return self.checkpoint / f"iter_{iteration:05d}.pkl"
 
+    def _checkpoint_inputs(self, iteration: int) -> Dict[str, object]:
+        """What decides iteration ``iteration``'s result, besides the seed."""
+        return {
+            "config": self.config,
+            "hosts": list(self.hosts),
+            "root": self.root_of(iteration),
+            "workload": self.workload,
+            "faults": self.faults,
+        }
+
     def _save_checkpoint(
         self, iteration: int, result: BroadcastResult, stats: Optional[list]
     ) -> None:
@@ -267,7 +277,7 @@ class MeasurementCampaign:
             "version": CHECKPOINT_VERSION,
             "seed": self.streams.seed,
             "iteration": iteration,
-            "root": self.root_of(iteration),
+            "inputs": self._checkpoint_inputs(iteration),
             "result": result,
             "stats": stats,
         }
@@ -286,8 +296,9 @@ class MeasurementCampaign:
         """A completed iteration from disk, or ``None`` to (re-)run it.
 
         Unreadable or version-skewed checkpoints are treated as missing;
-        a *seed* mismatch raises, because silently mixing measurements
-        from two different campaigns would corrupt the record.
+        a checkpoint of another campaign (another seed, swarm config, host
+        list, root, workload or fault plan) raises, because silently mixing
+        measurements from two different campaigns would corrupt the record.
         """
         path = self._checkpoint_path(iteration)
         if not path.exists():
@@ -306,6 +317,16 @@ class MeasurementCampaign:
             )
         if payload.get("iteration") != iteration:
             return None
+        stored = payload.get("inputs", {})
+        differ = [
+            name for name, value in self._checkpoint_inputs(iteration).items()
+            if stored.get(name) != value
+        ]
+        if differ:
+            raise ValueError(
+                f"checkpoint {path} belongs to another campaign: its "
+                f"{', '.join(differ)} differ from this campaign's"
+            )
         METRICS.count("campaign.checkpoint_resumes")
         if TRACER.enabled:
             TRACER.event("checkpoint.resume", iteration=iteration)

@@ -24,7 +24,6 @@ derive per-broadcast streams), and schedules callbacks on the shared
 
 from __future__ import annotations
 
-import math
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -250,14 +249,10 @@ class BroadcastActor(WorkloadActor):
         _, from_step, target_step, target_time = pending
         if time >= target_time - 1e-12:
             return
-        dt = self.config.control_dt
-        k = int(math.ceil((time - self.start_time) / dt - 1e-9))
-        k = max(k, from_step + 1)
-        while self.start_time + k * dt < time - 1e-12:
-            k += 1
+        k = self.session.grid_step(time - 1e-12, from_step + 1)
         if k >= target_step:
             return
-        wake_time = max(self.start_time + k * dt, time)
+        wake_time = max(self.start_time + k * self.config.control_dt, time)
         self._event.cancel()
         self._granted = k
         self._pending_sleep = ("sleep", from_step, k, wake_time)
@@ -619,19 +614,7 @@ class ChurnActor(WorkloadActor):
         target = self.target
         session = target.session
         if not target.done:
-            # Exclude departed peers AND victims whose departure is still
-            # queued for the next control point — a double leave would no-op
-            # at apply time.
-            pending = {
-                name for op, name, _ in session._pending_churn if op == "leave"
-            }
-            candidates = [
-                h
-                for h in target.broadcast.hosts
-                if h != target.root
-                and h not in session.departed
-                and h not in pending
-            ]
+            candidates = session.leave_candidates()
             if candidates:
                 victim = candidates[int(self.rng.integers(0, len(candidates)))]
                 session.request_leave(victim)

@@ -292,6 +292,19 @@ class TestCheckpointResume:
         with pytest.raises(ValueError, match="seed"):
             other.run(1)
 
+    def test_another_campaign_with_the_same_seed_is_rejected(
+        self, gt_dataset, tmp_path
+    ):
+        """Same seed, same directory, but 300 fragments and rotated roots:
+        the first campaign's iterations must not be read as the second's."""
+        self._campaign(gt_dataset, default_swarm_config(120), tmp_path, seed=5).run(2)
+        other = self._campaign(
+            gt_dataset, default_swarm_config(300), tmp_path, seed=5,
+            rotate_root=True,
+        )
+        with pytest.raises(ValueError, match="another campaign"):
+            other.run(3)
+
     def test_corrupt_checkpoint_is_rerun(self, gt_dataset, small_config, tmp_path):
         baseline = self._campaign(gt_dataset, small_config, tmp_path).run(2)
         victim = next(iter((tmp_path / "ckpt").glob("iter_*.pkl")))

@@ -1,0 +1,188 @@
+"""The swarm's redundant state agrees with itself between resumes.
+
+A :class:`~repro.bittorrent.swarm.BroadcastSession` keeps the same facts in
+several shapes for speed: the ``have`` bitfield matrix, one Python-int
+bitset per host and per availability level, the ``availability`` list,
+each peer's cached fragment count, the ``wanted`` interest counts and the
+slot-aligned pipe vectors.  The seed goldens only hash the end result;
+these tests wrap ``start``/``resume`` the way perfbench does and check,
+after every call on an unfinished session, that the shapes agree and that
+no link is allocated past its capacity.
+
+A pipe whose transfer runs its whole byte budget is detached from the flow
+set but stays open; the relay broadcast below is built so that such a pipe
+survives into a rebuild of the pipe vectors, which no golden input does.
+"""
+
+import functools
+
+import numpy as np
+import pytest
+
+from repro.bittorrent.selection import bitset
+from repro.bittorrent.swarm import (
+    STEPPING_MODES,
+    BitTorrentBroadcast,
+    BroadcastSession,
+    SwarmConfig,
+)
+from repro.bittorrent.torrent import TorrentMeta
+from repro.network.grid5000 import (
+    build_bordeaux_site,
+    build_multi_site,
+    default_cluster_of,
+)
+from repro.network.topology import GBPS, MBPS, Host, Switch, Topology
+from test_seed_replay import (
+    FAULT_GOLDENS,
+    GOLDENS,
+    INTERFERENCE_GOLDENS,
+    broadcast_fingerprint,
+    campaign_fingerprint,
+    fault_plan,
+    interference_workload,
+)
+
+
+def check_invariants(session, seen):
+    have = session.have
+    num_fragments = session.num_fragments
+    held_by = have.sum(axis=0)
+    assert session.availability == held_by.tolist()
+    assert session.host_bits == [bitset(row) for row in have]
+    assert session.levels == [bitset(held_by == c) for c in range(len(have) + 1)]
+    assert [peer.fragment_count for peer in session.peer_at] == have.sum(axis=1).tolist()
+    assert have.sum() - num_fragments == session.fragments.counts.sum()
+    if not session.have_changed:
+        assert np.array_equal(session.wanted, session.recompute_wanted())
+
+    upload_slots = session.broadcast.choking.upload_slots
+    for peer in session.peer_at:
+        unchoked = peer.unchoked
+        assert all(a < b for a, b in zip(unchoked, unchoked[1:])), unchoked
+        assert len(unchoked) <= upload_slots
+
+    if not session.pipes_dirty and not session._completed_pipes:
+        order = session.pipe_order
+        assert order == sorted(session.pipes)
+        for vector in (
+            session.pipe_slots, session.pipe_up, session.pipe_down,
+            session.pipe_consumed, session.pipe_credit_base, session.pipe_progress,
+        ):
+            assert len(vector) == len(order)
+        dead = set(session.pipe_dead_positions.tolist())
+        for position, key in enumerate(order):
+            assert session.pipe_pos[key] == position
+            slot = session.pipes[key]._slot
+            if slot >= 0:
+                assert session.pipe_slots[position] == slot
+            else:
+                assert position in dead
+        seen["dead"] = max(seen["dead"], len(dead))
+
+    fluid = session.fluid
+    if not fluid._dirty:
+        load = {}
+        for transfer in fluid._active.values():
+            rate = float(fluid._rate[transfer._slot])
+            for link in transfer.links:
+                load[link] = load.get(link, 0.0) + rate
+        for link, total in load.items():
+            assert total <= fluid.link_capacity(link) * (1 + 1e-9), link
+    seen["checks"] += 1
+
+
+@pytest.fixture
+def checked(monkeypatch):
+    """Check every session's invariants after each ``start``/``resume``."""
+    seen = {"checks": 0, "dead": 0, "sessions": []}
+
+    def wrap(method):
+        @functools.wraps(method)
+        def checked_call(self, *args, **kwargs):
+            request = method(self, *args, **kwargs)
+            if method.__name__ == "start":
+                seen["sessions"].append(self)
+            if not self.finished:
+                check_invariants(self, seen)
+            return request
+
+        return checked_call
+
+    for name in ("start", "resume"):
+        monkeypatch.setattr(BroadcastSession, name, wrap(getattr(BroadcastSession, name)))
+    return seen
+
+
+@pytest.mark.parametrize("stepping", STEPPING_MODES)
+def test_golden_broadcasts_keep_their_state_consistent(checked, stepping):
+    multi_site = build_multi_site(
+        {site: {default_cluster_of(site): 4} for site in ("bordeaux", "grenoble")}
+    )
+    bordeaux = build_bordeaux_site(bordeplage=5, bordereau=4, borderline=2)
+    fingerprint, _ = broadcast_fingerprint(multi_site, 80, seed=73, stepping=stepping)
+    assert fingerprint == GOLDENS[stepping]["multi-site"]
+    fingerprint, _ = broadcast_fingerprint(bordeaux, 120, seed=2012, stepping=stepping)
+    assert fingerprint == GOLDENS[stepping]["bordeaux"]
+    fingerprint, _ = broadcast_fingerprint(
+        bordeaux, 2000, seed=99, rechoke_interval=0.3, optimistic_every=2,
+        stepping=stepping,
+    )
+    assert fingerprint == GOLDENS[stepping]["rechoke-heavy"]
+    assert checked["checks"] > 0
+
+
+@pytest.mark.parametrize("stepping", STEPPING_MODES)
+def test_budget_exhausting_broadcast_keeps_its_state_consistent(checked, stepping):
+    """The 60-fragment Bordeaux broadcast's pipes run out of byte budget in
+    its last advance."""
+    topology = build_bordeaux_site(bordeplage=3, bordereau=3, borderline=2)
+    broadcast_fingerprint(topology, 60, seed=5, stepping=stepping)
+    (session,) = checked["sessions"]
+    assert len(session.fluid.completed) >= 1
+
+
+def relay_topology():
+    """A root behind a 10 Mb/s link and three hosts on 10 Gb/s links.
+
+    A pipe from the relay to a leaf moves its whole budget within one
+    control step, while the relay keeps receiving fragments the leaf lacks
+    from the slow root, so the detached pipe stays open.
+    """
+    topology = Topology(name="relay")
+    topology.add_switch(Switch(name="sw", site="s"))
+    for name, capacity in (
+        ("a-relay", 10 * GBPS), ("b-leaf-0", 10 * GBPS), ("b-leaf-1", 10 * GBPS),
+        ("z-root", 10 * MBPS),
+    ):
+        topology.add_host(Host(name=name, site="s", cluster="c"))
+        topology.add_link(name, "sw", capacity=capacity, latency=5e-5)
+    return topology
+
+
+def test_detached_pipes_keep_their_vectors_consistent(checked):
+    meta = TorrentMeta(name="relay", fragment_size=16384, num_fragments=60)
+    matrices = []
+    for stepping in STEPPING_MODES:
+        config = SwarmConfig(torrent=meta, tcp_window=None, stepping=stepping)
+        result = BitTorrentBroadcast(relay_topology(), config).run(
+            root="z-root", rng=np.random.default_rng(1)
+        )
+        assert result.fragments.total_fragments() == 180.0
+        matrices.append(result.fragments.counts)
+    assert checked["dead"] >= 1
+    np.testing.assert_array_equal(*matrices)
+
+
+@pytest.mark.parametrize("stepping", STEPPING_MODES)
+def test_churn_campaign_keeps_its_state_consistent(checked, stepping):
+    fingerprint = campaign_fingerprint(stepping, workload=interference_workload("churn"))
+    assert fingerprint == INTERFERENCE_GOLDENS["churn"]
+    assert checked["checks"] > 0
+
+
+@pytest.mark.parametrize("stepping", STEPPING_MODES)
+def test_link_failure_campaign_keeps_its_state_consistent(checked, stepping):
+    fingerprint = campaign_fingerprint(stepping, faults=fault_plan("link-failure-4"))
+    assert fingerprint == FAULT_GOLDENS["link-failure-4"]
+    assert checked["checks"] > 0

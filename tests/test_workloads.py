@@ -275,6 +275,58 @@ class TestActors:
         )
         assert contended.duration > solo.duration
 
+    @pytest.mark.xfail(
+        strict=True,
+        reason="a finished broadcast leaves its pipes open: the step loop "
+        "returns without closing them, so their fluid transfers keep loading "
+        "the shared links until each pipe's byte budget drains",
+    )
+    def test_a_finished_rival_leaves_no_pipe_flowing(self, monkeypatch):
+        """RIVAL-BROADCAST at its defaults (G-T, 4 hosts per site, 240
+        fragments, seed 2012), iteration 1: the rival finishes before the
+        measured broadcast."""
+        from repro.bittorrent.swarm import BroadcastSession
+        from repro.experiments.datasets import dataset
+        from repro.network.fluid import FluidNetwork
+        from repro.tomography.pipeline import default_swarm_config
+
+        running, started, flowing = [], {}, {}
+        start_transfer = FluidNetwork.start_transfer
+
+        def tracked_start(fluid, *args, **kwargs):
+            transfer = start_transfer(fluid, *args, **kwargs)
+            if running:
+                started.setdefault(running[-1], []).append(transfer)
+            return transfer
+
+        def track(method):
+            def tracked(session, *args):
+                running.append(session)
+                request = method(session, *args)
+                running.pop()
+                if session.finished:
+                    flowing[session.root] = [
+                        t for t in started.get(session, [])
+                        if t.transfer_id in session.fluid._active
+                    ]
+                return request
+
+            return tracked
+
+        monkeypatch.setattr(FluidNetwork, "start_transfer", tracked_start)
+        for name in ("start", "resume"):
+            monkeypatch.setattr(
+                BroadcastSession, name, track(getattr(BroadcastSession, name))
+            )
+        ds = dataset("G-T", per_site=4)
+        run_workload_iteration(
+            ds.topology, default_swarm_config(240), ds.hosts, ds.hosts[0],
+            2012, 1, rival_broadcast_workload(),
+        )
+        rival_root = ds.hosts[-1]
+        assert list(flowing) == [rival_root, ds.hosts[0]]
+        assert flowing[rival_root] == []
+
 
 # ---------------------------------------------------------------------- #
 # engine surface
