@@ -43,7 +43,7 @@ from pathlib import Path
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 SIDES = ("base", "head")
-DEFAULT_WORKLOADS = ("paper-4site", "blackout")
+DEFAULT_WORKLOADS = ("paper-4site", "paper-scale", "blackout")
 CSV_FIELDS = ("side", "workload", "run", "traced", "metric", "value")
 
 
@@ -198,7 +198,7 @@ def main(argv=None) -> int:
                         help="untraced runs per tree and workload (default 3)")
     parser.add_argument("--workload", action="append", dest="workloads",
                         help="perfbench workload (repeatable; default "
-                             f"{' and '.join(DEFAULT_WORKLOADS)})")
+                             f"{', '.join(DEFAULT_WORKLOADS)})")
     parser.add_argument("--out", type=Path, default=Path("perf_ab"),
                         help="directory for raw/ and runs.csv (default perf_ab)")
     args = parser.parse_args(argv)

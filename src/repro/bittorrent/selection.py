@@ -8,16 +8,20 @@ randomly.  Availability is tracked swarm-wide as a fragment-indexed counter.
 NOTE: the broadcast loop in ``repro.bittorrent.swarm`` does not call
 :class:`PieceSelector`; it calls :func:`take_fragments`, the same rule on
 Python-int bitsets (one per host and one per availability level), once per
-pipe that accumulated whole fragments.  :class:`PieceSelector` is the
-reference: ``tests/test_selection.py`` asserts that both pick the same
-fragments in the same order and leave the random stream in the same state,
-so any change to the policy — thresholds, tie-breaking, random-stream
-consumption — must be made to both.
+pipe that accumulated whole fragments.  It breaks ties with
+:func:`draw_below`, numpy's bounded-integer rule applied to the bit
+generator's own ``next_uint32``, so it consumes the same words as
+``rng.integers(0, k)`` without numpy's per-call dispatch.
+:class:`PieceSelector` is the reference and keeps ``rng.integers``:
+``tests/test_selection.py`` asserts that both pick the same fragments in
+the same order and leave the random stream in the same state, so any change
+to the policy — thresholds, tie-breaking, random-stream consumption — must
+be made to both.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
@@ -98,6 +102,29 @@ class PieceSelector:
 # ---------------------------------------------------------------------- #
 # bitset form (the broadcast loop's conversion step)
 # ---------------------------------------------------------------------- #
+def draw_below(next_uint32: Callable[[object], int], state: object, k: int) -> int:
+    """What ``rng.integers(0, k)`` returns, for ``1 < k <= 2**32``.
+
+    ``next_uint32`` and ``state`` come from ``rng.bit_generator.ctypes``.
+    numpy draws a bounded int64 whose range fits in 32 bits by Lemire's
+    multiply-shift rule over the bit generator's ``next_uint32``: the high
+    word of ``next_uint32() * k``, redrawn while the low word is below
+    ``(2**32 - k) % k``.  Doing the same here consumes the stream word for
+    word.  :func:`take_fragments` draws only over a tie, at most
+    ``num_fragments`` wide.  ``rng.integers`` holds the bit generator's lock
+    while it draws and this call does not: nothing in this package starts a
+    thread, and no generator is shared across threads.
+    """
+    m = next_uint32(state) * k
+    # The threshold is below k, so as in numpy it is computed only when
+    # the low word is too.
+    if (m & 0xFFFFFFFF) < k:
+        threshold = (0x100000000 - k) % k
+        while (m & 0xFFFFFFFF) < threshold:
+            m = next_uint32(state) * k
+    return m >> 32
+
+
 def bitset(mask: np.ndarray) -> int:
     """The Python int whose bit ``f`` is set iff ``mask[f]``."""
     return int.from_bytes(np.packbits(mask, bitorder="little").tobytes(), "little")
@@ -155,14 +182,17 @@ def take_fragments(
     All three include every receipt when the call returns; inside it, a
     rarest-first receipt moves up a level only when its tier is drained or
     the call ends, since it has left the pool and no scan can see it.
-    ``held`` is the downloader's fragment count.  Draws
-    ``rng.integers(0, k)`` only for ``k > 1``: numpy consumes nothing for a
-    one-wide range, so the stream is unchanged.
+    ``held`` is the downloader's fragment count.  Each pick draws its index
+    among ``k`` choices with :func:`draw_below`, the value and the stream
+    words of ``rng.integers(0, k)``, and only for ``k > 1``: numpy consumes
+    nothing for a one-wide range, so neither does this.
 
     Returns the received fragments in order and the surplus left: kept
     below one fragment and on completion, zero once the uploader has nothing
     the downloader lacks.
     """
+    bit_generator = rng.bit_generator.ctypes
+    next_uint32, state = bit_generator.next_uint32, bit_generator.state
     have = host_bits[downloader]
     pool = start = host_bits[uploader] & ~have
     received: List[int] = []
@@ -192,7 +222,10 @@ def take_fragments(
                 tie = set_bits(tier, unpack_above)
             choices = tie
         k = len(choices)
-        fragment = choices.pop(rng.integers(0, k)) if k > 1 else choices.pop()
+        if k > 1:
+            fragment = choices.pop(draw_below(next_uint32, state, k))
+        else:
+            fragment = choices.pop()
         bit = 1 << fragment
         pool ^= bit
         count = availability[fragment]

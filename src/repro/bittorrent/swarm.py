@@ -684,11 +684,16 @@ class BroadcastSession:
             self.progress_carry.pop(key, None)
 
     def sync_pipes(self) -> None:
-        """Make the fluid flow set match the current unchoke/interest state.
+        """Make the fluid flow set match the current unchoke/interest state:
+        a pipe is open exactly when its downloader is unchoked, incomplete
+        and interested.
 
-        Iteration follows the sorted unchoke lists and pipe order so that
-        the order in which pipes are opened — and therefore the consumption
-        of the random stream — is identical across processes regardless of
+        Unchoke lists hold only neighbours (the rechoke and the fill pick
+        from ``neighbor_mask`` rows, and a leave removes the peer from every
+        neighbour's list), so no neighbour test is made here.  Iteration
+        follows the sorted unchoke lists and pipe order so that the order
+        in which pipes are opened — and therefore the consumption of the
+        random stream — is identical across processes regardless of
         string-hash randomisation; campaigns replay bit-for-bit from their
         seed.
         """
@@ -699,13 +704,8 @@ class BroadcastSession:
             up = peers[uploader]
             if up.fragment_count == 0:
                 continue
-            unchoked = up.unchoked
             row = wanted[uploader_index]
-            for downloader in list(unchoked):
-                if downloader not in up.neighbors:
-                    unchoked.remove(downloader)
-                    close_pipe(uploader, downloader)
-                    continue
+            for downloader in up.unchoked:
                 if downloader in incomplete and row[index[downloader]] > 0:
                     open_pipe(uploader, downloader)
                 else:

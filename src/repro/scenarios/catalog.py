@@ -458,6 +458,7 @@ def _scenario_rival(
     stepping: Optional[str] = None,
     faults=None,
     quorum: Optional[int] = None,
+    detect_factor: Optional[float] = None,
 ):
     from repro.workloads import rival_broadcast_workload
 
@@ -467,6 +468,7 @@ def _scenario_rival(
         iterations=iterations, num_fragments=num_fragments, seed=seed,
         noise_threshold=noise_threshold, stepping=stepping,
         executor=executor, faults=faults, quorum=quorum,
+        detect_factor=detect_factor,
     )
 
 
@@ -489,6 +491,7 @@ def _scenario_cross_traffic(
     stepping: Optional[str] = None,
     faults=None,
     quorum: Optional[int] = None,
+    detect_factor: Optional[float] = None,
 ):
     from repro.workloads import cross_traffic_workload
 
@@ -498,6 +501,7 @@ def _scenario_cross_traffic(
         iterations=iterations, num_fragments=num_fragments, seed=seed,
         noise_threshold=noise_threshold, stepping=stepping,
         executor=executor, faults=faults, quorum=quorum,
+        detect_factor=detect_factor,
     )
 
 
@@ -519,6 +523,7 @@ def _scenario_churn(
     stepping: Optional[str] = None,
     faults=None,
     quorum: Optional[int] = None,
+    detect_factor: Optional[float] = None,
 ):
     from repro.workloads import churn_workload
 
@@ -528,6 +533,7 @@ def _scenario_churn(
         iterations=iterations, num_fragments=num_fragments, seed=seed,
         noise_threshold=noise_threshold, stepping=stepping,
         executor=executor, faults=faults, quorum=quorum,
+        detect_factor=detect_factor,
     )
 
 
@@ -548,6 +554,7 @@ def _scenario_mixed_tenancy(
     stepping: Optional[str] = None,
     faults=None,
     quorum: Optional[int] = None,
+    detect_factor: Optional[float] = None,
 ):
     from repro.workloads import mixed_workload
 
@@ -557,6 +564,7 @@ def _scenario_mixed_tenancy(
         iterations=iterations, num_fragments=num_fragments, seed=seed,
         noise_threshold=noise_threshold, stepping=stepping,
         executor=executor, faults=faults, quorum=quorum,
+        detect_factor=detect_factor,
     )
 
 

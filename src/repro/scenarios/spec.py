@@ -149,9 +149,9 @@ class ScenarioSpec:
         and no control loop, so suite-wide defaults must not break them);
         the other four are forwarded if it takes them and otherwise raise
         ``ValueError``, so an explicit request is never silently dropped.
-        A campaign has a failure detector only under a fault plan that
-        injects something (``--faults none`` has none).  The
-        summary always carries ``scenario``, ``family``, ``executor`` and
+        A body that takes ``faults`` has a failure detector only under a
+        fault plan that injects something (``--faults none`` has none); a
+        body with its own plan takes no ``faults``.  The summary always carries ``scenario``, ``family``, ``executor`` and
         ``stepping`` keys so downstream records know what produced them.
         """
         from repro.experiments.runners import run_dataset_clustering
@@ -174,7 +174,7 @@ class ScenarioSpec:
                             ("quorum", quorum), ("detect_factor", detect_factor)):
             if value is None:
                 continue
-            if name == "detect_factor" and self.runner is None:
+            if name == "detect_factor" and "faults" in parameters:
                 from repro.faults import fault_plan_from_name
 
                 if not fault_plan_from_name(faults):

@@ -267,6 +267,28 @@ class TestDetectionKnobs:
         assert code == 0
         assert json.loads(path.read_text())["detect_factor"] == 1.1
 
+    def test_detect_factor_with_faults_on_interference_scenario(self, tmp_path):
+        path = tmp_path / "out.json"
+        code = main(
+            ["run", "CHURN", "--per-site", "2", "--iterations", "2",
+             "--faults", "blackout", "--detect-factor", "1.5",
+             "--json", str(path)]
+        )
+        assert code == 0
+        assert json.loads(path.read_text())["detect_factor"] == 1.5
+
+    def test_detect_factor_without_faults_on_interference_scenario_fails(
+        self, capsys
+    ):
+        # CHURN takes --faults, so without a plan its detector is missing,
+        # not silently run at the default ratio.
+        code = main(
+            ["run", "CHURN", "--per-site", "2", "--iterations", "2",
+             "--detect-factor", "1.5"]
+        )
+        assert code == 2
+        assert "has no failure detector" in capsys.readouterr().err
+
     def test_sweep_prints_localization_column(self, capsys):
         code = main(
             ["sweep", "LINK-BLACKOUT", "--param", "residual", "--values",

@@ -8,6 +8,7 @@ from repro.bittorrent.peer import PeerState
 from repro.bittorrent.selection import (
     PieceSelector,
     bitset,
+    draw_below,
     set_bits,
     take_fragments,
     unpack_threshold,
@@ -228,6 +229,68 @@ def test_completion_keeps_the_surplus():
     )
     assert sorted(received) == [2, 5, 11]
     assert left == 2 * 16384.0 + 100.0
+
+
+# ---------------------------------------------------------------------- #
+# the tie draw against numpy's own bounded integers
+# ---------------------------------------------------------------------- #
+#: Fixed bounds: the two smallest, the paper-scale and the paper's fragment
+#: counts, a bound whose draws are rejected about half the time, and the
+#: two widest 32-bit ranges.  A draw takes one of these or a uniform bound.
+DRAW_BOUNDS = (2, 3, 1200, 15259, 2**31 + 1, 2**32 - 1, 2**32)
+
+
+def other_draws(rng):
+    """Draws that share the generator with the tie draws: a double, a
+    no-replacement choice, a shuffle and a 64-bit bounded integer."""
+    return (
+        rng.random(),
+        rng.choice(7, size=4, replace=False).tolist(),
+        rng.permutation(9).tolist(),
+        int(rng.integers(0, 2**40)),
+    )
+
+
+def plain(state):
+    """``bit_generator.state`` with its arrays as lists, so states compare."""
+    if isinstance(state, dict):
+        return {key: plain(value) for key, value in state.items()}
+    if isinstance(state, np.ndarray):
+        return state.tolist()
+    return state
+
+
+@pytest.mark.parametrize("bit_generator", [
+    np.random.PCG64, np.random.PCG64DXSM, np.random.MT19937, np.random.Philox,
+    np.random.SFC64,
+])
+def test_draw_below_matches_numpys_integers(bit_generator):
+    """2 * 10^5 draws per bit generator, 10^6 over the five: each equals a
+    twin generator's ``integers(0, k)``, with other draws interleaved on
+    both, and the two end in the same state."""
+    draws = 200_000
+    plan = np.random.default_rng(19)
+    picks = plan.integers(0, len(DRAW_BOUNDS) + 1, size=draws).tolist()
+    uniform = plan.integers(2, 2**32, size=draws, endpoint=True).tolist()
+    bounds = [
+        DRAW_BOUNDS[pick] if pick < len(DRAW_BOUNDS) else bound
+        for pick, bound in zip(picks, uniform)
+    ]
+    interleaved = (plan.random(draws) < 0.05).tolist()
+    rng = np.random.Generator(bit_generator(2012))
+    twin = np.random.Generator(bit_generator(2012))
+    interface = rng.bit_generator.ctypes
+    next_uint32, state = interface.next_uint32, interface.state
+    drawn, expected = [], []
+    for k, interleave in zip(bounds, interleaved):
+        drawn.append(draw_below(next_uint32, state, k))
+        expected.append(int(twin.integers(0, k)))
+        if interleave:
+            assert other_draws(rng) == other_draws(twin)
+    assert set(bounds) >= set(DRAW_BOUNDS)
+    differ = np.flatnonzero(np.asarray(drawn) != np.asarray(expected))
+    assert not differ.size, f"draw {differ[0]} of {draws} differs (k = {bounds[differ[0]]})"
+    assert plain(rng.bit_generator.state) == plain(twin.bit_generator.state)
 
 
 @given(st.integers(0, 2**700))

@@ -3,8 +3,9 @@
 A :class:`~repro.bittorrent.swarm.BroadcastSession` keeps the same facts in
 several shapes for speed: the ``have`` bitfield matrix, one Python-int
 bitset per host and per availability level, the ``availability`` list,
-each peer's cached fragment count, the ``wanted`` interest counts and the
-slot-aligned pipe vectors.  The seed goldens only hash the end result;
+each peer's cached fragment count, the ``wanted`` interest counts, the
+neighbour sets and ``neighbor_mask``, and the slot-aligned pipe vectors.
+The seed goldens only hash the end result;
 these tests wrap ``start``/``resume`` the way perfbench does and check,
 after every call on an unfinished session, that the shapes agree and that
 no link is allocated past its capacity.
@@ -56,11 +57,20 @@ def check_invariants(session, seen):
     if not session.have_changed:
         assert np.array_equal(session.wanted, session.recompute_wanted())
 
+    # An uploader unchokes only neighbours, so sync_pipes never has to
+    # drop a stranger: the rechoke and the fill pick from neighbor_mask
+    # rows, and a leave removes the peer from every neighbour's list.
     upload_slots = session.broadcast.choking.upload_slots
-    for peer in session.peer_at:
+    peers, hosts = session.peers, session.hosts
+    for i, peer in enumerate(session.peer_at):
         unchoked = peer.unchoked
         assert all(a < b for a, b in zip(unchoked, unchoked[1:])), unchoked
         assert len(unchoked) <= upload_slots
+        assert set(unchoked) <= peer.neighbors, peer.name
+        assert all(peer.name in peers[other].neighbors for other in peer.neighbors)
+        assert {hosts[j] for j in np.flatnonzero(session.neighbor_mask[i])} == (
+            peer.neighbors
+        )
 
     if not session.pipes_dirty and not session._completed_pipes:
         order = session.pipe_order
