@@ -6,13 +6,15 @@ Usage::
     git archive "$BASE_SHA" | tar -x -C ../base
     python benchmarks/perf_ab.py ../base . --out perf_ab
     python benchmarks/perf_ab.py ../base . --pairs 5 --workload blackout
+    python benchmarks/perf_ab.py ../base . --workload blackout --seed 7
 
 Each tree runs its own ``perfbench/run.py --workload W``, which does fixed
 work per run (see perfbench/README.md).  For every workload the two trees
 run ``--pairs`` times each, interleaved, and the tree that goes first
 alternates from pair to pair, so drift on a shared box hits both sides
 alike.  Then one traced run per tree and workload records the fragment
-digests and the ``swarm.*`` counters.
+digests and the ``swarm.*`` counters.  ``--seed N`` is passed on to both
+trees' runs; without it each runs perfbench's own default seed.
 
 The chain is raw JSON → CSV → table:
 
@@ -40,22 +42,25 @@ import statistics
 import subprocess
 import sys
 from pathlib import Path
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 SIDES = ("base", "head")
 DEFAULT_WORKLOADS = ("paper-4site", "paper-scale", "blackout")
 CSV_FIELDS = ("side", "workload", "run", "traced", "metric", "value")
 
 
-def run_perfbench(tree: Path, workload: str, traced: bool) -> dict:
+def run_perfbench(
+    tree: Path, workload: str, traced: bool, seed: Optional[int] = None
+) -> dict:
     """One ``perfbench/run.py`` run in ``tree``: its report plus ``correct``."""
     out = tree / "perfbench" / "out" / (
         f"{workload}.trace.json" if traced else f"{workload}.json"
     )
     out.unlink(missing_ok=True)
+    seed_args = [] if seed is None else ["--seed", str(seed)]
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
-         "--trace", "1" if traced else "0"],
+         "--trace", "1" if traced else "0", *seed_args],
         cwd=tree, capture_output=True, text=True,
     )
     lines = proc.stdout.strip().splitlines()
@@ -73,7 +78,8 @@ def run_perfbench(tree: Path, workload: str, traced: bool) -> dict:
 
 
 def run_pairs(
-    trees: Dict[str, Path], workloads: Sequence[str], pairs: int, raw: Path
+    trees: Dict[str, Path], workloads: Sequence[str], pairs: int, raw: Path,
+    seed: Optional[int] = None,
 ) -> List[Path]:
     """Run every workload in interleaved pairs, then traced once per side;
     write each report under ``raw`` and return the paths in run order."""
@@ -84,7 +90,7 @@ def run_pairs(
     for workload in workloads:
         for run, head_first, traced in schedule:
             for side in (SIDES[::-1] if head_first else SIDES):
-                report = run_perfbench(trees[side], workload, traced)
+                report = run_perfbench(trees[side], workload, traced, seed)
                 report.update(side=side, run=run, traced=traced)
                 path = raw / f"{side}-{workload}-{run}.json"
                 path.write_text(json.dumps(report, indent=1))
@@ -201,6 +207,9 @@ def main(argv=None) -> int:
                              f"{', '.join(DEFAULT_WORKLOADS)})")
     parser.add_argument("--out", type=Path, default=Path("perf_ab"),
                         help="directory for raw/ and runs.csv (default perf_ab)")
+    parser.add_argument("--seed", type=int, default=None,
+                        help="workload seed for both trees' perfbench runs "
+                             "(default: perfbench's own)")
     args = parser.parse_args(argv)
     trees = {"base": args.base.resolve(), "head": args.head.resolve()}
     for side, tree in trees.items():
@@ -209,7 +218,7 @@ def main(argv=None) -> int:
     end_to_end = json.loads((trees["base"] / "BENCHMARK.json").read_text())["end_to_end"]
 
     paths = run_pairs(trees, args.workloads or DEFAULT_WORKLOADS, args.pairs,
-                      args.out / "raw")
+                      args.out / "raw", args.seed)
     reports = [json.loads(path.read_text()) for path in paths]
     rows = reduce_reports(reports)
     write_csv(rows, args.out / "runs.csv")

@@ -5,6 +5,8 @@ These are plain tests of ``perf_ab.py``; they run no benchmark.
 
 import csv
 import json
+import subprocess
+from pathlib import Path
 
 from benchmarks import perf_ab
 from benchmarks.perf_ab import behaviour_diffs, compare, reduce_reports
@@ -86,7 +88,8 @@ def test_main_keeps_raw_reports_and_writes_the_csv(tmp_path, monkeypatch):
     (tmp_path / "base" / "BENCHMARK.json").write_text(json.dumps({"end_to_end": END_TO_END}))
     order = []
 
-    def fake_run(tree, workload, traced):
+    def fake_run(tree, workload, traced, seed):
+        assert seed is None
         order.append((tree.name, traced))
         slow = 2.0 if tree.name == "head" else 1.0
         return {"workload": workload, "correct": True, "digests": ["d0"],
@@ -102,3 +105,33 @@ def test_main_keeps_raw_reports_and_writes_the_csv(tmp_path, monkeypatch):
     assert len(list((out / "raw").glob("*.json"))) == 6
     with open(out / "runs.csv", newline="") as handle:
         assert len(list(csv.DictReader(handle))) == 6 * 3
+
+
+def test_seed_reaches_both_trees_perfbench_runs(tmp_path, monkeypatch):
+    for side in ("base", "head"):
+        (tmp_path / side / "perfbench" / "out").mkdir(parents=True)
+        (tmp_path / side / "perfbench" / "run.py").write_text("")
+    (tmp_path / "base" / "BENCHMARK.json").write_text(json.dumps({"end_to_end": END_TO_END}))
+    commands = []
+
+    def fake_subprocess_run(command, cwd, **kwargs):
+        commands.append((Path(cwd).name, command[2:]))
+        report = {"workload": "blackout", "metrics": {"campaign_s": 8.0, "nmi": 1.0}}
+        name = "blackout.trace.json" if command[command.index("--trace") + 1] == "1" else "blackout.json"
+        (Path(cwd) / "perfbench" / "out" / name).write_text(json.dumps(report))
+        return subprocess.CompletedProcess(command, 0, stdout='{"correct": true}\n', stderr="")
+
+    monkeypatch.setattr(perf_ab.subprocess, "run", fake_subprocess_run)
+    argv = [str(tmp_path / "base"), str(tmp_path / "head"), "--pairs", "1",
+            "--workload", "blackout", "--out", str(tmp_path / "out")]
+    assert perf_ab.main(argv + ["--seed", "7"]) == 0
+    assert len(commands) == 4
+    for tree, args in commands:
+        assert args[:2] == ["--workload", "blackout"]
+        assert args[-2:] == ["--seed", "7"], (tree, args)
+    assert {tree for tree, _ in commands} == {"base", "head"}
+
+    # Without --seed, perfbench picks its own default.
+    commands.clear()
+    assert perf_ab.main(argv) == 0
+    assert all("--seed" not in args for _, args in commands)

@@ -20,10 +20,10 @@ Two stepping policies decide *which* control points are executed
 
 * ``"fixed"`` — the classic loop: every grid point is visited in turn.  This
   is the oracle: the reference semantics all other modes must reproduce.
-* ``"event"`` — after a quiescent control point the loop predicts the
-  next rechoke, the next fluid-flow transition and the next fragment-
-  boundary conversion, and simulated time jumps straight to the earliest of
-  the three (the next state-changing control point).  Because all
+* ``"event"`` — when the next point's control phase cannot act the loop
+  predicts the next rechoke, the next fluid-flow transition and the next
+  fragment-boundary conversion, and simulated time jumps straight to the
+  earliest of the three (the next state-changing control point).  Because all
   inter-point state is *anchored* (byte counts are analytic functions of the
   last transition, never per-tick accumulations), skipping the inert points
   is exact: the event mode replays the fixed-step loop bit for bit — same
@@ -419,7 +419,12 @@ class BroadcastSession:
                 )
             self.time = time = start + step * dt
             control_steps += 1
-            step_active = False
+            if self._completed_pipes:
+                # Pipe transfers that ran their byte budget (in the last
+                # advance, a jump landing, or while another tenant held the
+                # clock) were detached: their slots may be recycled.
+                self._completed_pipes.clear()
+                self.pipes_dirty = True
             if self._pending_churn:
                 ops, self._pending_churn = self._pending_churn, []
                 for op, name, churn_rng in ops:
@@ -427,64 +432,50 @@ class BroadcastSession:
                         self.apply_leave(name) if op == "leave"
                         else self.apply_rejoin(name, churn_rng)
                     ):
-                        step_active = True
                         self.churn_events += 1
                         self.churn_applied[op] += 1
                 if not incomplete:
                     break
                 if self.pipes_dirty:
-                    # Departures closed pipes: realign the slot vectors now,
-                    # before flush_credits/moved_at read the old layout.
+                    # Realign the slot vectors now, before flush_credits/
+                    # moved_at read the old layout.
                     self.rebuild_pipe_vectors()
-            if self._completed_pipes:
-                # A pipe budget completed outside this loop's own advance
-                # (during a jump landing, or while another tenant held the
-                # clock): treat it exactly like an advance-time completion.
-                self._completed_pipes.clear()
-                self.pipes_dirty = step_active = True
-            if self.have_changed:
-                self.wanted = self.recompute_wanted()
-                self.have_changed = False
 
             # --- choking -------------------------------------------------- #
-            # "d is interested in u": one matrix per control step, which
-            # neither the rechoke nor the fill changes.
-            interest = self.neighbor_mask & self.incomplete_mask[None, :]
-            np.logical_and(interest, self.wanted > 0, out=interest)
+            # One interest matrix per control step, which neither the
+            # rechoke nor the fill changes.
+            interest = self.interest_matrix()
             if time >= self.next_rechoke - 1e-12:
                 self.rechoke(interest)
-                step_active = True
-            elif self.fill_slots(interest):
-                step_active = True
-            # A dirty flag carried over from a fluid-flow transition during
-            # the last advance also makes this point a state change, even if
-            # the choker left everything in place.
+            else:
+                self.fill_slots(interest)
             self.sync_pipes()
             if self.pipes_dirty:
-                step_active = True
                 self.rebuild_pipe_vectors()
 
             # --- data movement -------------------------------------------- #
             self.time = time = start + (step + 1) * dt
             yield ("advance", step + 1, time)
-            if self._completed_pipes:
-                # A pipe transfer exhausted its byte budget and was detached;
-                # its recycled slot must not be read after the next rebuild.
-                self._completed_pipes.clear()
-                self.pipes_dirty = step_active = True
-
-            if self.convert(time):
-                step_active = True
+            self.convert(time)
 
             # --- next control point ---------------------------------------- #
-            if not event_mode or step_active:
-                # Fixed stepping visits every grid point; after a state
-                # change the event mode must look at the very next point too
-                # (new interest can fill idle slots or reopen pipes there).
+            # The event mode visits the next point only when its control
+            # phase can act: queued churn lands there, as in the fixed loop; a
+            # pipe out of budget is rebuilt before a landing reads a slot
+            # another tenant may recycle; a due rechoke only saves a sleep
+            # round trip (the jump's cap lands there too); and on the same
+            # interest matrix the fill and the sync change nothing.
+            if (
+                not event_mode
+                or self._pending_churn
+                or self._completed_pipes
+                or time >= self.next_rechoke - 1e-12
+                or not np.array_equal(self.interest_matrix(), interest)
+            ):
                 step += 1
                 continue
-            # Quiescent point: nothing changed, so no random draws or pipe
-            # transitions can occur before the next predicted control event.
+            # Quiescent point: no random draws or pipe transitions can occur
+            # before the next predicted control event.
             # Fast path: if the very next point converts anyway (the common
             # case in conversion-dense configs), one predicate evaluation
             # replaces the whole jump prediction.  A conservative answer only
@@ -580,6 +571,16 @@ class BroadcastSession:
         common = have_f @ have_f.T
         return common.diagonal()[:, None] - common
 
+    def interest_matrix(self) -> np.ndarray:
+        """"d is interested in u" for every pair (neighbour ∧ incomplete ∧
+        ``wanted > 0``), refreshing ``wanted`` after a receiving pass."""
+        if self.have_changed:
+            self.wanted = self.recompute_wanted()
+            self.have_changed = False
+        interest = self.neighbor_mask & self.incomplete_mask[None, :]
+        np.logical_and(interest, self.wanted > 0, out=interest)
+        return interest
+
     def _names(self, row: np.ndarray) -> List[str]:
         """The hosts flagged in ``row``, in lexicographic name order."""
         hosts, lex_order = self.hosts, self.lex_order
@@ -605,38 +606,29 @@ class BroadcastSession:
         self.round_index = round_index + 1
         self.next_rechoke += self.broadcast.config.rechoke_interval
 
-    def fill_slots(self, interest: np.ndarray) -> bool:
+    def fill_slots(self, interest: np.ndarray) -> None:
         """Between rechokes: drop finished peers from the unchoke lists and
-        fill idle upload slots with newly interested neighbours.
-
-        Returns whether any unchoke list changed.
-        """
+        fill idle upload slots with newly interested neighbours."""
         hosts, peers, root = self.hosts, self.peers, self.root
         incomplete, upload_slots = self.incomplete, self.broadcast.choking.upload_slots
         rng, names = self.rng, self._names
         has_candidates = interest.any(axis=1).tolist()
-        changed = False
         for uploader_index, name in enumerate(hosts):
             peer = peers[name]
             if peer.fragment_count == 0:
                 continue
             unchoked = peer.unchoked
-            stale = [d for d in unchoked if d not in incomplete and d != root]
-            if stale:
-                changed = True
-                for d in stale:
-                    unchoked.remove(d)
+            for d in [d for d in unchoked if d not in incomplete and d != root]:
+                unchoked.remove(d)
             free = upload_slots - len(unchoked)
             if free <= 0 or not has_candidates[uploader_index]:
                 continue
             waiting = [d for d in names(interest[uploader_index]) if d not in unchoked]
             if not waiting:
                 continue
-            changed = True
             picks = rng.choice(len(waiting), size=min(free, len(waiting)), replace=False)
             for i in picks:
                 bisect.insort(unchoked, waiting[i])
-        return changed
 
     # ------------------------------------------------------------------ #
     # pipes
@@ -914,18 +906,17 @@ class BroadcastSession:
             candidate += 1
         return candidate
 
-    def convert(self, time: float) -> bool:
+    def convert(self, time: float) -> None:
         """Turn each pipe's whole accumulated fragments into receipts.
 
         The conversion check of the grid point at ``time``: only pipes
         that accumulated a whole fragment need Python work; their
         anchored bases are settled here, everything else stays a pure
-        function of its last conversion event.  Returns whether any pipe
-        was ready; when none is, nothing changes and no random number is
-        drawn.
+        function of its last conversion event.  When no pipe is ready,
+        nothing changes and no random number is drawn.
         """
         if not self.pipe_order:
-            return False
+            return
         moved = self.moved_at(time)
         pipe_consumed = self.pipe_consumed
         deltas = moved - pipe_consumed
@@ -933,7 +924,7 @@ class BroadcastSession:
         fragment_size = self.fragment_size
         ready = np.flatnonzero((deltas > 0) & (progress_now >= fragment_size))
         if not ready.size:
-            return False
+            return
         trace_full = self.trace_full
         if trace_full:
             conversion_started = TRACER.now()
@@ -996,7 +987,6 @@ class BroadcastSession:
                 receipts=len(receipts),
                 wall_s=TRACER.now() - conversion_started,
             )
-        return True
 
 
 class BitTorrentBroadcast:

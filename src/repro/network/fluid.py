@@ -166,6 +166,10 @@ class FluidNetwork:
         self._size = np.zeros(pool, dtype=np.float64)
         self._by_slot: Dict[int, FluidTransfer] = {}
         self._slots_cache: Optional[np.ndarray] = None
+        #: Earliest in-flight completion at the current rates and anchor
+        #: (None when nothing moves); valid while ``_completion_known``.
+        self._completion: Optional[float] = None
+        self._completion_known = False
 
     # ------------------------------------------------------------------ #
     # anchored byte state
@@ -188,6 +192,7 @@ class FluidNetwork:
             np.maximum(credited, 0.0, out=credited)
             self._remaining[slots] = credited
         self._anchor = t
+        self._completion_known = False
 
     # ------------------------------------------------------------------ #
     # transfer management
@@ -357,6 +362,7 @@ class FluidNetwork:
         np.copyto(allocated, LOOPBACK_RATE, where=~np.isfinite(allocated))
         self._rate[slots] = allocated
         self._dirty = False
+        self._completion_known = False
 
     def rates(self) -> Dict[int, float]:
         """Current allocation ``transfer_id -> bytes/second``."""
@@ -388,17 +394,24 @@ class FluidNetwork:
         returned time the allocation is constant, so callers may safely
         extrapolate byte counts with :meth:`transferred_at`.
         """
-        if not self._active:
-            return None
+        return self._next_completion() if self._active else None
+
+    def _next_completion(self) -> Optional[float]:
+        """:meth:`next_transition`'s answer, computed once per allocation
+        and anchor (the engine asks before every dispatch, and
+        :meth:`advance_to` asks again)."""
         if self._dirty:
             self._reallocate()
-        slots = self._active_slots()
-        rates = self._rate[slots]
-        moving = rates > 1e-12
-        if not moving.any():
-            return None
-        eta = float((self._remaining[slots][moving] / rates[moving]).min())
-        return self._anchor + eta
+        if not self._completion_known:
+            slots = self._active_slots()
+            rates = self._rate[slots]
+            moving = rates > 1e-12
+            self._completion = (
+                self._anchor + float((self._remaining[slots][moving] / rates[moving]).min())
+                if moving.any() else None
+            )
+            self._completion_known = True
+        return self._completion
 
     def advance_to(self, target: float) -> List[FluidTransfer]:
         """Advance the fluid state to absolute time ``target``.
@@ -418,18 +431,12 @@ class FluidNetwork:
             guard += 1
             if guard > 10 * (len(self._active) + len(finished)) + 1000:
                 raise RuntimeError("fluid advance failed to converge")
-            if self._dirty:
-                self._reallocate()
-            slots = self._active_slots()
-            rates = self._rate[slots]
-            moving = rates > 1e-12
-            if not moving.any():
-                break
-            eta = float((self._remaining[slots][moving] / rates[moving]).min())
-            completion = self._anchor + eta
-            if completion > target:
+            completion = self._next_completion()
+            if completion is None or completion > target:
                 break
             self._materialize(completion)
+            slots = self._active_slots()
+            rates = self._rate[slots]
             credited = self._remaining[slots]
             # A residual that would drain within one representable clock tick
             # is done *now*: the clock cannot advance by less than an ulp, so

@@ -1,9 +1,12 @@
 """Unit tests for the fluid transfer engine."""
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.network.fluid import FluidNetwork
-from repro.network.topology import MBPS
+from repro.network.routing import RoutingTable
+from repro.network.topology import MBPS, Host, Switch, Topology
 
 
 class TestSingleTransfer:
@@ -121,3 +124,109 @@ class TestAdvance:
         rates = network.rates()
         assert rates[t1.transfer_id] == pytest.approx(5 * MBPS, rel=1e-6)
         assert rates[t2.transfer_id] == pytest.approx(5 * MBPS, rel=1e-6)
+
+
+# ---------------------------------------------------------------------- #
+# the cached next completion against a fresh computation
+# ---------------------------------------------------------------------- #
+def dumbbell_with_backup():
+    """Two 3-host clusters joined by a bottleneck and a slower detour,
+    which only a table avoiding the bottleneck routes over."""
+    topology = Topology(name="dumbbell-backup")
+    for side in ("left", "right"):
+        topology.add_switch(Switch(name=f"sw-{side}", site=side))
+        for i in range(3):
+            topology.add_host(Host(name=f"{side}-{i}", site=side, cluster=side))
+            topology.add_link(f"{side}-{i}", f"sw-{side}", capacity=100 * MBPS,
+                              latency=5e-5, name=f"{side}-{i}-up")
+    topology.add_link("sw-left", "sw-right", capacity=10 * MBPS, latency=1e-4,
+                      name="bottleneck")
+    topology.add_link("sw-left", "sw-right", capacity=5 * MBPS, latency=1e-3,
+                      name="backup")
+    return topology
+
+
+BACKUP_TOPOLOGY = dumbbell_with_backup()
+ROUTINGS = (
+    RoutingTable(BACKUP_TOPOLOGY),
+    RoutingTable(BACKUP_TOPOLOGY, avoid={"bottleneck"}),
+)
+
+
+class UncachedFluidNetwork(FluidNetwork):
+    """The fluid network recomputing its next completion on every read."""
+
+    def _next_completion(self):
+        self._completion_known = False
+        return super()._next_completion()
+
+
+def fresh_completion(network):
+    """``anchor + min(remaining / rate)`` over the moving active slots."""
+    slots = np.array([t._slot for t in network._active.values()], dtype=np.int64)
+    rates = network._rate[slots]
+    moving = rates > 1e-12
+    if not moving.any():
+        return None
+    return network._anchor + float((network._remaining[slots][moving] / rates[moving]).min())
+
+
+host = st.sampled_from(BACKUP_TOPOLOGY.host_names)
+fluid_operation = st.one_of(
+    st.tuples(st.just("start"), host, host, st.floats(min_value=1e4, max_value=5e6)),
+    st.tuples(st.just("cancel"), st.integers(min_value=0, max_value=99)),
+    st.tuples(
+        st.just("capacity"),
+        st.sampled_from(["bottleneck", "backup", "left-0-up", "right-2-up"]),
+        st.floats(min_value=1 * MBPS, max_value=200 * MBPS),
+    ),
+    st.tuples(st.just("repin"), st.integers(min_value=0, max_value=1)),
+    # Fractions of the way to the next completion: short of it, onto it,
+    # and past it (across one or more completions).
+    st.tuples(
+        st.just("advance"),
+        st.one_of(st.sampled_from([0.0, 0.5, 1.0, 2.0]),
+                  st.floats(min_value=0.0, max_value=3.0)),
+    ),
+)
+
+
+@given(st.lists(fluid_operation, min_size=1, max_size=40))
+# A re-pin that moves no route still moves the anchor, and the completion
+# must then be recomputed there: off by one ulp otherwise.
+@example([("start", "left-0", "left-0", 1e4), ("advance", 0.09375), ("repin", 0)])
+@settings(max_examples=150, deadline=None)
+def test_cached_next_completion_matches_a_fresh_one(operations):
+    """After every start, cancel, capacity change, re-pin and advance, the
+    cached next completion is the fresh expression at the current anchor,
+    bitwise, and a network without the cache completes every transfer at
+    the same instant with the same bytes."""
+    networks = [FluidNetwork(BACKUP_TOPOLOGY, ROUTINGS[0]),
+                UncachedFluidNetwork(BACKUP_TOPOLOGY, ROUTINGS[0])]
+    transfers = [[], []]
+    for operation in operations:
+        kind = operation[0]
+        finished = [[], []]
+        for side, network in enumerate(networks):
+            live = [t for t in transfers[side] if t._slot >= 0]
+            if kind == "start":
+                _, src, dst, size = operation
+                transfers[side].append(network.start_transfer(src, dst, size))
+            elif kind == "cancel" and live:
+                network.cancel_transfer(live[operation[1] % len(live)])
+            elif kind == "capacity":
+                network.set_link_capacity(operation[1], operation[2])
+            elif kind == "repin":
+                network.routing = ROUTINGS[operation[1]]
+                network.repin_routes(network.routing)
+            elif kind == "advance":
+                upcoming = network.next_transition()
+                span = 1e-3 if upcoming is None else upcoming - network.now
+                finished[side] = network.advance_to(network.now + operation[1] * span)
+        cached = networks[0].next_transition()
+        assert cached == fresh_completion(networks[0])
+        assert cached == networks[1].next_transition()
+        assert [(t.transfer_id, t.finish_time) for t in finished[0]] == [
+            (t.transfer_id, t.finish_time) for t in finished[1]
+        ]
+        assert [t.transferred for t in transfers[0]] == [t.transferred for t in transfers[1]]

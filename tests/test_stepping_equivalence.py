@@ -23,7 +23,9 @@ import dataclasses
 import numpy as np
 import pytest
 
-from repro.bittorrent.swarm import BitTorrentBroadcast
+from repro.bittorrent.swarm import BitTorrentBroadcast, SwarmConfig
+from repro.bittorrent.torrent import TorrentMeta
+from repro.network.grid5000 import build_bordeaux_site
 from repro.scenarios import get_scenario
 from repro.tomography.pipeline import TomographyPipeline, default_swarm_config
 
@@ -140,11 +142,38 @@ def test_high_fidelity_jumps_stay_exact_and_cut_steps():
     assert event_result.control_steps * 4 <= fixed_result.control_steps
 
 
+def test_event_mode_visits_only_points_whose_phase_can_act():
+    """The event mode visits the point after a conversion only when its
+    control phase can act (queued churn, a pipe out of budget, a due
+    rechoke, or a changed interest matrix); otherwise it jumps.  Visiting
+    every point after an active one took 521 visits here and 1,287 on the
+    blackout campaign."""
+    topology = build_bordeaux_site(bordeplage=4, bordereau=3, borderline=2)
+    meta = TorrentMeta(name="wl", fragment_size=16384, num_fragments=60)
+    results = {}
+    for stepping in ("fixed", "event"):
+        config = SwarmConfig(
+            torrent=meta, control_dt=2e-5, rechoke_interval=0.005,
+            optimistic_every=2, stepping=stepping,
+        )
+        trace = []
+        result = BitTorrentBroadcast(topology, config).run(
+            rng=np.random.default_rng(5), trace=trace
+        )
+        results[stepping] = (result, trace)
+    (fixed, fixed_trace), (event, event_trace) = results["fixed"], results["event"]
+    assert event_trace == fixed_trace
+    assert np.array_equal(event.fragments.counts, fixed.fragments.counts)
+    assert (fixed.control_steps, event.control_steps) == (999, 328)
+
+    summary = get_scenario("LINK-BLACKOUT").run(
+        iterations=3, num_fragments=60, seed=2012, stepping="event"
+    )
+    assert summary["result"].record.total_control_steps() == 868
+
+
 def test_max_sim_time_guard_fires_identically():
     """The did-not-complete guard must trip in both modes on the same config."""
-    from repro.bittorrent.torrent import TorrentMeta
-    from repro.bittorrent.swarm import SwarmConfig
-
     ds = _dataset("2x2")
     for stepping in ("fixed", "event"):
         config = SwarmConfig(

@@ -13,6 +13,8 @@ no link is allocated past its capacity.
 A pipe whose transfer runs its whole byte budget is detached from the flow
 set but stays open; the relay broadcast below is built so that such a pipe
 survives into a rebuild of the pipe vectors, which no golden input does.
+With a bulk transfer from another tenant it also pins why the event mode
+visits the point after such a budget runs out.
 """
 
 import functools
@@ -34,6 +36,7 @@ from repro.network.grid5000 import (
     default_cluster_of,
 )
 from repro.network.topology import GBPS, MBPS, Host, Switch, Topology
+from repro.workloads import BroadcastActor, BulkTransferActor, WorkloadEngine
 from test_seed_replay import (
     FAULT_GOLDENS,
     GOLDENS,
@@ -152,8 +155,9 @@ def test_budget_exhausting_broadcast_keeps_its_state_consistent(checked, steppin
     assert len(session.fluid.completed) >= 1
 
 
-def relay_topology():
-    """A root behind a 10 Mb/s link and three hosts on 10 Gb/s links.
+def relay_topology(root_capacity=10 * MBPS):
+    """A root behind a slow link (10 Mb/s by default) and three hosts on
+    10 Gb/s links.
 
     A pipe from the relay to a leaf moves its whole budget within one
     control step, while the relay keeps receiving fragments the leaf lacks
@@ -163,7 +167,7 @@ def relay_topology():
     topology.add_switch(Switch(name="sw", site="s"))
     for name, capacity in (
         ("a-relay", 10 * GBPS), ("b-leaf-0", 10 * GBPS), ("b-leaf-1", 10 * GBPS),
-        ("z-root", 10 * MBPS),
+        ("z-root", root_capacity),
     ):
         topology.add_host(Host(name=name, site="s", cluster="c"))
         topology.add_link(name, "sw", capacity=capacity, latency=5e-5)
@@ -182,6 +186,36 @@ def test_detached_pipes_keep_their_vectors_consistent(checked):
         matrices.append(result.fragments.counts)
     assert checked["dead"] >= 1
     np.testing.assert_array_equal(*matrices)
+
+
+def test_a_tenant_recycling_an_exhausted_pipes_slot_changes_nothing(checked):
+    """In the advance after step 4 a relay-to-leaf pipe runs out of budget
+    while every interest holds and no rechoke is due, so only that pipe
+    makes the event mode visit step 5.  A jump instead would leave the freed
+    fluid slot in the pipe vectors; the bulk transfer starting during that
+    jump takes the slot, and the landing's conversion check would read its
+    bytes as the dead pipe's."""
+    meta = TorrentMeta(name="relay", fragment_size=16384, num_fragments=60)
+    outcomes = {}
+    for stepping in STEPPING_MODES:
+        config = SwarmConfig(
+            torrent=meta, tcp_window=None, control_dt=0.05, stepping=stepping
+        )
+        engine = WorkloadEngine(relay_topology(root_capacity=5 * MBPS))
+        primary = engine.add(BroadcastActor(
+            "primary", config, root="z-root", rng=np.random.default_rng(2)
+        ))
+        engine.add(BulkTransferActor(
+            "bulk", np.random.default_rng(0), "b-leaf-1", "b-leaf-0", 1e8,
+            repeat=False, start_time=0.27,
+        ))
+        engine.run()
+        result = primary.result
+        outcomes[stepping] = (
+            result.fragments.counts.tolist(), result.duration, result.completion_times,
+        )
+    assert checked["dead"] >= 1
+    assert outcomes["fixed"] == outcomes["event"]
 
 
 @pytest.mark.parametrize("stepping", STEPPING_MODES)

@@ -162,6 +162,33 @@ def test_event_mode_jumps_despite_interference(bordeaux_topology):
     assert results["event"].control_steps < results["fixed"].control_steps
 
 
+@pytest.mark.parametrize("seed, events, duration", [(0, 6, 0.02448), (3, 8, 0.0271)])
+def test_churn_queued_during_an_advance_lands_at_the_next_point(
+    bordeaux_topology, seed, events, duration
+):
+    """Churn requested while the session waits on its advance is applied at
+    the next grid point in both modes.  On this fine grid the event mode
+    once jumped past it (at seed 0 a rejoin landed at step 869 instead of
+    865); at seed 3 it still does if queued churn is no reason to visit."""
+    outcomes = {}
+    for stepping in ("fixed", "event"):
+        config = config_for(
+            60, stepping=stepping, control_dt=2e-5, rechoke_interval=0.005,
+            optimistic_every=2,
+        )
+        result, stats = run_workload_iteration(
+            bordeaux_topology, config, None, None, seed, 0,
+            churn_workload(churn_rate=1.0),
+        )
+        primary = next(s for s in stats if s["actor"] == "primary")
+        assert primary["churn_events"] == events
+        outcomes[stepping] = (
+            fingerprint(result), result.duration, result.completion_times,
+        )
+    assert outcomes["fixed"] == outcomes["event"]
+    assert outcomes["fixed"][1] == pytest.approx(duration)
+
+
 # ---------------------------------------------------------------------- #
 # individual actors
 # ---------------------------------------------------------------------- #
