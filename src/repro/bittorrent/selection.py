@@ -6,8 +6,9 @@ the rarest fragment among those the uploader can provide, breaking ties
 randomly.  Availability is tracked swarm-wide as a fragment-indexed counter.
 
 NOTE: the broadcast loop in ``repro.bittorrent.swarm`` does not call
-:class:`PieceSelector`; it calls :func:`take_fragments`, the same rule on
-Python-int bitsets (one per host and one per availability level), once per
+:class:`PieceSelector`; it calls :func:`convert_pass`, the same rule on
+Python-int bitsets (one per host, and one per availability bound: the
+fragments held by at most ``c`` hosts), once per conversion pass over every
 pipe that accumulated whole fragments.  It breaks ties with
 :func:`draw_below`, numpy's bounded-integer rule applied to the bit
 generator's own ``next_uint32``, so it consumes the same words as
@@ -21,7 +22,7 @@ be made to both.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, Optional
 
 import numpy as np
 
@@ -82,7 +83,7 @@ class PieceSelector:
         downloader_count: int,
         rng: np.random.Generator,
     ) -> Optional[int]:
-        """Selection on raw bitfields, the reference for :func:`take_fragments`.
+        """Selection on raw bitfields, the reference for :func:`convert_pass`.
 
         ``downloader_lack`` is the complement of the downloader's bitfield.
         Consumes the random stream exactly like :meth:`select`.
@@ -110,7 +111,7 @@ def draw_below(next_uint32: Callable[[object], int], state: object, k: int) -> i
     multiply-shift rule over the bit generator's ``next_uint32``: the high
     word of ``next_uint32() * k``, redrawn while the low word is below
     ``(2**32 - k) % k``.  Doing the same here consumes the stream word for
-    word.  :func:`take_fragments` draws only over a tie, at most
+    word.  :func:`convert_pass` draws only over a tie, at most
     ``num_fragments`` wide.  ``rng.integers`` holds the bit generator's lock
     while it draws and this call does not: nothing in this package starts a
     thread, and no generator is shared across threads.
@@ -130,117 +131,138 @@ def bitset(mask: np.ndarray) -> int:
     return int.from_bytes(np.packbits(mask, bitorder="little").tobytes(), "little")
 
 
-def unpack_threshold(num_fragments: int) -> int:
-    """Set-bit count above which :func:`set_bits` unpacks with numpy.
-
-    A low-bit step costs three big-int operations over the bitset's width;
-    one unpack costs a few numpy calls plus a pass over ``num_fragments``
-    bits, whatever the count.  Measured (CPython 3.11, NumPy 2.4, x86-64):
-    about ``0.27 + 1.3e-4 * F`` µs per step and ``5 + 7e-4 * F`` µs per
-    unpack, so the crossover falls from 17 bits at 120 fragments to 13 at
-    1,200 and 6 at 15,259.
-    """
-    return int((5.0 + 7e-4 * num_fragments) / (0.27 + 1.3e-4 * num_fragments))
+#: Set-bit count above which a bitset is unpacked with numpy rather than
+#: bit by bit.  A step of the highest-bit-first loop costs about
+#: ``0.12 + 2e-5 * F`` µs on an ``F``-fragment bitset (the ints it works on
+#: shrink as it goes) and one numpy unpack about ``3.2 + 5e-4 * F`` µs,
+#: whatever the count (CPython 3.11, NumPy 2.4, x86-64): the crossover sits
+#: near 26 bits at 120, 1,200 and 15,259 fragments alike.
+UNPACK_ABOVE = 26
 
 
-def set_bits(bits: int, unpack_above: int) -> List[int]:
-    """Positions of the set bits of ``bits``, ascending."""
+def set_bits(bits: int, unpack_above: int = UNPACK_ABOVE) -> List[int]:
+    """Positions of the set bits of ``bits``, ascending; numpy unpacks them
+    when there are more than ``unpack_above``."""
     if bits.bit_count() > unpack_above:
         data = np.frombuffer(
             bits.to_bytes((bits.bit_length() + 7) // 8, "little"), dtype=np.uint8
         )
         return np.unpackbits(data, bitorder="little").view(bool).nonzero()[0].tolist()
+    # Highest bit first: each step works on a shorter int.
     positions = []
     while bits:
-        low = bits & -bits
-        positions.append(low.bit_length() - 1)
-        bits ^= low
+        top = bits.bit_length() - 1
+        positions.append(top)
+        bits ^= 1 << top
+    positions.reverse()
     return positions
 
 
-def take_fragments(
+def rarest_level(pool: int, below: List[int], level: int) -> int:
+    """The least ``c >= level`` with ``pool & below[c]`` non-empty.
+
+    ``below`` only grows with ``c`` and its last set holds every fragment,
+    so for a non-empty ``pool`` a bisection finds it in O(log hosts)
+    big-int ANDs.
+    """
+    top = len(below) - 1
+    while level < top:
+        middle = (level + top) >> 1
+        if pool & below[middle]:
+            top = middle
+        else:
+            level = middle + 1
+    return level
+
+
+def convert_pass(
     host_bits: List[int],
-    levels: List[int],
-    availability: List[int],
+    below: List[int],
     lowest: int,
-    uploader: int,
-    downloader: int,
-    held: int,
-    surplus: float,
+    uploaders: List[int],
+    downloaders: List[int],
+    held: List[int],
+    surpluses: List[float],
     fragment_size: float,
     random_first_threshold: int,
     num_fragments: int,
-    unpack_above: int,
     rng: np.random.Generator,
-) -> Tuple[List[int], float]:
-    """Turn ``surplus`` bytes on one pipe into fragments, selecting each as
-    :meth:`PieceSelector.select_from` would.
+) -> List[List[int]]:
+    """Turn one pass's surplus bytes into fragments, pipe by pipe in the
+    given order, picking each as :meth:`PieceSelector.select_from` would.
 
-    ``host_bits[i]`` is host ``i``'s bitfield, ``availability[f]`` the number
-    of hosts holding ``f`` and ``levels[c]`` the bitset of fragments held by
-    exactly ``c`` hosts; ``lowest`` is at most the lowest non-empty level.
-    All three include every receipt when the call returns; inside it, a
-    rarest-first receipt moves up a level only when its tier is drained or
-    the call ends, since it has left the pool and no scan can see it.
-    ``held`` is the downloader's fragment count.  Each pick draws its index
-    among ``k`` choices with :func:`draw_below`, the value and the stream
-    words of ``rng.integers(0, k)``, and only for ``k > 1``: numpy consumes
-    nothing for a one-wide range, so neither does this.
+    Pipe ``i`` carries ``surpluses[i]`` bytes from host ``uploaders[i]`` to
+    host ``downloaders[i]``.  ``host_bits[h]`` is host ``h``'s bitfield,
+    ``held[h]`` its fragment count and ``below[c]`` the fragments held by
+    at most ``c`` hosts; ``lowest`` is at most the least ``c`` with
+    ``below[c]`` non-empty.  All three are updated after each pipe, so a
+    fragment received earlier in the pass can be forwarded later in it.
+    Each surplus is rewritten with what its pipe keeps: it is counted down
+    by the selector's own ``surplus -= fragment_size``, kept on completion
+    and zeroed once the uploader has nothing the downloader lacks.  Below
+    ``random_first_threshold`` held fragments a pick draws over the whole
+    pool; after that a pipe takes the rarest tier, ``pool & below[c]`` at
+    the least such ``c``, and what it takes of a tier leaves the pool and
+    moves up a level in one update each.  Tie indices are
+    :func:`draw_below`'s, made only for ``k > 1`` as numpy draws nothing
+    for a one-wide range.
 
-    Returns the received fragments in order and the surplus left: kept
-    below one fragment and on completion, zero once the uploader has nothing
-    the downloader lacks.
+    Returns each pipe's received fragments in order.
     """
-    bit_generator = rng.bit_generator.ctypes
-    next_uint32, state = bit_generator.next_uint32, bit_generator.state
-    have = host_bits[downloader]
-    pool = start = host_bits[uploader] & ~have
-    received: List[int] = []
-    tie: List[int] = []
-    tier = 0
-    level = lowest
-    while surplus >= fragment_size:
-        if not pool:
-            surplus = 0.0
-            break
-        random_first = held < random_first_threshold
-        if random_first:
-            choices = set_bits(pool, unpack_above)
-        else:
-            if not tie:
-                if tier:
-                    # The tier is drained: its members move up one level.
-                    levels[level] ^= tier
-                    levels[level + 1] |= tier
-                # Only received fragments change availability, and they
-                # leave the pool: the rarest tier of what remains is at or
-                # above the last one.
-                tier = pool & levels[level]
-                while not tier:
-                    level += 1
-                    tier = pool & levels[level]
-                tie = set_bits(tier, unpack_above)
-            choices = tie
-        k = len(choices)
-        if k > 1:
-            fragment = choices.pop(draw_below(next_uint32, state, k))
-        else:
-            fragment = choices.pop()
-        bit = 1 << fragment
-        pool ^= bit
-        count = availability[fragment]
-        availability[fragment] = count + 1
-        if random_first:
-            levels[count] ^= bit
-            levels[count + 1] |= bit
-        received.append(fragment)
-        surplus -= fragment_size
-        held += 1
-        if held == num_fragments:
-            break
-    if tier:
-        drawn = tier & ~pool
-        levels[level] ^= drawn
-        levels[level + 1] |= drawn
-    host_bits[downloader] = have | (start ^ pool)
-    return received, surplus
+    interface = rng.bit_generator.ctypes
+    next_uint32, state = interface.next_uint32, interface.state
+    passed: List[List[int]] = []
+    for event, (uploader, downloader) in enumerate(zip(uploaders, downloaders)):
+        received: List[int] = []
+        passed.append(received)
+        count, have = held[downloader], host_bits[downloader]
+        pool = start = host_bits[uploader] & ~have
+        size, surplus, takes = pool.bit_count(), surpluses[event], 0
+        while surplus >= fragment_size:
+            if takes == size:
+                surplus = 0.0
+                break
+            takes += 1
+            surplus -= fragment_size
+            if count + takes == num_fragments:
+                break
+        surpluses[event] = surplus
+        held[downloader] = count + takes
+        level = lowest
+        while takes:
+            random_first = count < random_first_threshold
+            if random_first:
+                tier = pool
+            else:
+                tier = pool & below[level]
+                if not tier:
+                    level = rarest_level(pool, below, level + 1)
+                    tier = pool & below[level]
+            width = tier.bit_count()
+            if width == 1:
+                received.append(tier.bit_length() - 1)
+                drawn, picks = tier, 1
+            else:
+                members = set_bits(tier)
+                if takes >= width and not random_first:
+                    for k in range(width, 1, -1):
+                        received.append(members.pop(draw_below(next_uint32, state, k)))
+                    received.append(members[0])
+                    drawn, picks = tier, width
+                else:
+                    picks = 1 if random_first else takes
+                    drawn = 0
+                    for k in range(width, width - picks, -1):
+                        fragment = members.pop(draw_below(next_uint32, state, k))
+                        received.append(fragment)
+                        drawn |= 1 << fragment
+            pool ^= drawn
+            takes -= picks
+            if random_first:
+                below[rarest_level(drawn, below, lowest)] ^= drawn
+                count += 1
+            else:
+                below[level] ^= drawn
+                level += 1
+        host_bits[downloader] = have | (start ^ pool)
+    return passed

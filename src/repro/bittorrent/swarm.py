@@ -59,7 +59,7 @@ import numpy as np
 from repro.bittorrent.choking import DEFAULT_UPLOAD_SLOTS, ChokingPolicy
 from repro.bittorrent.instrumentation import FragmentMatrix
 from repro.bittorrent.peer import PeerState
-from repro.bittorrent.selection import bitset, take_fragments, unpack_threshold
+from repro.bittorrent.selection import bitset, convert_pass
 from repro.bittorrent.torrent import TorrentMeta
 from repro.bittorrent.tracker import DEFAULT_MAX_PEERS, Tracker
 from repro.network.fluid import FluidNetwork, FluidTransfer
@@ -336,16 +336,14 @@ class BroadcastSession:
         self.peer_at = list(peers.values())
 
         # The conversion step's state as Python-int bitsets (see
-        # selection.take_fragments): host_bits[i] mirrors have[i], and
-        # levels[c] holds the fragments held by exactly c hosts.  Churn keeps
-        # bitfields, so availability never falls and the lowest non-empty
+        # selection.convert_pass): host_bits[i] mirrors have[i], and
+        # below[c] holds the fragments held by at most c hosts.  Churn keeps
+        # bitfields, so availability never falls and the least non-empty
         # level only rises.
         self.host_bits = [bitset(row) for row in have]
         held_by = have.sum(axis=0)
-        self.availability = held_by.tolist()
-        self.levels = [bitset(held_by == c) for c in range(n + 1)]
+        self.below = [bitset(held_by <= c) for c in range(n + 1)]
         self.lowest = 0
-        self.unpack_above = unpack_threshold(num_fragments)
 
         connections = broadcast.tracker.build_connections(hosts, self.rng)
         neighbor_mask = self.neighbor_mask = np.zeros((n, n), dtype=bool)
@@ -456,6 +454,10 @@ class BroadcastSession:
             # --- data movement -------------------------------------------- #
             self.time = time = start + (step + 1) * dt
             yield ("advance", step + 1, time)
+            if self._completed_pipes:
+                # A pipe that ran its budget in the advance freed its fluid
+                # slot, which another tenant's transfer may already hold.
+                self.rebuild_pipe_vectors()
             self.convert(time)
 
             # --- next control point ---------------------------------------- #
@@ -511,7 +513,13 @@ class BroadcastSession:
             # cancelled foreign flow), and those receipts land here.
             self.time = time = start + step * dt
             self.fluid.advance_to(time)
+            if self._completed_pipes:
+                self.rebuild_pipe_vectors()
             self.convert(time)
+        # The broadcast is over: stop its pipes loading the network.  No
+        # credit or progress is read again, so nothing is settled.
+        for transfer in self.pipes.values():
+            self.fluid.cancel_transfer(transfer)
         return self._report(step, control_steps, broadcast_started)
 
     def _report(self, step: int, control_steps: int, started: float) -> BroadcastResult:
@@ -928,49 +936,43 @@ class BroadcastSession:
         trace_full = self.trace_full
         if trace_full:
             conversion_started = TRACER.now()
-        host_bits, levels, availability = self.host_bits, self.levels, self.availability
-        lowest = self.lowest
-        while not levels[lowest]:
+        below, lowest = self.below, self.lowest
+        while not below[lowest]:
             lowest += 1
         self.lowest = lowest
-        num_fragments, unpack_above = self.num_fragments, self.unpack_above
-        random_first_threshold, rng = self.random_first_threshold, self.rng
+        num_fragments = self.num_fragments
         peer_at, hosts, trace = self.peer_at, self.hosts, self.trace
         incomplete, incomplete_mask = self.incomplete, self.incomplete_mask
         ready_up = self.pipe_up[ready]
         ready_down = self.pipe_down[ready]
+        uploaders, downloaders = ready_up.tolist(), ready_down.tolist()
         surpluses = progress_now[ready].tolist()
-        counts: List[int] = []
+        held = [peer._fragment_count for peer in peer_at]
+        # One kernel call per pass; nothing in it reads the per-pipe
+        # vectors, ``have`` or the peers, so those are written after it.
+        received = convert_pass(
+            self.host_bits, below, lowest, uploaders, downloaders, held,
+            surpluses, fragment_size, self.random_first_threshold,
+            num_fragments, self.rng,
+        )
+        counts = [len(fragments) for fragments in received]
         receipts: List[int] = []
-        # One selection call per ready pipe, in pipe order; nothing here
-        # reads the per-pipe vectors, ``have`` or the fragment counts, and
-        # a (downloader, uploader) pair is ready at most once per pass, so
-        # those are written once, after the loop.
-        for event, (uploader_index, downloader_index) in enumerate(
-            zip(ready_up.tolist(), ready_down.tolist())
+        for uploader_index, downloader_index, fragments in zip(
+            uploaders, downloaders, received
         ):
-            down = peer_at[downloader_index]
-            held = down._fragment_count
-            received, surpluses[event] = take_fragments(
-                host_bits, levels, availability, lowest,
-                uploader_index, downloader_index, held, surpluses[event],
-                fragment_size, random_first_threshold, num_fragments,
-                unpack_above, rng,
-            )
-            counts.append(len(received))
-            if not received:
+            if not fragments:
                 continue
-            held += len(received)
-            down._fragment_count = held
-            if held == num_fragments:
+            down = peer_at[downloader_index]
+            down._fragment_count = held[downloader_index]
+            if down._fragment_count == num_fragments:
                 down.completion_time = time
                 incomplete.discard(down.name)
                 incomplete_mask[downloader_index] = False
             if trace is not None:
                 uploader = hosts[uploader_index]
-                for fragment in received:
+                for fragment in fragments:
                     trace.append((time, down.name, uploader, fragment))
-            receipts.extend(received)
+            receipts.extend(fragments)
         pipe_consumed[ready] = moved[ready]
         self.pipe_progress[ready] = surpluses
         self.fragments.counts[ready_down, ready_up] += counts

@@ -6,12 +6,13 @@ from hypothesis import given, settings, strategies as st
 
 from repro.bittorrent.peer import PeerState
 from repro.bittorrent.selection import (
+    UNPACK_ABOVE,
     PieceSelector,
     bitset,
+    convert_pass,
     draw_below,
+    rarest_level,
     set_bits,
-    take_fragments,
-    unpack_threshold,
 )
 
 
@@ -98,98 +99,164 @@ class TestPieceSelector:
 
 
 # ---------------------------------------------------------------------- #
-# the broadcast loop's bitset form against the reference selector
+# the broadcast loop's pass kernel against the reference selector
 # ---------------------------------------------------------------------- #
-def convert_both(uploader, downloader, availability, threshold, draws, seed,
-                 fragment_size=16384.0, extra=0.0):
-    """Convert ``draws`` fragments' worth of bytes (plus ``extra``) with
-    :func:`take_fragments` and with a :meth:`PieceSelector.select_from` loop
-    on a cloned generator; assert they agree on every receipt, the surplus
-    left, the updated state and the final generator state, which is
-    returned with the receipts and the surplus."""
-    uploader = np.asarray(uploader, dtype=bool)
-    downloader = np.asarray(downloader, dtype=bool)
+def convert_both(hosts, availability, pipes, threshold, seed, fragment_size=16384.0):
+    """Run one conversion pass over ``pipes``, ``(uploader, downloader,
+    surplus)`` in order, with :func:`convert_pass` and with a
+    :meth:`PieceSelector.select_from` loop on a cloned generator; assert
+    they agree on every pipe's receipts and surplus, the host bitsets and
+    counts, the availability sets and the final generator state, which is
+    returned with the receipts and the surpluses."""
+    hosts = [np.asarray(bits, dtype=bool) for bits in hosts]
     availability = np.asarray(availability, dtype=np.int64)
-    num_fragments = uploader.size
-    held = int(downloader.sum())
-    surplus = draws * fragment_size + extra
+    num_fragments = availability.size
+    # A fragment moves up one level per receipt, at most once per pipe.
+    top = int(availability.max()) + len(pipes) + 1
 
-    host_bits = [bitset(uploader), bitset(downloader)]
-    counts = availability.tolist()
-    levels = [bitset(availability == c) for c in range(int(availability.max()) + 2)]
+    host_bits = [bitset(bits) for bits in hosts]
+    below = [bitset(availability <= c) for c in range(top + 1)]
+    held = [int(bits.sum()) for bits in hosts]
+    surpluses = [surplus for _, _, surplus in pipes]
     rng = np.random.default_rng(seed)
-    received, left = take_fragments(
-        host_bits, levels, counts, int(availability.min()), 0, 1, held,
-        surplus, fragment_size, threshold, num_fragments,
-        unpack_threshold(num_fragments), rng,
+    received = convert_pass(
+        host_bits, below, int(availability.min()),
+        [uploader for uploader, _, _ in pipes],
+        [downloader for _, downloader, _ in pipes],
+        held, surpluses, fragment_size, threshold, num_fragments, rng,
     )
 
     selector = PieceSelector(num_fragments, random_first_threshold=threshold)
     selector.availability[:] = availability
     reference_rng = np.random.default_rng(seed)
-    have = downloader.copy()
-    expected = []
-    remaining = surplus
-    while remaining >= fragment_size:
-        fragment = selector.select_from(uploader, ~have, held, reference_rng)
-        if fragment is None:
-            remaining = 0.0
-            break
-        expected.append(fragment)
-        have[fragment] = True
-        selector.record_receipt(fragment)
-        held += 1
-        remaining -= fragment_size
-        if held == num_fragments:
-            break
+    have = [bits.copy() for bits in hosts]
+    expected, left = [], []
+    for uploader, downloader, remaining in pipes:
+        count = int(have[downloader].sum())
+        picks = []
+        while remaining >= fragment_size:
+            fragment = selector.select_from(
+                have[uploader], ~have[downloader], count, reference_rng
+            )
+            if fragment is None:
+                remaining = 0.0
+                break
+            picks.append(fragment)
+            have[downloader][fragment] = True
+            selector.record_receipt(fragment)
+            count += 1
+            remaining -= fragment_size
+            if count == num_fragments:
+                break
+        expected.append(picks)
+        left.append(remaining)
 
     assert received == expected
-    assert left == remaining
+    assert surpluses == left
     assert rng.bit_generator.state == reference_rng.bit_generator.state
-    assert host_bits == [bitset(uploader), bitset(have)]
-    assert counts == selector.availability.tolist()
-    assert levels == [bitset(selector.availability == c) for c in range(len(levels))]
-    return received, left, rng.bit_generator.state
+    assert host_bits == [bitset(bits) for bits in have]
+    assert held == [int(bits.sum()) for bits in have]
+    assert below == [bitset(selector.availability <= c) for c in range(top + 1)]
+    return received, surpluses, rng.bit_generator.state
+
+
+def convert_one(uploader, downloader, availability, threshold, draws, seed,
+                fragment_size=16384.0, extra=0.0):
+    """One pipe converting ``draws`` fragments' worth of bytes plus
+    ``extra``; its receipts, surplus and the final generator state."""
+    received, surpluses, state = convert_both(
+        [uploader, downloader], availability,
+        [(0, 1, draws * fragment_size + extra)], threshold, seed, fragment_size,
+    )
+    return received[0], surpluses[0], state
 
 
 @st.composite
-def conversion_cases(draw):
+def conversion_passes(draw):
     num_fragments = draw(st.integers(1, 160))
-    bits = st.lists(st.booleans(), min_size=num_fragments, max_size=num_fragments)
+    num_hosts = draw(st.integers(2, 5))
+    # Seeds and empty hosts make pools, and so ties, wide enough for numpy.
+    bits = st.one_of(
+        st.lists(st.booleans(), min_size=num_fragments, max_size=num_fragments),
+        st.just([True] * num_fragments),
+        st.just([False] * num_fragments),
+    )
     top = draw(st.integers(1, 6))
-    availability = draw(st.lists(st.integers(0, top), min_size=num_fragments,
-                                 max_size=num_fragments))
+    fragment_size = draw(st.sampled_from([16384.0, 1500.7]))
+    pairs = st.tuples(
+        st.integers(0, num_hosts - 1), st.integers(0, num_hosts - 1)
+    ).filter(lambda pair: pair[0] != pair[1])
+    order = draw(st.lists(pairs, min_size=1, max_size=8, unique=True))
+    pipes = [
+        (uploader, downloader,
+         draw(st.integers(1, 40)) * fragment_size + draw(st.floats(0.0, 1000.0)))
+        for uploader, downloader in order
+    ]
     return dict(
-        uploader=draw(bits),
-        downloader=draw(bits),
-        availability=availability,
+        hosts=[draw(bits) for _ in range(num_hosts)],
+        availability=draw(st.lists(st.integers(0, top), min_size=num_fragments,
+                                   max_size=num_fragments)),
+        pipes=pipes,
         threshold=draw(st.integers(0, 6)),
-        draws=draw(st.integers(1, 40)),
         seed=draw(st.integers(0, 2**32 - 1)),
-        fragment_size=draw(st.sampled_from([16384.0, 1500.7])),
-        extra=draw(st.floats(0.0, 1000.0)),
+        fragment_size=fragment_size,
     )
 
 
-@given(conversion_cases())
+@given(conversion_passes())
 @settings(max_examples=300, deadline=None)
-def test_take_fragments_matches_the_reference_selector(case):
+def test_conversion_pass_matches_the_reference_selector(case):
     convert_both(**case)
 
 
-def test_random_first_then_rarest_first():
+def test_pipes_sharing_a_downloader():
     received, _, _ = convert_both(
-        [True] * 64, [False] * 64, [1 + f % 3 for f in range(64)],
-        threshold=4, draws=10, seed=1,
+        [[True] * 24, [f % 2 == 0 for f in range(24)], [False] * 24],
+        [1 + f % 4 for f in range(24)],
+        [(1, 2, 6 * 16384.0), (0, 2, 9 * 16384.0)], threshold=4, seed=5,
     )
-    assert len(received) == 10
-    assert all(f % 3 == 0 for f in received[4:])
+    assert [len(picks) for picks in received] == [6, 9]
+
+
+def test_a_fragment_received_earlier_in_the_pass_is_forwarded():
+    """The relay holds nothing when the pass starts: everything it uploads
+    it received from the seed's pipe, ahead of its own in pipe order."""
+    received, _, _ = convert_both(
+        [[True] * 40, [False] * 40, [False] * 40], [1] * 40,
+        [(0, 1, 12 * 16384.0), (1, 2, 20 * 16384.0)], threshold=4, seed=9,
+    )
+    assert len(received[1]) == 12
+    assert set(received[1]) == set(received[0])
+
+
+def test_a_downloader_completed_earlier_in_the_pass_drops_the_surplus():
+    received, surpluses, _ = convert_both(
+        [[True] * 16, [True] * 16, [f not in (2, 5, 11) for f in range(16)]],
+        [2] * 16, [(0, 2, 5 * 16384.0 + 10.0), (1, 2, 4 * 16384.0)],
+        threshold=4, seed=4,
+    )
+    assert sorted(received[0]) == [2, 5, 11]
+    assert surpluses[0] == 2 * 16384.0 + 10.0
+    assert received[1] == []
+    assert surpluses[1] == 0.0
+
+
+def test_random_first_then_rarest_first():
+    """The switch happens inside one pipe, at the fourth receipt; with a
+    non-power-of-two fragment size the surplus keeps its rounding."""
+    for fragment_size in (16384.0, 1500.7):
+        received, _, _ = convert_one(
+            [True] * 64, [False] * 64, [1 + f % 3 for f in range(64)],
+            threshold=4, draws=10, seed=1, fragment_size=fragment_size, extra=0.3,
+        )
+        assert len(received) == 10
+        assert all(f % 3 == 0 for f in received[4:])
 
 
 def test_tie_of_one_draws_nothing():
     availability = [5] * 32
     availability[7] = 1
-    received, _, state = convert_both(
+    received, _, state = convert_one(
         [True] * 32, [f < 4 for f in range(32)], availability,
         threshold=4, draws=1, seed=3,
     )
@@ -203,18 +270,18 @@ def test_ties_on_each_side_of_the_unpack_crossover(num_fragments, tier):
     narrow one is walked bit by bit.  Both draw the same fragments."""
     availability = [1 + f // tier for f in range(num_fragments)]
     downloader = [f % tier == 0 for f in range(num_fragments)]
-    received, _, _ = convert_both(
+    received, _, _ = convert_one(
         [True] * num_fragments, downloader, availability,
         threshold=0, draws=12, seed=2012,
     )
-    wide = tier - 1 > unpack_threshold(num_fragments)
+    wide = tier - 1 > UNPACK_ABOVE
     assert wide == (num_fragments == 15259)
     assert len(received) == 12
 
 
 def test_pool_emptied_by_random_first_draws_drops_the_surplus():
     uploader = [f in (3, 9) for f in range(16)]
-    received, left, _ = convert_both(
+    received, left, _ = convert_one(
         uploader, [False] * 16, [1] * 16, threshold=4, draws=5, seed=7,
     )
     assert sorted(received) == [3, 9]
@@ -223,12 +290,28 @@ def test_pool_emptied_by_random_first_draws_drops_the_surplus():
 
 def test_completion_keeps_the_surplus():
     downloader = [f not in (2, 5, 11) for f in range(12)]
-    received, left, _ = convert_both(
+    received, left, _ = convert_one(
         [True] * 12, downloader, [2] * 12, threshold=4, draws=5, seed=11,
         extra=100.0,
     )
     assert sorted(received) == [2, 5, 11]
     assert left == 2 * 16384.0 + 100.0
+
+
+@given(st.lists(st.integers(0, 2**40), min_size=1, max_size=200),
+       st.integers(0, 2**40), st.data())
+@settings(max_examples=200, deadline=None)
+def test_rarest_level_matches_a_scan(grains, pool, data):
+    """Cumulative sets up to the paper's 128 hosts: the bisection finds
+    the first level a linear scan finds."""
+    below = []
+    for grain in grains:
+        below.append((below[-1] if below else 0) | grain)
+    below[-1] = (1 << 41) - 1
+    pool = pool or 1
+    level = data.draw(st.integers(0, len(below) - 1))
+    expected = next(c for c in range(level, len(below)) if pool & below[c])
+    assert rarest_level(pool, below, level) == expected
 
 
 # ---------------------------------------------------------------------- #

@@ -2,8 +2,8 @@
 
 A :class:`~repro.bittorrent.swarm.BroadcastSession` keeps the same facts in
 several shapes for speed: the ``have`` bitfield matrix, one Python-int
-bitset per host and per availability level, the ``availability`` list,
-each peer's cached fragment count, the ``wanted`` interest counts, the
+bitset per host and one per availability bound (``below[c]``, the
+fragments held by at most ``c`` hosts), each peer's cached fragment count, the ``wanted`` interest counts, the
 neighbour sets and ``neighbor_mask``, and the slot-aligned pipe vectors.
 The seed goldens only hash the end result;
 these tests wrap ``start``/``resume`` the way perfbench does and check,
@@ -18,6 +18,7 @@ visits the point after such a budget runs out.
 """
 
 import functools
+import hashlib
 
 import numpy as np
 import pytest
@@ -52,9 +53,8 @@ def check_invariants(session, seen):
     have = session.have
     num_fragments = session.num_fragments
     held_by = have.sum(axis=0)
-    assert session.availability == held_by.tolist()
     assert session.host_bits == [bitset(row) for row in have]
-    assert session.levels == [bitset(held_by == c) for c in range(len(have) + 1)]
+    assert session.below == [bitset(held_by <= c) for c in range(len(have) + 1)]
     assert [peer.fragment_count for peer in session.peer_at] == have.sum(axis=1).tolist()
     assert have.sum() - num_fragments == session.fragments.counts.sum()
     if not session.have_changed:
@@ -188,6 +188,23 @@ def test_detached_pipes_keep_their_vectors_consistent(checked):
     np.testing.assert_array_equal(*matrices)
 
 
+def relay_with_bulk(stepping, bulk_start):
+    """The relay broadcast (5 Mb/s root, ``control_dt=0.05``, seed 2) next
+    to a 100 MB leaf-to-leaf bulk transfer starting at ``bulk_start``."""
+    meta = TorrentMeta(name="relay", fragment_size=16384, num_fragments=60)
+    config = SwarmConfig(torrent=meta, tcp_window=None, control_dt=0.05, stepping=stepping)
+    engine = WorkloadEngine(relay_topology(root_capacity=5 * MBPS))
+    primary = engine.add(BroadcastActor(
+        "primary", config, root="z-root", rng=np.random.default_rng(2)
+    ))
+    engine.add(BulkTransferActor(
+        "bulk", np.random.default_rng(0), "b-leaf-1", "b-leaf-0", 1e8,
+        repeat=False, start_time=bulk_start,
+    ))
+    engine.run()
+    return primary.result
+
+
 def test_a_tenant_recycling_an_exhausted_pipes_slot_changes_nothing(checked):
     """In the advance after step 4 a relay-to-leaf pipe runs out of budget
     while every interest holds and no rechoke is due, so only that pipe
@@ -195,27 +212,31 @@ def test_a_tenant_recycling_an_exhausted_pipes_slot_changes_nothing(checked):
     fluid slot in the pipe vectors; the bulk transfer starting during that
     jump takes the slot, and the landing's conversion check would read its
     bytes as the dead pipe's."""
-    meta = TorrentMeta(name="relay", fragment_size=16384, num_fragments=60)
     outcomes = {}
     for stepping in STEPPING_MODES:
-        config = SwarmConfig(
-            torrent=meta, tcp_window=None, control_dt=0.05, stepping=stepping
-        )
-        engine = WorkloadEngine(relay_topology(root_capacity=5 * MBPS))
-        primary = engine.add(BroadcastActor(
-            "primary", config, root="z-root", rng=np.random.default_rng(2)
-        ))
-        engine.add(BulkTransferActor(
-            "bulk", np.random.default_rng(0), "b-leaf-1", "b-leaf-0", 1e8,
-            repeat=False, start_time=0.27,
-        ))
-        engine.run()
-        result = primary.result
+        result = relay_with_bulk(stepping, 0.27)
         outcomes[stepping] = (
             result.fragments.counts.tolist(), result.duration, result.completion_times,
         )
     assert checked["dead"] >= 1
     assert outcomes["fixed"] == outcomes["event"]
+
+
+@pytest.mark.parametrize("stepping", STEPPING_MODES)
+def test_no_conversion_check_reads_a_recycled_slot(stepping):
+    """A relay-to-leaf pipe runs out of budget in the advance to 0.25 s, and
+    a bulk transfer starting at 0.2475 s is handed its freed fluid slot.
+    The conversion check right after that advance must read the dead pipe's
+    frozen bytes, not the bulk's: the broadcast then measures what it
+    measures with the bulk starting at 0.245 s, before the slot is free."""
+    digests = {
+        bulk_start: hashlib.sha256(
+            relay_with_bulk(stepping, bulk_start).fragments.counts.tobytes()
+        ).hexdigest()
+        for bulk_start in (0.245, 0.2475)
+    }
+    assert digests[0.245].startswith("164d340c")
+    assert digests[0.2475] == digests[0.245]
 
 
 @pytest.mark.parametrize("stepping", STEPPING_MODES)

@@ -302,12 +302,6 @@ class TestActors:
         )
         assert contended.duration > solo.duration
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="a finished broadcast leaves its pipes open: the step loop "
-        "returns without closing them, so their fluid transfers keep loading "
-        "the shared links until each pipe's byte budget drains",
-    )
     def test_a_finished_rival_leaves_no_pipe_flowing(self, monkeypatch):
         """RIVAL-BROADCAST at its defaults (G-T, 4 hosts per site, 240
         fragments, seed 2012), iteration 1: the rival finishes before the
