@@ -46,8 +46,8 @@ def run_comparison(repetitions=3, iterations=8):
     return np.array(single_scores), np.array(aggregated_scores)
 
 
-def test_ablation_aggregation_beats_single_run(bench_once):
-    single, aggregated = bench_once(run_comparison)
+def test_ablation_aggregation_beats_single_run():
+    single, aggregated = run_comparison()
 
     report(
         "Ablation — single run vs aggregated metric (B-G-T-L)",

@@ -15,7 +15,7 @@ from repro.tomography.metric import metric_graph
 from repro.tomography.pipeline import default_swarm_config
 
 
-def test_ablation_louvain_vs_infomap(bench_once):
+def test_ablation_louvain_vs_infomap():
     ds = dataset_bgt(per_site=8)
 
     def measure():
@@ -27,7 +27,7 @@ def test_ablation_louvain_vs_infomap(bench_once):
         )
         return campaign.run(ITERATIONS)
 
-    record = bench_once(measure)
+    record = measure()
     graph = metric_graph(record.aggregate())
 
     louvain_partition = louvain(graph).partition

@@ -18,7 +18,7 @@ from repro.tomography.metric import metric_graph
 from repro.tomography.pipeline import default_swarm_config
 
 
-def test_ablation_layout_separation(bench_once):
+def test_ablation_layout_separation():
     ds = dataset_gt(per_site=8)
 
     def measure():
@@ -30,7 +30,7 @@ def test_ablation_layout_separation(bench_once):
         )
         return campaign.run(ITERATIONS)
 
-    record = bench_once(measure)
+    record = measure()
     graph = metric_graph(record.aggregate())
 
     kk = kamada_kawai_layout(graph, seed=1)

@@ -26,8 +26,8 @@ def run_sweep():
     return outcomes
 
 
-def test_ablation_protocol_limits_control_edge_coverage(bench_once):
-    outcomes = bench_once(run_sweep)
+def test_ablation_protocol_limits_control_edge_coverage():
+    outcomes = run_sweep()
 
     report(
         "Ablation — upload slots / peer-set size vs edge coverage per broadcast",

@@ -10,9 +10,8 @@ from benchmarks.conftest import SEED, report
 from repro.experiments.runners import run_baseline_cost
 
 
-def test_baseline_measurement_cost_scales_worse_than_bittorrent(bench_once):
-    outcome = bench_once(
-        run_baseline_cost,
+def test_baseline_measurement_cost_scales_worse_than_bittorrent():
+    outcome = run_baseline_cost(
         node_counts=(6, 10, 14),
         probe_size=16e6,
         num_fragments=300,

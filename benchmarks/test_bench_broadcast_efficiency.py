@@ -9,9 +9,8 @@ from benchmarks.conftest import SEED, report
 from repro.experiments.runners import run_broadcast_efficiency
 
 
-def test_broadcast_time_constant_in_nodes_linear_in_size(bench_once):
-    outcome = bench_once(
-        run_broadcast_efficiency,
+def test_broadcast_time_constant_in_nodes_linear_in_size():
+    outcome = run_broadcast_efficiency(
         node_counts=(8, 16, 32),
         num_fragments=400,
         sites=("bordeaux", "grenoble", "toulouse", "lyon"),

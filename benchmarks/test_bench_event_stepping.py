@@ -14,8 +14,8 @@ two contracts of docs/simulation.md:
   changes instead of visiting every grid point.
 
 At the auto-scaled CI configs the two modes execute nearly the same step
-count (fragment conversions occupy every tick there — see the broadcast
-benchmarks' ``control_steps_per_broadcast`` row entries); the fidelity
+count (fragment conversions occupy every tick there — see the
+broadcast-efficiency benchmark's control steps by node count); the fidelity
 sweep below is the regime the ROADMAP's event-driven item targets.  The
 substrate is the broadcast-efficiency benchmark's own setting — the same
 4-site Grid'5000 topology, fragment budget and seed as
@@ -56,12 +56,12 @@ def _run(stepping: str, control_dt: float):
     return broadcast.run(rng=np.random.default_rng(SEED))
 
 
-def test_event_stepping_cuts_control_steps_5x_at_high_fidelity(bench_once):
+def test_event_stepping_cuts_control_steps_5x_at_high_fidelity():
     base_dt = default_swarm_config(FRAGMENTS).control_dt
     fine_dt = base_dt / FIDELITY
 
     fixed = _run("fixed", fine_dt)
-    event = bench_once(_run, "event", fine_dt)
+    event = _run("event", fine_dt)
 
     ratio = fixed.control_steps / max(event.control_steps, 1)
     report(

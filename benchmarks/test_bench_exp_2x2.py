@@ -13,10 +13,9 @@ from repro.experiments.datasets import dataset_2x2
 from repro.experiments.runners import run_dataset_clustering
 
 
-def test_2x2_nodes_form_a_single_logical_cluster(bench_once):
+def test_2x2_nodes_form_a_single_logical_cluster():
     ds = dataset_2x2()
-    summary = bench_once(
-        run_dataset_clustering,
+    summary = run_dataset_clustering(
         ds,
         iterations=12,
         num_fragments=500,

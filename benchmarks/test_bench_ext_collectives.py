@@ -19,7 +19,7 @@ from repro.experiments.datasets import dataset_b
 from repro.tomography.pipeline import TomographyPipeline, default_swarm_config
 
 
-def test_recovered_clusters_speed_up_collectives(bench_once):
+def test_recovered_clusters_speed_up_collectives():
     ds = dataset_b(bordeplage=8, bordereau=6, borderline=2)
 
     def tomography():
@@ -32,7 +32,7 @@ def test_recovered_clusters_speed_up_collectives(bench_once):
         )
         return pipeline.run(iterations=6, track_convergence=False)
 
-    result = bench_once(tomography)
+    result = tomography()
     partition = result.partition
 
     message = 50e6  # 50 MB broadcast payload / allgather block

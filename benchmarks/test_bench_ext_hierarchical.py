@@ -22,7 +22,7 @@ from repro.tomography.metric import metric_graph
 from repro.tomography.pipeline import default_swarm_config
 
 
-def test_hierarchical_clustering_recovers_both_levels(bench_once):
+def test_hierarchical_clustering_recovers_both_levels():
     ds = dataset_nested()
     fine_truth = ds.ground_truth
     coarse_truth = nested_coarse_ground_truth(ds)
@@ -37,7 +37,7 @@ def test_hierarchical_clustering_recovers_both_levels(bench_once):
         )
         return campaign.run(ITERATIONS)
 
-    record = bench_once(measure)
+    record = measure()
     graph = metric_graph(record.aggregate())
 
     single_level = louvain(graph).partition

@@ -1,9 +1,8 @@
 """Fault-injection benchmarks: tomography campaigns under injected failure.
 
-Times the fault-injection scenario families end to end and records the
-fault metadata (injector counts, failure intensity, detection verdict) in
-``benchmark.extra_info`` so BENCH rows describe the failures each number
-was measured under.  Three properties are asserted:
+Runs the fault-injection scenario families end to end and prints the
+fault metadata (injector counts, failure intensity, detection verdict)
+beside each verdict.  Three properties are asserted:
 
 * the headline metric exists — a persistent bottleneck blackout is
   *detected* via its duration spike, and ``time_to_detect_s`` is charged;
@@ -39,13 +38,7 @@ def _study(faults, noise_threshold, **kwargs):
     )
 
 
-def _record(benchmark, summary):
-    benchmark.extra_info["faults"] = summary["faults"]
-    benchmark.extra_info["fault_injectors"] = summary["fault_injectors"]
-    benchmark.extra_info["fault_intensity"] = summary["fault_intensity"]
-    benchmark.extra_info["detected"] = summary["detected"]
-    if summary["time_to_detect_s"] is not None:
-        benchmark.extra_info["time_to_detect_s"] = summary["time_to_detect_s"]
+def _report(summary):
     report(
         f"faults {summary['faults']} on {summary['dataset']}",
         {
@@ -63,23 +56,23 @@ def _record(benchmark, summary):
     )
 
 
-def test_bench_fault_blackout_detection(bench_once, benchmark):
+def test_bench_fault_blackout_detection():
     """The headline metric: time to detect a failed bottleneck link."""
-    summary = bench_once(_study, "blackout", 0.6)
-    _record(benchmark, summary)
+    summary = _study("blackout", 0.6)
+    _report(summary)
     assert summary["detected"], summary
     assert summary["time_to_detect_s"] > 0
     assert summary["iterations_to_detect"] >= 1
 
 
-def test_bench_fault_chaos_recovery(bench_once, benchmark):
-    summary = bench_once(_study, "chaos", 0.75)
-    _record(benchmark, summary)
+def test_bench_fault_chaos_recovery():
+    summary = _study("chaos", 0.75)
+    _report(summary)
     assert summary["recovered"], summary["measured_nmi"]
     assert summary["fault_injectors"] == 4
 
 
-def test_bench_fault_empty_plan_overhead(bench_once, benchmark):
+def test_bench_fault_empty_plan_overhead():
     """faults="none" must cost nothing: it resolves to the plain
     single-tenant campaign and reproduces it bit for bit."""
 
@@ -95,9 +88,7 @@ def test_bench_fault_empty_plan_overhead(bench_once, benchmark):
         ).run(iterations)
         return plain, empty
 
-    plain, empty = bench_once(_paired_campaigns)
-    benchmark.extra_info["faults"] = "none"
-    benchmark.extra_info["fault_injectors"] = 0
+    plain, empty = _paired_campaigns()
     identical = all(
         np.array_equal(a.fragments.counts, b.fragments.counts)
         and a.duration == b.duration
@@ -106,7 +97,7 @@ def test_bench_fault_empty_plan_overhead(bench_once, benchmark):
     report(
         "faults none (empty-plan overhead)",
         {
-            "campaigns timed": "plain + faults='none' back to back",
+            "campaigns": "plain + faults='none' back to back",
             "bit-identical": identical,
         },
     )
@@ -114,16 +105,7 @@ def test_bench_fault_empty_plan_overhead(bench_once, benchmark):
     assert not empty.workload_stats
 
 
-def _record_localization(benchmark, summary):
-    benchmark.extra_info["localization_status"] = summary["localization_status"]
-    benchmark.extra_info["localized_link"] = summary["localized_link"]
-    if summary["localization_rank"] is not None:
-        benchmark.extra_info["localization_rank"] = summary["localization_rank"]
-    if summary["time_to_localize_s"] is not None:
-        benchmark.extra_info["time_to_localize_s"] = summary["time_to_localize_s"]
-
-
-def test_bench_fault_localization(bench_once, benchmark):
+def test_bench_fault_localization():
     """The second headline metric: time to *localize* the failed link.
 
     Runs the LINK-BLACKOUT scenario (Bordeaux substrate with per-cluster
@@ -132,16 +114,13 @@ def test_bench_fault_localization(bench_once, benchmark):
     """
     from repro.scenarios import get_scenario
 
-    summary = bench_once(
-        lambda: get_scenario("LINK-BLACKOUT").run(
-            iterations=max(ITERATIONS // 2, 5),
-            num_fragments=FRAGMENTS,
-            seed=SEED,
-            per_site=PER_SITE,
-        )
+    summary = get_scenario("LINK-BLACKOUT").run(
+        iterations=max(ITERATIONS // 2, 5),
+        num_fragments=FRAGMENTS,
+        seed=SEED,
+        per_site=PER_SITE,
     )
-    _record(benchmark, summary)
-    _record_localization(benchmark, summary)
+    _report(summary)
     report(
         "fault localization (LINK-BLACKOUT)",
         {
@@ -157,7 +136,7 @@ def test_bench_fault_localization(bench_once, benchmark):
     assert summary["time_to_localize_s"] > 0
 
 
-def test_bench_fault_migrating_selfhealing(bench_once, benchmark):
+def test_bench_fault_migrating_selfhealing():
     """Self-healing under a relocating failure: reroute + re-pin per
     epoch, re-detect and re-localize each victim."""
     from repro.scenarios import get_scenario
@@ -166,18 +145,14 @@ def test_bench_fault_migrating_selfhealing(bench_once, benchmark):
     # epoch's residual slowdown rides the backup-link penalty, and at
     # higher fragment counts it dips under the divergence ratio — the
     # failure becomes *invisible* because the healing worked.
-    summary = bench_once(
-        lambda: get_scenario("MIGRATING-BOTTLENECK").run(
-            iterations=6,
-            num_fragments=240,
-            seed=SEED,
-            per_site=PER_SITE,
-        )
+    summary = get_scenario("MIGRATING-BOTTLENECK").run(
+        iterations=6,
+        num_fragments=240,
+        seed=SEED,
+        per_site=PER_SITE,
     )
-    _record(benchmark, summary)
-    _record_localization(benchmark, summary)
+    _report(summary)
     epochs = summary["epochs"]
-    benchmark.extra_info["epochs"] = len(epochs)
     report(
         "self-healing migrating bottleneck",
         {

@@ -10,9 +10,8 @@ from repro.analysis.visualize import render_fig4_bars
 from repro.experiments.runners import run_fig4
 
 
-def test_fig4_local_edges_dominate(bench_once):
-    outcome = bench_once(
-        run_fig4,
+def test_fig4_local_edges_dominate():
+    outcome = run_fig4(
         per_site=8,
         iterations=ITERATIONS,
         num_fragments=NUM_FRAGMENTS,

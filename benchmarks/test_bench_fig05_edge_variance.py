@@ -11,10 +11,8 @@ from benchmarks.conftest import SEED, report
 from repro.experiments.runners import run_fig5, run_netpipe_reference
 
 
-def test_fig5_single_run_metric_is_highly_variable(bench_once):
-    outcome = bench_once(
-        run_fig5, per_site=8, iterations=24, num_fragments=400, seed=SEED
-    )
+def test_fig5_single_run_metric_is_highly_variable():
+    outcome = run_fig5(per_site=8, iterations=24, num_fragments=400, seed=SEED)
     netpipe = run_netpipe_reference(repeats=3)
 
     report(

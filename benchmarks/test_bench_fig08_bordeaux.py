@@ -13,10 +13,9 @@ from repro.experiments.datasets import dataset_b
 from repro.experiments.runners import run_dataset_clustering
 
 
-def test_fig8_bordeaux_bottleneck_clustering(bench_once):
+def test_fig8_bordeaux_bottleneck_clustering():
     ds = dataset_b(bordeplage=8, bordereau=6, borderline=2)
-    summary = bench_once(
-        run_dataset_clustering,
+    summary = run_dataset_clustering(
         ds,
         iterations=ITERATIONS,
         num_fragments=NUM_FRAGMENTS,

@@ -10,10 +10,9 @@ from repro.experiments.datasets import dataset_bt
 from repro.experiments.runners import run_dataset_clustering
 
 
-def test_fig9_bt_hierarchical_ground_truth_limits_nmi(bench_once):
+def test_fig9_bt_hierarchical_ground_truth_limits_nmi():
     ds = dataset_bt(per_site=8)
-    summary = bench_once(
-        run_dataset_clustering,
+    summary = run_dataset_clustering(
         ds,
         iterations=ITERATIONS,
         num_fragments=NUM_FRAGMENTS,

@@ -9,10 +9,9 @@ from repro.experiments.datasets import dataset_bgt
 from repro.experiments.runners import run_dataset_clustering
 
 
-def test_fig11_bgt_three_sites(bench_once):
+def test_fig11_bgt_three_sites():
     ds = dataset_bgt(per_site=8)
-    summary = bench_once(
-        run_dataset_clustering,
+    summary = run_dataset_clustering(
         ds,
         iterations=ITERATIONS,
         num_fragments=NUM_FRAGMENTS,

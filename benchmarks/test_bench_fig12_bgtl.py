@@ -10,10 +10,9 @@ from repro.experiments.datasets import dataset_bgtl
 from repro.experiments.runners import run_dataset_clustering
 
 
-def test_fig12_bgtl_four_sites(bench_once):
+def test_fig12_bgtl_four_sites():
     ds = dataset_bgtl(per_site=8)
-    summary = bench_once(
-        run_dataset_clustering,
+    summary = run_dataset_clustering(
         ds,
         iterations=12,
         num_fragments=NUM_FRAGMENTS,

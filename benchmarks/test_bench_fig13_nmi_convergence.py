@@ -10,9 +10,8 @@ from benchmarks.conftest import SEED, report
 from repro.experiments.runners import run_fig13
 
 
-def test_fig13_nmi_convergence_curves(bench_once):
-    studies = bench_once(
-        run_fig13,
+def test_fig13_nmi_convergence_curves():
+    studies = run_fig13(
         datasets=["B", "B-T", "G-T", "B-G-T", "B-G-T-L"],
         per_site=8,
         iterations=10,

@@ -9,8 +9,8 @@ from benchmarks.conftest import report
 from repro.experiments.runners import run_netpipe_reference
 
 
-def test_netpipe_reference_bandwidths(bench_once):
-    outcome = bench_once(run_netpipe_reference, repeats=5)
+def test_netpipe_reference_bandwidths():
+    outcome = run_netpipe_reference(repeats=5)
 
     report(
         "NetPIPE reference measurements",

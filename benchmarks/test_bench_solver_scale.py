@@ -12,6 +12,7 @@ cross-checked against the scalar reference oracle.
 """
 
 import hashlib
+import time
 
 import numpy as np
 import pytest
@@ -58,9 +59,11 @@ def solve_once(capacities, routes, caps):
 
 
 @pytest.mark.parametrize("num_flows", [100, 1_000, 10_000])
-def test_solver_scales_to_many_flows(benchmark, num_flows):
+def test_solver_scales_to_many_flows(num_flows):
     capacities, routes, caps = build_scenario(num_flows)
-    rates = benchmark(solve_once, capacities, routes, caps)
+    start = time.perf_counter()
+    rates = solve_once(capacities, routes, caps)
+    elapsed = time.perf_counter() - start
 
     active = rates[rates > 0]
     assert active.size == num_flows
@@ -70,12 +73,11 @@ def test_solver_scales_to_many_flows(benchmark, num_flows):
         load[route] += rate
     assert (load <= capacities * (1 + 1e-6)).all()
 
-    mean = benchmark.stats.stats.mean
     report(
         f"solver scale — {num_flows} flows",
         {
-            "mean solve wall-clock (ms)": f"{mean * 1e3:.3f}",
-            "throughput (flows/s)": f"{num_flows / mean:,.0f}",
+            "solve wall-clock (ms)": f"{elapsed * 1e3:.3f}",
+            "throughput (flows/s)": f"{num_flows / elapsed:,.0f}",
         },
     )
 

@@ -1,12 +1,11 @@
 """Multi-tenant workload benchmarks: interference campaigns end to end.
 
-Times the interference scenario families (concurrent-broadcast contention,
+Runs the interference scenario families (concurrent-broadcast contention,
 cross-traffic, churn) through the workload engine and asserts the headline
 property of docs/workloads.md: at the families' default intensities the
-clustering still recovers the planted two-site structure.  Every row records
+clustering still recovers the planted two-site structure.  Each test prints
 the workload metadata (actor counts, interference intensity, injected
-events) in ``benchmark.extra_info`` so the BENCH_*.json entries describe the
-contention each number was measured under.
+events) beside its NMI.
 """
 
 from benchmarks.conftest import ITERATIONS, SEED, report
@@ -35,12 +34,7 @@ def _study(workload, noise_threshold):
     )
 
 
-def _record(benchmark, summary):
-    benchmark.extra_info["workload"] = summary["workload"]
-    benchmark.extra_info["workload_actors"] = summary["workload_actors"]
-    benchmark.extra_info["interference_intensity"] = summary[
-        "interference_intensity"
-    ]
+def _report(summary):
     report(
         f"workload {summary['workload']} on {summary['dataset']}",
         {
@@ -56,26 +50,24 @@ def _record(benchmark, summary):
     )
 
 
-def test_bench_workload_rival_broadcasts(bench_once, benchmark):
-    summary = bench_once(
-        _study, rival_broadcast_workload(rivals=1, stagger=0.3), 0.85
-    )
-    _record(benchmark, summary)
+def test_bench_workload_rival_broadcasts():
+    summary = _study(rival_broadcast_workload(rivals=1, stagger=0.3), 0.85)
+    _report(summary)
     assert summary["recovered"], summary["measured_nmi"]
     assert summary["rival_broadcasts"] >= summary["iterations"]
 
 
-def test_bench_workload_cross_traffic(bench_once, benchmark):
-    summary = bench_once(
-        _study, cross_traffic_workload(intensity=1.0, sources=2, bulk=True), 0.8
+def test_bench_workload_cross_traffic():
+    summary = _study(
+        cross_traffic_workload(intensity=1.0, sources=2, bulk=True), 0.8
     )
-    _record(benchmark, summary)
+    _report(summary)
     assert summary["recovered"], summary["measured_nmi"]
     assert summary["background_flows"] > 0
 
 
-def test_bench_workload_churn(bench_once, benchmark):
-    summary = bench_once(_study, churn_workload(churn_rate=1.0), 0.8)
-    _record(benchmark, summary)
+def test_bench_workload_churn():
+    summary = _study(churn_workload(churn_rate=1.0), 0.8)
+    _report(summary)
     assert summary["recovered"], summary["measured_nmi"]
     assert summary["churn_leaves"] > 0

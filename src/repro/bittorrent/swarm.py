@@ -50,7 +50,6 @@ from __future__ import annotations
 
 import bisect
 import math
-import os
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
@@ -71,24 +70,6 @@ from repro.observability.tracer import TRACER
 
 #: Recognised control-loop stepping policies (see module docstring).
 STEPPING_MODES = ("fixed", "event")
-
-#: Environment variable naming the default stepping policy for campaign
-#: configurations built by :func:`repro.tomography.pipeline
-#: .default_swarm_config` — this is how ``benchmarks/run_benchmarks.py
-#: --stepping fixed`` flips the whole suite without touching each benchmark.
-STEPPING_ENV = "REPRO_STEPPING"
-
-
-def default_stepping() -> str:
-    """Stepping policy selected by the environment (``"event"`` if unset)."""
-    value = os.environ.get(STEPPING_ENV, "").strip().lower()
-    if not value:
-        return "event"
-    if value not in STEPPING_MODES:
-        raise ValueError(
-            f"{STEPPING_ENV} must be one of {STEPPING_MODES}, got {value!r}"
-        )
-    return value
 
 
 @dataclass(frozen=True)
@@ -156,8 +137,8 @@ class BroadcastResult:
     duration: float
     completion_times: Dict[str, float]
     distinct_edges: int
-    control_steps: int = 0
-    stepping: str = "event"
+    control_steps: int
+    stepping: str
 
     @property
     def hosts(self) -> List[str]:
@@ -418,11 +399,11 @@ class BroadcastSession:
             self.time = time = start + step * dt
             control_steps += 1
             if self._completed_pipes:
-                # Pipe transfers that ran their byte budget (in the last
-                # advance, a jump landing, or while another tenant held the
-                # clock) were detached: their slots may be recycled.
+                # Pipe transfers that ran their byte budget were detached in
+                # the advance or landing that led here, and the pipe vectors
+                # were rebuilt right after it; the list only made the visit
+                # rule stop here.
                 self._completed_pipes.clear()
-                self.pipes_dirty = True
             if self._pending_churn:
                 ops, self._pending_churn = self._pending_churn, []
                 for op, name, churn_rng in ops:

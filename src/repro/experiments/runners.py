@@ -379,7 +379,7 @@ def run_broadcast_efficiency(
             fragments: result.control_steps
             for fragments, result in zip(fragment_counts, results[len(node_hosts) :])
         },
-        "stepping": results[0].stepping if results else (stepping or "event"),
+        "stepping": results[0].stepping,
         "paper_seconds_per_broadcast": 20.0,
     }
 

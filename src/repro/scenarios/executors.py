@@ -419,9 +419,9 @@ def default_executor() -> Optional[ProcessPoolExecutor]:
 
     ``REPRO_EXECUTOR=process`` (optionally with ``REPRO_EXECUTOR_WORKERS=n``)
     routes every campaign that does not receive an explicit executor through
-    the process pool — this is how ``benchmarks/run_benchmarks.py
-    --executor process`` switches the whole benchmark suite over without
-    touching each benchmark.
+    the process pool — this is how ``REPRO_EXECUTOR=process python -m pytest
+    benchmarks`` runs the whole benchmark suite on the pool without touching
+    each benchmark.
     """
     return executor_from_name(os.environ.get(EXECUTOR_ENV))
 

@@ -28,6 +28,7 @@ from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.bittorrent.swarm import SwarmConfig
 from repro.experiments.datasets import Dataset
 from repro.scenarios.executors import ProcessPoolExecutor, default_executor
 
@@ -193,8 +194,6 @@ class ScenarioSpec:
         else:
             kwargs.update(overrides)
         summary = body(**kwargs)
-        from repro.bittorrent.swarm import default_stepping
-
         summary["scenario"] = self.name
         summary["family"] = self.family
         # Campaign studies report the backend that actually ran (quorum
@@ -205,7 +204,7 @@ class ScenarioSpec:
             executor.name if executor is not None and "executor" in kwargs
             else "serial",
         )
-        summary.setdefault("stepping", stepping or default_stepping())
+        summary.setdefault("stepping", stepping or SwarmConfig.stepping)
         summary["iterations_run"] = iterations
         summary["seed_used"] = seed
         return summary

@@ -104,11 +104,9 @@ def default_swarm_config(
     metric measures would never build up).
 
     ``stepping`` selects the control-loop policy (``"fixed"``/``"event"``,
-    see docs/simulation.md); ``None`` defers to the ``REPRO_STEPPING``
-    environment variable and ultimately the event-stepped default.  Both
-    policies produce bit-for-bit identical measurements.
+    see docs/simulation.md); ``None`` keeps :class:`SwarmConfig`'s default.
+    Both policies produce bit-for-bit identical measurements.
     """
-    from repro.bittorrent.swarm import default_stepping
     from repro.network.grid5000 import NODE_ACCESS_CAPACITY
 
     torrent = TorrentMeta.scaled(num_fragments)
@@ -119,7 +117,8 @@ def default_swarm_config(
         overrides.setdefault(
             "rechoke_interval", max(expected_duration / 4.0, overrides["control_dt"])
         )
-    overrides["stepping"] = stepping if stepping is not None else default_stepping()
+    if stepping is not None:
+        overrides["stepping"] = stepping
     return SwarmConfig(torrent=torrent, **overrides)
 
 

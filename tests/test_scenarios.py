@@ -163,6 +163,20 @@ def test_scenario_smoke_via_cli(name, tmp_path, capsys):
     assert payload["executor"] == "serial"
 
 
+def test_summary_stepping_is_the_mode_that_ran(monkeypatch):
+    """The summary and every broadcast carry the stepping mode that ran:
+    the default is ``"event"`` and no environment variable changes it."""
+    monkeypatch.setenv("REPRO_STEPPING", "fixed")
+    spec = get_scenario("B")
+    for stepping, expected in ((None, "event"), ("fixed", "fixed")):
+        summary = spec.run(
+            iterations=1, num_fragments=40, per_site=2, stepping=stepping
+        )
+        results = summary["result"].record.results
+        assert summary["stepping"] == expected
+        assert results and all(r.stepping == expected for r in results)
+
+
 class TestGeneratedFamilies:
     def test_fat_tree_oversubscribed_ground_truth_is_per_rack(self):
         ds = fat_tree_dataset(racks=3, hosts_per_rack=2, oversubscription=4.0)

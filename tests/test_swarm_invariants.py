@@ -240,6 +240,28 @@ def test_no_conversion_check_reads_a_recycled_slot(stepping):
 
 
 @pytest.mark.parametrize("stepping", STEPPING_MODES)
+def test_no_rebuild_repeats_the_previous_pipe_layout(monkeypatch, stepping):
+    """A pipe that runs out of budget is rebuilt once, right after the
+    advance or landing that detached it, not again at the next visit."""
+    layouts = []
+    rebuild = BroadcastSession.rebuild_pipe_vectors
+
+    def recorded(self):
+        rebuild(self)
+        layouts.append((
+            tuple(self.pipe_order),
+            self.pipe_slots.tolist(),
+            self.pipe_dead_positions.tolist(),
+        ))
+
+    monkeypatch.setattr(BroadcastSession, "rebuild_pipe_vectors", recorded)
+    relay_with_bulk(stepping, 0.27)
+    assert any(dead for _, _, dead in layouts)
+    repeats = sum(a == b for a, b in zip(layouts, layouts[1:]))
+    assert repeats == 0
+
+
+@pytest.mark.parametrize("stepping", STEPPING_MODES)
 def test_churn_campaign_keeps_its_state_consistent(checked, stepping):
     fingerprint = campaign_fingerprint(stepping, workload=interference_workload("churn"))
     assert fingerprint == INTERFERENCE_GOLDENS["churn"]
