@@ -21,6 +21,7 @@ from typing import Dict, Hashable, List, Optional, Sequence
 
 import numpy as np
 
+from repro.clustering.modularity import ModularityEvaluator
 from repro.clustering.partition import Partition
 from repro.graph.wgraph import WeightedGraph
 from repro.observability.metrics import METRICS
@@ -163,48 +164,6 @@ class _LouvainState:
         return Partition(groups.values())
 
 
-class _ModularityArrays:
-    """Original-graph edge arrays for the per-level modularity evaluations.
-
-    :func:`louvain` scores every dendrogram level against the *original*
-    graph.  The dict implementation (:func:`repro.clustering.modularity
-    .modularity`) walks every edge and node per level; this helper flattens
-    the graph once and evaluates each level with two ``np.bincount`` calls.
-    The result is bit-identical to the dict walk: per-cluster intra-weight
-    and degree accumulate in the same left-fold order (``bincount`` adds
-    sequentially over its input, which is ``edges()``/``nodes()`` order),
-    and the final per-cluster sum runs over the same ``set`` of python-int
-    cluster ids with the same scalar arithmetic.
-    """
-
-    def __init__(self, graph: WeightedGraph) -> None:
-        self.nodes = graph.nodes()
-        self.edge_u, self.edge_v, self.edge_w = graph.edge_arrays()
-        self.node_degree = np.array(
-            [graph.degree_weight(node) for node in self.nodes], dtype=np.float64
-        )
-        self.total = graph.total_weight()
-        self.two_m = 2.0 * self.total
-
-    def value(self, partition: Partition) -> float:
-        memb_list = [partition.cluster_index(node) for node in self.nodes]
-        memb = np.array(memb_list, dtype=np.int64)
-        size = int(memb.max()) + 1
-        cluster_u = memb[self.edge_u]
-        cluster_v = memb[self.edge_v]
-        intra_mask = cluster_u == cluster_v
-        intra = np.bincount(
-            cluster_u[intra_mask], weights=self.edge_w[intra_mask], minlength=size
-        ).tolist()
-        degree = np.bincount(
-            memb, weights=self.node_degree, minlength=size
-        ).tolist()
-        q = 0.0
-        for c in set(memb_list):
-            q += intra[c] / self.total - (degree[c] / self.two_m) ** 2
-        return q
-
-
 def _aggregate(graph: WeightedGraph, partition: Partition) -> WeightedGraph:
     """Collapse each cluster to a super-node; intra-cluster weight becomes a self-loop.
 
@@ -289,9 +248,8 @@ def louvain(
     working = graph.copy()
     dendrogram: List[Partition] = []
     best_partition = Partition.singletons(original_nodes)
-    # Per-level scoring against the original graph, flattened once
-    # (bit-identical to repro.clustering.modularity.modularity).
-    scorer = _ModularityArrays(graph)
+    # Per-level scoring against the original graph, flattened once.
+    scorer = ModularityEvaluator(graph)
     best_q = scorer.value(best_partition)
 
     run_started = TRACER.now() if TRACER.enabled else 0.0

@@ -13,12 +13,49 @@ the sums the Louvain method manipulates incrementally.
 
 from __future__ import annotations
 
-from typing import Dict, Hashable
-
 import numpy as np
 
 from repro.clustering.partition import Partition
 from repro.graph.wgraph import WeightedGraph
+
+
+class ModularityEvaluator:
+    """Modularity of any partition of one graph, from edge arrays flattened once.
+
+    :func:`louvain` scores every dendrogram level against the *original*
+    graph, so it builds one evaluator and calls :meth:`value` per level;
+    :func:`modularity` is a one-shot evaluation.  Per-cluster intra-weight
+    and degree accumulate with two ``np.bincount`` calls, which add
+    sequentially over ``edges()``/``nodes()`` order, and the final
+    per-cluster sum runs over the ``set`` of python-int cluster ids.
+    """
+
+    def __init__(self, graph: WeightedGraph) -> None:
+        self.nodes = graph.nodes()
+        self.edge_u, self.edge_v, self.edge_w = graph.edge_arrays()
+        self.node_degree = np.array(
+            [graph.degree_weight(node) for node in self.nodes], dtype=np.float64
+        )
+        self.total = graph.total_weight()
+        self.two_m = 2.0 * self.total
+
+    def value(self, partition: Partition) -> float:
+        memb_list = [partition.cluster_index(node) for node in self.nodes]
+        memb = np.array(memb_list, dtype=np.int64)
+        size = int(memb.max()) + 1
+        cluster_u = memb[self.edge_u]
+        cluster_v = memb[self.edge_v]
+        intra_mask = cluster_u == cluster_v
+        intra = np.bincount(
+            cluster_u[intra_mask], weights=self.edge_w[intra_mask], minlength=size
+        ).tolist()
+        degree = np.bincount(
+            memb, weights=self.node_degree, minlength=size
+        ).tolist()
+        q = 0.0
+        for c in set(memb_list):
+            q += intra[c] / self.total - (degree[c] / self.two_m) ** 2
+        return q
 
 
 def modularity(graph: WeightedGraph, partition: Partition) -> float:
@@ -28,29 +65,9 @@ def modularity(graph: WeightedGraph, partition: Partition) -> float:
     nodes contribute nothing.  A graph with zero total weight has undefined
     modularity and raises ``ValueError``.
     """
-    total = graph.total_weight()
-    if total <= 0:
+    if graph.total_weight() <= 0:
         raise ValueError("modularity is undefined for graphs with zero total weight")
-    two_m = 2.0 * total
-
-    membership = {}
-    for node in graph.nodes():
-        membership[node] = partition.cluster_index(node)
-
-    intra: Dict[int, float] = {}
-    degree: Dict[int, float] = {}
-    for u, v, w in graph.edges():
-        cu, cv = membership[u], membership[v]
-        if cu == cv:
-            intra[cu] = intra.get(cu, 0.0) + w
-    for node in graph.nodes():
-        c = membership[node]
-        degree[c] = degree.get(c, 0.0) + graph.degree_weight(node)
-
-    q = 0.0
-    for c in set(membership.values()):
-        q += intra.get(c, 0.0) / total - (degree.get(c, 0.0) / two_m) ** 2
-    return q
+    return ModularityEvaluator(graph).value(partition)
 
 
 def modularity_matrix_form(weights: np.ndarray, labels, partition: Partition) -> float:

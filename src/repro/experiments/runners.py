@@ -20,17 +20,14 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from repro.analysis.convergence import ConvergenceStudy
+from repro.bittorrent.swarm import BitTorrentBroadcast, BroadcastResult
 from repro.clustering.louvain import louvain
 from repro.clustering.partition import Partition
 from repro.experiments.datasets import Dataset, bordeaux_split, dataset, dataset_b
 from repro.graph.wgraph import WeightedGraph
 from repro.network.grid5000 import Grid5000Builder, build_multi_site, default_cluster_of
-from repro.scenarios.executors import (
-    BroadcastTask,
-    ProcessPoolExecutor,
-    default_executor,
-    execute_task_output,
-)
+from repro.scenarios.executors import ProcessPoolExecutor, default_executor
+from repro.simulation.rng import derive_seed
 from repro.tomography.baselines import (
     PairwiseSaturationTomography,
     TripletSaturationTomography,
@@ -301,6 +298,14 @@ def run_fig13(
 # ---------------------------------------------------------------------- #
 # broadcast efficiency (Section II-B)
 # ---------------------------------------------------------------------- #
+def _seeded_broadcast(task) -> BroadcastResult:
+    """One broadcast of ``(topology, config, (seed, *labels))``, seeded by the
+    first host and drawing from the ``(seed, *labels)`` stream."""
+    topology, config, (seed, *labels) = task
+    rng = np.random.default_rng(derive_seed(seed, *labels))
+    return BitTorrentBroadcast(topology, config).run(rng=rng)
+
+
 def run_broadcast_efficiency(
     node_counts: Sequence[int] = (8, 16, 32),
     num_fragments: int = 400,
@@ -317,11 +322,11 @@ def run_broadcast_efficiency(
 
     Every measured broadcast is an independent seeded task (its stream is
     derived from ``seed`` and a per-broadcast label), so the whole sweep
-    fans out through the campaign executor — across topologies, not just
+    maps through the campaign executor — across topologies, not just
     within one campaign.
     """
     executor = _resolve_executor(executor)
-    tasks: List[BroadcastTask] = []
+    tasks = []
     node_hosts: List[int] = []
     for count in node_counts:
         per_site = max(count // len(sites), 1)
@@ -331,11 +336,7 @@ def run_broadcast_efficiency(
         topology = build_multi_site(request)
         config = default_swarm_config(num_fragments, stepping=stepping)
         node_hosts.append(len(topology.host_names))
-        tasks.append(
-            BroadcastTask(
-                topology, config, None, seed, ((("nodes", count), None),)
-            )
-        )
+        tasks.append((topology, config, (seed, "nodes", count)))
 
     # Linear-in-size check on a fixed 4-site topology.
     request = {site: {default_cluster_of(site): 4} for site in sites}
@@ -343,15 +344,11 @@ def run_broadcast_efficiency(
     fragment_counts = (num_fragments // 2, num_fragments, num_fragments * 2)
     for fragments in fragment_counts:
         config = default_swarm_config(fragments, stepping=stepping)
-        tasks.append(
-            BroadcastTask(
-                size_topology, config, None, seed, ((("fragments", fragments), None),)
-            )
-        )
+        tasks.append((size_topology, config, (seed, "fragments", fragments)))
 
     results = (
-        executor.run_tasks(tasks) if executor is not None
-        else [r for task in tasks for r in execute_task_output(task).results]
+        executor.map(_seeded_broadcast, tasks) if executor is not None
+        else [_seeded_broadcast(task) for task in tasks]
     )
     durations: Dict[int, float] = {
         hosts: result.duration

@@ -24,8 +24,8 @@ Two properties carry the whole design:
   bit-for-bit with metrics on (they are always on) — see
   ``tests/test_seed_replay.py``.
 * **merge across processes** — executor workers return a
-  :class:`MetricsSnapshot` *delta* alongside their results (see
-  :class:`repro.scenarios.executors.TaskOutput`); the parent merges the
+  :class:`MetricsSnapshot` *delta* alongside their outputs (see
+  :func:`repro.scenarios.executors.run_chunk`); the parent merges the
   deltas into its own registry, so a ``--executor process`` campaign ends
   with the same merged counters as the serial run
   (``tests/test_executors.py`` pins the equality).
@@ -103,7 +103,7 @@ class MetricsSnapshot:
         return MetricsSnapshot(counters, gauges, histograms)
 
     def jsonable(self) -> Dict[str, object]:
-        """Plain-dict form for JSON embedding (BENCH rows, ``--json`` files)."""
+        """Plain-dict form for JSON embedding (``--json`` files)."""
         out: Dict[str, object] = {
             "counters": {k: self.counters[k] for k in sorted(self.counters)},
         }

@@ -14,13 +14,10 @@ scenario.
 """
 
 from repro.scenarios.executors import (
-    BroadcastTask,
     CampaignExecutionError,
     EXECUTOR_NAMES,
     ProcessPoolExecutor,
-    TaskOutput,
     default_executor,
-    execute_task_output,
     executor_from_name,
     workers_from_env,
 )
@@ -42,15 +39,12 @@ from repro.scenarios.spec import ScenarioSpec, jsonable_summary, to_jsonable
 # an eager import here would close an import cycle.
 
 __all__ = [
-    "BroadcastTask",
     "CampaignExecutionError",
     "EXECUTOR_NAMES",
     "ProcessPoolExecutor",
     "ScenarioSpec",
-    "TaskOutput",
     "all_scenarios",
     "default_executor",
-    "execute_task_output",
     "executor_from_name",
     "workers_from_env",
     "families",

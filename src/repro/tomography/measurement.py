@@ -142,12 +142,12 @@ class MeasurementCampaign:
         When True, iteration ``i`` is seeded by host ``i mod len(hosts)``;
         otherwise the first host always seeds (the paper's default setup).
     executor:
-        Optional :class:`~repro.scenarios.executors.ProcessPoolExecutor` the
-        independent iterations are fanned out through.  ``None`` runs the
-        classic in-process loop.  Because every iteration's random stream is
-        derived statelessly from ``(seed, "broadcast", i)`` and results are
-        reassembled in iteration order, any backend produces a record
-        bit-for-bit identical to the serial one.
+        Optional :class:`~repro.scenarios.executors.ProcessPoolExecutor`
+        that :meth:`run` maps the pending iterations through.  ``None`` runs
+        the in-process loop.  Both run the same per-iteration method, every
+        iteration's random stream is derived statelessly from ``(seed,
+        "broadcast", i)`` and outputs come back in iteration order, so the
+        pooled record is bit-for-bit identical to the serial one.
     workload:
         Optional :class:`~repro.workloads.WorkloadSpec`: every measured
         broadcast then runs inside a multi-tenant
@@ -219,8 +219,8 @@ class MeasurementCampaign:
 
         The generator is freshly derived from ``(seed, "broadcast",
         iteration)`` on every call — never reused across calls — so
-        replaying an iteration (or re-running the campaign) is idempotent
-        and matches what executor workers derive for the same iteration.
+        replaying an iteration (or re-running the campaign, in this process
+        or in a pool worker) is idempotent.
         """
         if root is None:
             root = self.root_of(iteration)
@@ -234,7 +234,9 @@ class MeasurementCampaign:
         return self.workload is not None or self.faults is not None
 
     def _run_one(self, iteration: int) -> Tuple[BroadcastResult, Optional[list]]:
-        """One iteration in-process: ``(result, actor stats or None)``."""
+        """One iteration: ``(result, actor stats or None)``.  The in-process
+        loop calls it, and the executor maps it (with the pickled campaign)
+        over chunks of iterations in worker processes."""
         if self._multi_tenant:
             from repro.workloads import run_workload_iteration
 
@@ -364,8 +366,12 @@ class MeasurementCampaign:
                     outputs[i] = loaded
                     pending.remove(i)
 
-        if pending and self.executor is not None and quorum is None:
-            self._run_fanned_out(pending, outputs)
+        if self.executor is not None and quorum is None:
+            ran = zip(pending, self.executor.map(self._run_one, pending))
+            for i, output in ran:
+                outputs[i] = output
+                if self.checkpoint is not None:
+                    self._save_checkpoint(i, *output)
         else:
             for i in pending:
                 try:
@@ -396,29 +402,3 @@ class MeasurementCampaign:
             if stats is not None:
                 record.workload_stats.append(stats)
         return record
-
-    def _run_fanned_out(
-        self,
-        pending: List[int],
-        outputs: Dict[int, Tuple[BroadcastResult, Optional[list]]],
-    ) -> None:
-        """Fan the pending iterations out through the executor.
-
-        The executor retries crashed/hung tasks internally (see
-        :class:`~repro.scenarios.executors.ProcessPoolExecutor`); results
-        come back in spec order, so they pair up with ``pending`` directly.
-        """
-        specs = [(("broadcast", i), self.root_of(i)) for i in pending]
-        results, stats = self.executor.run_campaign(
-            self.topology,
-            self.config,
-            self.hosts,
-            self.streams.seed,
-            specs,
-            workload=self.workload,
-            faults=self.faults,
-        )
-        for i, result, actor_stats in zip(pending, results, stats):
-            outputs[i] = (result, actor_stats)
-            if self.checkpoint is not None:
-                self._save_checkpoint(i, result, actor_stats)

@@ -1,8 +1,8 @@
 """Workload actors: the tenants of a shared simulated cluster.
 
 Every actor owns a label, draws from its own stateless RNG stream (derived
-from the workload seed and the label, exactly like the campaign executors
-derive per-broadcast streams), and schedules callbacks on the shared
+from the workload seed and the label, exactly like a measurement campaign
+derives its per-broadcast streams), and schedules callbacks on the shared
 :class:`~repro.workloads.engine.WorkloadEngine` agenda.  The catalogue:
 
 * :class:`BroadcastActor` — runs an instrumented BitTorrent broadcast as a
@@ -47,7 +47,7 @@ def shared_links(topology) -> List[str]:
 class WorkloadActor:
     """Base class for everything scheduled on the shared workload agenda."""
 
-    #: Actor family name recorded in stats/BENCH rows.
+    #: Actor family name recorded in the per-iteration actor stats.
     kind = "abstract"
     #: Engine.run() returns once every *blocking* actor reports ``done``.
     blocking = False

@@ -14,7 +14,7 @@ Absolute values are resolved at build time by :func:`run_workload_iteration`,
 which also derives every actor's RNG stream statelessly from the campaign
 seed, the plan's role and the actor label (``(seed, "workload", iteration,
 label)`` for tenants, ``(seed, "fault", iteration, label)`` for injectors)
-— the same discipline the campaign executors use for broadcasts, so a
+— the same discipline a measurement campaign uses for broadcasts, so a
 campaign replays bit-for-bit from its seed and the measured broadcast's own
 stream (``(seed, "broadcast", iteration)``) is never perturbed.  With the
 empty spec (:data:`NONE`) the iteration reduces to the classic single-tenant
@@ -103,10 +103,10 @@ def actor(kind: str, label: str, **params) -> ActorSpec:
 class WorkloadSpec:
     """A named composition of tenants (a workload) or injectors (a fault plan).
 
-    ``intensity`` is the spec's headline knob (recorded in summaries and
-    BENCH rows); its meaning is per-family — offered cross load as a
-    fraction of a node access link, churn pressure, rival count, failure
-    frequency relative to the broadcast timescale.
+    ``intensity`` is the spec's headline knob (recorded in summaries); its
+    meaning is per-family — offered cross load as a fraction of a node
+    access link, churn pressure, rival count, failure frequency relative to
+    the broadcast timescale.
     """
 
     name: str
@@ -140,7 +140,7 @@ class WorkloadSpec:
         return counts
 
     def metadata(self) -> Dict[str, object]:
-        """Workload descriptors recorded in summaries and BENCH rows."""
+        """Workload descriptors recorded in summaries."""
         return {
             "workload": self.name,
             "workload_actors": self.actor_count + 1,

@@ -1,6 +1,7 @@
-"""Campaign executor backends: chunking, resolution, and — crucially —
+"""Campaign executor backends: the ordered map, resolution, and — crucially —
 bit-for-bit equality between the in-process and process-pool paths, including
-recovery from crashed and hung workers (the ``chaos`` marker)."""
+pooled checkpoints and recovery from crashed and hung workers (the ``chaos``
+marker)."""
 
 import os
 import time
@@ -8,17 +9,18 @@ import time
 import numpy as np
 import pytest
 
+from repro.experiments.datasets import dataset
 from repro.experiments.runners import run_broadcast_efficiency
 from repro.scenarios.executors import (
-    BroadcastTask,
     CampaignExecutionError,
     ProcessPoolExecutor,
     default_executor,
-    execute_task_output,
     executor_from_name,
+    run_chunk,
     workers_from_env,
 )
 from repro.tomography.measurement import MeasurementCampaign
+from repro.tomography.pipeline import default_swarm_config
 
 #: Sentinel file for the chaos task functions: the first worker to find it
 #: missing creates it and misbehaves; retries then run clean.  Module-level
@@ -26,24 +28,28 @@ from repro.tomography.measurement import MeasurementCampaign
 _CHAOS_FLAG = None
 
 
-def _crash_once_fn(task):
-    """Hard-kill the first worker process (simulates a segfaulting task)."""
+def _crash_once_fn(chunk):
+    """Hard-kill the first worker process (simulates a segfaulting chunk)."""
     if _CHAOS_FLAG is not None and not os.path.exists(_CHAOS_FLAG):
         open(_CHAOS_FLAG, "w").close()
         os._exit(1)
-    return execute_task_output(task)
+    return run_chunk(chunk)
 
 
-def _hang_once_fn(task):
+def _hang_once_fn(chunk):
     """Stall the first worker past any reasonable task timeout."""
     if _CHAOS_FLAG is not None and not os.path.exists(_CHAOS_FLAG):
         open(_CHAOS_FLAG, "w").close()
         time.sleep(300)
-    return execute_task_output(task)
+    return run_chunk(chunk)
 
 
-def _always_crash_fn(task):
+def _always_crash_fn(chunk):
     os._exit(1)
+
+
+def _square(x):
+    return x * x
 
 
 def assert_records_identical(a, b):
@@ -59,26 +65,24 @@ def assert_records_identical(a, b):
         assert ra.completion_times == rb.completion_times
 
 
-class TestChunking:
-    def test_process_splits_evenly_and_contiguously(self):
-        specs = [(("broadcast", i), None) for i in range(5)]
-        chunks = ProcessPoolExecutor(workers=2).chunk_specs(specs)
-        assert len(chunks) == 2
-        assert [s for chunk in chunks for s in chunk] == specs
+class TestMap:
+    def test_outputs_keep_item_order_over_three_workers(self):
+        from repro.observability.metrics import METRICS
 
-    def test_explicit_chunk_size(self):
-        specs = [(("broadcast", i), None) for i in range(5)]
-        chunks = ProcessPoolExecutor(workers=2, chunk_size=2).chunk_specs(specs)
-        assert [len(c) for c in chunks] == [2, 2, 1]
+        items = list(range(7))
+        before = METRICS.snapshot()
+        assert ProcessPoolExecutor(workers=3).map(_square, items) == [
+            x * x for x in items
+        ]
+        # One contiguous chunk per worker.
+        assert METRICS.snapshot().delta_since(before).counter("executor.tasks") == 3
 
-    def test_empty_specs(self):
-        assert ProcessPoolExecutor(workers=2).chunk_specs([]) == []
+    def test_empty_items(self):
+        assert ProcessPoolExecutor(workers=2).map(_square, []) == []
 
-    def test_invalid_arguments(self):
-        with pytest.raises(ValueError):
+    def test_zero_workers_rejected(self):
+        with pytest.raises(ValueError, match="workers"):
             ProcessPoolExecutor(workers=0)
-        with pytest.raises(ValueError):
-            ProcessPoolExecutor(chunk_size=0)
 
 
 class TestResolution:
@@ -103,24 +107,6 @@ class TestResolution:
         executor = default_executor()
         assert executor.name == "process"
         assert executor.workers == 3
-
-
-class TestExecuteTask:
-    def test_task_replays_campaign_iteration(self, two_site_topology, tiny_swarm_config):
-        campaign = MeasurementCampaign(
-            two_site_topology, tiny_swarm_config, seed=9
-        )
-        expected = campaign.run_iteration(0)
-        task = BroadcastTask(
-            two_site_topology,
-            tiny_swarm_config,
-            tuple(campaign.hosts),
-            9,
-            ((("broadcast", 0), campaign.hosts[0]),),
-        )
-        (replayed,) = execute_task_output(task).results
-        assert np.array_equal(replayed.fragments.counts, expected.fragments.counts)
-        assert replayed.duration == expected.duration
 
 
 class TestBackendEquality:
@@ -167,16 +153,37 @@ class TestBackendEquality:
         assert_records_identical(first, pooled.run(2))
         assert_records_identical(first, pooled.run(2))
 
-    def test_chunk_size_does_not_change_results(self, dumbbell_topology, tiny_swarm_config):
+    def test_chunking_does_not_change_results(self, dumbbell_topology, tiny_swarm_config):
+        # 4 iterations over 2 workers ship chunks of 2; over 4, chunks of 1.
         coarse = self._campaign(
             dumbbell_topology, tiny_swarm_config, ProcessPoolExecutor(workers=2)
         ).run(4)
         fine = self._campaign(
-            dumbbell_topology,
-            tiny_swarm_config,
-            ProcessPoolExecutor(workers=2, chunk_size=1),
+            dumbbell_topology, tiny_swarm_config, ProcessPoolExecutor(workers=4)
         ).run(4)
         assert_records_identical(coarse, fine)
+
+    def test_pooled_checkpoints_resume_to_the_serial_record(self, tmp_path):
+        """The pool path writes its checkpoints in the parent, and a pooled
+        resume reproduces the uninterrupted serial campaign."""
+        ds = dataset("G-T", per_site=3)
+
+        def campaign(executor, checkpoint=None):
+            return MeasurementCampaign(
+                ds.topology, default_swarm_config(100), hosts=ds.hosts,
+                seed=2012, faults="chaos", executor=executor,
+                checkpoint=checkpoint,
+            )
+
+        ckpt = tmp_path / "ckpt"
+        serial = campaign(None).run(4)
+        campaign(ProcessPoolExecutor(workers=2), ckpt).run(2)
+        assert len(list(ckpt.glob("iter_*.pkl"))) == 2
+        resumed = campaign(ProcessPoolExecutor(workers=2), ckpt).run(4)
+        assert len(list(ckpt.glob("iter_*.pkl"))) == 4
+        assert_records_identical(serial, resumed)
+        assert resumed.workload_stats == serial.workload_stats
+        assert any(row.get("fault") for it in serial.workload_stats for row in it)
 
     def test_broadcast_efficiency_backend_equality(self):
         serial = run_broadcast_efficiency(
@@ -279,7 +286,7 @@ class TestWorkloadFaultTaskThreading:
 
 class TestTelemetryMerge:
     """The metrics registry is per-process; the process pool ships worker
-    snapshot deltas back inside each TaskOutput and merges them into the
+    snapshot deltas back beside each chunk's outputs and merges them into the
     parent.  The simulation-side counters must therefore agree exactly
     across the serial and process backends — the executor is an execution
     strategy, not a different instrument."""
