@@ -10,13 +10,13 @@ the text (iterations needed to reach / stay at a target NMI).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, List, Optional
 
 from repro.clustering.nmi import overlapping_nmi
 from repro.clustering.partition import Partition
 from repro.graph.wgraph import WeightedGraph
 from repro.tomography.measurement import MeasurementRecord
-from repro.tomography.metric import metric_graph
+from repro.tomography.pipeline import prefix_clusterings
 
 
 def nmi_convergence(
@@ -26,15 +26,10 @@ def nmi_convergence(
 ) -> List[float]:
     """Overlapping NMI after 1, 2, ..., n aggregated iterations."""
     truth = ground_truth.restrict(record.hosts)
-    curve: List[float] = []
-    for metric in record.cumulative_aggregates():
-        graph = metric_graph(metric)
-        if graph.total_weight() <= 0:
-            partition = Partition.whole(record.hosts)
-        else:
-            partition = clusterer(graph)
-        curve.append(overlapping_nmi(partition, truth))
-    return curve
+    return [
+        overlapping_nmi(partition, truth)
+        for _, _, partition in prefix_clusterings(record, clusterer)
+    ]
 
 
 @dataclass

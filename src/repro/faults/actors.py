@@ -16,10 +16,10 @@ The catalogue:
   residual (the fluid engine requires positive capacities) and is restored
   after an exponential repair time, via the counted
   :meth:`~repro.network.fluid.FluidNetwork.set_link_capacity` transitions.
-* :class:`RouteFlapActor` — routing instability: a link flaps, new flows
-  are steered around it (when an alternate path exists) and its capacity is
-  degraded for the flap window; in-flight flows keep their pinned routes,
-  as real connections survive a reconverging control plane.
+* :class:`RouteFlapActor` — routing instability: a link failure the
+  control plane always reroutes around, so new flows are steered around
+  the flapping link (when an alternate path exists) while its capacity is
+  degraded for the flap window.
 * :class:`TrackerOutageActor` — the rendezvous service goes dark: announce
   attempts made during the outage window fail and callers retry with
   bounded exponential backoff (see :class:`~repro.workloads.actors
@@ -36,6 +36,7 @@ from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
+from repro.network.routing import RoutingTable
 from repro.observability.metrics import METRICS
 from repro.observability.tracer import TRACER
 from repro.workloads.actors import (
@@ -64,57 +65,12 @@ __all__ = [
 
 
 class FaultActor(WorkloadActor):
-    """Base class for fault injectors (stats rows carry ``fault: True``).
-
-    Besides the fault tag, the base carries the injectors' shared *control
-    plane*: :meth:`_routing_for` derives (and caches, per avoid-set) a
-    Dijkstra-recomputed :class:`~repro.network.routing.RoutingTable` that
-    steers around a set of failed/flapping links, falling back to the
-    nominal table for pairs the exclusion would disconnect.
-    """
-
-    def __init__(self, label: str) -> None:
-        super().__init__(label)
-        self._route_tables: Dict[frozenset, object] = {}
-        self._base_routing = None
-
-    def bind(self, engine) -> None:
-        super().bind(engine)
-        self._base_routing = engine.routing
+    """Base class for fault injectors (stats rows carry ``fault: True``)."""
 
     def stats(self) -> Dict[str, object]:
         out = super().stats()
         out["fault"] = True
         return out
-
-    def _routing_for(self, avoid: frozenset):
-        """Control-plane recompute: a table avoiding ``avoid``, cached.
-
-        An empty avoid-set is the nominal table itself; every distinct
-        non-empty set is computed once (lazy Dijkstra per source inside the
-        table), counted under ``routing.recomputes`` and traced on the
-        simulation clock.  The fallback keeps pairs reachable when the
-        avoided link is their only path.
-        """
-        if not avoid:
-            return self._base_routing
-        table = self._route_tables.get(avoid)
-        if table is None:
-            from repro.network.routing import RoutingTable
-
-            table = RoutingTable(
-                self.engine.topology, avoid=avoid, fallback=self._base_routing
-            )
-            self._route_tables[avoid] = table
-            METRICS.count("routing.recomputes")
-            if TRACER.enabled:
-                TRACER.event(
-                    "routing.recompute",
-                    sim_time=self.engine.now,
-                    actor=self.label,
-                    avoid=sorted(avoid),
-                )
-        return table
 
     def _record_fault(self, event: str, **args) -> None:
         """Count and (when tracing) record one injected fault event.
@@ -136,7 +92,7 @@ class FaultActor(WorkloadActor):
 
 
 # ---------------------------------------------------------------------- #
-# link failures
+# link failures and route flaps
 # ---------------------------------------------------------------------- #
 class LinkFailureActor(LinkWatcher, FaultActor):
     """Fail-and-repair cycles on shared links.
@@ -151,15 +107,17 @@ class LinkFailureActor(LinkWatcher, FaultActor):
     ``set_link_capacity`` transition, so event-stepped sessions are woken
     at the exact instants the world changes.
 
-    With ``reroute=True`` the actor is also a self-healing control plane:
-    each failure (and repair) derives a routing table avoiding every
-    currently-down link (:meth:`FaultActor._routing_for`) and installs it
-    with ``repin=True`` — live flows converge onto the surviving paths at
-    the same instant the capacity collapses.  The default is off, keeping
-    the classic avoid-nothing behaviour (and its goldens) intact.
+    With ``reroute=True`` the actor is also the control plane: each failure
+    and repair installs a routing table avoiding every currently-down link
+    (:meth:`_apply_routing`), so new flows take the surviving paths; with
+    ``repin`` (the default) live flows converge onto them at the same
+    instant — the self-healing step.  ``reroute`` is off by default,
+    keeping the classic avoid-nothing behaviour (and its goldens) intact.
     """
 
     kind = "link-failure"
+    #: Fault event names of an outage's start and of its end.
+    fail_event, repair_event = "link-failure", "link-repair"
 
     def __init__(
         self,
@@ -173,14 +131,16 @@ class LinkFailureActor(LinkWatcher, FaultActor):
         limit: Optional[int] = None,
         start_time: float = 0.0,
         reroute: bool = False,
+        repin: bool = True,
     ) -> None:
         super().__init__(label, links)
         if mtbf <= 0:
             raise ValueError("mtbf must be positive")
         if not persistent and repair_mean <= 0:
             raise ValueError("repair_mean must be positive")
-        if not 0 < residual < 1:
-            raise ValueError("residual must be in (0, 1)")
+        # A flap may leave the capacity alone and only reroute; a failure may not.
+        if not (0 < residual < 1 or residual == 1 and self.kind == "route-flap"):
+            raise ValueError("residual must be in (0, 1), or 1 for a route flap")
         self.rng = rng
         self.mtbf = mtbf
         self.repair_mean = repair_mean
@@ -189,11 +149,17 @@ class LinkFailureActor(LinkWatcher, FaultActor):
         self.limit = limit
         self.start_time = float(start_time)
         self.reroute = bool(reroute)
+        self.repin = bool(repin)
         self.failures = 0
         self.repairs = 0
         self.downtime = 0.0
         self.failed_links: List[str] = []  # victims, in failure order
         self._down: Dict[str, float] = {}  # link -> failure time
+        self._tables: Dict[frozenset, RoutingTable] = {}
+
+    def bind(self, engine) -> None:
+        super().bind(engine)
+        self._tables = {frozenset(): engine.routing}
 
     def start(self) -> None:
         self._schedule_failure(self.start_time)
@@ -210,13 +176,14 @@ class LinkFailureActor(LinkWatcher, FaultActor):
             victim = up[int(self.rng.integers(0, len(up)))]
             now = self.engine.now
             self._down[victim] = now
-            self.engine.fluid.set_link_capacity(
-                victim, self._nominal[victim] * self.residual
-            )
+            if self.residual < 1:
+                self.engine.fluid.set_link_capacity(
+                    victim, self._nominal[victim] * self.residual
+                )
             self.failures += 1
             if victim not in self.failed_links:
                 self.failed_links.append(victim)
-            self._record_fault("link-failure", link=victim)
+            self._record_fault(self.fail_event, link=victim)
             if self.reroute:
                 self._apply_routing()
             if not self.persistent:
@@ -227,24 +194,49 @@ class LinkFailureActor(LinkWatcher, FaultActor):
         self._schedule_failure(self.engine.now)
 
     def _on_repair(self, name: str) -> None:
-        failed_at = self._down.pop(name, None)
-        if failed_at is None:
-            return
-        self.downtime += self.engine.now - failed_at
+        # Victims are drawn among links that are up, so ``name`` is down.
+        self.downtime += self.engine.now - self._down.pop(name)
         self.engine.fluid.set_link_capacity(name, self._nominal[name])
         self.repairs += 1
-        self._record_fault("link-repair", link=name)
+        self._record_fault(self.repair_event, link=name)
         if self.reroute:
             self._apply_routing()
 
     def _apply_routing(self) -> None:
-        """Install the recomputed table for the current down-set, converging
-        live flows onto the surviving paths (the self-healing step)."""
+        """Install the table for the current down-set (converging live flows
+        onto the surviving paths when ``repin`` is set)."""
         self.engine.set_routing(
-            self._routing_for(frozenset(self._down)), repin=True
+            self._routing_for(frozenset(self._down)), repin=self.repin
         )
 
+    def _routing_for(self, avoid: frozenset) -> RoutingTable:
+        """Control-plane recompute: a table avoiding ``avoid``, cached.
+
+        An empty avoid-set is the nominal table itself; every distinct
+        non-empty set is computed once (lazy Dijkstra per source inside the
+        table), counted under ``routing.recomputes`` and traced on the
+        simulation clock.  The fallback keeps pairs reachable when the
+        avoided link is their only path.
+        """
+        table = self._tables.get(avoid)
+        if table is None:
+            table = RoutingTable(
+                self.engine.topology, avoid=avoid, fallback=self._tables[frozenset()]
+            )
+            self._tables[avoid] = table
+            METRICS.count("routing.recomputes")
+            if TRACER.enabled:
+                TRACER.event(
+                    "routing.recompute",
+                    sim_time=self.engine.now,
+                    actor=self.label,
+                    avoid=sorted(avoid),
+                )
+        return table
+
     def stats(self) -> Dict[str, object]:
+        # An outage still open when the iteration ends counts up to now.
+        still_down = sum(self.engine.now - t for t in self._down.values())
         out = super().stats()
         out.update(
             {
@@ -252,7 +244,7 @@ class LinkFailureActor(LinkWatcher, FaultActor):
                 "failures": self.failures,
                 "repairs": self.repairs,
                 "down_now": len(self._down),
-                "downtime": self.downtime,
+                "downtime": self.downtime + still_down,
                 "failed_links": list(self.failed_links),
                 "rerouted": self.reroute,
             }
@@ -260,105 +252,21 @@ class LinkFailureActor(LinkWatcher, FaultActor):
         return out
 
 
-# ---------------------------------------------------------------------- #
-# route flaps
-# ---------------------------------------------------------------------- #
-class RouteFlapActor(LinkWatcher, FaultActor):
-    """Routing instability: recompute routing around a flapping link.
+class RouteFlapActor(LinkFailureActor):
+    """Routing instability: a link failure that the control plane reroutes.
 
-    Every ``interval_mean`` (exponential) seconds one watched link starts a
-    flap of exponential ``duration_mean``: the engine's routing table is
-    swapped for one that avoids every currently-flapping link (newly opened
-    flows are steered around it where an alternate path exists; on tree
-    topologies the fallback keeps the nominal route), and the link's
-    capacity is degraded to ``nominal × severity`` for the window —
-    reconverging control planes blackhole traffic briefly, which is what
-    makes a flap observable even without path diversity.  By default
-    in-flight flows keep the route they were opened with; ``repin=True``
-    converges them onto the recomputed paths at each flap/settle instant,
-    mirroring the self-healing link-failure mode.
+    Built from a ``route-flap`` spec with ``reroute=True``: a flap steers
+    new flows around the flapping link (on tree topologies the fallback
+    keeps the nominal route) and degrades its capacity to ``nominal ×
+    residual`` for the flap window — reconverging control planes blackhole
+    traffic briefly, which makes a flap observable even without path
+    diversity; a residual of 1 only reroutes.  In-flight flows keep their
+    route unless ``repin`` is set, as real connections survive a
+    reconverging control plane.
     """
 
     kind = "route-flap"
-
-    def __init__(
-        self,
-        label: str,
-        rng: np.random.Generator,
-        interval_mean: float,
-        duration_mean: float,
-        links: Optional[Sequence[str]] = None,
-        severity: float = 0.25,
-        start_time: float = 0.0,
-        repin: bool = False,
-    ) -> None:
-        super().__init__(label, links)
-        if interval_mean <= 0 or duration_mean <= 0:
-            raise ValueError("interval and duration means must be positive")
-        if not 0 < severity <= 1:
-            raise ValueError("severity must be in (0, 1]")
-        self.rng = rng
-        self.interval_mean = interval_mean
-        self.duration_mean = duration_mean
-        self.severity = severity
-        self.start_time = float(start_time)
-        self.repin = bool(repin)
-        self.flaps = 0
-        self.reroutes = 0
-        self._active: set = set()
-
-    def start(self) -> None:
-        self._schedule_flap(self.start_time)
-
-    def _schedule_flap(self, after: float) -> None:
-        delay = float(self.rng.exponential(self.interval_mean))
-        self.engine.schedule(self, after + delay, self._on_flap)
-
-    def _on_flap(self) -> None:
-        stable = [name for name in self.links if name not in self._active]
-        if stable:
-            victim = stable[int(self.rng.integers(0, len(stable)))]
-            self._active.add(victim)
-            self.flaps += 1
-            self._record_fault("route-flap", link=victim)
-            self._apply_routing()
-            if self.severity < 1.0:
-                self.engine.fluid.set_link_capacity(
-                    victim, self._nominal[victim] * self.severity
-                )
-            duration = float(self.rng.exponential(self.duration_mean))
-            self.engine.schedule(
-                self,
-                self.engine.now + duration,
-                lambda name=victim: self._on_settle(name),
-            )
-        self._schedule_flap(self.engine.now)
-
-    def _on_settle(self, name: str) -> None:
-        if name not in self._active:
-            return
-        self._active.discard(name)
-        self._record_fault("route-settle", link=name)
-        self._apply_routing()
-        self.engine.fluid.set_link_capacity(name, self._nominal[name])
-
-    def _apply_routing(self) -> None:
-        self.engine.set_routing(
-            self._routing_for(frozenset(self._active)), repin=self.repin
-        )
-        self.reroutes += 1
-
-    def stats(self) -> Dict[str, object]:
-        out = super().stats()
-        out.update(
-            {
-                "links_watched": len(self.links),
-                "flaps": self.flaps,
-                "reroutes": self.reroutes,
-                "flapping_now": len(self._active),
-            }
-        )
-        return out
+    fail_event, repair_event = "route-flap", "route-settle"
 
 
 # ---------------------------------------------------------------------- #

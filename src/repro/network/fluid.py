@@ -151,11 +151,6 @@ class FluidNetwork:
         #: Absolute time at which ``_remaining`` was last materialized; the
         #: current ``_rate`` vector governs ``[_anchor, next transition)``.
         self._anchor = 0.0
-        self.completed: List[FluidTransfer] = []
-        #: Whether finished transfers are appended to :attr:`completed`.
-        #: Long-running multi-tenant workloads (hours of generative cross
-        #: traffic) switch this off so memory stays O(active transfers).
-        self.retain_completed = True
         #: Monotone count of flow-set transitions (arrivals, cancellations,
         #: completions); callers snapshot it to detect rate changes.
         self.transitions = 0
@@ -451,8 +446,6 @@ class FluidNetwork:
                 self._remaining[transfer._slot] = 0.0
                 self._detach(transfer)
                 del self._active[transfer.transfer_id]
-                if self.retain_completed:
-                    self.completed.append(transfer)
                 finished.append(transfer)
         self.now = max(self.now, target)
         for transfer in finished:

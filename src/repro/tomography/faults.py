@@ -190,8 +190,9 @@ def _epoch_truths(
 
     Preferred source: the plan itself (a single pinned ``links`` victim
     on the epoch's link-failure spec).  Fallback: the union of victim
-    names the injectors actually recorded (``failed_links`` in the
-    epoch's workload stats).  Several distinct victims → no single truth.
+    names the link-failure injectors actually recorded (``failed_links``
+    in the epoch's workload stats; route flaps share the row shape but are
+    not failures).  Several distinct victims → no single truth.
     """
     truths: List[Optional[str]] = []
     for onset, end in zip(onsets, ends):
@@ -207,7 +208,8 @@ def _epoch_truths(
             pinned = set()
             for i in range(onset, min(end, len(aligned_stats))):
                 for row in aligned_stats[i] or ():
-                    pinned.update(row.get("failed_links") or ())
+                    if row.get("kind") == "link-failure":
+                        pinned.update(row["failed_links"])
         truths.append(next(iter(pinned)) if len(pinned) == 1 else None)
     return truths
 

@@ -70,7 +70,7 @@ def summarize_workload_stats(stats_per_iteration: List[List[Dict]]) -> Dict[str,
                 totals["link_repairs"] += int(row.get("repairs", 0))
                 totals["link_downtime_s"] += float(row.get("downtime", 0.0))
             elif kind == "route-flap":
-                totals["route_flaps"] += int(row.get("flaps", 0))
+                totals["route_flaps"] += int(row.get("failures", 0))
             elif kind == "tracker-outage":
                 totals["tracker_outages"] += int(row.get("outages", 0))
             elif kind == "tenant-cycle":

@@ -30,7 +30,7 @@ from repro.simulation.rng import RandomStreams, derive_seed
 from repro.tomography.metric import EdgeMetric, aggregate_mean
 
 #: On-disk checkpoint layout version (bump on incompatible change).
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 
 @dataclass

@@ -11,9 +11,7 @@ their agreement with the ground truth (overlapping NMI, as in Fig. 13).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
-
-import numpy as np
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.bittorrent.swarm import SwarmConfig
 from repro.bittorrent.torrent import TorrentMeta
@@ -122,6 +120,34 @@ def default_swarm_config(
     return SwarmConfig(torrent=torrent, **overrides)
 
 
+def _cluster(
+    graph: WeightedGraph,
+    labels: Sequence[str],
+    clusterer: Callable[[WeightedGraph], Partition],
+) -> Partition:
+    if graph.total_weight() <= 0:
+        # Degenerate measurement (no fragments exchanged): a single cluster.
+        return Partition.whole(labels)
+    return clusterer(graph)
+
+
+def prefix_clusterings(
+    record: MeasurementRecord, clusterer: Callable[[WeightedGraph], Partition]
+) -> Iterator[Tuple[EdgeMetric, WeightedGraph, Partition]]:
+    """``(aggregate, metric graph, partition)`` after 1, 2, ..., n iterations.
+
+    The Fig. 13 prefix loop of :meth:`TomographyPipeline.analyze` and
+    :func:`~repro.analysis.convergence.nmi_convergence`, over the
+    incremental :meth:`~repro.tomography.measurement.MeasurementRecord
+    .cumulative_aggregates`.  The last prefix's aggregate equals
+    :meth:`~repro.tomography.measurement.MeasurementRecord.aggregate`
+    bitwise (fragment counts are integers, so the running sum is exact).
+    """
+    for metric in record.cumulative_aggregates():
+        graph = metric_graph(metric)
+        yield metric, graph, _cluster(graph, metric.labels, clusterer)
+
+
 class TomographyPipeline:
     """The two-phase tomography method of the paper.
 
@@ -203,14 +229,6 @@ class TomographyPipeline:
         self._clusterer = clusterer or (lambda graph: louvain(graph).partition)
 
     # ------------------------------------------------------------------ #
-    def cluster_metric(self, metric: EdgeMetric) -> Partition:
-        """Phase 2 alone: cluster an aggregated metric into logical clusters."""
-        graph = metric_graph(metric)
-        if graph.total_weight() <= 0:
-            # Degenerate measurement (no fragments exchanged): a single cluster.
-            return Partition.whole(metric.labels)
-        return self._clusterer(graph)
-
     def evaluate(self, partition: Partition) -> Dict[str, float]:
         """NMI scores of a partition against the configured ground truth."""
         if self.ground_truth is None:
@@ -244,34 +262,35 @@ class TomographyPipeline:
     def analyze(
         self, record: MeasurementRecord, track_convergence: bool = True
     ) -> TomographyResult:
-        """Phase 2 applied to an existing measurement record."""
+        """Phase 2 applied to an existing measurement record.
+
+        When the convergence curve is tracked, the last prefix is the whole
+        record: its aggregate, graph and partition are the result's, so no
+        graph is built or clustered twice.
+        """
         analyze_started = TRACER.now() if TRACER.enabled else 0.0
         with METRICS.timer("pipeline.analyze_s"):
-            metric = record.aggregate()
-            graph = metric_graph(metric)
-            partition = self.cluster_metric(metric)
+            convergence: List[float] = []
+            if self.ground_truth is not None and track_convergence:
+                tracing = TRACER.enabled
+                for k, (metric, graph, partition) in enumerate(
+                    prefix_clusterings(record, self._clusterer), start=1
+                ):
+                    value = overlapping_nmi(partition, self.ground_truth)
+                    convergence.append(value)
+                    if tracing:
+                        TRACER.event("pipeline.nmi", iterations=k, nmi=value)
+            else:
+                metric = record.aggregate()
+                graph = metric_graph(metric)
+                partition = _cluster(graph, metric.labels, self._clusterer)
             q = modularity(graph, partition) if graph.total_weight() > 0 else 0.0
 
             nmi = classical = None
-            convergence: List[float] = []
             if self.ground_truth is not None:
                 scores = self.evaluate(partition)
                 nmi = scores["overlapping_nmi"]
                 classical = scores["classical_nmi"]
-                if track_convergence:
-                    # Incremental prefix aggregates: one matrix pass per prefix
-                    # instead of re-averaging every prefix from scratch.
-                    tracing = TRACER.enabled
-                    for k, partial_metric in enumerate(
-                        record.cumulative_aggregates(), start=1
-                    ):
-                        partial = self.cluster_metric(partial_metric)
-                        value = overlapping_nmi(partial, self.ground_truth)
-                        convergence.append(value)
-                        if tracing:
-                            TRACER.event(
-                                "pipeline.nmi", iterations=k, nmi=value
-                            )
 
         METRICS.count("pipeline.runs")
         METRICS.count("pipeline.iterations", record.iterations)

@@ -287,13 +287,12 @@ class _TrafficActor(WorkloadActor):
         self,
         label: str,
         rng: np.random.Generator,
-        hosts: Optional[Sequence[str]] = None,
         rate_cap: Optional[float] = None,
         start_time: float = 0.0,
     ) -> None:
         super().__init__(label)
         self.rng = rng
-        self.hosts = list(hosts) if hosts is not None else None
+        self.hosts: List[str] = []
         self.rate_cap = rate_cap
         self.start_time = float(start_time)
         self.flows_started = 0
@@ -306,13 +305,13 @@ class _TrafficActor(WorkloadActor):
 
     def bind(self, engine) -> None:
         super().bind(engine)
-        if self.hosts is None:
-            self.hosts = list(engine.topology.host_names)
+        self.hosts = list(engine.topology.host_names)
         if len(self.hosts) < 2:
             raise ValueError(f"traffic actor {self.label!r} needs >= 2 hosts")
 
     def _pick_pair(self) -> Tuple[str, str]:
-        """A uniformly random ordered host pair from this actor's stream."""
+        """A uniformly random ordered pair of the topology's hosts, drawn
+        from this actor's stream."""
         n = len(self.hosts)
         i = int(self.rng.integers(0, n))
         j = int(self.rng.integers(0, n - 1))
@@ -369,11 +368,9 @@ class PoissonTrafficActor(_TrafficActor):
         rng: np.random.Generator,
         offered_load: float,
         mean_size: float,
-        hosts: Optional[Sequence[str]] = None,
-        rate_cap: Optional[float] = None,
         start_time: float = 0.0,
     ) -> None:
-        super().__init__(label, rng, hosts, rate_cap, start_time)
+        super().__init__(label, rng, start_time=start_time)
         if offered_load <= 0 or mean_size <= 0:
             raise ValueError("offered_load and mean_size must be positive")
         self.offered_load = offered_load
@@ -411,18 +408,15 @@ class OnOffTrafficActor(_TrafficActor):
         on_mean: float,
         off_mean: float,
         burst_size: float,
-        hosts: Optional[Sequence[str]] = None,
-        pair: Optional[Tuple[str, str]] = None,
         rate_cap: Optional[float] = None,
         start_time: float = 0.0,
     ) -> None:
-        super().__init__(label, rng, hosts, rate_cap, start_time)
+        super().__init__(label, rng, rate_cap, start_time)
         if on_mean <= 0 or off_mean <= 0 or burst_size <= 0:
             raise ValueError("on/off means and burst_size must be positive")
         self.on_mean = on_mean
         self.off_mean = off_mean
         self.burst_size = burst_size
-        self.pair = pair
         self._transfer = None
 
     def start(self) -> None:
@@ -432,7 +426,7 @@ class OnOffTrafficActor(_TrafficActor):
     def _on_period(self) -> None:
         if self.stopped:
             return
-        src, dst = self.pair if self.pair is not None else self._pick_pair()
+        src, dst = self._pick_pair()
         self._transfer = self._launch(src, dst, self.burst_size)
         duration = float(self.rng.exponential(self.on_mean))
         self.engine.schedule(self, self.engine.now + duration, self._off_period)
@@ -473,11 +467,9 @@ class BulkTransferActor(_TrafficActor):
         dst: str,
         size: float,
         repeat: bool = True,
-        rate_cap: Optional[float] = None,
         start_time: float = 0.0,
     ) -> None:
-        super().__init__(label, rng, hosts=[src, dst], rate_cap=rate_cap,
-                         start_time=start_time)
+        super().__init__(label, rng, start_time=start_time)
         if size <= 0:
             raise ValueError("size must be positive")
         self.src = src
@@ -570,9 +562,9 @@ class ChurnActor(WorkloadActor):
     A rejoin is an announce, so it respects tracker outages (see
     :class:`~repro.faults.actors.TrackerOutageActor`): while the engine's
     ``tracker_down`` flag is set the rejoin is retried with bounded
-    exponential backoff — a deterministic schedule off ``retry_base``
-    (default ``0.1 × downtime_mean``), no extra random draws, so an empty
-    fault plan leaves the churn stream untouched bit for bit.
+    exponential backoff — a deterministic schedule off ``retry_base =
+    0.1 × downtime_mean``, no extra random draws, so an empty fault plan
+    leaves the churn stream untouched bit for bit.
     """
 
     kind = "churn"
@@ -585,7 +577,6 @@ class ChurnActor(WorkloadActor):
         interval_mean: float,
         downtime_mean: float,
         start_time: float = 0.0,
-        retry_base: Optional[float] = None,
     ) -> None:
         super().__init__(label)
         if interval_mean <= 0 or downtime_mean <= 0:
@@ -595,9 +586,7 @@ class ChurnActor(WorkloadActor):
         self.interval_mean = interval_mean
         self.downtime_mean = downtime_mean
         self.start_time = float(start_time)
-        self.retry_base = (
-            float(retry_base) if retry_base is not None else 0.1 * downtime_mean
-        )
+        self.retry_base = 0.1 * downtime_mean
         self.leaves = 0
         self.rejoins = 0
         self.announce_retries = 0

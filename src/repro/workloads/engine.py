@@ -74,9 +74,6 @@ class WorkloadEngine:
         self.fluid = FluidNetwork(topology, self.routing)
         if start_time:
             self.fluid.advance_to(start_time)
-        # Long workloads would otherwise accumulate every finished cross-
-        # traffic transfer; actors keep their own byte tallies instead.
-        self.fluid.retain_completed = False
         self.actors: List[WorkloadActor] = []
         self.events_dispatched = 0
         #: Set by :class:`~repro.faults.actors.TrackerOutageActor` while the

@@ -259,11 +259,12 @@ def _build_actor(
         return RouteFlapActor(
             spec.label,
             rng,
-            interval_mean=float(p.get("interval_frac", 0.35)) * duration,
-            duration_mean=float(p.get("duration_frac", 0.08)) * duration,
+            mtbf=float(p.get("interval_frac", 0.35)) * duration,
+            repair_mean=float(p.get("duration_frac", 0.08)) * duration,
             links=p.get("links"),
-            severity=float(p.get("severity", 0.25)),
+            residual=float(p.get("severity", 0.25)),
             start_time=start_time,
+            reroute=True,
             repin=bool(p.get("repin", False)),
         )
     if spec.kind == "tracker-outage":

@@ -29,6 +29,10 @@ from repro.faults import (
     tenant_cycle_plan,
     tracker_outage_plan,
 )
+from repro.observability.metrics import METRICS
+from repro.scenarios import get_scenario
+from repro.scenarios.catalog import _localization_dataset
+from repro.tomography import measurement
 from repro.tomography.faults import (
     DETECT_FACTOR,
     detect_epochs,
@@ -238,7 +242,42 @@ class TestInjectorStats:
 
     def test_route_flap_rows(self, gt_dataset, small_config):
         rows = self._stats(gt_dataset, small_config, route_flap_plan(3.0))
-        assert rows["flap"]["flaps"] >= 1
+        assert rows["flap"]["failures"] >= 1
+
+    def test_a_persistent_failure_counts_its_downtime(self):
+        # The blackout is never repaired: its outage runs to the end of
+        # every post-onset iteration and counts up to that instant.
+        summary = get_scenario("LINK-BLACKOUT").run(iterations=4, per_site=3)
+        assert summary["link_repairs"] == 0
+        assert 0 < summary["link_downtime_s"] <= summary["measurement_time_s"]
+
+    @pytest.mark.parametrize("repin", [False, True])
+    def test_a_flap_repins_live_flows_only_when_asked(self, repin):
+        # On the backup-link substrate the flapping bottleneck has a
+        # detour, so a re-pinning flap moves live flows onto it; by
+        # default in-flight flows keep their route.
+        ds = _localization_dataset(3, backup=True)
+        params = {"repin": True} if repin else {}
+        plan = WorkloadSpec(
+            name="flap-bottleneck",
+            actors=(
+                actor("route-flap", "flap",
+                      links=("bordeaux.bordeplage.bottleneck",), **params),
+            ),
+        )
+        digests = {}
+        for stepping in ("fixed", "event"):
+            before = METRICS.snapshot()
+            record = MeasurementCampaign(
+                ds.topology, default_swarm_config(120, stepping=stepping),
+                hosts=ds.hosts, seed=2012, faults=plan,
+            ).run(2)
+            moved = METRICS.snapshot().delta_since(before).counter(
+                "routing.repins"
+            )
+            assert (moved > 0) == repin
+            digests[stepping] = record_digest(record)
+        assert digests["fixed"] == digests["event"]
 
     def test_tracker_outage_and_latecomer_rows(self, gt_dataset, small_config):
         rows = self._stats(gt_dataset, small_config, tracker_outage_plan(2.0))
@@ -311,6 +350,28 @@ class TestCheckpointResume:
         victim.write_bytes(b"not a pickle")
         resumed = self._campaign(gt_dataset, small_config, tmp_path).run(2)
         assert record_digest(resumed) == record_digest(baseline)
+
+    def test_a_checkpoint_of_another_version_is_rerun(
+        self, gt_dataset, small_config, tmp_path, monkeypatch
+    ):
+        uninterrupted = MeasurementCampaign(
+            gt_dataset.topology, small_config, hosts=gt_dataset.hosts,
+            seed=2012, faults="chaos",
+        ).run(2)
+        with monkeypatch.context() as patched:
+            patched.setattr(measurement, "CHECKPOINT_VERSION",
+                            measurement.CHECKPOINT_VERSION - 1)
+            self._campaign(gt_dataset, small_config, tmp_path,
+                           faults="chaos").run(2)
+        before = METRICS.snapshot()
+        resumed = self._campaign(
+            gt_dataset, small_config, tmp_path, faults="chaos"
+        ).run(2)
+        delta = METRICS.snapshot().delta_since(before)
+        assert delta.counter("campaign.checkpoint_resumes") == 0
+        assert delta.counter("campaign.checkpoint_writes") == 2
+        assert record_digest(resumed) == record_digest(uninterrupted)
+        assert resumed.workload_stats == uninterrupted.workload_stats
 
     def test_checkpoints_work_under_faults(self, gt_dataset, small_config, tmp_path):
         uninterrupted = MeasurementCampaign(
@@ -517,6 +578,17 @@ class TestDetection:
         assert summary["link_failures"] >= 1
         assert not summary["degraded"]
         assert summary["achieved_iterations"] == 4
+
+    def test_route_flap_victims_are_not_the_failed_link(self, gt_dataset):
+        # Chaos pins no victim, so the truth falls back to the recorded
+        # victims; the flap shares the link-failure row shape, but its
+        # flapping links are not failures and must not blur the truth.
+        summary = run_dataset_clustering(
+            gt_dataset, faults="chaos", iterations=4, num_fragments=150,
+            seed=2012,
+        )
+        assert summary["route_flaps"] >= 1
+        assert summary["true_link"] == "grenoble.genepi.switch--grenoble.router"
 
     def test_fault_campaign_with_quorum_and_workload(self, gt_dataset):
         summary = run_dataset_clustering(

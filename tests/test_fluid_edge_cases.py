@@ -233,15 +233,3 @@ class TestFailureOnPredictedTransition:
         # And the failure really happened: the degraded broadcast's matrix
         # or duration differs from the healthy probe's.
         assert fixed[:3] != probe[:3]
-
-
-class TestRetainCompleted:
-    def test_completed_list_can_be_disabled(self, dumbbell_topology):
-        net = FluidNetwork(dumbbell_topology)
-        net.retain_completed = False
-        seen = []
-        net.start_transfer("left-0", "left-1", 1e6, on_complete=seen.append)
-        net.run_until_complete()
-        assert len(seen) == 1
-        assert net.completed == []
-        assert seen[0].done
