@@ -8,11 +8,10 @@ Two usage styles are supported:
   this is the classic flow-level simulation used for NetPIPE probes and the
   saturation-tomography baselines, and what the event-stepped BitTorrent
   swarm builds its jump targets from.
-* **time-stepped** (:meth:`FluidNetwork.advance` /
-  :meth:`FluidNetwork.advance_to`) — the caller advances the clock and the
-  engine credits ``rate × elapsed`` bytes to every active transfer; the
-  BitTorrent swarm uses this mode because its own control loop (choking
-  rounds, piece selection) runs on a discretized schedule.
+* **time-stepped** (:meth:`FluidNetwork.advance_to`) — the caller advances
+  the clock and the engine credits ``rate × elapsed`` bytes to every active
+  transfer; the BitTorrent swarm uses this mode because its own control
+  loop (choking rounds, piece selection) runs on a discretized schedule.
 
 Internally the network keeps a :class:`~repro.network.solver.FlowSet` whose
 slots index contiguous ``remaining``/``rate``/``size`` vectors.  The byte
@@ -452,12 +451,6 @@ class FluidNetwork:
             if transfer.on_complete is not None:
                 transfer.on_complete(transfer)
         return finished
-
-    def advance(self, dt: float) -> List[FluidTransfer]:
-        """Advance the fluid state by ``dt`` seconds (relative-time wrapper)."""
-        if dt < 0:
-            raise ValueError(f"dt must be non-negative, got {dt}")
-        return self.advance_to(self.now + dt)
 
     # ------------------------------------------------------------------ #
     # event-driven mode

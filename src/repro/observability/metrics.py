@@ -33,7 +33,6 @@ Two properties carry the whole design:
 
 from __future__ import annotations
 
-import math
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -257,8 +256,6 @@ def _validate_catalogue() -> None:  # pragma: no cover - import-time guard
     for name, (kind, _) in METRIC_CATALOGUE.items():
         if kind not in ("counter", "gauge", "histogram"):
             raise AssertionError(f"bad metric kind for {name}: {kind}")
-        if not math.isfinite(len(name)):
-            raise AssertionError
 
 
 _validate_catalogue()

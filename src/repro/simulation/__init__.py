@@ -1,18 +1,18 @@
-"""Discrete-event simulation core used by the network and BitTorrent substrates.
+"""Discrete-event agenda and seeded random streams.
 
-The simulator is deliberately small: a monotonic clock, a binary-heap event
-queue and a handful of helpers for scheduling callbacks.  Everything that
-needs "time" in the reproduction (fluid network steps, BitTorrent choking
-rounds, NetPIPE probes, baseline tomography schedules) runs on top of
-:class:`repro.simulation.engine.Simulator`.
+The agenda is deliberately small: a monotonic clock and a lazily cancelled
+binary heap of callbacks.  Only the multi-tenant
+:class:`~repro.workloads.engine.WorkloadEngine` runs on
+:class:`repro.simulation.engine.Simulator`; a standalone broadcast, the
+NetPIPE probes and the baseline schedules advance a
+:class:`~repro.network.fluid.FluidNetwork` clock directly.
 """
 
-from repro.simulation.engine import Event, EventQueue, Simulator, SimulationError
+from repro.simulation.engine import Event, Simulator, SimulationError
 from repro.simulation.rng import RandomStreams, derive_seed
 
 __all__ = [
     "Event",
-    "EventQueue",
     "Simulator",
     "SimulationError",
     "RandomStreams",

@@ -1,12 +1,11 @@
-"""A minimal discrete-event simulation engine.
+"""The discrete-event agenda of the multi-tenant workload engine.
 
-The engine follows the classic event-list design: events are ``(time, order,
-callback)`` triples kept in a binary heap; :meth:`Simulator.run` pops them in
-time order and invokes the callbacks.  Callbacks may schedule further events.
-
-The engine is single-threaded and deterministic: ties on the timestamp are
-broken by insertion order, so a simulation driven by seeded random streams
-always replays identically.
+Events are ``(time, order, callback)`` triples kept in a binary heap; ties on
+the timestamp are broken by insertion order, so a simulation driven by seeded
+random streams always replays identically.  Cancellation is lazy: a cancelled
+event stays in the heap and is dropped when it reaches the top.  The agenda
+has no run loop of its own: :class:`~repro.workloads.engine.WorkloadEngine`
+interleaves :meth:`Simulator.step` with the fluid network's transitions.
 """
 
 from __future__ import annotations
@@ -19,11 +18,7 @@ from typing import Callable, List, Optional
 
 
 class SimulationError(RuntimeError):
-    """Raised when the simulator is used inconsistently.
-
-    Examples include scheduling an event in the past or running a simulator
-    that has already been stopped with a fatal error.
-    """
+    """Raised for an event at a past or non-finite time, or a backwards clock move."""
 
 
 @dataclass(order=True)
@@ -35,13 +30,14 @@ class Event:
     time:
         Simulated time (seconds) at which the callback fires.
     order:
-        Monotonic tie-breaker assigned by the queue; two events with equal
+        Monotonic tie-breaker assigned by the agenda; two events with equal
         ``time`` fire in scheduling order.
     callback:
         Zero-argument callable invoked when the event fires.  Excluded from
         ordering comparisons.
     cancelled:
-        Lazily-cancelled events stay in the heap but are skipped when popped.
+        Cancelled events stay in the heap but are skipped when they reach
+        its top.
     """
 
     time: float
@@ -51,135 +47,28 @@ class Event:
     #: Opaque owner tag (e.g. the workload actor that scheduled the event);
     #: lets a shared-agenda driver attribute each dispatch to its actor.
     owner: Optional[object] = field(default=None, compare=False, repr=False)
-    _queue: Optional["EventQueue"] = field(default=None, compare=False, repr=False)
 
     def cancel(self) -> None:
         """Mark the event so that it will be skipped when its time comes."""
-        if not self.cancelled:
-            self.cancelled = True
-            queue = self._queue
-            if queue is not None:
-                queue._live -= 1
-                queue._maybe_compact()
-
-
-#: Heaps smaller than this are never compacted: the O(n) rebuild would cost
-#: more than the handful of dead entries it reclaims.
-_COMPACT_MIN_HEAP = 64
-
-
-class EventQueue:
-    """Binary-heap priority queue of :class:`Event` objects.
-
-    The number of live (non-cancelled) events is tracked with a counter
-    maintained on push/pop/cancel, so ``len(queue)`` is O(1) instead of a
-    full heap scan — simulations poll :attr:`Simulator.pending` freely.
-
-    Cancelled entries are dropped lazily: normally when they surface at the
-    heap top, but once they outnumber the live events (churn and rechoke
-    cancellations produce exactly this pattern) the whole heap is compacted
-    in one pass, so the memory footprint stays O(live events).
-    """
-
-    def __init__(self) -> None:
-        self._heap: List[Event] = []
-        self._counter = itertools.count()
-        self._live = 0
-
-    def __len__(self) -> int:
-        return self._live
-
-    def _maybe_compact(self) -> None:
-        """Rebuild the heap once cancelled entries exceed the live ones.
-
-        Events compare by ``(time, order)``, so re-heapifying the surviving
-        entries preserves the deterministic dispatch order exactly.
-        """
-        heap = self._heap
-        if len(heap) < _COMPACT_MIN_HEAP or len(heap) - self._live <= self._live:
-            return
-        survivors = []
-        for event in heap:
-            if event.cancelled:
-                event._queue = None
-            else:
-                survivors.append(event)
-        heapq.heapify(survivors)
-        self._heap = survivors
-
-    def push(
-        self,
-        time: float,
-        callback: Callable[[], None],
-        owner: Optional[object] = None,
-    ) -> Event:
-        """Insert a callback at ``time`` and return the event handle."""
-        event = Event(
-            time=time, order=next(self._counter), callback=callback, owner=owner
-        )
-        event._queue = self
-        heapq.heappush(self._heap, event)
-        self._live += 1
-        return event
-
-    def pop(self) -> Optional[Event]:
-        """Remove and return the earliest non-cancelled event, or ``None``."""
-        while self._heap:
-            event = heapq.heappop(self._heap)
-            if not event.cancelled:
-                self._live -= 1
-                event._queue = None
-                return event
-        return None
-
-    def peek_time(self) -> Optional[float]:
-        """Return the firing time of the next live event without popping it."""
-        while self._heap and self._heap[0].cancelled:
-            heapq.heappop(self._heap)
-        if not self._heap:
-            return None
-        return self._heap[0].time
-
-    def clear(self) -> None:
-        for event in self._heap:
-            event._queue = None
-        self._heap.clear()
-        self._live = 0
+        self.cancelled = True
 
 
 class Simulator:
-    """Discrete-event simulator with a floating-point clock in seconds.
+    """A heap of :class:`Event` objects and the clock of the last dispatch.
 
-    Parameters
-    ----------
-    start_time:
-        Initial value of the clock.  Defaults to ``0.0``.
-
-    Notes
-    -----
-    The simulator is re-usable: after :meth:`run` drains the queue, further
-    events may be scheduled and :meth:`run` called again; the clock keeps
-    advancing monotonically.
+    The clock starts at zero and only moves forward, by :meth:`step` or
+    :meth:`advance_to`.
     """
 
-    def __init__(self, start_time: float = 0.0) -> None:
-        if not math.isfinite(start_time):
-            raise SimulationError("start_time must be finite")
-        self._now = float(start_time)
-        self._queue = EventQueue()
-        self._running = False
-        self._stopped = False
-        self.events_processed = 0
+    def __init__(self) -> None:
+        self._now = 0.0
+        self._heap: List[Event] = []
+        self._counter = itertools.count()
 
     @property
     def now(self) -> float:
         """Current simulated time in seconds."""
         return self._now
-
-    @property
-    def pending(self) -> int:
-        """Number of live (non-cancelled) events still queued."""
-        return len(self._queue)
 
     def schedule_at(
         self,
@@ -189,9 +78,8 @@ class Simulator:
     ) -> Event:
         """Schedule ``callback`` at absolute time ``time``.
 
-        ``owner`` is an opaque tag carried on the event; shared-agenda
-        drivers (the multi-tenant workload engine) use it to attribute each
-        dispatch to the actor that scheduled it.
+        ``owner`` is an opaque tag carried on the event; the workload engine
+        uses it to attribute each dispatch to the actor that scheduled it.
 
         Raises
         ------
@@ -204,93 +92,34 @@ class Simulator:
             raise SimulationError(
                 f"cannot schedule event in the past (now={self._now}, requested={time})"
             )
-        return self._queue.push(max(time, self._now), callback, owner=owner)
-
-    def schedule_in(
-        self,
-        delay: float,
-        callback: Callable[[], None],
-        owner: Optional[object] = None,
-    ) -> Event:
-        """Schedule ``callback`` after ``delay`` seconds of simulated time."""
-        if delay < 0:
-            raise SimulationError(f"delay must be non-negative, got {delay}")
-        return self.schedule_at(self._now + delay, callback, owner=owner)
+        event = Event(max(time, self._now), next(self._counter), callback, owner=owner)
+        heapq.heappush(self._heap, event)
+        return event
 
     def peek_time(self) -> Optional[float]:
         """Firing time of the next live event, or ``None`` when idle.
 
-        Lets an external driver interleave other work (e.g. fluid-network
-        transitions) between events without popping them.
+        Lets the workload engine interleave fluid-network transitions between
+        events without popping them.
         """
-        return self._queue.peek_time()
+        heap = self._heap
+        while heap and heap[0].cancelled:
+            heapq.heappop(heap)
+        return heap[0].time if heap else None
 
     def step(self) -> Optional[Event]:
-        """Pop and dispatch exactly one event; return it (``None`` when idle).
-
-        The workload engine drives the shared agenda with this instead of
-        :meth:`run` so it can advance the fluid network to each event's time
-        before the callback fires.
-        """
-        event = self._queue.pop()
-        if event is None:
-            return None
-        self._now = max(self._now, event.time)
-        event.callback()
-        self.events_processed += 1
-        return event
-
-    def stop(self) -> None:
-        """Request the run loop to stop after the current event."""
-        self._stopped = True
-
-    def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> float:
-        """Process events in time order.
-
-        Parameters
-        ----------
-        until:
-            Optional horizon; events scheduled strictly after it are left in
-            the queue and the clock is advanced to ``until``.
-        max_events:
-            Optional safety valve on the number of callbacks invoked.
-
-        Returns
-        -------
-        float
-            The simulation time when the run loop exits.
-        """
-        if self._running:
-            raise SimulationError("Simulator.run() is not reentrant")
-        self._running = True
-        self._stopped = False
-        processed = 0
-        try:
-            while True:
-                if self._stopped:
-                    break
-                if max_events is not None and processed >= max_events:
-                    break
-                next_time = self._queue.peek_time()
-                if next_time is None:
-                    break
-                if until is not None and next_time > until + 1e-12:
-                    break
-                event = self._queue.pop()
-                if event is None:
-                    break
+        """Pop and dispatch exactly one live event; return it (``None`` when idle)."""
+        heap = self._heap
+        while heap:
+            event = heapq.heappop(heap)
+            if not event.cancelled:
                 self._now = max(self._now, event.time)
                 event.callback()
-                processed += 1
-                self.events_processed += 1
-        finally:
-            self._running = False
-        if until is not None and not self._stopped:
-            self._now = max(self._now, until)
-        return self._now
+                return event
+        return None
 
     def advance_to(self, time: float) -> None:
-        """Advance the clock without processing events (used by fluid stepping)."""
+        """Move the clock forward to ``time`` without dispatching anything."""
         if time < self._now - 1e-12:
             raise SimulationError(
                 f"cannot move the clock backwards (now={self._now}, requested={time})"

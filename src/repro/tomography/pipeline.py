@@ -265,8 +265,8 @@ class TomographyPipeline:
         """Phase 2 applied to an existing measurement record.
 
         When the convergence curve is tracked, the last prefix is the whole
-        record: its aggregate, graph and partition are the result's, so no
-        graph is built or clustered twice.
+        record: its aggregate, graph, partition and overlapping NMI are the
+        result's, so no graph is built, clustered or scored twice.
         """
         analyze_started = TRACER.now() if TRACER.enabled else 0.0
         with METRICS.timer("pipeline.analyze_s"):
@@ -287,7 +287,10 @@ class TomographyPipeline:
             q = modularity(graph, partition) if graph.total_weight() > 0 else 0.0
 
             nmi = classical = None
-            if self.ground_truth is not None:
+            if convergence:
+                nmi = convergence[-1]
+                classical = normalized_mutual_information(partition, self.ground_truth)
+            elif self.ground_truth is not None:
                 scores = self.evaluate(partition)
                 nmi = scores["overlapping_nmi"]
                 classical = scores["classical_nmi"]

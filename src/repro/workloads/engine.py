@@ -58,24 +58,16 @@ class WorkloadEngine:
         The network substrate every tenant's flows share.
     routing:
         Optional pre-built routing table (shared across iterations).
-    start_time:
-        Initial clock value (both the agenda's and the fluid network's).
     """
 
     def __init__(
-        self,
-        topology: Topology,
-        routing: Optional[RoutingTable] = None,
-        start_time: float = 0.0,
+        self, topology: Topology, routing: Optional[RoutingTable] = None
     ) -> None:
         self.topology = topology
         self.routing = routing or RoutingTable(topology)
-        self.simulator = Simulator(start_time)
+        self.simulator = Simulator()
         self.fluid = FluidNetwork(topology, self.routing)
-        if start_time:
-            self.fluid.advance_to(start_time)
         self.actors: List[WorkloadActor] = []
-        self.events_dispatched = 0
         #: Set by :class:`~repro.faults.actors.TrackerOutageActor` while the
         #: rendezvous service is dark; announce-dependent actors check it and
         #: retry with bounded backoff.
@@ -170,8 +162,7 @@ class WorkloadEngine:
 
         trace_full = TRACER.full
         engine_started = TRACER.now() if TRACER.enabled else 0.0
-        dispatched_before = self.events_dispatched
-        processed = 0
+        dispatched = processed = 0
         while True:
             if blocking and all(actor.done for actor in blocking):
                 break
@@ -214,7 +205,7 @@ class WorkloadEngine:
             # before the callback runs, as a real event-list sim would.
             self.fluid.advance_to(t_event)
             event = self.simulator.step()
-            self.events_dispatched += 1
+            dispatched += 1
             if trace_full and event is not None:
                 owner = getattr(event, "owner", None)
                 TRACER.event(
@@ -226,7 +217,6 @@ class WorkloadEngine:
                 self._network_changed(t_event, source=event.owner)
 
         self._running = False
-        dispatched = self.events_dispatched - dispatched_before
         METRICS.count("workload.dispatches", dispatched)
         if TRACER.enabled:
             TRACER.span_record(

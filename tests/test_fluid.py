@@ -84,7 +84,7 @@ class TestSharing:
         network = FluidNetwork(dumbbell_topology)
         doomed = network.start_transfer("left-0", "right-0", 100e6)
         survivor = network.start_transfer("left-1", "right-1", 1e6)
-        network.advance(0.1)
+        network.advance_to(0.1)
         network.cancel_transfer(doomed)
         network.run_until_complete()
         assert doomed.finish_time is None
@@ -95,26 +95,27 @@ class TestAdvance:
     def test_advance_accumulates_bytes_at_allocated_rate(self, dumbbell_topology):
         network = FluidNetwork(dumbbell_topology)
         transfer = network.start_transfer("left-0", "left-1", 100e6)
-        network.advance(0.5)
+        network.advance_to(0.5)
         assert transfer.transferred == pytest.approx(0.5 * 100 * MBPS, rel=1e-6)
         assert not transfer.done
 
     def test_advance_handles_mid_step_completion(self, dumbbell_topology):
         network = FluidNetwork(dumbbell_topology)
         small = network.start_transfer("left-0", "left-1", 1e6)
-        finished = network.advance(10.0)
+        finished = network.advance_to(10.0)
         assert [t.transfer_id for t in finished] == [small.transfer_id]
         assert small.finish_time == pytest.approx(1e6 / (100 * MBPS), rel=1e-6)
         assert network.now == pytest.approx(10.0)
 
     def test_advance_with_negative_dt_raises(self, dumbbell_topology):
         network = FluidNetwork(dumbbell_topology)
+        network.advance_to(2.0)
         with pytest.raises(ValueError):
-            network.advance(-1.0)
+            network.advance_to(1.0)
 
     def test_advance_without_transfers_moves_clock(self, dumbbell_topology):
         network = FluidNetwork(dumbbell_topology)
-        network.advance(2.0)
+        network.advance_to(2.0)
         assert network.now == pytest.approx(2.0)
 
     def test_rates_reported_for_active_transfers(self, dumbbell_topology):

@@ -3,7 +3,9 @@
 import pytest
 
 from repro.clustering.infomap import infomap
+from repro.clustering.nmi import overlapping_nmi
 from repro.clustering.partition import Partition
+from repro.tomography import pipeline as pipeline_module
 from repro.tomography.pipeline import TomographyPipeline, default_swarm_config
 
 
@@ -96,6 +98,32 @@ class TestPipeline:
         result = pipeline.analyze(record, track_convergence=False)
         assert result.record is record
         assert result.metric.iterations == 3
+
+    def test_a_tracked_analysis_scores_each_prefix_once(
+        self, dumbbell_topology, monkeypatch
+    ):
+        calls = []
+
+        def counting(partition, truth):
+            calls.append(partition)
+            return overlapping_nmi(partition, truth)
+
+        monkeypatch.setattr(pipeline_module, "overlapping_nmi", counting)
+        pipeline = TomographyPipeline(
+            dumbbell_topology,
+            ground_truth=dumbbell_ground_truth(dumbbell_topology),
+            config=default_swarm_config(200),
+            seed=7,
+        )
+        record = pipeline.campaign.run(3)
+        tracked = pipeline.analyze(record)
+        assert len(calls) == 3
+        assert tracked.nmi == tracked.nmi_per_iteration[-1]
+        calls.clear()
+        untracked = pipeline.analyze(record, track_convergence=False)
+        assert len(calls) == 1
+        assert untracked.nmi == tracked.nmi
+        assert untracked.classical_nmi == tracked.classical_nmi
 
     def test_evaluate_requires_ground_truth(self, dumbbell_topology):
         pipeline = TomographyPipeline(

@@ -1,57 +1,62 @@
-"""Unit tests for the discrete-event engine."""
+"""Unit tests for the discrete-event agenda."""
 
 import pytest
 
-from repro.simulation.engine import Event, EventQueue, SimulationError, Simulator
+from repro.simulation.engine import SimulationError, Simulator
+
+
+def drain(sim):
+    """Dispatch every live event, as the workload engine's loop would."""
+    while sim.step() is not None:
+        pass
 
 
 class TestEventQueue:
+    """The agenda as an event queue: ``(time, insertion order)`` dispatch."""
+
     def test_pop_orders_by_time(self):
-        queue = EventQueue()
+        sim = Simulator()
         fired = []
-        queue.push(2.0, lambda: fired.append("b"))
-        queue.push(1.0, lambda: fired.append("a"))
-        queue.push(3.0, lambda: fired.append("c"))
-        while True:
-            event = queue.pop()
-            if event is None:
-                break
-            event.callback()
+        sim.schedule_at(2.0, lambda: fired.append("b"))
+        sim.schedule_at(1.0, lambda: fired.append("a"))
+        sim.schedule_at(3.0, lambda: fired.append("c"))
+        drain(sim)
         assert fired == ["a", "b", "c"]
 
     def test_ties_break_by_insertion_order(self):
-        queue = EventQueue()
+        sim = Simulator()
         order = []
         for label in ("first", "second", "third"):
-            queue.push(5.0, lambda lbl=label: order.append(lbl))
-        while (event := queue.pop()) is not None:
-            event.callback()
+            sim.schedule_at(5.0, lambda lbl=label: order.append(lbl))
+        drain(sim)
         assert order == ["first", "second", "third"]
 
     def test_cancelled_events_are_skipped(self):
-        queue = EventQueue()
+        sim = Simulator()
         fired = []
-        keep = queue.push(1.0, lambda: fired.append("keep"))
-        cancel = queue.push(0.5, lambda: fired.append("cancel"))
+        keep = sim.schedule_at(1.0, lambda: fired.append("keep"))
+        cancel = sim.schedule_at(0.5, lambda: fired.append("cancel"))
         cancel.cancel()
-        assert len(queue) == 1
-        event = queue.pop()
-        event.callback()
+        event = sim.step()
         assert fired == ["keep"]
         assert keep is event
+        assert sim.step() is None
 
     def test_peek_time_skips_cancelled(self):
-        queue = EventQueue()
-        early = queue.push(1.0, lambda: None)
-        queue.push(2.0, lambda: None)
+        sim = Simulator()
+        early = sim.schedule_at(1.0, lambda: None)
+        sim.schedule_at(2.0, lambda: None)
         early.cancel()
-        assert queue.peek_time() == pytest.approx(2.0)
+        assert sim.peek_time() == pytest.approx(2.0)
 
     def test_empty_queue_behaviour(self):
-        queue = EventQueue()
-        assert queue.pop() is None
-        assert queue.peek_time() is None
-        assert len(queue) == 0
+        sim = Simulator()
+        assert sim.peek_time() is None
+        sim.schedule_at(1.0, lambda: None).cancel()
+        # An agenda holding only cancelled entries is empty.
+        assert sim.peek_time() is None
+        assert sim.step() is None
+        assert sim.now == 0.0
 
 
 class TestSimulator:
@@ -60,16 +65,9 @@ class TestSimulator:
         times = []
         sim.schedule_at(1.5, lambda: times.append(sim.now))
         sim.schedule_at(0.5, lambda: times.append(sim.now))
-        sim.run()
+        drain(sim)
         assert times == [0.5, 1.5]
         assert sim.now == pytest.approx(1.5)
-
-    def test_schedule_in_uses_relative_delay(self):
-        sim = Simulator(start_time=10.0)
-        observed = []
-        sim.schedule_in(2.0, lambda: observed.append(sim.now))
-        sim.run()
-        assert observed == [pytest.approx(12.0)]
 
     def test_events_can_schedule_more_events(self):
         sim = Simulator()
@@ -78,35 +76,18 @@ class TestSimulator:
         def chain(depth):
             fired.append(sim.now)
             if depth < 3:
-                sim.schedule_in(1.0, lambda: chain(depth + 1))
+                sim.schedule_at(sim.now + 1.0, lambda: chain(depth + 1))
 
         sim.schedule_at(0.0, lambda: chain(0))
-        sim.run()
+        drain(sim)
         assert fired == [pytest.approx(t) for t in (0.0, 1.0, 2.0, 3.0)]
-
-    def test_run_until_horizon_leaves_later_events(self):
-        sim = Simulator()
-        fired = []
-        sim.schedule_at(1.0, lambda: fired.append(1))
-        sim.schedule_at(5.0, lambda: fired.append(5))
-        sim.run(until=2.0)
-        assert fired == [1]
-        assert sim.pending == 1
-        assert sim.now == pytest.approx(2.0)
-        sim.run()
-        assert fired == [1, 5]
 
     def test_scheduling_in_the_past_raises(self):
         sim = Simulator()
         sim.schedule_at(1.0, lambda: None)
-        sim.run()
+        drain(sim)
         with pytest.raises(SimulationError):
             sim.schedule_at(0.5, lambda: None)
-
-    def test_negative_delay_raises(self):
-        sim = Simulator()
-        with pytest.raises(SimulationError):
-            sim.schedule_in(-1.0, lambda: None)
 
     def test_non_finite_time_raises(self):
         sim = Simulator()
@@ -115,29 +96,12 @@ class TestSimulator:
         with pytest.raises(SimulationError):
             sim.schedule_at(float("nan"), lambda: None)
 
-    def test_stop_halts_processing(self):
-        sim = Simulator()
-        fired = []
-        sim.schedule_at(1.0, lambda: (fired.append(1), sim.stop()))
-        sim.schedule_at(2.0, lambda: fired.append(2))
-        sim.run()
-        assert fired == [1]
-        assert sim.pending == 1
-
-    def test_max_events_bound(self):
-        sim = Simulator()
-        fired = []
-        for i in range(10):
-            sim.schedule_at(float(i), lambda i=i: fired.append(i))
-        sim.run(max_events=4)
-        assert fired == [0, 1, 2, 3]
-
     def test_cancelled_event_not_executed(self):
         sim = Simulator()
         fired = []
         handle = sim.schedule_at(1.0, lambda: fired.append("x"))
         handle.cancel()
-        sim.run()
+        drain(sim)
         assert fired == []
 
     def test_advance_to_moves_clock_forward_only(self):
@@ -146,81 +110,6 @@ class TestSimulator:
         assert sim.now == pytest.approx(4.0)
         with pytest.raises(SimulationError):
             sim.advance_to(1.0)
-
-    def test_events_processed_counter(self):
-        sim = Simulator()
-        for i in range(5):
-            sim.schedule_at(float(i), lambda: None)
-        sim.run()
-        assert sim.events_processed == 5
-
-    def test_run_is_not_reentrant(self):
-        sim = Simulator()
-        errors = []
-
-        def nested():
-            try:
-                sim.run()
-            except SimulationError as exc:
-                errors.append(exc)
-
-        sim.schedule_at(0.0, nested)
-        sim.run()
-        assert len(errors) == 1
-
-
-class TestLazyCompaction:
-    """Cancelled-entry accumulation: the heap must stay O(live events)."""
-
-    def test_heap_compacts_when_cancelled_entries_dominate(self):
-        queue = EventQueue()
-        live = [queue.push(1e9, lambda: None) for _ in range(10)]
-        # Churn/rechoke pattern: schedule-then-cancel, thousands of times.
-        for i in range(10_000):
-            queue.push(float(i), lambda: None).cancel()
-            assert len(queue) == 10
-        # Without compaction the heap would hold ~10k dead entries.
-        assert len(queue._heap) <= 2 * len(live) + 1
-        assert queue.peek_time() == 1e9
-
-    def test_compaction_preserves_dispatch_order(self):
-        queue = EventQueue()
-        survivors = []
-        for i in range(200):
-            event = queue.push(float(i % 7), lambda i=i: None)
-            if i % 3 == 0:
-                survivors.append((i % 7, i))
-            else:
-                event.cancel()
-        popped = [(event.time, event.order) for event in iter(queue.pop, None)]
-        assert popped == sorted(popped)
-        assert len(popped) == len(survivors)
-
-    def test_small_heaps_are_never_compacted(self):
-        queue = EventQueue()
-        events = [queue.push(float(i), lambda: None) for i in range(10)]
-        for event in events[:9]:
-            event.cancel()
-        # Below the compaction floor the dead entries just wait for pop.
-        assert len(queue._heap) == 10
-        assert len(queue) == 1
-
-    def test_pending_counter_tracks_cancel_after_pop(self):
-        sim = Simulator()
-        event = sim.schedule_at(1.0, lambda: None)
-        sim.run()
-        assert sim.pending == 0
-        event.cancel()  # cancelling an already-fired event is a no-op
-        assert sim.pending == 0
-
-    def test_simulator_pending_stays_exact_under_churn(self):
-        sim = Simulator()
-        keep = sim.schedule_at(50.0, lambda: None)
-        for i in range(5_000):
-            sim.schedule_at(100.0 + i, lambda: None).cancel()
-        assert sim.pending == 1
-        sim.run()
-        assert sim.now == 50.0
 
 
 class TestSharedAgendaSurface:

@@ -371,6 +371,17 @@ class TestEngine:
         with pytest.raises(ValueError, match="horizon"):
             engine.run()
 
+    def test_event_budget_stops_a_runaway_workload(self):
+        topology = build_multi_site(
+            {site: {default_cluster_of(site): 2} for site in ("grenoble", "toulouse")}
+        )
+        engine = WorkloadEngine(topology)
+        engine.add(
+            PoissonTrafficActor("bg", np.random.default_rng(0), 1e6, 1e6)
+        )
+        with pytest.raises(RuntimeError, match=r"event budget \(50\)"):
+            engine.run(until=1e9, max_events=50)
+
     def test_clocks_stay_in_sync(self, two_site_topology):
         config = config_for(80)
         engine = WorkloadEngine(two_site_topology)
