@@ -63,7 +63,7 @@ def main() -> None:
     # --- classical baselines --------------------------------------------- #
     pairwise = PairwiseSaturationTomography(topology, probe_size=32e6, seed=1).run()
     triplet = TripletSaturationTomography(
-        topology, hosts=topology.host_names[:9], probe_size=32e6, seed=1
+        topology, hosts=topology.host_names[:9], probe_size=32e6
     ).run()
 
     print("\nPairwise saturation baseline (O(N^2) probes):")

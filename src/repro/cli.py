@@ -365,10 +365,9 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
     """Print the metric catalogue (the names every run records under)."""
     width = max(len(name) for name in METRIC_CATALOGUE) + 2
     listing = []
-    for name in sorted(METRIC_CATALOGUE):
-        kind, description = METRIC_CATALOGUE[name]
-        print(f"  {name:<{width}} {kind:<10} {description}")
-        listing.append({"name": name, "kind": kind, "description": description})
+    for name, description in sorted(METRIC_CATALOGUE.items()):
+        print(f"  {name:<{width}} {description}")
+        listing.append({"name": name, "description": description})
     _write_json(args.json, {"command": "metrics", "catalogue": listing})
     return 0
 

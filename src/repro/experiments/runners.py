@@ -426,7 +426,7 @@ def run_baseline_cost(
         pairwise_result = pairwise.run()
 
         triplet = TripletSaturationTomography(
-            topology, hosts=hosts, probe_size=probe_size, seed=seed
+            topology, hosts=hosts, probe_size=probe_size
         )
         triplet_result = triplet.run()
 

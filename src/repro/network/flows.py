@@ -19,6 +19,8 @@ from typing import Dict, Hashable, Iterable, List, Mapping, Optional, Sequence, 
 
 import numpy as np
 
+from repro.network.solver import FlowSet
+
 FlowId = Hashable
 
 
@@ -46,21 +48,16 @@ class FlowDemand:
             raise ValueError(f"rate_cap must be positive, got {self.rate_cap}")
 
 
-#: Above this many flows the vectorized solver is dispatched; below it the
-#: scalar reference implementation wins on constant factors.
-VECTORIZE_THRESHOLD = 8
-
-
 def max_min_fair_allocation(
     flows: Sequence[FlowDemand],
     link_capacity: Mapping[str, float],
 ) -> Dict[FlowId, float]:
     """Compute the max-min fair rate of every flow.
 
-    Dispatches to the vectorized solver in :mod:`repro.network.solver` when
-    the flow count exceeds :data:`VECTORIZE_THRESHOLD`; small instances run
-    the scalar reference implementation directly.  Both paths produce the
-    same allocation (see ``tests/test_solver.py``).
+    Indexes the referenced links and solves on a
+    :class:`~repro.network.solver.FlowSet`, the vectorized solver the fluid
+    engine runs on; :func:`max_min_fair_allocation_scalar` is the reference
+    it is tested against (see ``tests/test_solver.py``).
 
     Parameters
     ----------
@@ -82,18 +79,6 @@ def max_min_fair_allocation(
     ValueError
         If a referenced link has non-positive capacity.
     """
-    if len(flows) > VECTORIZE_THRESHOLD:
-        return _max_min_fair_allocation_vectorized(flows, link_capacity)
-    return max_min_fair_allocation_scalar(flows, link_capacity)
-
-
-def _max_min_fair_allocation_vectorized(
-    flows: Sequence[FlowDemand],
-    link_capacity: Mapping[str, float],
-) -> Dict[FlowId, float]:
-    """Vectorized path: index the referenced links, solve on a FlowSet."""
-    from repro.network.solver import FlowSet
-
     link_index: Dict[str, int] = {}
     capacities: List[float] = []
     routes: List[List[int]] = []
@@ -134,9 +119,7 @@ def max_min_fair_allocation_scalar(
 ) -> Dict[FlowId, float]:
     """Scalar progressive-filling reference implementation.
 
-    Kept as the oracle the vectorized solver is property-tested against; the
-    public entry point :func:`max_min_fair_allocation` chooses between the
-    two automatically.
+    Kept as the oracle the vectorized solver is property-tested against.
     """
     rates: Dict[FlowId, float] = {}
     unfrozen: Dict[FlowId, FlowDemand] = {}

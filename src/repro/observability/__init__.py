@@ -3,10 +3,11 @@
 Two independent halves share this package:
 
 * :data:`METRICS` — the always-on, per-process
-  :class:`~repro.observability.metrics.MetricsRegistry` of counters, gauges
-  and histograms.  Executor workers ship snapshot *deltas* back to the
-  parent, which merges them, so campaign totals agree across the serial
-  and process-pool backends.
+  :class:`~repro.observability.metrics.MetricsRegistry` of named counters.
+  Executor workers ship snapshot *deltas* back to the parent, which merges
+  them, so campaign totals agree across the serial and process-pool
+  backends.  Counters count simulated work only, so a run's metrics delta
+  is as reproducible as its results.
 * :data:`TRACER` — the off-by-default
   :class:`~repro.observability.tracer.Tracer` writing typed span/event
   JSONL records, enabled by ``--trace PATH`` / ``REPRO_TRACE`` and exported

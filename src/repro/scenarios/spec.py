@@ -152,8 +152,10 @@ class ScenarioSpec:
         ``ValueError``, so an explicit request is never silently dropped.
         A body that takes ``faults`` has a failure detector only under a
         fault plan that injects something (``--faults none`` has none); a
-        body with its own plan takes no ``faults``.  The summary always carries ``scenario``, ``family``, ``executor`` and
-        ``stepping`` keys so downstream records know what produced them.
+        body with its own plan takes no ``faults``.  The summary always carries
+        ``scenario``, ``family``, ``executor`` and ``stepping`` keys so
+        downstream records know what produced them, and ``iterations_run``
+        and ``seed_used`` when the body took that knob.
         """
         from repro.experiments.runners import run_dataset_clustering
 
@@ -205,8 +207,10 @@ class ScenarioSpec:
             else "serial",
         )
         summary.setdefault("stepping", stepping or SwarmConfig.stepping)
-        summary["iterations_run"] = iterations
-        summary["seed_used"] = seed
+        if "iterations" in kwargs:
+            summary["iterations_run"] = iterations
+        if "seed" in kwargs:
+            summary["seed_used"] = seed
         return summary
 
     def format(self, summary: Mapping[str, object]) -> str:

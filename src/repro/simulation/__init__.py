@@ -1,4 +1,4 @@
-"""Discrete-event agenda and seeded random streams.
+"""Discrete-event agenda and seed derivation.
 
 The agenda is deliberately small: a monotonic clock and a lazily cancelled
 binary heap of callbacks.  Only the multi-tenant
@@ -6,15 +6,18 @@ binary heap of callbacks.  Only the multi-tenant
 :class:`repro.simulation.engine.Simulator`; a standalone broadcast, the
 NetPIPE probes and the baseline schedules advance a
 :class:`~repro.network.fluid.FluidNetwork` clock directly.
+
+A seed is a plain ``int``: each random stream is a NumPy generator seeded
+with :func:`~repro.simulation.rng.derive_seed` from the experiment seed and
+a label path.
 """
 
 from repro.simulation.engine import Event, Simulator, SimulationError
-from repro.simulation.rng import RandomStreams, derive_seed
+from repro.simulation.rng import derive_seed
 
 __all__ = [
     "Event",
     "Simulator",
     "SimulationError",
-    "RandomStreams",
     "derive_seed",
 ]

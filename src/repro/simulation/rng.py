@@ -1,8 +1,11 @@
-"""Seeded random-stream management.
+"""Seed derivation: one experiment seed, one generator per labelled stream.
 
-Every stochastic component in the reproduction (BitTorrent peer selection,
-choking, piece selection, measurement scheduling, clustering tie-breaking)
-draws from its own named stream derived from a single experiment seed.  This
+A seed is a plain ``int``.  Every stochastic component in the reproduction
+(BitTorrent peer selection, choking and piece selection, background tenants,
+fault injectors, generated topologies, the pairwise baseline's background
+pairs) draws from its own NumPy generator, built where it is needed as
+``numpy.random.default_rng(derive_seed(seed, *labels))`` — broadcast ``i``
+of a campaign, for instance, draws from ``(seed, "broadcast", i)``.  This
 gives two properties the paper's methodology needs:
 
 * *independent iterations* — each BitTorrent broadcast iteration uses a fresh
@@ -14,9 +17,6 @@ gives two properties the paper's methodology needs:
 from __future__ import annotations
 
 import hashlib
-from typing import Dict, Iterable, Optional
-
-import numpy as np
 
 
 def derive_seed(base_seed: int, *labels: object) -> int:
@@ -32,48 +32,3 @@ def derive_seed(base_seed: int, *labels: object) -> int:
         hasher.update(b"/")
         hasher.update(repr(label).encode("utf-8"))
     return int.from_bytes(hasher.digest()[:8], "big") & ((1 << 63) - 1)
-
-
-class RandomStreams:
-    """A family of named, independently-seeded NumPy generators.
-
-    Parameters
-    ----------
-    seed:
-        Base experiment seed.  ``None`` draws a random base seed (recorded in
-        :attr:`seed` so the run can still be replayed).
-    """
-
-    def __init__(self, seed: Optional[int] = None) -> None:
-        if seed is None:
-            seed = int(np.random.SeedSequence().entropy) & ((1 << 63) - 1)
-        self.seed = int(seed)
-        self._streams: Dict[str, np.random.Generator] = {}
-
-    def stream(self, *labels: object) -> np.random.Generator:
-        """Return (creating on first use) the generator for a label path."""
-        key = "/".join(repr(x) for x in labels)
-        if key not in self._streams:
-            self._streams[key] = np.random.default_rng(derive_seed(self.seed, *labels))
-        return self._streams[key]
-
-    def spawn(self, *labels: object) -> "RandomStreams":
-        """Create a child family whose base seed is derived from this one."""
-        return RandomStreams(derive_seed(self.seed, "spawn", *labels))
-
-    def shuffled(self, items: Iterable, *labels: object) -> list:
-        """Return ``items`` as a list shuffled with the named stream."""
-        out = list(items)
-        self.stream(*labels).shuffle(out)
-        return out
-
-    def choice(self, items: Iterable, *labels: object):
-        """Pick one element from ``items`` using the named stream."""
-        out = list(items)
-        if not out:
-            raise ValueError("cannot choose from an empty sequence")
-        idx = int(self.stream(*labels).integers(0, len(out)))
-        return out[idx]
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"RandomStreams(seed={self.seed}, streams={len(self._streams)})"

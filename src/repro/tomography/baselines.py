@@ -32,7 +32,7 @@ from repro.graph.wgraph import WeightedGraph
 from repro.network.routing import RoutingTable
 from repro.network.topology import Topology
 from repro.network.transfer import PointToPointNetwork
-from repro.simulation.rng import RandomStreams
+from repro.simulation.rng import derive_seed
 
 
 @dataclass
@@ -68,7 +68,6 @@ class _SaturationBase:
         topology: Topology,
         hosts: Optional[Sequence[str]] = None,
         probe_size: float = 64e6,
-        seed: int = 0,
     ) -> None:
         self.topology = topology
         self.hosts = list(hosts) if hosts is not None else topology.host_names
@@ -79,7 +78,6 @@ class _SaturationBase:
         self.probe_size = float(probe_size)
         self.routing = RoutingTable(topology)
         self.network = PointToPointNetwork(topology, self.routing)
-        self.streams = RandomStreams(seed)
 
     def _cluster(self, graph: WeightedGraph) -> Partition:
         if graph.total_weight() <= 0:
@@ -113,17 +111,16 @@ class PairwiseSaturationTomography(_SaturationBase):
         concurrent_load: int = 3,
         seed: int = 0,
     ) -> None:
-        super().__init__(topology, hosts=hosts, probe_size=probe_size, seed=seed)
+        super().__init__(topology, hosts=hosts, probe_size=probe_size)
         if concurrent_load < 0:
             raise ValueError("concurrent_load must be non-negative")
         self.concurrent_load = concurrent_load
+        self._rng = np.random.default_rng(derive_seed(seed, "pairwise"))
 
-    def _background_pairs(
-        self, exclude: Tuple[str, str], rng: np.random.Generator
-    ) -> List[Tuple[str, str]]:
+    def _background_pairs(self, exclude: Tuple[str, str]) -> List[Tuple[str, str]]:
         """Random disjoint host pairs providing load during a probe."""
         available = [h for h in self.hosts if h not in exclude]
-        rng.shuffle(available)
+        self._rng.shuffle(available)
         background = []
         for i in range(0, len(available) - 1, 2):
             if len(background) >= self.concurrent_load:
@@ -136,11 +133,10 @@ class PairwiseSaturationTomography(_SaturationBase):
         graph = WeightedGraph()
         for host in self.hosts:
             graph.add_node(host)
-        rng = self.streams.stream("pairwise")
         start_time = self.network.total_busy_time
         probes = 0
         for idx, (a, b) in enumerate(self.all_pairs()):
-            background = self._background_pairs((a, b), rng)
+            background = self._background_pairs((a, b))
             requests = [(a, b, self.probe_size)] + [
                 (u, v, self.probe_size) for u, v in background
             ]
@@ -179,9 +175,8 @@ class TripletSaturationTomography(_SaturationBase):
         probe_size: float = 64e6,
         interference_threshold: float = 0.85,
         max_triplets: Optional[int] = None,
-        seed: int = 0,
     ) -> None:
-        super().__init__(topology, hosts=hosts, probe_size=probe_size, seed=seed)
+        super().__init__(topology, hosts=hosts, probe_size=probe_size)
         if not 0.0 < interference_threshold <= 1.0:
             raise ValueError("interference_threshold must be in (0, 1]")
         self.interference_threshold = interference_threshold

@@ -26,7 +26,7 @@ from repro.network.routing import RoutingTable
 from repro.network.topology import Topology
 from repro.observability.metrics import METRICS
 from repro.observability.tracer import TRACER
-from repro.simulation.rng import RandomStreams, derive_seed
+from repro.simulation.rng import derive_seed
 from repro.tomography.metric import EdgeMetric, aggregate_mean
 
 #: On-disk checkpoint layout version (bump on incompatible change).
@@ -187,7 +187,7 @@ class MeasurementCampaign:
         self.topology = topology
         self.config = config
         self.hosts = list(hosts) if hosts is not None else topology.host_names
-        self.streams = RandomStreams(seed)
+        self.seed = int(seed)
         self.rotate_root = rotate_root
         self.executor = executor
         # The empty workload is the classic single-tenant campaign, and the
@@ -225,7 +225,7 @@ class MeasurementCampaign:
         if root is None:
             root = self.root_of(iteration)
         rng = np.random.default_rng(
-            derive_seed(self.streams.seed, "broadcast", iteration)
+            derive_seed(self.seed, "broadcast", iteration)
         )
         return self._broadcast.run(root=root, rng=rng)
 
@@ -245,7 +245,7 @@ class MeasurementCampaign:
                 self.config,
                 self.hosts,
                 self.root_of(iteration),
-                self.streams.seed,
+                self.seed,
                 iteration,
                 self.workload,
                 routing=self.routing,
@@ -277,7 +277,7 @@ class MeasurementCampaign:
         self.checkpoint.mkdir(parents=True, exist_ok=True)
         payload = {
             "version": CHECKPOINT_VERSION,
-            "seed": self.streams.seed,
+            "seed": self.seed,
             "iteration": iteration,
             "inputs": self._checkpoint_inputs(iteration),
             "result": result,
@@ -312,10 +312,10 @@ class MeasurementCampaign:
             return None
         if payload.get("version") != CHECKPOINT_VERSION:
             return None
-        if payload.get("seed") != self.streams.seed:
+        if payload.get("seed") != self.seed:
             raise ValueError(
                 f"checkpoint {path} belongs to seed {payload.get('seed')}, "
-                f"not this campaign's seed {self.streams.seed}"
+                f"not this campaign's seed {self.seed}"
             )
         if payload.get("iteration") != iteration:
             return None

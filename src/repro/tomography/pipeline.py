@@ -253,9 +253,7 @@ class TomographyPipeline:
         n iterations and the result reports itself :attr:`TomographyResult
         .degraded` instead of raising.
         """
-        with METRICS.timer("pipeline.measure_s"), TRACER.span(
-            "pipeline.measure", iterations=iterations
-        ):
+        with TRACER.span("pipeline.measure", iterations=iterations):
             record = self.campaign.run(iterations, resume=resume, quorum=quorum)
         return self.analyze(record, track_convergence=track_convergence)
 
@@ -269,36 +267,33 @@ class TomographyPipeline:
         result's, so no graph is built, clustered or scored twice.
         """
         analyze_started = TRACER.now() if TRACER.enabled else 0.0
-        with METRICS.timer("pipeline.analyze_s"):
-            convergence: List[float] = []
-            if self.ground_truth is not None and track_convergence:
-                tracing = TRACER.enabled
-                for k, (metric, graph, partition) in enumerate(
-                    prefix_clusterings(record, self._clusterer), start=1
-                ):
-                    value = overlapping_nmi(partition, self.ground_truth)
-                    convergence.append(value)
-                    if tracing:
-                        TRACER.event("pipeline.nmi", iterations=k, nmi=value)
-            else:
-                metric = record.aggregate()
-                graph = metric_graph(metric)
-                partition = _cluster(graph, metric.labels, self._clusterer)
-            q = modularity(graph, partition) if graph.total_weight() > 0 else 0.0
+        convergence: List[float] = []
+        if self.ground_truth is not None and track_convergence:
+            tracing = TRACER.enabled
+            for k, (metric, graph, partition) in enumerate(
+                prefix_clusterings(record, self._clusterer), start=1
+            ):
+                value = overlapping_nmi(partition, self.ground_truth)
+                convergence.append(value)
+                if tracing:
+                    TRACER.event("pipeline.nmi", iterations=k, nmi=value)
+        else:
+            metric = record.aggregate()
+            graph = metric_graph(metric)
+            partition = _cluster(graph, metric.labels, self._clusterer)
+        q = modularity(graph, partition) if graph.total_weight() > 0 else 0.0
 
-            nmi = classical = None
-            if convergence:
-                nmi = convergence[-1]
-                classical = normalized_mutual_information(partition, self.ground_truth)
-            elif self.ground_truth is not None:
-                scores = self.evaluate(partition)
-                nmi = scores["overlapping_nmi"]
-                classical = scores["classical_nmi"]
+        nmi = classical = None
+        if convergence:
+            nmi = convergence[-1]
+            classical = normalized_mutual_information(partition, self.ground_truth)
+        elif self.ground_truth is not None:
+            scores = self.evaluate(partition)
+            nmi = scores["overlapping_nmi"]
+            classical = scores["classical_nmi"]
 
         METRICS.count("pipeline.runs")
         METRICS.count("pipeline.iterations", record.iterations)
-        if nmi is not None:
-            METRICS.gauge("pipeline.nmi", nmi)
         if TRACER.enabled:
             TRACER.span_record(
                 "pipeline.analyze",

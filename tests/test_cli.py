@@ -360,3 +360,36 @@ class TestUnifiedSummary:
         )
         assert code == 0
         assert "tenants per broadcast" in capsys.readouterr().out
+
+
+class TestJsonRecords:
+    """A ``--json`` record, metrics included, is a pure function of
+    scenario, knobs and seed: no wall-clock value and nothing an earlier run
+    left in the process reaches it."""
+
+    def test_run_record_replays_byte_for_byte(self, capsys, tmp_path):
+        paths = [tmp_path / "first.json", tmp_path / "second.json"]
+        for path in paths:
+            code = main(
+                ["run", "LINK-BLACKOUT", "--iterations", "3", "--fragments",
+                 "80", "--per-site", "2", "--json", str(path)]
+            )
+            assert code == 0
+        assert paths[0].read_bytes() == paths[1].read_bytes()
+
+    def test_process_record_equals_serial_but_for_the_backend(
+        self, capsys, tmp_path
+    ):
+        argv = ["run", "G-T", "--iterations", "4", "--fragments", "80",
+                "--per-site", "2", "--faults", "chaos", "--json"]
+        serial_path, pooled_path = tmp_path / "serial.json", tmp_path / "process.json"
+        assert main([*argv, str(serial_path)]) == 0
+        assert main([*argv, str(pooled_path), "--executor", "process",
+                     "--workers", "2"]) == 0
+        serial = json.loads(serial_path.read_text())
+        pooled = json.loads(pooled_path.read_text())
+        assert (serial.pop("executor"), pooled.pop("executor")) == (
+            "serial", "process"
+        )
+        assert pooled["metrics"]["counters"].pop("executor.tasks") >= 1
+        assert pooled == serial

@@ -1,10 +1,8 @@
-"""Unit tests for seeded random stream management."""
+"""Unit tests for seed derivation."""
 
-import numpy as np
-import pytest
 from hypothesis import given, strategies as st
 
-from repro.simulation.rng import RandomStreams, derive_seed
+from repro.simulation.rng import derive_seed
 
 
 class TestDeriveSeed:
@@ -25,50 +23,3 @@ class TestDeriveSeed:
     def test_always_non_negative(self, base, label):
         assert derive_seed(base, label) >= 0
 
-
-class TestRandomStreams:
-    def test_same_label_returns_same_generator(self):
-        streams = RandomStreams(7)
-        assert streams.stream("x") is streams.stream("x")
-
-    def test_streams_are_reproducible_across_instances(self):
-        a = RandomStreams(7).stream("bt", 3).integers(0, 1000, size=5)
-        b = RandomStreams(7).stream("bt", 3).integers(0, 1000, size=5)
-        assert np.array_equal(a, b)
-
-    def test_different_labels_produce_different_sequences(self):
-        streams = RandomStreams(7)
-        a = streams.stream("one").integers(0, 10 ** 9, size=8)
-        b = streams.stream("two").integers(0, 10 ** 9, size=8)
-        assert not np.array_equal(a, b)
-
-    def test_default_seed_is_recorded(self):
-        streams = RandomStreams()
-        assert isinstance(streams.seed, int)
-        clone = RandomStreams(streams.seed)
-        assert np.array_equal(
-            clone.stream("a").integers(0, 100, size=4),
-            RandomStreams(streams.seed).stream("a").integers(0, 100, size=4),
-        )
-
-    def test_spawn_creates_independent_family(self):
-        parent = RandomStreams(3)
-        child = parent.spawn("worker")
-        assert child.seed != parent.seed
-        assert child.seed == parent.spawn("worker").seed
-
-    def test_shuffled_preserves_elements(self):
-        streams = RandomStreams(5)
-        items = list(range(20))
-        shuffled = streams.shuffled(items, "perm")
-        assert sorted(shuffled) == items
-
-    def test_choice_from_empty_raises(self):
-        streams = RandomStreams(5)
-        with pytest.raises(ValueError):
-            streams.choice([], "empty")
-
-    def test_choice_returns_member(self):
-        streams = RandomStreams(5)
-        items = ["a", "b", "c"]
-        assert streams.choice(items, "pick") in items

@@ -177,6 +177,29 @@ def test_summary_stepping_is_the_mode_that_ran(monkeypatch):
         assert results and all(r.stepping == expected for r in results)
 
 
+@pytest.mark.parametrize(
+    "name, overrides, recorded",
+    [
+        ("netpipe", {"repeats": 1}, set()),
+        ("broadcast-efficiency", {"num_fragments": 80, "node_counts": (4,)},
+         {"seed_used"}),
+        ("G-T", {"iterations": 1, "num_fragments": 80, "per_site": 2},
+         {"iterations_run", "seed_used"}),
+    ],
+    ids=["netpipe", "broadcast-efficiency", "G-T"],
+)
+def test_summary_records_only_the_knobs_its_body_took(name, overrides, recorded):
+    """``iterations_run``/``seed_used`` name what the body ran with: NetPIPE
+    has no campaign and no randomness, broadcast-efficiency no iterations."""
+    spec = get_scenario(name)
+    summary = spec.run(**overrides)
+    assert {"iterations_run", "seed_used"} & set(summary) == recorded
+    if "seed_used" in recorded:
+        assert summary["seed_used"] == spec.seed
+    if "iterations_run" in recorded:
+        assert summary["iterations_run"] == overrides["iterations"]
+
+
 class TestGeneratedFamilies:
     def test_fat_tree_oversubscribed_ground_truth_is_per_rack(self):
         ds = fat_tree_dataset(racks=3, hosts_per_rack=2, oversubscription=4.0)

@@ -118,9 +118,7 @@ class TestFlowSet:
 # equivalence with the scalar oracle
 # --------------------------------------------------------------------- #
 class TestScalarEquivalence:
-    def test_dispatch_uses_vectorized_beyond_threshold(self):
-        # 9 flows on a shared link: the dispatching entry point must agree
-        # with the scalar oracle no matter which path served it.
+    def test_flows_sharing_one_link(self):
         flows = [FlowDemand(f"f{i}", ("l",)) for i in range(9)]
         assert_allocations_match(flows, {"l": 90.0})
 
@@ -155,7 +153,6 @@ def random_scenario(draw):
     capacities = {
         name: draw(st.floats(min_value=1.0, max_value=1000.0)) for name in link_names
     }
-    # Enough flows to exercise the vectorized dispatch path most of the time.
     num_flows = draw(st.integers(min_value=1, max_value=40))
     flows = []
     for i in range(num_flows):
