@@ -84,6 +84,14 @@ def _parse_value(raw: str):
     return text
 
 
+def _fit(value: object, default: object) -> object:
+    """A single value for a tunable whose default is a sequence becomes a
+    one-element tuple: ``--set node_counts=4`` means ``(4,)``."""
+    if isinstance(default, (tuple, list)) and not isinstance(value, tuple):
+        return (value,)
+    return value
+
+
 def _parse_overrides(pairs: Optional[Sequence[str]]) -> Dict[str, object]:
     overrides: Dict[str, object] = {}
     for pair in pairs or ():
@@ -119,9 +127,10 @@ def _validate_detection_args(args: argparse.Namespace, spec) -> None:
         if args.quorum < 1:
             raise ValueError(f"--quorum must be at least 1, got {args.quorum}")
         iterations = (
-            args.iterations if args.iterations is not None else spec.iterations
+            args.iterations if args.iterations is not None
+            else spec.defaults().get("iterations")
         )
-        if args.quorum > iterations:
+        if iterations is not None and args.quorum > iterations:
             raise ValueError(
                 f"--quorum ({args.quorum}) cannot exceed the campaign's "
                 f"iterations ({iterations}): the quorum could never be met"
@@ -146,7 +155,11 @@ def _prologue(
         spec = get_scenario(args.scenario)
     except KeyError as exc:
         raise ValueError(exc.args[0]) from None
-    overrides = _parse_overrides(args.set)
+    defaults = spec.defaults()
+    overrides = {
+        key: _fit(value, defaults.get(key))
+        for key, value in _parse_overrides(args.set).items()
+    }
     if args.per_site is not None:
         overrides.setdefault("per_site", args.per_site)
     unknown = spec.unknown_overrides({**overrides, **(probe or {})})
@@ -161,15 +174,20 @@ def _prologue(
     return spec, overrides
 
 
-def _campaign_kwargs(args: argparse.Namespace) -> Dict[str, object]:
-    kwargs: Dict[str, object] = {}
-    if args.iterations is not None:
-        kwargs["iterations"] = args.iterations
-    if args.fragments is not None:
-        kwargs["num_fragments"] = args.fragments
-    if args.seed is not None:
-        kwargs["seed"] = args.seed
-    return kwargs
+def _knobs(args: argparse.Namespace) -> Dict[str, object]:
+    """The per-run knobs of ``run``/``sweep`` as ``ScenarioSpec.run``
+    arguments; an unset one is ``None``, the body's default."""
+    return {
+        "executor": executor_from_name(args.executor, workers=args.workers),
+        "iterations": args.iterations,
+        "num_fragments": args.fragments,
+        "seed": args.seed,
+        "stepping": args.stepping,
+        "workload": args.workload,
+        "faults": args.faults,
+        "quorum": args.quorum,
+        "detect_factor": args.detect_factor,
+    }
 
 
 # ---------------------------------------------------------------------- #
@@ -190,6 +208,7 @@ def _cmd_list(args: argparse.Namespace) -> int:
             current_family = spec.family
             print(f"family {current_family}:")
         print(f"  {spec.describe()}")
+        defaults = spec.defaults()
         listing.append(
             {
                 "name": spec.name,
@@ -197,9 +216,7 @@ def _cmd_list(args: argparse.Namespace) -> int:
                 "kind": spec.kind,
                 "description": spec.description,
                 "tags": list(spec.tags),
-                "iterations": spec.iterations,
-                "num_fragments": spec.num_fragments,
-                "seed": spec.seed,
+                **{k: defaults[k] for k in CAMPAIGN_PARAMS if k in defaults},
             }
         )
     _write_json(args.json, {"command": "list", "scenarios": listing})
@@ -210,16 +227,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     try:
         spec, overrides = _prologue(args)
         before = METRICS.snapshot()
-        summary = spec.run(
-            executor=executor_from_name(args.executor, workers=args.workers),
-            stepping=args.stepping,
-            workload=args.workload,
-            faults=args.faults,
-            quorum=args.quorum,
-            detect_factor=args.detect_factor,
-            **_campaign_kwargs(args),
-            **overrides,
-        )
+        summary = spec.run(**{**_knobs(args), **overrides})
     except ValueError as exc:
         print(str(exc), file=sys.stderr)
         return 2
@@ -243,36 +251,32 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     param = args.param.replace("-", "_")
     param_is_campaign = param in CAMPAIGN_PARAMS
     try:
-        spec, base_overrides = _prologue(
+        spec, overrides = _prologue(
             args, "sweep parameter(s)",
             {} if param_is_campaign else {param: values[0]},
         )
-        executor = executor_from_name(args.executor, workers=args.workers)
+        defaults = spec.defaults()
+        if param_is_campaign and param not in defaults:
+            # A run ignores a campaign knob its body does not take; an axis
+            # of identical rows must not pass for a sweep.
+            raise ValueError(f"scenario {spec.name} does not take {param}")
+        knobs = _knobs(args)
     except ValueError as exc:
         print(str(exc), file=sys.stderr)
         return 2
     rows: List[Dict[str, object]] = []
     print(f"sweep {spec.name} over {param} = {list(values)}")
     for value in values:
-        overrides = dict(base_overrides)
-        kwargs = _campaign_kwargs(args)
-        if param_is_campaign:
-            kwargs[param] = value
-        else:
-            overrides[param] = value
         before = METRICS.snapshot()
         try:
-            summary = spec.run(executor=executor, stepping=args.stepping,
-                               workload=args.workload, faults=args.faults,
-                               quorum=args.quorum,
-                               detect_factor=args.detect_factor,
-                               **kwargs, **overrides)
+            summary = spec.run(**{**knobs, **overrides,
+                                  param: _fit(value, defaults.get(param))})
         except ValueError as exc:
             print(str(exc), file=sys.stderr)
             return 2
         row = jsonable_summary(summary)
         row["metrics"] = METRICS.snapshot().delta_since(before).jsonable()
-        row[param] = value if not isinstance(value, tuple) else list(value)
+        row[param] = value
         rows.append(row)
         cells = [f"{param}={value}"]
         for key in _SWEEP_COLUMNS:
@@ -285,7 +289,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             "command": "sweep",
             "scenario": spec.name,
             "param": param,
-            "values": [list(v) if isinstance(v, tuple) else v for v in values],
+            "values": list(values),
             "rows": rows,
         },
     )

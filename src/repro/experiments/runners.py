@@ -10,7 +10,9 @@ what reproduces the paper, not the absolute magnitudes.
 
 The figure runners are registered as scenarios as they are (see
 :mod:`repro.scenarios.catalog`), so their parameter names are the CLI's
-``--per-site``/``--set`` tunables.
+``--per-site``/``--set`` tunables and their defaults are what ``repro run``
+uses: ``run_fig5()`` is ``repro run fig5``.  A runner that takes an
+``executor`` runs on the backend it is handed (``None``: in-process).
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from repro.clustering.partition import Partition
 from repro.experiments.datasets import Dataset, bordeaux_split, dataset, dataset_b
 from repro.graph.wgraph import WeightedGraph
 from repro.network.grid5000 import Grid5000Builder, build_multi_site, default_cluster_of
-from repro.scenarios.executors import ProcessPoolExecutor, default_executor
+from repro.scenarios.executors import ProcessPoolExecutor
 from repro.simulation.rng import derive_seed
 from repro.tomography.baselines import (
     PairwiseSaturationTomography,
@@ -42,13 +44,6 @@ def _default_clusterer(graph: WeightedGraph) -> Partition:
     return louvain(graph).partition
 
 
-def _resolve_executor(
-    executor: Optional[ProcessPoolExecutor],
-) -> Optional[ProcessPoolExecutor]:
-    """Explicit executor, else the environment's default (usually ``None``)."""
-    return executor if executor is not None else default_executor()
-
-
 # ---------------------------------------------------------------------- #
 # the campaign study (Figs. 8-12, 2x2, interference and fault scenarios)
 # ---------------------------------------------------------------------- #
@@ -56,7 +51,7 @@ def run_dataset_clustering(
     ds: Dataset,
     iterations: int = 8,
     num_fragments: int = 600,
-    seed: int = 7,
+    seed: int = 2012,
     track_convergence: bool = False,
     executor: Optional[ProcessPoolExecutor] = None,
     stepping: Optional[str] = None,
@@ -88,7 +83,6 @@ def run_dataset_clustering(
 
         workload = workload_from_name(workload)
     config = default_swarm_config(num_fragments, stepping=stepping)
-    executor = _resolve_executor(executor)
     pipeline = TomographyPipeline(
         ds.topology,
         hosts=ds.hosts,
@@ -184,7 +178,7 @@ def run_fig4(
         ground_truth=ds.ground_truth,
         config=default_swarm_config(num_fragments, stepping=stepping),
         seed=seed,
-        executor=_resolve_executor(executor),
+        executor=executor,
     )
     result = pipeline.run(iterations, track_convergence=False)
     if focus_host is None:
@@ -238,7 +232,7 @@ def run_fig5(
         default_swarm_config(num_fragments, stepping=stepping),
         hosts=hosts,
         seed=seed,
-        executor=_resolve_executor(executor),
+        executor=executor,
     )
     record = campaign.run(iterations)
     # A fixed edge between two non-root nodes of the same cluster.
@@ -265,7 +259,7 @@ def run_fig5(
 # Fig. 13 — NMI convergence with iterations, all datasets
 # ---------------------------------------------------------------------- #
 def run_fig13(
-    datasets: Optional[Sequence[str]] = None,
+    datasets: Sequence[str] = ("B", "B-T", "G-T", "B-G-T", "B-G-T-L"),
     per_site: int = 8,
     iterations: int = 12,
     num_fragments: int = 500,
@@ -274,9 +268,8 @@ def run_fig13(
     stepping: Optional[str] = None,
 ) -> Dict[str, ConvergenceStudy]:
     """NMI-vs-iterations curves for the Fig. 13 datasets (scaled down)."""
-    names = list(datasets) if datasets is not None else ["B", "B-T", "G-T", "B-G-T", "B-G-T-L"]
     studies: Dict[str, ConvergenceStudy] = {}
-    for name in names:
+    for name in datasets:
         if name == "B":
             ds = dataset_b(**bordeaux_split(per_site))
         else:
@@ -286,7 +279,7 @@ def run_fig13(
             default_swarm_config(num_fragments, stepping=stepping),
             hosts=ds.hosts,
             seed=seed,
-            executor=_resolve_executor(executor),
+            executor=executor,
         )
         record = campaign.run(iterations)
         studies[name] = ConvergenceStudy.from_record(
@@ -325,7 +318,6 @@ def run_broadcast_efficiency(
     maps through the campaign executor — across topologies, not just
     within one campaign.
     """
-    executor = _resolve_executor(executor)
     tasks = []
     node_hosts: List[int] = []
     for count in node_counts:
@@ -415,7 +407,7 @@ def run_baseline_cost(
             default_swarm_config(num_fragments, stepping=stepping),
             hosts=hosts,
             seed=seed,
-            executor=_resolve_executor(executor),
+            executor=executor,
         )
         record = campaign.run(iterations)
         bt_time = record.total_measurement_time()

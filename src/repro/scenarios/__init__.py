@@ -1,13 +1,15 @@
 """Declarative scenario subsystem.
 
 ``repro.scenarios`` turns the repo's experiment menu into data: a
-:class:`~repro.scenarios.spec.ScenarioSpec` describes one setting (topology
-factory, hosts, swarm/tomography configuration, iterations, seeds and
-expectations), a decorator-based registry names them, and the executor
-decides *how* the independent seeded broadcasts of a campaign run —
-in-process (``executor=None``) or fanned out over a
+:class:`~repro.scenarios.spec.ScenarioSpec` names one setting (its dataset
+factory or custom runner, how to list it and how to print it), a
+decorator-based registry names them, and the executor argument decides
+*how* the independent seeded broadcasts of a campaign run — in-process
+(``executor=None``) or fanned out over a
 :class:`~repro.scenarios.executors.ProcessPoolExecutor` — without changing
-a single measured bit.
+a single measured bit.  A scenario's iterations, fragments, seed and
+tunables default to its functions' signatures (``spec.defaults()``), and
+nothing in the environment selects the executor.
 
 See ``docs/scenarios.md`` for the full guide, including how to add a
 scenario.
@@ -17,9 +19,7 @@ from repro.scenarios.executors import (
     CampaignExecutionError,
     EXECUTOR_NAMES,
     ProcessPoolExecutor,
-    default_executor,
     executor_from_name,
-    workers_from_env,
 )
 from repro.scenarios.registry import (
     all_scenarios,
@@ -44,9 +44,7 @@ __all__ = [
     "ProcessPoolExecutor",
     "ScenarioSpec",
     "all_scenarios",
-    "default_executor",
     "executor_from_name",
-    "workers_from_env",
     "families",
     "get_scenario",
     "jsonable_summary",

@@ -5,13 +5,16 @@ declarative spec — the paper's named datasets (family ``paper``), the
 per-figure experiment runners (family ``figure``) — plus the generated
 families that go beyond the paper's menu (``fat-tree``,
 ``random-bottleneck``, ``hetero-uplink``, and the hierarchical ``extension``
-setting).  Import side effects populate :mod:`repro.scenarios.registry`;
-this module is imported by ``repro.scenarios.__init__`` so any entry point
-that touches the registry sees the full catalogue.
+setting).  Import side effects populate :mod:`repro.scenarios.registry`,
+which imports this module on its first lookup, so any entry point that
+touches the registry sees the full catalogue.
 
-Campaign parameter defaults are the laptop-scale values the previous CLI
-used (8 nodes per site, 600 fragments, seed 2012); the paper-scale settings
-(32 per site, 15 259 fragments) remain reachable through overrides.
+A scenario's run settings are the defaults in its functions' signatures:
+campaign scenarios take ``run_dataset_clustering``'s (8 iterations of 600
+fragments at seed 2012) and their factory's (8 nodes per site, the
+laptop-scale value), runner scenarios their runner's.  The paper-scale
+settings (32 per site, 15 259 fragments) remain reachable through
+overrides.
 """
 
 from __future__ import annotations
@@ -296,25 +299,23 @@ def _scenario_nested(alpha: int = 6, beta: int = 6, gamma: int = 12) -> Dataset:
 # per-figure experiment runners, registered as they are
 # ---------------------------------------------------------------------- #
 runner_scenario(
-    "fig4", family="figure", iterations=12, formatter=_format_fig4,
+    "fig4", family="figure", formatter=_format_fig4,
     description="per-edge metric of a fixed node, local vs remote (Fig. 4)",
 )(run_fig4)
 runner_scenario(
-    "fig5", family="figure", iterations=24, formatter=_format_fig5,
+    "fig5", family="figure", formatter=_format_fig5,
     description="single-edge variance across independent runs (Fig. 5)",
 )(run_fig5)
 runner_scenario(
-    "fig13", family="figure", iterations=10, formatter=_format_fig13,
+    "fig13", family="figure", formatter=_format_fig13,
     description="NMI convergence for all paper datasets (Fig. 13)",
 )(run_fig13)
 runner_scenario(
-    "broadcast-efficiency", family="figure", num_fragments=400,
-    formatter=_format_efficiency,
+    "broadcast-efficiency", family="figure", formatter=_format_efficiency,
     description="broadcast completion vs swarm and file size (Sec. II-B)",
 )(run_broadcast_efficiency)
 runner_scenario(
-    "baseline-cost", family="figure", iterations=4, num_fragments=300,
-    formatter=_format_baseline,
+    "baseline-cost", family="figure", formatter=_format_baseline,
     description="measurement cost vs saturation baselines (Sec. II-B)",
 )(run_baseline_cost)
 runner_scenario(
@@ -441,15 +442,14 @@ def _localization_dataset(per_site: int, backup: bool = False) -> Dataset:
 
 
 @runner_scenario("RIVAL-BROADCAST", family="rival-broadcast",
-                 iterations=4, num_fragments=240,
                  formatter=format_campaign,
                  tags=("beyond-paper", "interference", "sweepable"),
                  description="concurrent-broadcast contention: rival swarms "
                              "share clock and links with the measured one")
 def _scenario_rival(
-    iterations: int,
-    num_fragments: int,
-    seed: int,
+    iterations: int = 4,
+    num_fragments: int = 240,
+    seed: int = 2012,
     executor=None,
     per_site: int = 4,
     rivals: int = 1,
@@ -473,15 +473,14 @@ def _scenario_rival(
 
 
 @runner_scenario("CROSS-TRAFFIC", family="cross-traffic",
-                 iterations=4, num_fragments=240,
                  formatter=format_campaign,
                  tags=("beyond-paper", "interference", "sweepable"),
                  description="generative Poisson/on-off cross traffic; sweep "
                              "`intensity` to chart where recovery degrades")
 def _scenario_cross_traffic(
-    iterations: int,
-    num_fragments: int,
-    seed: int,
+    iterations: int = 4,
+    num_fragments: int = 240,
+    seed: int = 2012,
     executor=None,
     per_site: int = 4,
     intensity: float = 0.5,
@@ -506,15 +505,14 @@ def _scenario_cross_traffic(
 
 
 @runner_scenario("CHURN", family="churn",
-                 iterations=4, num_fragments=240,
                  formatter=format_campaign,
                  tags=("beyond-paper", "interference", "sweepable"),
                  description="peer churn: leave/rejoin mid-broadcast; sweep "
                              "`churn_rate` for the degradation curve")
 def _scenario_churn(
-    iterations: int,
-    num_fragments: int,
-    seed: int,
+    iterations: int = 4,
+    num_fragments: int = 240,
+    seed: int = 2012,
     executor=None,
     per_site: int = 4,
     churn_rate: float = 1.0,
@@ -538,15 +536,14 @@ def _scenario_churn(
 
 
 @runner_scenario("MIXED-TENANCY", family="cross-traffic",
-                 iterations=4, num_fragments=240,
                  formatter=format_campaign,
                  tags=("beyond-paper", "interference"),
                  description="everything at once: rival broadcast, cross "
                              "traffic, capacity drift and churn")
 def _scenario_mixed_tenancy(
-    iterations: int,
-    num_fragments: int,
-    seed: int,
+    iterations: int = 4,
+    num_fragments: int = 240,
+    seed: int = 2012,
     executor=None,
     per_site: int = 4,
     intensity: float = 0.5,
@@ -576,15 +573,14 @@ def _scenario_mixed_tenancy(
 # ``faults`` and --faults is rejected by the same rule.
 # ---------------------------------------------------------------------- #
 @runner_scenario("FAULT-INJECTION", family="fault-injection",
-                 iterations=4, num_fragments=240,
                  formatter=format_campaign,
                  tags=("beyond-paper", "faults", "sweepable"),
                  description="tomography under injected failures; sweep "
                              "`intensity` to map NMI vs failure intensity")
 def _scenario_fault_injection(
-    iterations: int,
-    num_fragments: int,
-    seed: int,
+    iterations: int = 4,
+    num_fragments: int = 240,
+    seed: int = 2012,
     executor=None,
     per_site: int = 4,
     preset: str = "link-failure",
@@ -612,16 +608,15 @@ def _scenario_fault_injection(
 
 
 @runner_scenario("LINK-BLACKOUT", family="fault-injection",
-                 iterations=6, num_fragments=240,
                  formatter=format_campaign,
                  tags=("beyond-paper", "faults", "sweepable"),
                  description="persistent bottleneck failure mid-campaign; "
                              "headline metrics: time to detect and time to "
                              "localize the dead link")
 def _scenario_link_blackout(
-    iterations: int,
-    num_fragments: int,
-    seed: int,
+    iterations: int = 6,
+    num_fragments: int = 240,
+    seed: int = 2012,
     executor=None,
     per_site: int = 4,
     from_iteration: int = 2,
@@ -648,7 +643,6 @@ def _scenario_link_blackout(
 
 
 @runner_scenario("MIGRATING-BOTTLENECK", family="fault-injection",
-                 iterations=8, num_fragments=240,
                  formatter=format_campaign,
                  tags=("beyond-paper", "faults", "sweepable"),
                  description="self-healing routing under a relocating "
@@ -656,9 +650,9 @@ def _scenario_link_blackout(
                              "each epoch's victim, the tomography must "
                              "re-detect and re-localize it")
 def _scenario_migrating_bottleneck(
-    iterations: int,
-    num_fragments: int,
-    seed: int,
+    iterations: int = 8,
+    num_fragments: int = 240,
+    seed: int = 2012,
     executor=None,
     per_site: int = 4,
     residual: float = 0.02,

@@ -16,9 +16,12 @@ process, and the outputs come back in item order.
 iteration method over the pending iterations, so a pool worker runs exactly
 the code the in-process loop runs; ``executor=None`` is that in-process
 loop, and ``tests/test_executors.py`` pins the bit-for-bit equality between
-the two.  On a single-core box the process pool only adds overhead — the
-point is that campaign wall-clock scales ~linearly with cores on real
-hardware without touching the experiment code.
+the two.  The backend is an argument only: a campaign or runner handed no
+executor runs in-process, and no environment variable changes that
+(``repro run --executor process --workers N`` selects the pool).  On a
+single-core box the process pool only adds overhead — the point is that
+campaign wall-clock scales ~linearly with cores on real hardware without
+touching the experiment code.
 """
 
 from __future__ import annotations
@@ -31,12 +34,6 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.observability.metrics import METRICS, MetricsSnapshot
 from repro.observability.tracer import TRACER, trace_from_env
-
-#: Environment variable naming the default backend (``serial``/``process``).
-EXECUTOR_ENV = "REPRO_EXECUTOR"
-
-#: Environment variable overriding the process-pool worker count.
-WORKERS_ENV = "REPRO_EXECUTOR_WORKERS"
 
 
 def run_chunk(chunk: Tuple[Callable, Sequence]) -> Tuple[list, MetricsSnapshot]:
@@ -246,8 +243,7 @@ class ProcessPoolExecutor:
         return failed, errors
 
 
-#: Known backends, keyed by the names accepted on the CLI and in the
-#: :data:`EXECUTOR_ENV` environment variable.
+#: Known backends, keyed by the names ``--executor`` accepts.
 EXECUTOR_NAMES = ("serial", "process")
 
 
@@ -260,43 +256,7 @@ def executor_from_name(
     if key == "serial":
         return None
     if key == "process":
-        if workers is None:
-            workers = workers_from_env()
         return ProcessPoolExecutor(workers=workers)
     raise ValueError(
         f"unknown executor {name!r}; available: {', '.join(EXECUTOR_NAMES)}"
     )
-
-
-def default_executor() -> Optional[ProcessPoolExecutor]:
-    """Backend selected by the environment, or ``None`` for the serial path.
-
-    ``REPRO_EXECUTOR=process`` (optionally with ``REPRO_EXECUTOR_WORKERS=n``)
-    routes every campaign that does not receive an explicit executor through
-    the process pool — this is how ``REPRO_EXECUTOR=process python -m pytest
-    benchmarks`` runs the whole benchmark suite on the pool without touching
-    each benchmark.
-    """
-    return executor_from_name(os.environ.get(EXECUTOR_ENV))
-
-
-def workers_from_env() -> Optional[int]:
-    """Validated worker count from :data:`WORKERS_ENV` (``None`` if unset).
-
-    Rejects non-integers and values below 1 with a clear error instead of
-    letting them surface as a deep ``concurrent.futures`` traceback.
-    """
-    workers_raw = os.environ.get(WORKERS_ENV, "").strip()
-    if not workers_raw:
-        return None
-    try:
-        workers = int(workers_raw)
-    except ValueError as exc:
-        raise ValueError(
-            f"{WORKERS_ENV} must be a positive integer, got {workers_raw!r}"
-        ) from exc
-    if workers < 1:
-        raise ValueError(
-            f"{WORKERS_ENV} must be at least 1, got {workers}"
-        )
-    return workers

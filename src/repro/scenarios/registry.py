@@ -9,10 +9,12 @@ Scenarios register themselves at import time:
 >>> runner_scenario("netpipe", family="figure",
 ...                 description="NetPIPE probes")(run_netpipe_reference)
 
-The CLI (``repro run/list/sweep``) and the benchmark harness resolve names
-through :func:`get_scenario`; the built-in catalogue lives in
-:mod:`repro.scenarios.catalog` and is imported by the package ``__init__``
-so that every entry point sees the same registry.
+A registration names the function and how to list and print it, never
+a run setting: ``run_netpipe_reference(repeats=5)``'s default is the
+scenario's.  The CLI (``repro run/list/sweep``) and the benchmark harness
+resolve names through :func:`get_scenario`; the built-in catalogue lives in
+:mod:`repro.scenarios.catalog` and is loaded on the first lookup, so that
+every entry point sees the same registry.
 """
 
 from __future__ import annotations
@@ -42,31 +44,11 @@ def scenario(
     *,
     family: str,
     description: str = "",
-    iterations: int = 8,
-    num_fragments: int = 600,
-    seed: int = 2012,
     tags: tuple = (),
     formatter: Optional[Callable] = None,
 ) -> Callable[[Callable], Callable]:
     """Register the decorated dataset factory as a campaign scenario."""
-
-    def wrap(factory: Callable) -> Callable:
-        register(
-            ScenarioSpec(
-                name=name,
-                family=family,
-                description=description or _first_doc_line(factory),
-                dataset_factory=factory,
-                iterations=iterations,
-                num_fragments=num_fragments,
-                seed=seed,
-                tags=tuple(tags),
-                formatter=formatter,
-            )
-        )
-        return factory
-
-    return wrap
+    return _registrar("dataset_factory", name, family, description, tags, formatter)
 
 
 def runner_scenario(
@@ -74,29 +56,36 @@ def runner_scenario(
     *,
     family: str,
     description: str = "",
-    iterations: int = 8,
-    num_fragments: int = 600,
-    seed: int = 2012,
     tags: tuple = (),
     formatter: Optional[Callable] = None,
 ) -> Callable[[Callable], Callable]:
     """Register the decorated callable as a custom-runner scenario."""
+    return _registrar("runner", name, family, description, tags, formatter)
 
-    def wrap(runner: Callable) -> Callable:
+
+def _registrar(
+    body_field: str,
+    name: str,
+    family: str,
+    description: str,
+    tags: tuple,
+    formatter: Optional[Callable],
+) -> Callable[[Callable], Callable]:
+    """The decorator both helpers return: register ``fn`` as the spec's
+    ``body_field`` and hand it back unchanged."""
+
+    def wrap(fn: Callable) -> Callable:
         register(
             ScenarioSpec(
                 name=name,
                 family=family,
-                description=description or _first_doc_line(runner),
-                runner=runner,
-                iterations=iterations,
-                num_fragments=num_fragments,
-                seed=seed,
+                description=description or _first_doc_line(fn),
                 tags=tuple(tags),
                 formatter=formatter,
+                **{body_field: fn},
             )
         )
-        return runner
+        return fn
 
     return wrap
 

@@ -2,11 +2,14 @@
 
 A :class:`ScenarioSpec` bundles everything needed to reproduce one
 experimental setting: how to build the substrate (topology + hosts + ground
-truth, via a :class:`~repro.experiments.datasets.Dataset` factory), the
-campaign parameters (iterations, fragments per broadcast, seed), and the
-expectations recorded on the dataset.  Specs are frozen: running one never
-mutates it, so the same spec can be executed repeatedly, swept over
-parameter grids, and fanned out across executor backends.
+truth, via a :class:`~repro.experiments.datasets.Dataset` factory) or the
+custom body that runs instead, and the expectations recorded on the
+dataset.  A spec holds no run settings of its own: the defaults of every
+knob (iterations, fragments per broadcast, seed, tunables) are its
+functions' signatures, read by :meth:`ScenarioSpec.defaults`.  Specs are
+frozen: running one never mutates it, so the same spec can be executed
+repeatedly, swept over parameter grids, and fanned out across executor
+backends.
 
 Two flavours exist:
 
@@ -23,17 +26,17 @@ to what can be written with ``json.dump`` (the CLI's ``--json`` output).
 from __future__ import annotations
 
 import inspect
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
 from repro.bittorrent.swarm import SwarmConfig
 from repro.experiments.datasets import Dataset
-from repro.scenarios.executors import ProcessPoolExecutor, default_executor
+from repro.scenarios.executors import ProcessPoolExecutor
 
-#: Campaign parameters every scenario understands; ``ScenarioSpec.run``
-#: resolves them from spec defaults and per-run overrides.
+#: The campaign parameters: ``ScenarioSpec.run`` passes each one a caller
+#: set to a body that takes it, and the body's signature holds its default.
 CAMPAIGN_PARAMS = ("iterations", "num_fragments", "seed")
 
 
@@ -58,10 +61,8 @@ class ScenarioSpec:
         Custom experiment body for scenarios that are not a single campaign
         (the figure runners are registered as they are).  Called with the
         per-run overrides plus whichever of ``iterations``,
-        ``num_fragments``, ``seed``, ``executor`` and ``stepping`` it takes,
-        and must return a summary dict.
-    iterations / num_fragments / seed:
-        Campaign defaults, overridable per run.
+        ``num_fragments``, ``seed``, ``executor`` and ``stepping`` the caller
+        set and it takes, and must return a summary dict.
     tags:
         Free-form labels (``"beyond-paper"``, ``"sweepable"``, ...).
     formatter:
@@ -73,9 +74,6 @@ class ScenarioSpec:
     description: str = ""
     dataset_factory: Optional[Callable[..., Dataset]] = None
     runner: Optional[Callable[..., Dict[str, object]]] = None
-    iterations: int = 8
-    num_fragments: int = 600
-    seed: int = 2012
     tags: Tuple[str, ...] = ()
     formatter: Optional[Callable[[Dict[str, object]], str]] = None
 
@@ -87,15 +85,34 @@ class ScenarioSpec:
                 f"scenario {self.name!r} needs exactly one of "
                 "dataset_factory or runner"
             )
-        if self.iterations < 1:
-            raise ValueError("iterations must be at least 1")
-        if self.num_fragments < 1:
-            raise ValueError("num_fragments must be at least 1")
 
     # ------------------------------------------------------------------ #
     @property
     def kind(self) -> str:
         return "campaign" if self.dataset_factory is not None else "runner"
+
+    @property
+    def body(self) -> Callable[..., Dict[str, object]]:
+        """The function a run calls: the runner, or for a campaign scenario
+        :func:`~repro.experiments.runners.run_dataset_clustering`."""
+        from repro.experiments.runners import run_dataset_clustering
+
+        return self.runner or run_dataset_clustering
+
+    def defaults(self) -> Dict[str, object]:
+        """The scenario's run settings: the defaults in the signatures of
+        the dataset factory (a campaign scenario's tunables) and of the
+        :attr:`body` (a runner's tunables, and the campaign parameters of
+        both kinds).  A knob the scenario does not take has no entry."""
+        out: Dict[str, object] = {}
+        for fn in (self.dataset_factory, self.body):
+            if fn is not None:
+                out.update(
+                    (name, p.default)
+                    for name, p in inspect.signature(fn).parameters.items()
+                    if p.default is not p.empty
+                )
+        return out
 
     def build_dataset(self, **overrides) -> Dataset:
         """Instantiate the scenario's dataset (campaign scenarios only)."""
@@ -133,45 +150,40 @@ class ScenarioSpec:
         """Execute the scenario and return its summary dictionary.
 
         ``overrides`` are forwarded to the dataset factory (campaign
-        scenarios) or the custom runner; campaign parameters default to the
-        spec's values.  ``workload`` (a preset name or
-        :class:`~repro.workloads.WorkloadSpec`) layers a multi-tenant
-        interference workload under the measurement campaign; ``faults``
+        scenarios) or the custom runner; a knob left at ``None`` is not
+        passed, so the body's own default applies.  ``workload`` (a preset
+        name or :class:`~repro.workloads.WorkloadSpec`) layers a
+        multi-tenant interference workload under the measurement campaign;
+        ``faults``
         (a preset name or a fault plan, also a ``WorkloadSpec``) injects
         deterministic failures, ``quorum`` lets the campaign proceed with
         ≥k surviving iterations, and ``detect_factor`` sets the failure
         detector's spike ratio.  Campaign scenarios run
         :func:`~repro.experiments.runners.run_dataset_clustering` with
-        convergence tracking, and runner scenarios their runner.  The
-        executor is resolved once (``REPRO_EXECUTOR`` when none is passed).
-        One rule routes the knobs to that body: the campaign parameters,
-        the executor and ``stepping`` reach it only if it takes them
-        (swarm-less experiments such as the NetPIPE probes have no campaign
-        and no control loop, so suite-wide defaults must not break them);
-        the other four are forwarded if it takes them and otherwise raise
+        convergence tracking, and runner scenarios their runner
+        (:attr:`body`).  One rule routes the knobs to that body: the
+        campaign parameters, the executor and ``stepping`` reach it only if
+        it takes them (swarm-less experiments such as the NetPIPE probes
+        have no campaign and no control loop, so a suite-wide ``--seed`` or
+        ``--stepping`` must not break them); the other four are forwarded
+        if it takes them and otherwise raise
         ``ValueError``, so an explicit request is never silently dropped.
         A body that takes ``faults`` has a failure detector only under a
         fault plan that injects something (``--faults none`` has none); a
-        body with its own plan takes no ``faults``.  The summary always carries
-        ``scenario``, ``family``, ``executor`` and ``stepping`` keys so
-        downstream records know what produced them, and ``iterations_run``
-        and ``seed_used`` when the body took that knob.
+        body with its own plan takes no ``faults``.  The summary always
+        carries ``scenario``, ``family``, ``executor`` and ``stepping`` keys
+        so downstream records know what produced them, and
+        ``iterations_run`` and ``seed_used`` (the value passed, else the
+        body's default) when the body takes that knob.
         """
-        from repro.experiments.runners import run_dataset_clustering
-
-        iterations = self.iterations if iterations is None else iterations
-        num_fragments = self.num_fragments if num_fragments is None else num_fragments
-        seed = self.seed if seed is None else seed
-        if executor is None:
-            executor = default_executor()
-        body = self.runner or run_dataset_clustering
+        body = self.body
         parameters = inspect.signature(body).parameters
         takes_all = any(p.kind == p.VAR_KEYWORD for p in parameters.values())
         routed = {"iterations": iterations, "num_fragments": num_fragments,
                   "seed": seed, "executor": executor, "stepping": stepping}
         kwargs: Dict[str, object] = {
             name: value for name, value in routed.items()
-            if takes_all or name in parameters
+            if value is not None and (takes_all or name in parameters)
         }
         for name, value in (("workload", workload), ("faults", faults),
                             ("quorum", quorum), ("detect_factor", detect_factor)):
@@ -202,15 +214,13 @@ class ScenarioSpec:
         # forces the in-process loop); a runner ran the one it was handed,
         # and a runner that takes no executor ran in-process.
         summary.setdefault(
-            "executor",
-            executor.name if executor is not None and "executor" in kwargs
-            else "serial",
+            "executor", executor.name if "executor" in kwargs else "serial"
         )
         summary.setdefault("stepping", stepping or SwarmConfig.stepping)
-        if "iterations" in kwargs:
-            summary["iterations_run"] = iterations
-        if "seed" in kwargs:
-            summary["seed_used"] = seed
+        settings = {**self.defaults(), **kwargs}
+        for knob, key in (("iterations", "iterations_run"), ("seed", "seed_used")):
+            if knob in settings:
+                summary[key] = settings[knob]
         return summary
 
     def format(self, summary: Mapping[str, object]) -> str:
@@ -221,8 +231,7 @@ class ScenarioSpec:
 
     def describe(self) -> str:
         """One-line listing entry."""
-        kind = "campaign" if self.dataset_factory is not None else "runner"
-        return f"{self.name:16s} [{self.family}/{kind}] {self.description}"
+        return f"{self.name:16s} [{self.family}/{self.kind}] {self.description}"
 
 
 # ---------------------------------------------------------------------- #

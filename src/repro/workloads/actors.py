@@ -165,7 +165,6 @@ class BroadcastActor(WorkloadActor):
         root: Optional[str] = None,
         rng: Optional[np.random.Generator] = None,
         start_time: float = 0.0,
-        trace: Optional[List[Tuple[float, str, str, int]]] = None,
         blocking: bool = True,
     ) -> None:
         super().__init__(label)
@@ -173,7 +172,6 @@ class BroadcastActor(WorkloadActor):
         self.hosts = list(hosts) if hosts is not None else None
         self.rng = rng
         self.start_time = float(start_time)
-        self.trace = trace
         self.blocking = blocking
         self.broadcast: Optional[BitTorrentBroadcast] = None
         self.session: Optional[BroadcastSession] = None
@@ -193,7 +191,6 @@ class BroadcastActor(WorkloadActor):
             self.broadcast,
             root=self.root,
             rng=self.rng,
-            trace=self.trace,
             fluid=engine.fluid,
             start_time=self.start_time,
         )

@@ -313,7 +313,6 @@ def run_workload_iteration(
     iteration: int,
     workload: Optional[WorkloadSpec],
     routing: Optional[RoutingTable] = None,
-    trace=None,
     faults: Optional[WorkloadSpec] = None,
 ):
     """Run one measured broadcast inside its interference workload.
@@ -332,9 +331,7 @@ def run_workload_iteration(
     """
     engine = WorkloadEngine(topology, routing=routing)
     rng = np.random.default_rng(derive_seed(base_seed, "broadcast", iteration))
-    primary = BroadcastActor(
-        "primary", config, hosts=hosts, root=root, rng=rng, trace=trace
-    )
+    primary = BroadcastActor("primary", config, hosts=hosts, root=root, rng=rng)
     engine.add(primary)
     swarm_hosts = primary.broadcast.hosts
     for stream, plan in (("workload", workload), ("fault", faults)):

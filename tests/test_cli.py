@@ -189,6 +189,52 @@ class TestCommands:
         assert "executor process" in out
 
 
+class TestListTunables:
+    """A one-value ``--set``/``--values`` for a tunable whose default is a
+    sequence is a one-element sequence, not a scalar the runner iterates."""
+
+    def test_one_node_count_runs(self, capsys, tmp_path):
+        path = tmp_path / "eff.json"
+        assert main(["run", "broadcast-efficiency", "--fragments", "80",
+                     "--set", "node_counts=4", "--json", str(path)]) == 0
+        assert len(json.loads(path.read_text())["durations_by_nodes"]) == 1
+
+    def test_one_dataset_runs(self, capsys, tmp_path):
+        path = tmp_path / "fig13.json"
+        assert main(["run", "fig13", "--iterations", "1", "--fragments", "80",
+                     "--per-site", "2", "--set", "datasets=G-T",
+                     "--json", str(path)]) == 0
+        record = json.loads(path.read_text())
+        assert [k for k, v in record.items()
+                if isinstance(v, dict) and "curve" in v] == ["G-T"]
+
+    def test_sweep_over_node_counts(self, capsys, tmp_path):
+        path = tmp_path / "sweep.json"
+        assert main(["sweep", "broadcast-efficiency", "--param", "node_counts",
+                     "--values", "4,8", "--fragments", "80",
+                     "--json", str(path)]) == 0
+        payload = json.loads(path.read_text())
+        assert payload["values"] == [4, 8]
+        assert [row["node_counts"] for row in payload["rows"]] == [4, 8]
+        assert [len(row["durations_by_nodes"]) for row in payload["rows"]] == [1, 1]
+
+
+class TestSweepAxis:
+    """A swept campaign parameter must reach the body; one run may carry a
+    knob its body ignores."""
+
+    def test_sweep_over_a_knob_the_body_ignores_exits_2(self, capsys):
+        assert main(["sweep", "netpipe", "--param", "seed",
+                     "--values", "1,2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err.strip().splitlines()
+        assert len(err) == 1 and "netpipe" in err[0] and "seed" in err[0]
+
+    def test_run_ignores_a_knob_the_body_does_not_take(self, capsys):
+        assert main(["run", "netpipe", "--seed", "5", "--set", "repeats=2"]) == 0
+
+
 class TestDetectionKnobs:
     """Fail-fast validation of --detect-factor/--quorum and `faults list`."""
 

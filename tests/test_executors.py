@@ -3,6 +3,7 @@ bit-for-bit equality between the in-process and process-pool paths, including
 pooled checkpoints and recovery from crashed and hung workers (the ``chaos``
 marker)."""
 
+import json
 import os
 import time
 
@@ -14,10 +15,8 @@ from repro.experiments.runners import run_broadcast_efficiency
 from repro.scenarios.executors import (
     CampaignExecutionError,
     ProcessPoolExecutor,
-    default_executor,
     executor_from_name,
     run_chunk,
-    workers_from_env,
 )
 from repro.tomography.measurement import MeasurementCampaign
 from repro.tomography.pipeline import default_swarm_config
@@ -92,21 +91,6 @@ class TestResolution:
         assert executor_from_name("process", workers=3).workers == 3
         with pytest.raises(ValueError, match="available: serial, process$"):
             executor_from_name("gpu")
-
-    def test_default_executor_unset(self, monkeypatch):
-        monkeypatch.delenv("REPRO_EXECUTOR", raising=False)
-        assert default_executor() is None
-
-    def test_default_executor_serial_is_none(self, monkeypatch):
-        monkeypatch.setenv("REPRO_EXECUTOR", "serial")
-        assert default_executor() is None
-
-    def test_default_executor_process(self, monkeypatch):
-        monkeypatch.setenv("REPRO_EXECUTOR", "process")
-        monkeypatch.setenv("REPRO_EXECUTOR_WORKERS", "3")
-        executor = default_executor()
-        assert executor.name == "process"
-        assert executor.workers == 3
 
 
 class TestBackendEquality:
@@ -200,35 +184,16 @@ class TestBackendEquality:
 
 
 class TestWorkersEnvValidation:
-    def test_unset_is_none(self, monkeypatch):
-        monkeypatch.delenv("REPRO_EXECUTOR_WORKERS", raising=False)
-        assert workers_from_env() is None
-        # A blank value reads as "unset", not as an error.
-        monkeypatch.setenv("REPRO_EXECUTOR_WORKERS", "  ")
-        assert workers_from_env() is None
+    """The pool's knobs are checked where they are given, before any run:
+    ``--workers`` on the CLI and the constructor's arguments."""
 
-    @pytest.mark.parametrize("bad", ["0", "-2", "two", "1.5"])
-    def test_invalid_values_rejected_with_clear_error(self, monkeypatch, bad):
-        monkeypatch.setenv("REPRO_EXECUTOR_WORKERS", bad)
-        with pytest.raises(ValueError, match="REPRO_EXECUTOR_WORKERS"):
-            workers_from_env()
+    def test_zero_workers_exit_2_before_any_run(self, capsys):
+        from repro.cli import main
 
-    def test_default_executor_surfaces_the_error(self, monkeypatch):
-        monkeypatch.setenv("REPRO_EXECUTOR", "process")
-        monkeypatch.setenv("REPRO_EXECUTOR_WORKERS", "0")
-        with pytest.raises(ValueError, match="REPRO_EXECUTOR_WORKERS"):
-            default_executor()
-
-    def test_executor_from_name_falls_back_to_env(self, monkeypatch):
-        # The CLI path (`--executor process` without `--workers`) must
-        # honour — and therefore validate — the env var too.
-        monkeypatch.setenv("REPRO_EXECUTOR_WORKERS", "3")
-        assert executor_from_name("process").workers == 3
-        monkeypatch.setenv("REPRO_EXECUTOR_WORKERS", "zero")
-        with pytest.raises(ValueError, match="REPRO_EXECUTOR_WORKERS"):
-            executor_from_name("process")
-        # An explicit workers= wins over the environment.
-        assert executor_from_name("process", workers=2).workers == 2
+        assert main(["run", "G-T", "--executor", "process",
+                     "--workers", "0"]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == ["workers must be at least 1"]
 
     def test_fault_tolerance_knob_validation(self):
         with pytest.raises(ValueError, match="task_timeout"):
@@ -466,19 +431,36 @@ class TestPipelineIntegration:
         ],
         ids=["G-T", "fig13", "broadcast-efficiency"],
     )
-    def test_environment_executor_is_the_one_reported(
-        self, monkeypatch, name, overrides
-    ):
+    def test_environment_executor_is_the_one_reported(self, name, overrides):
+        """The executor a campaign or runner is handed is the one that runs
+        and the one its summary names."""
         from repro.observability.metrics import METRICS
         from repro.scenarios import get_scenario
 
-        monkeypatch.setenv("REPRO_EXECUTOR", "process")
-        monkeypatch.setenv("REPRO_EXECUTOR_WORKERS", "2")
         before = METRICS.snapshot()
-        summary = get_scenario(name).run(**overrides)
+        summary = get_scenario(name).run(
+            executor=ProcessPoolExecutor(workers=2), **overrides
+        )
         delta = METRICS.snapshot().delta_since(before)
         assert summary["executor"] == "process"
         assert delta.counter("executor.tasks") >= 1
+
+    def test_no_environment_variable_selects_the_executor(
+        self, monkeypatch, tmp_path, capsys
+    ):
+        """``--executor serial`` runs in-process whatever the environment
+        says: the flag is the only way to pick a backend."""
+        from repro.cli import main
+
+        monkeypatch.setenv("REPRO_EXECUTOR", "process")
+        monkeypatch.setenv("REPRO_EXECUTOR_WORKERS", "2")
+        path = tmp_path / "fig13.json"
+        assert main(["run", "fig13", "--iterations", "2", "--per-site", "2",
+                     "--fragments", "80", "--set", "datasets=G-T,B-T",
+                     "--executor", "serial", "--json", str(path)]) == 0
+        record = json.loads(path.read_text())
+        assert record["executor"] == "serial"
+        assert "executor.tasks" not in record["metrics"]["counters"]
 
     def test_runner_without_executor_reports_serial(self):
         from repro.observability.metrics import METRICS

@@ -137,12 +137,6 @@ class TestSpecValidation:
                 runner=lambda **kw: {},
             )
 
-    def test_rejects_bad_campaign_defaults(self):
-        with pytest.raises(ValueError):
-            ScenarioSpec(
-                name="bad", family="test", dataset_factory=lambda: None, iterations=0
-            )
-
     def test_runner_scenario_has_no_dataset(self):
         spec = get_scenario("netpipe")
         assert spec.kind == "runner"
@@ -195,9 +189,49 @@ def test_summary_records_only_the_knobs_its_body_took(name, overrides, recorded)
     summary = spec.run(**overrides)
     assert {"iterations_run", "seed_used"} & set(summary) == recorded
     if "seed_used" in recorded:
-        assert summary["seed_used"] == spec.seed
+        assert summary["seed_used"] == spec.defaults()["seed"]
     if "iterations_run" in recorded:
         assert summary["iterations_run"] == overrides["iterations"]
+
+
+class TestDefaultsAreSignatures:
+    """A scenario's run settings have one source, its functions' signatures:
+    a CLI run of a figure scenario is a call of its runner."""
+
+    def test_cli_figure_run_is_its_runner_call(self, tmp_path, capsys):
+        from repro.experiments.runners import run_fig4
+
+        path = tmp_path / "fig4.json"
+        assert main(["run", "fig4", "--per-site", "4", "--iterations", "2",
+                     "--fragments", "80", "--json", str(path)]) == 0
+        record = json.loads(path.read_text())
+        direct = run_fig4(per_site=4, iterations=2, num_fragments=80)
+        for key in ("local_total", "remote_total"):
+            assert record[key] == direct[key], key
+
+    def test_list_advertises_only_the_knobs_a_body_takes(self, tmp_path, capsys):
+        path = tmp_path / "list.json"
+        assert main(["list", "--json", str(path)]) == 0
+        entries = {e["name"]: e for e in json.loads(path.read_text())["scenarios"]}
+        campaign = ("iterations", "num_fragments", "seed")
+        assert not set(campaign) & set(entries["netpipe"])
+        assert [entries["fig13"][k] for k in campaign] == [12, 500, 5]
+        assert [entries["LINK-BLACKOUT"][k] for k in campaign] == [6, 240, 2012]
+        assert "iterations" not in entries["broadcast-efficiency"]
+
+    def test_defaults_read_the_signatures(self):
+        from repro.experiments.runners import run_dataset_clustering
+
+        # Fig. 5 is the paper's 36 runs of one edge, on the CLI too.
+        fig5 = get_scenario("fig5").defaults()
+        assert (fig5["iterations"], fig5["num_fragments"], fig5["seed"]) == (
+            36, 400, 11
+        )
+        # A campaign scenario: its factory's tunables plus the study's knobs.
+        spec = get_scenario("G-T")
+        assert spec.body is run_dataset_clustering
+        gt = spec.defaults()
+        assert (gt["per_site"], gt["iterations"], gt["seed"]) == (8, 8, 2012)
 
 
 class TestGeneratedFamilies:
