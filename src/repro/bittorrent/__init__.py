@@ -8,11 +8,14 @@ discrete-event / fluid simulation over the :mod:`repro.network` substrate:
 
 * :mod:`repro.bittorrent.torrent` — file and fragment metadata;
 * :mod:`repro.bittorrent.tracker` — bounded random peer sets (max 35 peers);
-* :mod:`repro.bittorrent.peer` — per-peer protocol state (bitfields, interest);
+* :mod:`repro.bittorrent.peer` — per-peer choking state (unchoke list,
+  optimistic slot, round credits);
 * :mod:`repro.bittorrent.choking` — tit-for-tat choker with 4 upload slots and
   optimistic unchoke;
 * :mod:`repro.bittorrent.selection` — rarest-first piece selection;
-* :mod:`repro.bittorrent.swarm` — the synchronized broadcast simulation;
+* :mod:`repro.bittorrent.swarm` — the synchronized broadcast simulation,
+  whose session owns the bitfields, fragment counts, finish times and the
+  neighbour mask;
 * :mod:`repro.bittorrent.instrumentation` — the per-peer fragment counters
   that produce the paper's measurement matrix.
 """

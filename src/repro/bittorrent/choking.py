@@ -55,7 +55,8 @@ class ChokingPolicy:
     def rechoke(
         self,
         peer: PeerState,
-        interested: Sequence[str],
+        candidates: Sequence[str],
+        seeding: bool,
         round_index: int,
         rng: np.random.Generator,
     ) -> Set[str]:
@@ -65,8 +66,11 @@ class ChokingPolicy:
         ----------
         peer:
             The uploading peer whose slots are being assigned.
-        interested:
-            Neighbours currently interested in ``peer`` (i.e. candidates).
+        candidates:
+            Neighbours currently interested in ``peer``, in name order.
+        seeding:
+            Whether ``peer`` holds the whole file: a seed rotates randomly
+            whatever it downloaded this round.
         round_index:
             Zero-based index of the choking round (drives optimistic rotation).
         rng:
@@ -77,13 +81,12 @@ class ChokingPolicy:
         set of str
             Peers to unchoke; its size is at most ``upload_slots``.
         """
-        candidates = [p for p in interested if p in peer.neighbors]
         if not candidates:
             peer.optimistic = None
             return set()
         slots = min(self.upload_slots, len(candidates))
 
-        if peer.is_seed or not peer.downloaded_this_round:
+        if seeding or not peer.downloaded_this_round:
             # No reciprocation signal: random rotation (seed mode / first round).
             picks = rng.choice(len(candidates), size=slots, replace=False)
             chosen = {candidates[i] for i in picks}

@@ -26,8 +26,6 @@ from typing import Callable, List, Optional
 
 import numpy as np
 
-from repro.bittorrent.peer import PeerState
-
 #: Below this many held fragments, a peer uses random-first selection.
 RANDOM_FIRST_THRESHOLD = 4
 
@@ -46,13 +44,6 @@ class PieceSelector:
     # ------------------------------------------------------------------ #
     # availability maintenance
     # ------------------------------------------------------------------ #
-    def register_bitfield(self, have: np.ndarray) -> None:
-        """Add a joining peer's initial bitfield to the availability counts."""
-        have = np.asarray(have, dtype=bool)
-        if have.shape != (self.num_fragments,):
-            raise ValueError("bitfield has wrong shape")
-        self.availability += have.astype(np.int64)
-
     def record_receipt(self, fragment: int) -> None:
         """A peer completed ``fragment``: one more replica exists in the swarm."""
         if not 0 <= fragment < self.num_fragments:
@@ -62,20 +53,6 @@ class PieceSelector:
     # ------------------------------------------------------------------ #
     # selection
     # ------------------------------------------------------------------ #
-    def select(
-        self,
-        downloader: PeerState,
-        uploader: PeerState,
-        rng: np.random.Generator,
-    ) -> Optional[int]:
-        """Pick the fragment ``downloader`` should take from ``uploader``.
-
-        Returns ``None`` when the uploader has nothing the downloader needs.
-        """
-        return self.select_from(
-            uploader.have, ~downloader.have, downloader.fragment_count, rng
-        )
-
     def select_from(
         self,
         uploader_have: np.ndarray,
@@ -83,10 +60,13 @@ class PieceSelector:
         downloader_count: int,
         rng: np.random.Generator,
     ) -> Optional[int]:
-        """Selection on raw bitfields, the reference for :func:`convert_pass`.
+        """The fragment a downloader holding ``downloader_count`` fragments
+        takes from an uploader, on raw bitfields; the reference for
+        :func:`convert_pass`.
 
         ``downloader_lack`` is the complement of the downloader's bitfield.
-        Consumes the random stream exactly like :meth:`select`.
+        Returns ``None`` when the uploader has nothing the downloader needs,
+        and draws one ``rng.integers`` tie index otherwise.
         """
         wanted = uploader_have & downloader_lack
         candidates = wanted.nonzero()[0]

@@ -305,16 +305,18 @@ class BroadcastSession:
         # ``sorted()`` produced them) for bit-for-bit seed replay.
         self.lex_order = np.array(sorted(range(n), key=hosts.__getitem__))
 
-        # Shared bitfield matrix: row i is peer i's ``have`` array, so peer
-        # mutations and the vectorized interest state see the same memory.
+        # Each swarm fact is kept once, by host index: ``have`` is the
+        # bitfield matrix, ``held`` the fragment counts (the list
+        # ``convert_pass`` updates in place), ``completion`` the finish
+        # times and ``neighbor_mask`` the symmetric tracker relation; a
+        # PeerState keeps only its choking state.
         have = self.have = np.zeros((n, num_fragments), dtype=bool)
-        peers = self.peers = {
-            name: PeerState(name, i, num_fragments, have=have[i])
-            for i, name in enumerate(hosts)
-        }
-        peers[root].make_seed()
-        peers[root].completion_time = self.start_time
-        self.peer_at = list(peers.values())
+        have[root_index] = True
+        self.held = [0] * n
+        self.held[root_index] = num_fragments
+        self.completion: List[Optional[float]] = [None] * n
+        self.completion[root_index] = self.start_time
+        self.peers = {name: PeerState(name) for name in hosts}
 
         # The conversion step's state as Python-int bitsets (see
         # selection.convert_pass): host_bits[i] mirrors have[i], and
@@ -329,7 +331,6 @@ class BroadcastSession:
         connections = broadcast.tracker.build_connections(hosts, self.rng)
         neighbor_mask = self.neighbor_mask = np.zeros((n, n), dtype=bool)
         for name, neighbor_set in connections.items():
-            peers[name].neighbors = set(neighbor_set)
             i = index[name]
             for other in neighbor_set:
                 neighbor_mask[i, index[other]] = True
@@ -526,8 +527,8 @@ class BroadcastSession:
                 sim_end=start + step * self.dt,
             )
         completion_times = {
-            name: (peer.completion_time if peer.completion_time is not None else time)
-            for name, peer in self.peers.items()
+            name: (finish if finish is not None else time)
+            for name, finish in zip(self.hosts, self.completion)
         }
         # Peers still churned out at the end never finished downloading; they
         # must not stretch the broadcast duration to the last control point.
@@ -584,13 +585,16 @@ class BroadcastSession:
         """
         if self.pipe_order:
             self.flush_credits()
-        peers, index, rng = self.peers, self.index, self.rng
+        peers, index, rng, held = self.peers, self.index, self.rng, self.held
         policy = self.broadcast.choking
-        round_index = self.round_index
+        round_index, num_fragments = self.round_index, self.num_fragments
         for name in rng.permutation(self.hosts):
             peer = peers[name]
-            candidates = self._names(interest[index[name]])
-            peer.unchoked = sorted(policy.rechoke(peer, candidates, round_index, rng))
+            i = index[name]
+            peer.unchoked = sorted(policy.rechoke(
+                peer, self._names(interest[i]), held[i] == num_fragments,
+                round_index, rng,
+            ))
             peer.reset_round()
         self.round_index = round_index + 1
         self.next_rechoke += self.broadcast.config.rechoke_interval
@@ -600,13 +604,12 @@ class BroadcastSession:
         fill idle upload slots with newly interested neighbours."""
         hosts, peers, root = self.hosts, self.peers, self.root
         incomplete, upload_slots = self.incomplete, self.broadcast.choking.upload_slots
-        rng, names = self.rng, self._names
+        rng, names, held = self.rng, self._names, self.held
         has_candidates = interest.any(axis=1).tolist()
         for uploader_index, name in enumerate(hosts):
-            peer = peers[name]
-            if peer.fragment_count == 0:
+            if not held[uploader_index]:
                 continue
-            unchoked = peer.unchoked
+            unchoked = peers[name].unchoked
             for d in [d for d in unchoked if d not in incomplete and d != root]:
                 unchoked.remove(d)
             free = upload_slots - len(unchoked)
@@ -678,15 +681,14 @@ class BroadcastSession:
         string-hash randomisation; campaigns replay bit-for-bit from their
         seed.
         """
-        peers, index = self.peers, self.index
+        peers, index, held = self.peers, self.index, self.held
         incomplete, wanted = self.incomplete, self.wanted
         open_pipe, close_pipe = self.open_pipe, self.close_pipe
         for uploader_index, uploader in enumerate(self.hosts):
-            up = peers[uploader]
-            if up.fragment_count == 0:
+            if not held[uploader_index]:
                 continue
             row = wanted[uploader_index]
-            for downloader in up.unchoked:
+            for downloader in peers[uploader].unchoked:
                 if downloader in incomplete and row[index[downloader]] > 0:
                     open_pipe(uploader, downloader)
                 else:
@@ -781,17 +783,16 @@ class BroadcastSession:
             self.close_pipe(key[0], key[1], keep_progress=False)
         for key in [k for k in self.progress_carry if name in k]:
             self.progress_carry.pop(key)
-        peer = self.peers[name]
-        for other in peer.neighbors:
-            other_peer = self.peers[other]
-            other_peer.neighbors.discard(name)
+        peers, hosts = self.peers, self.hosts
+        for j in np.flatnonzero(self.neighbor_mask[i]).tolist():
+            other_peer = peers[hosts[j]]
             if name in other_peer.unchoked:
                 other_peer.unchoked.remove(name)
             if other_peer.optimistic == name:
                 other_peer.optimistic = None
         self.neighbor_mask[i, :] = False
         self.neighbor_mask[:, i] = False
-        peer.neighbors = set()
+        peer = peers[name]
         peer.unchoked = []
         peer.optimistic = None
         peer.downloaded_this_round.clear()
@@ -806,19 +807,16 @@ class BroadcastSession:
             return False
         self.departed.discard(name)
         i = self.index[name]
-        peer = self.peers[name]
         present = [h for h in self.hosts if h != name and h not in self.departed]
         picks = (
             self.broadcast.tracker.announce(name, present, churn_rng)
             if present else set()
         )
-        peer.neighbors = set(picks)
         for other in picks:
-            self.peers[other].neighbors.add(name)
             j = self.index[other]
             self.neighbor_mask[i, j] = True
             self.neighbor_mask[j, i] = True
-        if peer._fragment_count < self.num_fragments:
+        if self.held[i] < self.num_fragments:
             self.incomplete.add(name)
             self.incomplete_mask[i] = True
         return True
@@ -921,16 +919,16 @@ class BroadcastSession:
         while not below[lowest]:
             lowest += 1
         self.lowest = lowest
-        num_fragments = self.num_fragments
-        peer_at, hosts, trace = self.peer_at, self.hosts, self.trace
+        num_fragments, held, completion = self.num_fragments, self.held, self.completion
+        hosts, trace = self.hosts, self.trace
         incomplete, incomplete_mask = self.incomplete, self.incomplete_mask
         ready_up = self.pipe_up[ready]
         ready_down = self.pipe_down[ready]
         uploaders, downloaders = ready_up.tolist(), ready_down.tolist()
         surpluses = progress_now[ready].tolist()
-        held = [peer._fragment_count for peer in peer_at]
-        # One kernel call per pass; nothing in it reads the per-pipe
-        # vectors, ``have`` or the peers, so those are written after it.
+        # One kernel call per pass; it updates the bitsets and ``held`` in
+        # place, and nothing in it reads the per-pipe vectors or ``have``,
+        # so those are written after it.
         received = convert_pass(
             self.host_bits, below, lowest, uploaders, downloaders, held,
             surpluses, fragment_size, self.random_first_threshold,
@@ -943,16 +941,15 @@ class BroadcastSession:
         ):
             if not fragments:
                 continue
-            down = peer_at[downloader_index]
-            down._fragment_count = held[downloader_index]
-            if down._fragment_count == num_fragments:
-                down.completion_time = time
-                incomplete.discard(down.name)
+            downloader = hosts[downloader_index]
+            if held[downloader_index] == num_fragments:
+                completion[downloader_index] = time
+                incomplete.discard(downloader)
                 incomplete_mask[downloader_index] = False
             if trace is not None:
                 uploader = hosts[uploader_index]
                 for fragment in fragments:
-                    trace.append((time, down.name, uploader, fragment))
+                    trace.append((time, downloader, uploader, fragment))
             receipts.extend(fragments)
         pipe_consumed[ready] = moved[ready]
         self.pipe_progress[ready] = surpluses

@@ -111,12 +111,14 @@ def _write_json(path: Optional[str], payload: Dict[str, object]) -> None:
     print(f"wrote {path}")
 
 
-def _validate_detection_args(args: argparse.Namespace, spec) -> None:
+def _validate_detection_args(args: argparse.Namespace, spec, iterations) -> None:
     """Fail-fast checks on the detection/quorum knobs, before any run.
 
-    A bad threshold or an unsatisfiable quorum must surface immediately,
-    not after the campaign burned its measurement budget (or, worse,
-    silently detect nothing because the factor was below 1).
+    ``iterations`` is the shortest campaign the command runs (``None``:
+    the body's default).  A bad threshold or an unsatisfiable quorum must
+    surface immediately, not after the campaign burned its measurement
+    budget (or, worse, silently detect nothing because the factor was
+    below 1).
     """
     if args.detect_factor is not None and args.detect_factor <= 1.0:
         raise ValueError(
@@ -126,10 +128,8 @@ def _validate_detection_args(args: argparse.Namespace, spec) -> None:
     if args.quorum is not None:
         if args.quorum < 1:
             raise ValueError(f"--quorum must be at least 1, got {args.quorum}")
-        iterations = (
-            args.iterations if args.iterations is not None
-            else spec.defaults().get("iterations")
-        )
+        if iterations is None:
+            iterations = spec.defaults().get("iterations")
         if iterations is not None and args.quorum > iterations:
             raise ValueError(
                 f"--quorum ({args.quorum}) cannot exceed the campaign's "
@@ -139,17 +139,19 @@ def _validate_detection_args(args: argparse.Namespace, spec) -> None:
 
 def _prologue(
     args: argparse.Namespace,
-    what: str = "override",
-    probe: Optional[Dict[str, object]] = None,
+    param: Optional[str] = None,
+    values: Sequence[object] = (),
 ):
     """The fail-fast checks ``run`` and ``sweep`` share, before any run.
 
     Resolves the scenario, parses ``--set`` with ``--per-site`` merged in,
-    rejects tunables the scenario does not take (``probe`` adds the swept
-    parameter), checks the detection knobs and configures ``--trace``: an
-    unwritable path must not surface hours into a campaign.  Returns
-    ``(spec, overrides)``; raises ``ValueError`` with the one line the
-    command prints before exiting 2.
+    rejects a run knob set as a tunable and tunables the scenario does not
+    take, checks the detection knobs and configures ``--trace``: an
+    unwritable path must not surface hours into a campaign.  A sweep
+    passes its axis as ``param``/``values``: a tunable axis is checked like
+    a ``--set`` key, and an ``iterations`` axis bounds ``--quorum`` by its
+    least value.  Returns ``(spec, overrides)``; raises ``ValueError`` with
+    the one line the command prints before exiting 2.
     """
     try:
         spec = get_scenario(args.scenario)
@@ -162,32 +164,50 @@ def _prologue(
     }
     if args.per_site is not None:
         overrides.setdefault("per_site", args.per_site)
-    unknown = spec.unknown_overrides({**overrides, **(probe or {})})
+    tunables = dict(overrides)
+    if param is not None and param not in CAMPAIGN_PARAMS:
+        tunables[param] = values[0]
+    for key in tunables:
+        if key in _KNOB_OPTIONS:
+            flag = "--" + _KNOB_OPTIONS[key].replace("_", "-")
+            raise ValueError(f"{key} is a run knob, not a tunable: use {flag}")
+    unknown = spec.unknown_overrides(tunables)
     if unknown:
+        what = "override" if param is None else "sweep parameter(s)"
         raise ValueError(
             f"bad {what} for scenario {spec.name!r}: "
             f"unknown tunables {', '.join(unknown)}"
         )
-    _validate_detection_args(args, spec)
+    _validate_detection_args(
+        args, spec, min(values) if param == "iterations" else args.iterations
+    )
     if args.trace:
         configure_tracing(args.trace, detail=args.trace_detail)
     return spec, overrides
 
 
+#: Each ``ScenarioSpec.run`` knob and the option that sets it: ``--set``
+#: and a sweep axis take tunables only (a sweep along ``iterations``,
+#: ``num_fragments`` or ``seed`` sets the knob itself).
+_KNOB_OPTIONS = {
+    "executor": "executor",
+    "iterations": "iterations",
+    "num_fragments": "fragments",
+    "seed": "seed",
+    "stepping": "stepping",
+    "workload": "workload",
+    "faults": "faults",
+    "quorum": "quorum",
+    "detect_factor": "detect_factor",
+}
+
+
 def _knobs(args: argparse.Namespace) -> Dict[str, object]:
     """The per-run knobs of ``run``/``sweep`` as ``ScenarioSpec.run``
     arguments; an unset one is ``None``, the body's default."""
-    return {
-        "executor": executor_from_name(args.executor, workers=args.workers),
-        "iterations": args.iterations,
-        "num_fragments": args.fragments,
-        "seed": args.seed,
-        "stepping": args.stepping,
-        "workload": args.workload,
-        "faults": args.faults,
-        "quorum": args.quorum,
-        "detect_factor": args.detect_factor,
-    }
+    knobs = {knob: getattr(args, option) for knob, option in _KNOB_OPTIONS.items()}
+    knobs["executor"] = executor_from_name(args.executor, workers=args.workers)
+    return knobs
 
 
 # ---------------------------------------------------------------------- #
@@ -249,14 +269,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if not isinstance(values, tuple):
         values = (values,)
     param = args.param.replace("-", "_")
-    param_is_campaign = param in CAMPAIGN_PARAMS
     try:
-        spec, overrides = _prologue(
-            args, "sweep parameter(s)",
-            {} if param_is_campaign else {param: values[0]},
-        )
+        spec, overrides = _prologue(args, param, values)
         defaults = spec.defaults()
-        if param_is_campaign and param not in defaults:
+        if param in CAMPAIGN_PARAMS and param not in defaults:
             # A run ignores a campaign knob its body does not take; an axis
             # of identical rows must not pass for a sweep.
             raise ValueError(f"scenario {spec.name} does not take {param}")

@@ -235,6 +235,43 @@ class TestSweepAxis:
         assert main(["run", "netpipe", "--seed", "5", "--set", "repeats=2"]) == 0
 
 
+class TestRunKnobs:
+    """``--set`` and a sweep axis take tunables only: each run knob has its
+    own flag, and a sweep along ``iterations`` bounds ``--quorum`` once per
+    value before it prints anything."""
+
+    SMALL = ["--iterations", "2", "--fragments", "40", "--per-site", "2"]
+
+    @pytest.mark.parametrize(
+        "argv, knob, flag",
+        [
+            (["run", "fig4", "--set", "executor=process"], "executor", "--executor"),
+            (["sweep", "fig4", "--param", "executor", "--values", "process"],
+             "executor", "--executor"),
+            (["run", "LINK-BLACKOUT", "--set", "quorum=2"], "quorum", "--quorum"),
+            (["run", "fig4", "--set", "seed=3"], "seed", "--seed"),
+        ],
+        ids=["run-executor", "sweep-executor", "run-quorum", "run-seed"],
+    )
+    def test_a_run_knob_is_not_a_tunable(self, capsys, argv, knob, flag):
+        assert main([*argv, *self.SMALL]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.strip().splitlines() == [
+            f"{knob} is a run knob, not a tunable: use {flag}"
+        ]
+
+    def test_sweep_along_iterations_bounds_quorum_before_its_header(self, capsys):
+        assert main(["sweep", "G-T", "--param", "iterations", "--values", "1,3",
+                     "--quorum", "2", "--fragments", "40", "--per-site", "2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.strip().splitlines() == [
+            "--quorum (2) cannot exceed the campaign's iterations (1): "
+            "the quorum could never be met"
+        ]
+
+
 class TestDetectionKnobs:
     """Fail-fast validation of --detect-factor/--quorum and `faults list`."""
 

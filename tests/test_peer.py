@@ -1,114 +1,32 @@
-"""Unit tests for per-peer protocol state."""
+"""Unit tests for per-peer choking state."""
 
-import numpy as np
 import pytest
 
 from repro.bittorrent.peer import PeerState
 
 
-def make_peer(name="p", index=0, fragments=10):
-    return PeerState(name=name, index=index, num_fragments=fragments)
-
-
-class TestBitfield:
-    def test_new_peer_has_nothing(self):
-        peer = make_peer()
-        assert peer.fragment_count == 0
-        assert not peer.is_seed
-
-    def test_make_seed(self):
-        peer = make_peer()
-        peer.make_seed()
-        assert peer.is_seed
-        assert peer.fragment_count == peer.num_fragments
-
-    def test_receive_fragment(self):
-        peer = make_peer()
-        peer.receive_fragment(3)
-        assert peer.fragment_count == 1
-        assert peer.have[3]
-        peer.receive_fragment(3)
-        assert peer.fragment_count == 1
-
-    def test_receive_out_of_range_rejected(self):
-        peer = make_peer(fragments=5)
-        with pytest.raises(IndexError):
-            peer.receive_fragment(5)
-        with pytest.raises(IndexError):
-            peer.receive_fragment(-1)
-
-    def test_invalid_construction(self):
-        with pytest.raises(ValueError):
-            PeerState(name="x", index=0, num_fragments=0)
-        with pytest.raises(ValueError):
-            PeerState(name="x", index=0, num_fragments=4, have=np.zeros(3, dtype=bool))
-
-
-class TestInterest:
-    def test_interested_in_seed(self):
-        a, b = make_peer("a"), make_peer("b", 1)
-        b.make_seed()
-        assert a.is_interested_in(b)
-        assert not b.is_interested_in(a)
-
-    def test_not_interested_in_empty_peer(self):
-        a, b = make_peer("a"), make_peer("b", 1)
-        assert not a.is_interested_in(b)
-
-    def test_not_interested_when_nothing_new(self):
-        a, b = make_peer("a"), make_peer("b", 1)
-        b.receive_fragment(2)
-        a.receive_fragment(2)
-        assert not a.is_interested_in(b)
-
-    def test_interested_when_other_has_missing_fragment(self):
-        a, b = make_peer("a"), make_peer("b", 1)
-        b.receive_fragment(2)
-        b.receive_fragment(4)
-        a.receive_fragment(2)
-        assert a.is_interested_in(b)
-        mask = a.missing_from(b)
-        assert mask[4] and not mask[2]
-
-    def test_seed_is_never_interested(self):
-        a, b = make_peer("a"), make_peer("b", 1)
-        a.make_seed()
-        b.receive_fragment(0)
-        assert not a.is_interested_in(b)
-
-
 class TestReciprocation:
     def test_credit_and_ranking(self):
-        peer = make_peer()
-        peer.neighbors = {"x", "y", "z"}
+        peer = PeerState("p")
         peer.credit_download("x", 100.0)
         peer.credit_download("y", 300.0)
         peer.credit_download("x", 50.0)
         assert peer.reciprocation_ranking() == ["y", "x"]
 
-    def test_ranking_excludes_non_neighbors(self):
-        peer = make_peer()
-        peer.neighbors = {"x"}
-        peer.credit_download("x", 10.0)
-        peer.credit_download("stranger", 1000.0)
-        assert peer.reciprocation_ranking() == ["x"]
-
     def test_reset_round_clears_counters(self):
-        peer = make_peer()
-        peer.neighbors = {"x"}
+        peer = PeerState("p")
         peer.credit_download("x", 10.0)
         peer.reset_round()
         assert peer.reciprocation_ranking() == []
         assert peer.downloaded_this_round == {}
 
     def test_negative_credit_rejected(self):
-        peer = make_peer()
+        peer = PeerState("p")
         with pytest.raises(ValueError):
             peer.credit_download("x", -1.0)
 
     def test_ties_break_deterministically(self):
-        peer = make_peer()
-        peer.neighbors = {"a", "b"}
+        peer = PeerState("p")
         peer.credit_download("b", 10.0)
         peer.credit_download("a", 10.0)
         assert peer.reciprocation_ranking() == ["a", "b"]

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.bittorrent.peer import PeerState
 from repro.bittorrent.selection import (
     UNPACK_ABOVE,
     PieceSelector,
@@ -16,22 +15,14 @@ from repro.bittorrent.selection import (
 )
 
 
-def make_peer(name, fragments=8):
-    return PeerState(name=name, index=0, num_fragments=fragments)
+def select(selector, uploader_have, downloader_have, rng):
+    """The reference selector's pick for one downloader/uploader pair."""
+    return selector.select_from(
+        uploader_have, ~downloader_have, int(downloader_have.sum()), rng
+    )
 
 
 class TestPieceSelector:
-    def test_register_bitfield_updates_availability(self):
-        selector = PieceSelector(4)
-        seed_have = np.ones(4, dtype=bool)
-        selector.register_bitfield(seed_have)
-        assert selector.availability.tolist() == [1, 1, 1, 1]
-
-    def test_register_wrong_shape_rejected(self):
-        selector = PieceSelector(4)
-        with pytest.raises(ValueError):
-            selector.register_bitfield(np.ones(5, dtype=bool))
-
     def test_record_receipt_bounds(self):
         selector = PieceSelector(4)
         selector.record_receipt(2)
@@ -41,57 +32,45 @@ class TestPieceSelector:
 
     def test_select_returns_none_when_nothing_useful(self, rng):
         selector = PieceSelector(8)
-        downloader = make_peer("d")
-        uploader = make_peer("u")
-        assert selector.select(downloader, uploader, rng) is None
+        nothing = np.zeros(8, dtype=bool)
+        assert select(selector, nothing, nothing, rng) is None
 
     def test_select_only_offers_fragments_uploader_has(self, rng):
         selector = PieceSelector(8)
-        downloader = make_peer("d")
-        uploader = make_peer("u")
-        uploader.receive_fragment(3)
+        uploader = np.zeros(8, dtype=bool)
+        uploader[3] = True
         for _ in range(20):
-            choice = selector.select(downloader, uploader, rng)
+            choice = select(selector, uploader, np.zeros(8, dtype=bool), rng)
             assert choice == 3
 
     def test_random_first_phase_uses_any_candidate(self, rng):
         selector = PieceSelector(8, random_first_threshold=4)
-        downloader = make_peer("d")
-        uploader = make_peer("u")
-        uploader.make_seed()
-        choices = {selector.select(downloader, uploader, rng) for _ in range(50)}
+        seed, empty = np.ones(8, dtype=bool), np.zeros(8, dtype=bool)
+        choices = {select(selector, seed, empty, rng) for _ in range(50)}
         assert len(choices) > 1  # random-first really is random
 
     def test_rarest_first_prefers_least_available(self, rng):
         selector = PieceSelector(6, random_first_threshold=0)
-        downloader = make_peer("d", 6)
-        uploader = make_peer("u", 6)
-        uploader.make_seed()
         # Make fragments 0..4 common, fragment 5 rare.
         for fragment in range(5):
             selector.availability[fragment] = 10
         selector.availability[5] = 1
-        choice = selector.select(downloader, uploader, rng)
+        choice = select(selector, np.ones(6, dtype=bool), np.zeros(6, dtype=bool), rng)
         assert choice == 5
 
     def test_rarest_first_breaks_ties_randomly(self, rng):
         selector = PieceSelector(6, random_first_threshold=0)
-        downloader = make_peer("d", 6)
-        uploader = make_peer("u", 6)
-        uploader.make_seed()
+        seed, empty = np.ones(6, dtype=bool), np.zeros(6, dtype=bool)
         selector.availability[:] = 3
-        choices = {selector.select(downloader, uploader, rng) for _ in range(60)}
+        choices = {select(selector, seed, empty, rng) for _ in range(60)}
         assert len(choices) > 1
 
     def test_already_held_fragments_never_selected(self, rng):
         selector = PieceSelector(6, random_first_threshold=0)
-        downloader = make_peer("d", 6)
-        uploader = make_peer("u", 6)
-        uploader.make_seed()
-        for fragment in (0, 1, 2, 3):
-            downloader.receive_fragment(fragment)
+        downloader = np.zeros(6, dtype=bool)
+        downloader[:4] = True
         for _ in range(20):
-            assert selector.select(downloader, uploader, rng) in (4, 5)
+            assert select(selector, np.ones(6, dtype=bool), downloader, rng) in (4, 5)
 
     def test_invalid_construction(self):
         with pytest.raises(ValueError):

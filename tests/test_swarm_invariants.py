@@ -3,9 +3,10 @@
 A :class:`~repro.bittorrent.swarm.BroadcastSession` keeps the same facts in
 several shapes for speed: the ``have`` bitfield matrix, one Python-int
 bitset per host and one per availability bound (``below[c]``, the
-fragments held by at most ``c`` hosts), each peer's cached fragment count, the ``wanted`` interest counts, the
-neighbour sets and ``neighbor_mask``, and the slot-aligned pipe vectors.
-The seed goldens only hash the end result;
+fragments held by at most ``c`` hosts), the fragment counts ``held``, the
+finish times ``completion``, the ``wanted`` interest counts, and the
+slot-aligned pipe vectors; unchoke lists must stay inside the symmetric
+``neighbor_mask``.  The seed goldens only hash the end result;
 these tests wrap ``start``/``resume`` the way perfbench does and check,
 after every call on an unfinished session, that the shapes agree and that
 no link is allocated past its capacity.
@@ -56,25 +57,30 @@ def check_invariants(session, seen):
     held_by = have.sum(axis=0)
     assert session.host_bits == [bitset(row) for row in have]
     assert session.below == [bitset(held_by <= c) for c in range(len(have) + 1)]
-    assert [peer.fragment_count for peer in session.peer_at] == have.sum(axis=1).tolist()
+    assert session.held == have.sum(axis=1).tolist()
+    assert [finish is not None for finish in session.completion] == [
+        count == num_fragments for count in session.held
+    ]
     assert have.sum() - num_fragments == session.fragments.counts.sum()
+    # The wire-protocol interest rule: d wants u exactly when u holds a
+    # fragment d lacks (so a seed wants nothing and an empty peer offers
+    # nothing).
+    wanted = session.recompute_wanted()
+    assert np.array_equal(wanted > 0, (have[:, None] & ~have[None]).any(axis=2))
     if not session.have_changed:
-        assert np.array_equal(session.wanted, session.recompute_wanted())
+        assert np.array_equal(session.wanted, wanted)
 
     # An uploader unchokes only neighbours, so sync_pipes never has to
     # drop a stranger: the rechoke and the fill pick from neighbor_mask
     # rows, and a leave removes the peer from every neighbour's list.
     upload_slots = session.broadcast.choking.upload_slots
-    peers, hosts = session.peers, session.hosts
-    for i, peer in enumerate(session.peer_at):
-        unchoked = peer.unchoked
+    mask, index = session.neighbor_mask, session.index
+    assert np.array_equal(mask, mask.T)
+    for i, name in enumerate(session.hosts):
+        unchoked = session.peers[name].unchoked
         assert all(a < b for a, b in zip(unchoked, unchoked[1:])), unchoked
         assert len(unchoked) <= upload_slots
-        assert set(unchoked) <= peer.neighbors, peer.name
-        assert all(peer.name in peers[other].neighbors for other in peer.neighbors)
-        assert {hosts[j] for j in np.flatnonzero(session.neighbor_mask[i])} == (
-            peer.neighbors
-        )
+        assert all(mask[i, index[other]] for other in unchoked), name
 
     if not session.pipes_dirty and not session._completed_pipes:
         order = session.pipe_order
