@@ -7,8 +7,9 @@ lazily, at the first rate read after a batch of pipe opens and closes: a
 paper-4site campaign makes 2,486 solves for 68,536 opens and closes, a
 blackout campaign 19,514 for 105,514.  These instances are far wider than
 any campaign solve (at most 256 flows in the perfbench workloads).  The same
-seeded instances pin the solver's bits (sha256 goldens) and are
-cross-checked against the scalar reference oracle.
+seeded instances pin the solver's bits (sha256 goldens), and
+:meth:`~repro.network.solver.FlowSet.certify` checks that each solve is the
+max-min fair allocation.
 """
 
 import hashlib
@@ -18,7 +19,6 @@ import numpy as np
 import pytest
 
 from benchmarks.conftest import report
-from repro.network.flows import FlowDemand, max_min_fair_allocation_scalar
 from repro.network.solver import FlowSet
 
 #: Number of shared core links every flow competes on (star-of-sites shape).
@@ -65,13 +65,8 @@ def test_solver_scales_to_many_flows(num_flows):
     rates = solve_once(capacities, routes, caps)
     elapsed = time.perf_counter() - start
 
-    active = rates[rates > 0]
-    assert active.size == num_flows
-    # Feasibility: shared cores must not be oversubscribed.
-    load = np.zeros(capacities.size)
-    for route, rate in zip(routes, rates):
-        load[route] += rate
-    assert (load <= capacities * (1 + 1e-6)).all()
+    # Feasibility and fairness are test_solver_is_certified's.
+    assert (rates > 0).all()
 
     report(
         f"solver scale — {num_flows} flows",
@@ -85,48 +80,23 @@ def test_solver_scales_to_many_flows(num_flows):
 #: sha256 of ``solve()`` over the seeded instances, flows added in order.
 SOLVER_GOLDENS = {
     100: "3e265add4bc258d92f8f600166dd189ceebf2261350f686997889a702e45291c",
-    1_000: "a251ee3938961623018f2d78f7278cfb978d5c7e3c9f43a25a2b0f3146f2730b",
+    1_000: "a333524daa86ed8bcb34807f735a9cdae18c83d7307420f62726a2687803afbe",
     10_000: "e9674b2401055da4ec870d45b279fa1e2f2242b869af337b1aea0830ac11dda5",
 }
 
 
 @pytest.mark.parametrize("num_flows", sorted(SOLVER_GOLDENS))
 def test_solver_replays_its_golden(num_flows):
-    """Every rate keeps its bits (the 1,000-flow solve freezes all once)."""
+    """Every rate keeps its bits."""
     rates = solve_once(*build_scenario(num_flows))
     assert hashlib.sha256(rates.tobytes()).hexdigest() == SOLVER_GOLDENS[num_flows]
 
 
-def oracle_rates(capacities, routes, caps):
-    """The scalar reference allocation, as a list aligned with ``routes``."""
-    link_names = [f"L{i}" for i in range(capacities.size)]
-    flows = [
-        FlowDemand(i, tuple(link_names[j] for j in route), rate_cap=cap)
-        for i, (route, cap) in enumerate(zip(routes, caps))
-    ]
-    reference = max_min_fair_allocation_scalar(
-        flows, dict(zip(link_names, capacities))
-    )
-    return [reference[i] for i in range(len(routes))]
-
-
-def test_vectorized_solver_matches_scalar_oracle_at_100_flows():
-    capacities, routes, caps = build_scenario(100)
-    rates = solve_once(capacities, routes, caps)
-    assert rates.tolist() == oracle_rates(capacities, routes, caps)
-
-
-@pytest.mark.xfail(
-    strict=True,
-    reason=(
-        "FlowSet.solve freezes every unfrozen flow when a round freezes "
-        "nothing: a 1.25 GB/s core link left at 1.86e-9 B/s, above the "
-        "absolute SATURATION_EPS = 1e-9, freezes 115 flows at once, 95 of "
-        "them below their max-min rate; the scalar oracle keeps drained "
-        "links saturated and runs one more round"
-    ),
-)
-def test_vectorized_solver_matches_scalar_oracle_at_1000_flows():
-    capacities, routes, caps = build_scenario(1_000)
-    rates = solve_once(capacities, routes, caps)
-    assert rates.tolist() == oracle_rates(capacities, routes, caps)
+@pytest.mark.parametrize("num_flows", sorted(SOLVER_GOLDENS))
+def test_solver_is_certified(num_flows):
+    """Each scale instance's solve is max-min fair, flow for flow."""
+    capacities, routes, caps = build_scenario(num_flows)
+    flow_set = FlowSet(capacities)
+    for route, cap in zip(routes, caps):
+        flow_set.add(route, cap, assume_unique=True)
+    flow_set.certify(flow_set.solve())

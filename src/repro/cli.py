@@ -92,6 +92,20 @@ def _fit(value: object, default: object) -> object:
     return value
 
 
+def _accepts(default: object, value: object) -> bool:
+    """Whether a parsed value fits the type of a knob's default: an int
+    default takes no bool, a float default also takes an int, a tuple
+    default takes a tuple of its first item's type, and a ``None`` default
+    takes anything."""
+    if isinstance(default, tuple):
+        return isinstance(value, tuple) and all(_accepts(default[0], v) for v in value)
+    if default is None or isinstance(value, bool) != isinstance(default, bool):
+        return default is None
+    if isinstance(default, float):
+        return isinstance(value, (int, float))
+    return isinstance(value, type(default))
+
+
 def _parse_overrides(pairs: Optional[Sequence[str]]) -> Dict[str, object]:
     overrides: Dict[str, object] = {}
     for pair in pairs or ():
@@ -145,8 +159,9 @@ def _prologue(
     """The fail-fast checks ``run`` and ``sweep`` share, before any run.
 
     Resolves the scenario, parses ``--set`` with ``--per-site`` merged in,
-    rejects a run knob set as a tunable and tunables the scenario does not
-    take, checks the detection knobs and configures ``--trace``: an
+    rejects a run knob set as a tunable, tunables the scenario does not
+    take and values not of their default's type, checks the detection
+    knobs and configures ``--trace``: an
     unwritable path must not surface hours into a campaign.  A sweep
     passes its axis as ``param``/``values``: a tunable axis is checked like
     a ``--set`` key, and an ``iterations`` axis bounds ``--quorum`` by its
@@ -178,6 +193,16 @@ def _prologue(
             f"bad {what} for scenario {spec.name!r}: "
             f"unknown tunables {', '.join(unknown)}"
         )
+    # A swept campaign parameter is an int whatever the body's default.
+    axis_default = 0 if param in CAMPAIGN_PARAMS else defaults.get(param)
+    typed = [(key, value, defaults.get(key)) for key, value in overrides.items()]
+    typed += [(param, _fit(value, axis_default), axis_default) for value in values]
+    for key, value, default in typed:
+        if not _accepts(default, value):
+            expected = type(default).__name__
+            if isinstance(default, tuple):
+                expected = f"a tuple of {type(default[0]).__name__}"
+            raise ValueError(f"{key}: expected {expected}, got {value!r}")
     _validate_detection_args(
         args, spec, min(values) if param == "iterations" else args.iterations
     )

@@ -10,7 +10,6 @@ share of it, so BitTorrent moves fewer fragments across the bottleneck.
 
 from repro.network.topology import Host, Link, Switch, Topology, TopologyError
 from repro.network.routing import RoutingTable
-from repro.network.flows import FlowDemand, max_min_fair_allocation
 from repro.network.fluid import FluidNetwork, FluidTransfer
 from repro.network.transfer import PointToPointNetwork, TransferResult
 from repro.network.grid5000 import (
@@ -29,8 +28,6 @@ __all__ = [
     "Topology",
     "TopologyError",
     "RoutingTable",
-    "FlowDemand",
-    "max_min_fair_allocation",
     "FluidNetwork",
     "FluidTransfer",
     "PointToPointNetwork",

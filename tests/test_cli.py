@@ -272,6 +272,35 @@ class TestRunKnobs:
         ]
 
 
+class TestKnobTypes:
+    """A ``--set`` value and a swept value must be of their default's type
+    (a swept campaign parameter an int): a malformed one exits 2 with one
+    line before anything runs or prints."""
+
+    @pytest.mark.parametrize(
+        "argv, line",
+        [
+            (["run", "G-T", "--set", "per_site=x", "--iterations", "1",
+              "--fragments", "40"], "per_site: expected int, got 'x'"),
+            (["run", "G-T", "--set", "per_site=2.5", "--iterations", "1",
+              "--fragments", "40"], "per_site: expected int, got 2.5"),
+            (["run", "CHURN", "--set", "churn_rate=abc", "--iterations", "1",
+              "--fragments", "40"], "churn_rate: expected float, got 'abc'"),
+            (["sweep", "G-T", "--param", "iterations", "--values", "x",
+              "--fragments", "40", "--per-site", "2"],
+             "iterations: expected int, got 'x'"),
+        ],
+        ids=["run-int-str", "run-int-float", "run-float-str", "sweep-iterations"],
+    )
+    def test_a_malformed_value_exits_2_naming_knob_value_and_type(
+        self, capsys, argv, line
+    ):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.strip().splitlines() == [line]
+
+
 class TestDetectionKnobs:
     """Fail-fast validation of --detect-factor/--quorum and `faults list`."""
 

@@ -1,152 +1,144 @@
-"""Unit and property tests for max-min fair bandwidth allocation."""
+"""Max-min fair allocation cases on FlowSet, and its definition restated.
 
-import numpy as np
+Each unit case pins the exact rates of a small allocation and certifies it.
+The properties restate the definition of max-min fairness in plain Python,
+link by link and flow by flow, on random instances at 1e6–1e10 B/s: an
+independent check of what :meth:`~repro.network.solver.FlowSet.certify`
+computes in one vectorized pass.
+"""
+
+import math
+
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, settings
 
-from repro.network.flows import (
-    FlowDemand,
-    link_utilisation,
-    max_min_fair_allocation,
-    validate_allocation,
-)
+from repro.network.solver import SATURATION_EPS, FlowSet
+from test_solver import random_scenario, solve_certified
 
 
 class TestBasicAllocation:
     def test_single_flow_gets_bottleneck_capacity(self):
-        flows = [FlowDemand("f", ("l1", "l2"))]
-        rates = max_min_fair_allocation(flows, {"l1": 100.0, "l2": 40.0})
-        assert rates["f"] == pytest.approx(40.0)
+        flow_set = FlowSet([100.0, 40.0, 70.0])
+        slot = flow_set.add([0, 1, 2])
+        assert solve_certified(flow_set)[slot] == 40.0
 
     def test_two_flows_share_a_link_equally(self):
-        flows = [FlowDemand("a", ("shared",)), FlowDemand("b", ("shared",))]
-        rates = max_min_fair_allocation(flows, {"shared": 100.0})
-        assert rates["a"] == pytest.approx(50.0)
-        assert rates["b"] == pytest.approx(50.0)
+        flow_set = FlowSet([100.0])
+        a, b = flow_set.add([0]), flow_set.add([0])
+        rates = solve_certified(flow_set)
+        assert (rates[a], rates[b]) == (50.0, 50.0)
 
     def test_unequal_paths_give_max_min_solution(self):
-        # Classic example: flow A uses links 1+2, flow B only link 1, flow C only link 2.
-        flows = [
-            FlowDemand("a", ("l1", "l2")),
-            FlowDemand("b", ("l1",)),
-            FlowDemand("c", ("l2",)),
-        ]
-        rates = max_min_fair_allocation(flows, {"l1": 10.0, "l2": 10.0})
-        assert rates["a"] == pytest.approx(5.0)
-        assert rates["b"] == pytest.approx(5.0)
-        assert rates["c"] == pytest.approx(5.0)
+        # Flow a crosses links 0 and 1, flow b only link 0, flow c only link 1.
+        flow_set = FlowSet([10.0, 10.0])
+        slots = [flow_set.add([0, 1]), flow_set.add([0]), flow_set.add([1])]
+        assert solve_certified(flow_set)[slots].tolist() == [5.0, 5.0, 5.0]
 
     def test_freed_capacity_goes_to_unconstrained_flows(self):
-        flows = [
-            FlowDemand("a", ("narrow", "wide")),
-            FlowDemand("b", ("wide",)),
-        ]
-        rates = max_min_fair_allocation(flows, {"narrow": 2.0, "wide": 10.0})
-        assert rates["a"] == pytest.approx(2.0)
-        assert rates["b"] == pytest.approx(8.0)
+        narrow, wide = 0, 1
+        flow_set = FlowSet([2.0, 10.0])
+        a, b = flow_set.add([narrow, wide]), flow_set.add([wide])
+        rates = solve_certified(flow_set)
+        assert (rates[a], rates[b]) == (2.0, 8.0)
 
     def test_rate_cap_is_respected(self):
-        flows = [FlowDemand("a", ("l",), rate_cap=3.0), FlowDemand("b", ("l",))]
-        rates = max_min_fair_allocation(flows, {"l": 10.0})
-        assert rates["a"] == pytest.approx(3.0)
-        assert rates["b"] == pytest.approx(7.0)
+        flow_set = FlowSet([10.0])
+        a, b = flow_set.add([0], rate_cap=3.0), flow_set.add([0])
+        rates = solve_certified(flow_set)
+        assert (rates[a], rates[b]) == (3.0, 7.0)
 
     def test_flow_without_links_or_cap_is_unbounded(self):
-        flows = [FlowDemand("loop", ())]
-        rates = max_min_fair_allocation(flows, {})
-        assert rates["loop"] == float("inf")
+        flow_set = FlowSet([1.0])
+        loop, linked = flow_set.add([]), flow_set.add([0])
+        rates = solve_certified(flow_set)
+        assert (rates[loop], rates[linked]) == (math.inf, 1.0)
 
     def test_flow_without_links_with_cap(self):
-        flows = [FlowDemand("loop", (), rate_cap=5.0)]
-        rates = max_min_fair_allocation(flows, {})
-        assert rates["loop"] == pytest.approx(5.0)
+        flow_set = FlowSet([1.0])
+        loop, linked = flow_set.add([], rate_cap=5.0), flow_set.add([0], rate_cap=5.0)
+        rates = solve_certified(flow_set)
+        assert (rates[loop], rates[linked]) == (5.0, 1.0)
 
     def test_empty_flow_list(self):
-        assert max_min_fair_allocation([], {"l": 1.0}) == {}
+        assert solve_certified(FlowSet([1.0])).tolist() == [0.0] * 8
 
     def test_unknown_link_raises(self):
-        with pytest.raises(KeyError):
-            max_min_fair_allocation([FlowDemand("a", ("ghost",))], {"l": 1.0})
+        with pytest.raises(IndexError):
+            FlowSet([1.0]).add([-1])
 
     def test_non_positive_capacity_raises(self):
+        flow_set = FlowSet([1.0])
         with pytest.raises(ValueError):
-            max_min_fair_allocation([FlowDemand("a", ("l",))], {"l": 0.0})
-
-    def test_duplicate_flow_ids_raise(self):
-        flows = [FlowDemand("a", ("l",)), FlowDemand("a", ("l",))]
-        with pytest.raises(ValueError):
-            max_min_fair_allocation(flows, {"l": 1.0})
+            flow_set.set_link_capacity(0, 0.0)
 
     def test_invalid_rate_cap_rejected(self):
         with pytest.raises(ValueError):
-            FlowDemand("a", ("l",), rate_cap=0.0)
+            FlowSet([1.0]).add([0], rate_cap=-1.0)
 
     def test_many_flows_through_bottleneck(self):
+        # Half of 32 flows are capped at 1 MB/s; the other half share the rest.
         n = 32
-        flows = [FlowDemand(f"f{i}", ("access" + str(i), "bottleneck")) for i in range(n)]
-        capacities = {"bottleneck": 125e6}
-        capacities.update({f"access{i}": 111e6 for i in range(n)})
-        rates = max_min_fair_allocation(flows, capacities)
-        for rate in rates.values():
-            assert rate == pytest.approx(125e6 / n, rel=1e-6)
-
-    def test_link_utilisation(self):
-        flows = [FlowDemand("a", ("l",)), FlowDemand("b", ("l",))]
-        rates = max_min_fair_allocation(flows, {"l": 10.0})
-        util = link_utilisation(flows, rates, {"l": 10.0})
-        assert util["l"] == pytest.approx(1.0)
+        flow_set = FlowSet([125e6] + [111e6] * n)
+        slots = [
+            flow_set.add([1 + i, 0], rate_cap=1e6 if i % 2 else None) for i in range(n)
+        ]
+        rates = solve_certified(flow_set)[slots].tolist()
+        assert rates == [(125e6 - 16e6) / 16, 1e6] * 16
 
 
 # --------------------------------------------------------------------- #
-# property-based tests
+# the definition, restated flow by flow
 # --------------------------------------------------------------------- #
-@st.composite
-def random_scenario(draw):
-    num_links = draw(st.integers(min_value=1, max_value=6))
-    link_names = [f"L{i}" for i in range(num_links)]
-    capacities = {
-        name: draw(st.floats(min_value=1.0, max_value=1000.0)) for name in link_names
-    }
-    num_flows = draw(st.integers(min_value=1, max_value=10))
-    flows = []
-    for i in range(num_flows):
-        k = draw(st.integers(min_value=1, max_value=num_links))
-        links = tuple(draw(st.permutations(link_names))[:k])
-        cap = draw(st.one_of(st.none(), st.floats(min_value=0.5, max_value=500.0)))
-        flows.append(FlowDemand(f"f{i}", links, rate_cap=cap))
-    return flows, capacities
+def allocate(scenario):
+    """Solve a random instance; returns capacities, (route, cap, rate) per
+    flow with routes deduplicated, and each link's load and top rate."""
+    capacities, flows = scenario
+    flow_set = FlowSet(capacities)
+    slots = [flow_set.add(route, cap) for route, cap in flows]
+    rates = flow_set.solve()
+    allocated = [
+        (set(route), math.inf if cap is None else cap, float(rates[slot]))
+        for (route, cap), slot in zip(flows, slots)
+    ]
+    load = [0.0] * len(capacities)
+    top = [0.0] * len(capacities)
+    for route, _, rate in allocated:
+        for link in route:
+            load[link] += rate
+            top[link] = max(top[link], rate)
+    return capacities, allocated, load, top
 
 
 @given(random_scenario())
 @settings(max_examples=80, deadline=None)
 def test_allocation_is_always_feasible(scenario):
-    flows, capacities = scenario
-    rates = max_min_fair_allocation(flows, capacities)
-    validate_allocation(flows, rates, capacities)
+    capacities, allocated, load, _ = allocate(scenario)
+    for link, capacity in enumerate(capacities):
+        assert load[link] <= capacity * (1 + SATURATION_EPS)
+    for _, cap, rate in allocated:
+        assert rate <= cap * (1 + SATURATION_EPS)
 
 
 @given(random_scenario())
 @settings(max_examples=80, deadline=None)
 def test_allocation_rates_are_positive(scenario):
-    flows, capacities = scenario
-    rates = max_min_fair_allocation(flows, capacities)
-    assert set(rates) == {f.flow_id for f in flows}
-    for rate in rates.values():
+    _, allocated, _, _ = allocate(scenario)
+    for route, cap, rate in allocated:
         assert rate > 0
+        assert rate == cap or route
 
 
 @given(random_scenario())
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=80, deadline=None)
 def test_every_flow_hits_a_binding_constraint(scenario):
-    """Max-min property: each flow is limited by a saturated link or its cap."""
-    flows, capacities = scenario
-    rates = max_min_fair_allocation(flows, capacities)
-    utilisation = link_utilisation(flows, rates, capacities)
-    for flow in flows:
-        rate = rates[flow.flow_id]
-        capped = flow.rate_cap is not None and rate >= flow.rate_cap - 1e-6
-        on_saturated_link = any(
-            utilisation[link] >= 1.0 - 1e-6 for link in set(flow.links)
+    """Max-min property: each flow is at its cap or crosses a saturated
+    link on which no flow gets more."""
+    capacities, allocated, load, top = allocate(scenario)
+    for route, cap, rate in allocated:
+        capped = rate >= cap * (1 - SATURATION_EPS)
+        bottlenecked = any(
+            load[link] >= capacities[link] * (1 - SATURATION_EPS)
+            and rate >= top[link] * (1 - SATURATION_EPS)
+            for link in route
         )
-        unbounded = not flow.links and flow.rate_cap is None
-        assert capped or on_saturated_link or unbounded
+        assert capped or bottlenecked

@@ -189,9 +189,9 @@ def test_one_actor_workload_replays_the_single_broadcast_goldens(stepping):
 #: stepping modes must reproduce the same hashes: the interference wakeups
 #: keep the event mode exact in a changing network.
 INTERFERENCE_GOLDENS = {
-    "rival": "39e14ea1a531976b25add05b51a6a1c74399a005174e0bbef025966bb152810f",
-    "cross": "3509570ef7bc58ce111bd3d86360b397d2249941814fcf778c4d0ac316488b0c",
-    "churn": "7fca60aa6380075fe2058a15342f015bcea1320b96d607b17dddb2147fd59146",
+    "rival": "a5a364095a85c3b01d74a0ae4c9c293b064f13e25f05d3fb178964b133e4ccaf",
+    "cross": "6a69e76c4cd1ccca158afb22ec3d6e18504498be80d73564208dd76fc3630432",
+    "churn": "3a95fa9152c0e30cf68d929e096795269c8907ebd16e63c80e58153881f9c9d2",
 }
 
 
@@ -239,7 +239,7 @@ def campaign_fingerprint(stepping, workload=None, faults=None, name="G-T",
 #: (64 hosts, hosts² × fragments ≈ 4.9 M): the paper-scale benchmark's
 #: regime, where ties are wide and availability spans 64 hosts.
 PAPER_SCALE_GOLDEN = (
-    "4718a87c9d1b5770ee546d9dca1c7a226e6a61b9482090f0cce0f509ecb1ae8c"
+    "9790ed4185169644ad464eb73084bc015ad94c07aa526955e6acbd24907485e6"
 )
 
 
@@ -281,7 +281,7 @@ FAULT_GOLDENS = {
         "40e68ce9c94ee2433465b1a142b1d808817ef47a5b24f3bc7380371fcf5a0324"
     ),
     "chaos": (
-        "ead717e92ef73e49b6b9135f9fd31fc0d7667c4621fe8a9c53c1d14be1b0d5ac"
+        "66683d2fb6974fef17f549cb1f8b9a435680d695065cc5eb8954e9e73e8e5c22"
     ),
     # In this campaign the link-failure and route-flap presets inject
     # nothing ("link-failure" equals the fault-free fingerprint); the
@@ -294,10 +294,10 @@ FAULT_GOLDENS = {
         "cb9ff792ec07b3712189aa0f13c753f1ae9fa5cfd69fac729e09187d1e305cb6"
     ),
     "tracker-outage": (
-        "ee53210418195894e80fb020f2c77b2d1ae97d689c5d88ee76699baa749a4c2d"
+        "73f84157f948ebbd4500e108e46d415ac2bb05df950285632ddf441aff47819f"
     ),
     "tenant-cycle": (
-        "9db0e483201db0b3d5c201d8e02d02a1268b5f406ab83ebcb2c93ccc016f5ffd"
+        "88ccaa746f8abfa9da7a2d18a4c0804764eee84b1dde39a63983578e2b56346c"
     ),
 }
 

@@ -1,30 +1,28 @@
-"""Equivalence and unit tests for the vectorized max-min solver.
+"""Unit and certificate tests for the max-min solver.
 
-The scalar progressive-filling implementation in ``repro.network.flows`` is
-the reference oracle; the vectorized :class:`~repro.network.solver.FlowSet`
-must reproduce it on randomized instances — shared bottlenecks, rate caps,
-loopback flows, every mix — and stay feasible under ``validate_allocation``.
+:meth:`~repro.network.solver.FlowSet.certify` checks an allocation against
+the definition of max-min fairness (feasible, and every flow at its cap or
+crossing a saturated link on which no flow gets more), which admits one
+allocation, so certifying a solve is a complete oracle.  The unit cases pin
+exact rates; the hypothesis sequences certify after every add, remove and
+``set_link_capacity`` at capacities and caps of 1e6–1e10 B/s, where rounding
+residues outgrow an absolute tolerance, and a twin flow set fed the same
+sequence must give the same bits; the campaign tests certify every solve
+of a B-G-T-L and a LINK-BLACKOUT campaign.
 """
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from repro.network.flows import (
-    FlowDemand,
-    max_min_fair_allocation,
-    max_min_fair_allocation_scalar,
-    validate_allocation,
-)
 from repro.network.solver import FlowSet
+from repro.scenarios import get_scenario
 
 
-def assert_allocations_match(flows, capacities):
-    """Vectorized and scalar allocations are equal, float for float, and feasible."""
-    scalar = max_min_fair_allocation_scalar(flows, capacities)
-    vectorized = max_min_fair_allocation(flows, capacities)
-    assert vectorized == scalar
-    validate_allocation(flows, vectorized, capacities)
+def solve_certified(flow_set):
+    rates = flow_set.solve()
+    flow_set.certify(rates)
+    return rates
 
 
 # --------------------------------------------------------------------- #
@@ -48,25 +46,24 @@ class TestFlowSet:
     def test_single_flow_takes_bottleneck(self):
         flow_set = FlowSet([100.0, 40.0])
         slot = flow_set.add([0, 1])
-        assert flow_set.solve()[slot] == pytest.approx(40.0)
+        assert solve_certified(flow_set)[slot] == 40.0
 
     def test_loopback_flow_unbounded(self):
         flow_set = FlowSet([10.0])
         slot = flow_set.add([])
-        assert np.isinf(flow_set.solve()[slot])
+        assert np.isinf(solve_certified(flow_set)[slot])
 
     def test_loopback_flow_with_cap(self):
         flow_set = FlowSet([10.0])
         slot = flow_set.add([], rate_cap=3.0)
-        assert flow_set.solve()[slot] == pytest.approx(3.0)
+        assert solve_certified(flow_set)[slot] == 3.0
 
     def test_duplicate_links_count_once(self):
         flow_set = FlowSet([10.0])
         a = flow_set.add([0, 0, 0])
         b = flow_set.add([0])
-        rates = flow_set.solve()
-        assert rates[a] == pytest.approx(5.0)
-        assert rates[b] == pytest.approx(5.0)
+        rates = solve_certified(flow_set)
+        assert (rates[a], rates[b]) == (5.0, 5.0)
 
     def test_incremental_add_remove_matches_fresh_solve(self):
         """The maintained incidence equals a from-scratch build at every step."""
@@ -85,7 +82,7 @@ class TestFlowSet:
                 cap = None if rng.random() < 0.5 else float(rng.uniform(1.0, 80.0))
                 live[flow_set.add(route, cap)] = (tuple(route), cap)
             assert len(flow_set) == len(live)
-            rates = flow_set.solve()
+            rates = solve_certified(flow_set)
             fresh = FlowSet(capacities)
             fresh_slots = {
                 slot: fresh.add(route, cap) for slot, (route, cap) in live.items()
@@ -104,152 +101,252 @@ class TestFlowSet:
         slot = flow_set.add([0])
         flow_set.remove(slot)
         again = flow_set.add([0])
-        assert flow_set.solve()[again] == pytest.approx(10.0)
+        assert solve_certified(flow_set)[again] == 10.0
 
     def test_pool_growth_beyond_initial_capacity(self):
         flow_set = FlowSet([1000.0])
         slots = [flow_set.add([0]) for _ in range(100)]
-        rates = flow_set.solve()
-        for slot in slots:
-            assert rates[slot] == pytest.approx(10.0)
+        assert solve_certified(flow_set)[slots].tolist() == [10.0] * 100
 
-
-# --------------------------------------------------------------------- #
-# equivalence with the scalar oracle
-# --------------------------------------------------------------------- #
-class TestScalarEquivalence:
     def test_flows_sharing_one_link(self):
-        flows = [FlowDemand(f"f{i}", ("l",)) for i in range(9)]
-        assert_allocations_match(flows, {"l": 90.0})
+        flow_set = FlowSet([90.0])
+        slots = [flow_set.add([0]) for _ in range(9)]
+        assert solve_certified(flow_set)[slots].tolist() == [10.0] * 9
 
     def test_shared_bottleneck_with_caps_and_loopbacks(self):
-        flows = [
-            FlowDemand("a", ("access0", "core")),
-            FlowDemand("b", ("access1", "core"), rate_cap=2.0),
-            FlowDemand("c", ("access2", "core")),
-            FlowDemand("loop", (), rate_cap=5.0),
-            FlowDemand("free", ()),
-            FlowDemand("d", ("access0",)),
-            FlowDemand("e", ("access1",)),
-            FlowDemand("f", ("access2", "core")),
-            FlowDemand("g", ("core",)),
-            FlowDemand("h", ("core",), rate_cap=0.5),
-        ]
-        capacities = {"core": 12.0, "access0": 8.0, "access1": 6.0, "access2": 9.0}
-        assert_allocations_match(flows, capacities)
+        core, access0, access1, access2 = range(4)
+        flow_set = FlowSet([12.0, 8.0, 6.0, 9.0])
+        flows = {
+            "a": ([access0, core], None),
+            "b": ([access1, core], 2.0),
+            "c": ([access2, core], None),
+            "loop": ([], 5.0),
+            "free": ([], None),
+            "d": ([access0], None),
+            "e": ([access1], None),
+            "f": ([access2, core], None),
+            "g": ([core], None),
+            "h": ([core], 0.5),
+        }
+        slots = {name: flow_set.add(route, cap) for name, (route, cap) in flows.items()}
+        rates = solve_certified(flow_set)
+        # h and b freeze at their caps, the core saturates at 2.375, then
+        # access1 at 4.0 and access0 at 5.625.
+        assert {name: rates[slot] for name, slot in slots.items()} == {
+            "a": 2.375, "b": 2.0, "c": 2.375, "loop": 5.0, "free": np.inf,
+            "d": 5.625, "e": 4.0, "f": 2.375, "g": 2.375, "h": 0.5,
+        }
 
     def test_many_flows_through_bottleneck(self):
         n = 64
-        flows = [FlowDemand(f"f{i}", (f"acc{i}", "core")) for i in range(n)]
-        capacities = {"core": 125e6}
-        capacities.update({f"acc{i}": 111e6 for i in range(n)})
-        assert_allocations_match(flows, capacities)
+        flow_set = FlowSet([125e6] + [111e6] * n)
+        slots = [flow_set.add([1 + i, 0]) for i in range(n)]
+        assert solve_certified(flow_set)[slots].tolist() == [125e6 / n] * n
+
+
+# --------------------------------------------------------------------- #
+# the certificate rejects every way an allocation can be wrong
+# --------------------------------------------------------------------- #
+class TestCertify:
+    @pytest.fixture
+    def solved(self):
+        """Links of 10, 20 and 100 B/s: a and b share link 0, b and c link 1,
+        and a flow capped at 2 B/s has link 2 to itself."""
+        flow_set = FlowSet([10.0, 20.0, 100.0])
+        slots = {
+            "a": flow_set.add([0]),
+            "b": flow_set.add([0, 1]),
+            "c": flow_set.add([1]),
+            "capped": flow_set.add([2], rate_cap=2.0),
+            "loop": flow_set.add([], rate_cap=3.0),
+        }
+        rates = solve_certified(flow_set)
+        assert [rates[slots[name]] for name in ("a", "b", "c", "capped", "loop")] == [
+            5.0, 5.0, 15.0, 2.0, 3.0
+        ]
+        return flow_set, slots, rates
+
+    @pytest.mark.parametrize(
+        "name, rate, message",
+        [
+            ("a", 6.0, "link 0 load 11.0 > capacity 10.0"),
+            ("capped", 2.5, "gets 2.5 > cap 2.0"),
+            ("a", 4.0, "gets 4.0 < cap inf and crosses no saturated"),
+            ("c", 14.0, "gets 14.0 < cap inf and crosses no saturated"),
+            ("loop", 2.0, "reads 2.0, not 3.0"),
+        ],
+    )
+    def test_a_wrong_rate_is_named(self, solved, name, rate, message):
+        flow_set, slots, rates = solved
+        wrong = rates.copy()
+        wrong[slots[name]] = rate
+        with pytest.raises(ValueError, match=message):
+            flow_set.certify(wrong)
+
+    def test_a_free_slot_must_read_zero(self, solved):
+        flow_set, _, rates = solved
+        wrong = rates.copy()
+        wrong[7] = 1.0
+        with pytest.raises(ValueError, match="slot 7 reads 1.0, not 0.0"):
+            flow_set.certify(wrong)
+
+    def test_a_flow_below_the_top_rate_of_its_saturated_link_fails(self):
+        """Feasible and every link saturated, but not max-min fair: b may
+        grow at a's expense on link 0, where a gets more than b."""
+        flow_set = FlowSet([10.0, 10.0])
+        a = flow_set.add([0])
+        b = flow_set.add([0, 1])
+        c = flow_set.add([1])
+        rates = np.zeros(flow_set.pool_size)
+        rates[[a, b, c]] = [6.0, 4.0, 6.0]
+        with pytest.raises(ValueError, match=f"slot {b} gets 4.0"):
+            flow_set.certify(rates)
+
+
+# --------------------------------------------------------------------- #
+# certified operation sequences
+# --------------------------------------------------------------------- #
+#: Capacities and caps span 1e6–1e10 B/s.  Above ~1e7 B/s an ulp exceeds
+#: 1e-9, so rounding residues outgrow an absolute saturation tolerance; at
+#: 1e3 B/s they never do.
+VALUE = st.floats(min_value=1e6, max_value=1e10)
 
 
 @st.composite
 def random_scenario(draw):
     num_links = draw(st.integers(min_value=1, max_value=8))
-    link_names = [f"L{i}" for i in range(num_links)]
-    capacities = {
-        name: draw(st.floats(min_value=1.0, max_value=1000.0)) for name in link_names
-    }
-    num_flows = draw(st.integers(min_value=1, max_value=40))
+    capacities = draw(st.lists(VALUE, min_size=num_links, max_size=num_links))
     flows = []
-    for i in range(num_flows):
-        if draw(st.booleans()) or num_links == 0:
+    for _ in range(draw(st.integers(min_value=1, max_value=40))):
+        if draw(st.booleans()):
             k = draw(st.integers(min_value=1, max_value=num_links))
-            links = tuple(draw(st.permutations(link_names))[:k])
+            route = draw(st.permutations(range(num_links)))[:k]
         else:
-            links = ()
-        cap = draw(st.one_of(st.none(), st.floats(min_value=0.5, max_value=500.0)))
-        flows.append(FlowDemand(f"f{i}", links, rate_cap=cap))
-    return flows, capacities
-
-
-@given(random_scenario())
-@settings(max_examples=120, deadline=None)
-def test_vectorized_matches_scalar_randomized(scenario):
-    flows, capacities = scenario
-    assert_allocations_match(flows, capacities)
+            route = []
+        flows.append((route, draw(st.one_of(st.none(), VALUE))))
+    return capacities, flows
 
 
 @given(random_scenario())
 @settings(max_examples=60, deadline=None)
 def test_vectorized_rates_positive_and_complete(scenario):
-    flows, capacities = scenario
-    rates = max_min_fair_allocation(flows, capacities)
-    assert set(rates) == {flow.flow_id for flow in flows}
-    for rate in rates.values():
-        assert rate > 0
+    """Every flow of a random instance gets a positive, certified rate."""
+    capacities, flows = scenario
+    flow_set = FlowSet(capacities)
+    slots = [flow_set.add(route, cap) for route, cap in flows]
+    rates = solve_certified(flow_set)
+    assert (rates[slots] > 0).all()
 
 
 @st.composite
 def flow_set_operations(draw):
     """Link capacities and a random sequence of FlowSet operations.
 
-    Capacities and rate caps stay at most 1e3, where rounding residues stay
-    far below ``SATURATION_EPS``; the sequences grow the pool past its
-    initial 8 slots and recycle slots.
+    The sequences share caps between flows, repeat links within a route,
+    add linkless flows, grow the pool past its initial 8 slots and recycle
+    slots.  Their length is drawn once, so that long sequences, where many
+    flows share links, are as likely as short ones.
     """
     num_links = draw(st.integers(min_value=1, max_value=6))
-    value = st.floats(min_value=1.0, max_value=1e3)
-    capacities = draw(st.lists(value, min_size=num_links, max_size=num_links))
+    capacities = draw(st.lists(VALUE, min_size=num_links, max_size=num_links))
     link = st.integers(min_value=0, max_value=num_links - 1)
+    cap = st.one_of(st.none(), st.just(draw(VALUE)), VALUE)
     add = st.tuples(
         st.just("add"),
-        st.lists(link, max_size=num_links + 2),
-        st.one_of(st.none(), st.just(draw(value)), value),
+        st.lists(link, min_size=1, max_size=num_links + 2),
+        cap,
         st.booleans(),
     )
+    loopback = st.tuples(st.just("add"), st.just([]), cap, st.just(False))
     remove = st.tuples(st.just("remove"), st.integers(min_value=0, max_value=999))
-    capacity = st.tuples(st.just("capacity"), link, value)
-    operations = st.lists(
-        st.one_of(add, add, remove, capacity), min_size=1, max_size=50
-    )
-    return capacities, draw(operations)
+    capacity = st.tuples(st.just("capacity"), link, VALUE)
+    operation = st.one_of(add, add, loopback, remove, capacity)
+    length = draw(st.integers(min_value=1, max_value=50))
+    return capacities, [draw(operation) for _ in range(length)]
+
+
+def apply(flow_set, operation, live):
+    """Apply one drawn operation; returns the slot an add took or a remove
+    freed, else None."""
+    kind = operation[0]
+    if kind == "add":
+        _, route, cap, unique = operation
+        if unique and len(set(route)) == len(route):
+            # A simple path goes in as the fluid engine passes it.
+            slot = flow_set.add(tuple(route), cap, assume_unique=True)
+        else:
+            slot = flow_set.add(route, cap)
+        live.append(slot)
+        return slot
+    if kind == "remove" and live:
+        slot = live.pop(operation[1] % len(live))
+        flow_set.remove(slot)
+        return slot
+    if kind == "capacity":
+        flow_set.set_link_capacity(operation[1], operation[2])
+    return None
 
 
 @given(flow_set_operations())
+@example(
+    # 29 flows share a 1 GB/s link, whose fair share leaves a residue of
+    # 1.2e-7 B/s, and one flow has a 2 GB/s link to itself: an absolute
+    # saturation test freezes nothing, so the guard froze all at 34 MB/s.
+    ([1e9, 2e9], [("add", [0], None, False)] * 29 + [("add", [1], None, False)])
+)
 @settings(max_examples=200, deadline=None)
-def test_flow_set_operations_match_scalar_oracle(scenario):
-    """After every operation each slot's rate equals the oracle's bitwise.
-
-    Live slots read the scalar oracle's rate (``inf`` for uncapped linkless
-    flows), free slots read 0, and slot ids follow the LIFO free list with
-    the pool doubling when it runs dry.
-    """
+def test_flow_set_operations_are_certified(scenario):
+    """After every operation the solve is certified, a twin flow set fed
+    the same sequence gives the same bits, and slot ids follow the LIFO
+    free list with the pool doubling when it runs dry."""
     capacities, operations = scenario
-    flow_set = FlowSet(capacities)
-    link_capacity = {f"L{i}": capacity for i, capacity in enumerate(capacities)}
-    live = {}
+    flow_set, twin = FlowSet(capacities), FlowSet(capacities)
+    live, twin_live = [], []
     pool = 8
     free = list(range(pool - 1, -1, -1))
     for operation in operations:
-        if operation[0] == "add":
-            _, route, cap, unique = operation
-            if unique and len(set(route)) == len(route):
-                # A simple path goes in as the fluid engine passes it.
-                slot = flow_set.add(tuple(route), cap, assume_unique=True)
-            else:
-                slot = flow_set.add(route, cap)
+        slot = apply(flow_set, operation, live)
+        apply(twin, operation, twin_live)
+        if slot is not None and operation[0] == "add":
             if not free:
                 free.extend(range(2 * pool - 1, pool - 1, -1))
                 pool *= 2
             assert slot == free.pop()
-            live[slot] = FlowDemand(slot, tuple(f"L{i}" for i in route), cap)
-        elif operation[0] == "remove":
-            if not live:
-                continue
-            slot = list(live)[operation[1] % len(live)]
-            flow_set.remove(slot)
-            del live[slot]
+        elif slot is not None:
             free.append(slot)
-        else:
-            _, index, capacity = operation
-            flow_set.set_link_capacity(index, capacity)
-            link_capacity[f"L{index}"] = capacity
         assert flow_set.pool_size == pool
         assert len(flow_set) == len(live)
-        rates = flow_set.solve()
-        reference = max_min_fair_allocation_scalar(list(live.values()), link_capacity)
-        assert rates.tolist() == [reference.get(slot, 0.0) for slot in range(pool)]
+        rates = solve_certified(flow_set)
+        assert rates.tobytes() == twin.solve().tobytes()
+
+
+# --------------------------------------------------------------------- #
+# every solve of a campaign is max-min fair
+# --------------------------------------------------------------------- #
+@pytest.fixture
+def certified_solves(monkeypatch):
+    """Certify every allocation ``FlowSet.solve`` returns; counts them."""
+    solve = FlowSet.solve
+    solves = []
+
+    def certified(self):
+        rates = solve(self)
+        self.certify(rates)
+        solves.append(len(self))
+        return rates
+
+    monkeypatch.setattr(FlowSet, "solve", certified)
+    return solves
+
+
+@pytest.mark.parametrize(
+    "scenario, knobs",
+    [
+        ("B-G-T-L", dict(per_site=4, num_fragments=240, iterations=2, seed=2012)),
+        ("LINK-BLACKOUT", {}),
+    ],
+    ids=["B-G-T-L", "LINK-BLACKOUT"],
+)
+def test_every_campaign_solve_is_max_min_fair(certified_solves, scenario, knobs):
+    get_scenario(scenario).run(**knobs)
+    assert certified_solves

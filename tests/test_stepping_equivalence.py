@@ -146,7 +146,7 @@ def test_event_mode_visits_only_points_whose_phase_can_act():
     """The event mode visits the point after a conversion only when its
     control phase can act (queued churn, a pipe out of budget, a due
     rechoke, or a changed interest matrix); otherwise it jumps.  Visiting
-    every point after an active one took 521 visits here and 1,287 on the
+    every point after an active one took 521 visits here and 1,307 on the
     blackout campaign."""
     topology = build_bordeaux_site(bordeplage=4, bordereau=3, borderline=2)
     meta = TorrentMeta(name="wl", fragment_size=16384, num_fragments=60)
@@ -169,7 +169,7 @@ def test_event_mode_visits_only_points_whose_phase_can_act():
     summary = get_scenario("LINK-BLACKOUT").run(
         iterations=3, num_fragments=60, seed=2012, stepping="event"
     )
-    assert summary["result"].record.total_control_steps() == 868
+    assert summary["result"].record.total_control_steps() == 883
 
 
 def test_max_sim_time_guard_fires_identically():
