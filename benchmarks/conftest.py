@@ -10,17 +10,13 @@ Timing is not measured here: ``perfbench/`` (``BENCHMARK.json``) and
 ``benchmarks/perf_ab.py`` are the repository's performance record.  The
 paper's own scale (32 nodes per site, 15 259 fragments, 30 iterations) runs
 through the CLI, e.g. ``python -m repro run fig13 --per-site 32 --fragments
-15259 --iterations 30``.
-
-``REPRO_TRACE`` routes a structured trace of the whole suite to a JSONL
-file; the tracer is configured once per benchmark process at session start.
+15259 --iterations 30``, and a figure runs traced as ``python -m repro run
+fig13 --trace fig13.jsonl``.
 """
 
 from __future__ import annotations
 
 from typing import Mapping
-
-import pytest
 
 #: Fragments per broadcast in the benchmark campaigns (paper: 15 259).
 NUM_FRAGMENTS = 600
@@ -30,16 +26,6 @@ ITERATIONS = 10
 
 #: Seed shared by the benchmark campaigns.
 SEED = 2012
-
-
-@pytest.fixture(scope="session", autouse=True)
-def _configure_tracing_from_env():
-    """Honour ``REPRO_TRACE`` for benchmark runs (no-op when unset)."""
-    from repro.observability.tracer import TRACER, trace_from_env
-
-    trace_from_env()
-    yield
-    TRACER.flush()
 
 
 def report(title: str, rows: Mapping[str, object]) -> None:

@@ -44,12 +44,7 @@ from repro.scenarios import (
     jsonable_summary,
 )
 from repro.faults import FAULT_NAMES
-from repro.observability import (
-    METRIC_CATALOGUE,
-    METRICS,
-    TRACE_DETAILS,
-    configure_tracing,
-)
+from repro.observability import METRIC_CATALOGUE, METRICS, TRACE_DETAILS, TRACER
 from repro.scenarios.spec import CAMPAIGN_PARAMS
 from repro.workloads import WORKLOAD_NAMES
 
@@ -158,16 +153,24 @@ def _prologue(
 ):
     """The fail-fast checks ``run`` and ``sweep`` share, before any run.
 
-    Resolves the scenario, parses ``--set`` with ``--per-site`` merged in,
-    rejects a run knob set as a tunable, tunables the scenario does not
-    take and values not of their default's type, checks the detection
-    knobs and configures ``--trace``: an
-    unwritable path must not surface hours into a campaign.  A sweep
-    passes its axis as ``param``/``values``: a tunable axis is checked like
-    a ``--set`` key, and an ``iterations`` axis bounds ``--quorum`` by its
-    least value.  Returns ``(spec, overrides)``; raises ``ValueError`` with
-    the one line the command prints before exiting 2.
+    Rejects an option that needs another one it did not get (``--workers``
+    without ``--executor process``, ``--trace-detail`` without ``--trace``,
+    an empty ``--values``), resolves the scenario, parses ``--set`` with
+    ``--per-site`` merged in, rejects a run knob set as a tunable, tunables
+    the scenario does not take and values not of their default's type,
+    checks the detection knobs and configures ``--trace``: an unwritable
+    path must not surface hours into a campaign.  A sweep passes its axis
+    as ``param``/``values``: a tunable axis is checked like a ``--set``
+    key, and an ``iterations`` axis bounds ``--quorum`` by its least value.
+    Returns ``(spec, overrides)``; raises ``ValueError`` with the one line
+    the command prints before exiting 2.
     """
+    if args.workers is not None and args.executor != "process":
+        raise ValueError("--workers needs --executor process")
+    if args.trace_detail is not None and not args.trace:
+        raise ValueError("--trace-detail needs --trace")
+    if param is not None and not values:
+        raise ValueError("--values needs at least one value")
     try:
         spec = get_scenario(args.scenario)
     except KeyError as exc:
@@ -207,7 +210,7 @@ def _prologue(
         args, spec, min(values) if param == "iterations" else args.iterations
     )
     if args.trace:
-        configure_tracing(args.trace, detail=args.trace_detail)
+        TRACER.configure(args.trace, detail=args.trace_detail)
     return spec, overrides
 
 
@@ -469,14 +472,13 @@ def build_parser() -> argparse.ArgumentParser:
                        help="worker processes for --executor process")
         p.add_argument("--trace", metavar="PATH", default=None,
                        help="write a structured telemetry trace (JSONL) of "
-                            "the run to PATH; under --executor process "
-                            "workers write per-worker sibling files "
+                            "the run to PATH, pool workers' records included "
                             "(docs/observability.md)")
-        p.add_argument("--trace-detail", choices=TRACE_DETAILS,
-                       default="summary",
-                       help="trace verbosity: summary = per-broadcast/phase "
-                            "records, full = per-step jumps, conversion "
-                            "passes, dispatches (bigger files)")
+        p.add_argument("--trace-detail", choices=TRACE_DETAILS, default=None,
+                       help="trace verbosity for --trace: summary (default) "
+                            "= per-broadcast/phase records, full = per-step "
+                            "jumps, conversion passes, dispatches (bigger "
+                            "files)")
         p.add_argument("--json", metavar="PATH", default=None,
                        help="also write a machine-readable record to PATH")
 
@@ -553,8 +555,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     finally:
         # A --trace sink must be complete on exit whatever path the command
         # took; close() is a no-op when tracing was never enabled.
-        from repro.observability import TRACER
-
         TRACER.close()
 
 

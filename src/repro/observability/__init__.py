@@ -10,8 +10,10 @@ Two independent halves share this package:
   is as reproducible as its results.
 * :data:`TRACER` — the off-by-default
   :class:`~repro.observability.tracer.Tracer` writing typed span/event
-  JSONL records, enabled by ``--trace PATH`` / ``REPRO_TRACE`` and exported
-  to Chrome trace-event format by ``repro trace export --chrome``.
+  JSONL records, enabled by ``--trace PATH`` and exported to Chrome
+  trace-event format by ``repro trace export --chrome``.  Pool workers
+  return their trace records with their counter deltas, so a traced run
+  writes one file.
 
 Both halves obey the replay invariant: telemetry draws zero random values
 and never moves the simulation clock, so every sha256 seed golden replays
@@ -32,17 +34,11 @@ from repro.observability.metrics import (
     MetricsSnapshot,
 )
 from repro.observability.tracer import (
-    TRACE_DETAIL_ENV,
     TRACE_DETAILS,
-    TRACE_ENV,
-    TRACE_OWNER_ENV,
     TRACE_SCHEMA,
     TRACER,
     TraceConfigError,
     Tracer,
-    configure_tracing,
-    trace_from_env,
-    worker_trace_path,
 )
 
 __all__ = [
@@ -52,18 +48,12 @@ __all__ = [
     "MetricsSnapshot",
     "TRACER",
     "TRACE_DETAILS",
-    "TRACE_DETAIL_ENV",
-    "TRACE_ENV",
-    "TRACE_OWNER_ENV",
     "TRACE_SCHEMA",
     "TraceConfigError",
     "Tracer",
-    "configure_tracing",
     "export_chrome",
     "load_records",
     "summarize",
     "to_chrome",
-    "trace_from_env",
     "trace_meta",
-    "worker_trace_path",
 ]

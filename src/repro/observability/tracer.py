@@ -24,18 +24,19 @@ movements** — record emission only *reads* state and the host clock, so every
 sha256 seed golden replays bit-for-bit with tracing on or off
 (``tests/test_seed_replay.py`` pins this for every scenario family).
 
-Routing: ``repro run --trace PATH`` (or the ``REPRO_TRACE`` environment
-variable) configures the process-wide :data:`TRACER`.  Worker processes of a
-process-pool campaign inherit the environment and suffix the path with their
-pid (``trace.jsonl`` → ``trace.w1234.jsonl``) so concurrent writers never
-collide; the owning process is recorded in ``REPRO_TRACE_OWNER`` to tell the
-two cases apart.  An unwritable path fails fast at configure time with a
-clear error instead of dying mid-campaign.
+Routing: ``repro run --trace PATH`` (or ``TRACER.configure(path)`` in a
+library caller) turns the process-wide :data:`TRACER` on; no environment
+variable does.  A traced run writes exactly one file: process-pool workers
+record each chunk into memory at the parent's detail level and return the
+lines with the chunk's outputs, and the parent appends them to its own sink
+(see :mod:`repro.scenarios.executors`).  An unwritable path fails fast at
+configure time with a clear error instead of dying mid-campaign.
 
 Record schema (one JSON object per line, ``schema: repro-trace-v1``):
 
 * ``{"type": "meta", "schema": ..., "pid": ..., "wall_start": ...,
-  "detail": ...}`` — first line of every file;
+  "detail": ...}`` — first line of every file, and first line of each pool
+  worker chunk's block;
 * ``{"type": "event", "name": ..., "pid": ..., "wall_ts": ...,
   ["sim_ts": ...,] "args": {...}}``;
 * ``{"type": "span", "name": ..., "pid": ..., "wall_ts": ...,
@@ -48,22 +49,12 @@ trace-event format (``chrome://tracing`` / https://ui.perfetto.dev), see
 
 from __future__ import annotations
 
+import io
 import json
 import os
 import time
 from contextlib import contextmanager
-from pathlib import Path
 from typing import Iterator, Optional
-
-#: Environment variable routing every run's trace to a JSONL path.
-TRACE_ENV = "REPRO_TRACE"
-
-#: Environment variable selecting the detail level (``summary``/``full``).
-TRACE_DETAIL_ENV = "REPRO_TRACE_DETAIL"
-
-#: Pid of the process that configured the trace path; any *other* process
-#: seeing the variable is a pool worker and must suffix its own path.
-TRACE_OWNER_ENV = "REPRO_TRACE_OWNER"
 
 #: Recognised detail levels: ``summary`` emits per-broadcast/per-phase
 #: records only; ``full`` additionally emits per-control-step records
@@ -78,16 +69,6 @@ class TraceConfigError(ValueError):
     """The requested trace destination cannot be used (fail fast)."""
 
 
-def worker_trace_path(path: str, pid: int) -> str:
-    """Per-worker sibling of ``path``: ``trace.jsonl`` → ``trace.w{pid}.jsonl``.
-
-    Process-pool workers write their own files so concurrent campaigns never
-    interleave (or clobber) records in one file.
-    """
-    base = Path(path)
-    return str(base.with_name(f"{base.stem}.w{pid}{base.suffix or '.jsonl'}"))
-
-
 class Tracer:
     """Process-wide structured tracer (use the shared :data:`TRACER`).
 
@@ -99,7 +80,6 @@ class Tracer:
     def __init__(self) -> None:
         self.enabled = False
         self.full = False
-        self.path: Optional[str] = None
         self.detail = "summary"
         self._file = None
         self._pid = os.getpid()
@@ -108,31 +88,33 @@ class Tracer:
     # ------------------------------------------------------------------ #
     # lifecycle
     # ------------------------------------------------------------------ #
-    def configure(self, path: str, detail: str = "summary") -> None:
-        """Open ``path`` for JSONL records and enable the tracer.
+    def configure(self, path: Optional[str], detail: Optional[str] = None) -> None:
+        """Open ``path`` for JSONL records and enable the tracer at
+        ``detail`` (``None``: ``summary``).
 
-        Raises :class:`TraceConfigError` immediately when the destination is
-        not writable (missing directory, permission, path is a directory), so
-        a campaign fails before its first iteration rather than mid-run.
-        Re-configuring closes the previous sink first.
+        A ``None`` path records into memory until :meth:`drain` — a pool
+        worker's chunk.  Raises :class:`TraceConfigError` immediately when
+        the destination is not writable (missing directory, permission,
+        path is a directory), so a campaign fails before its first
+        iteration rather than mid-run.  Re-configuring closes the previous
+        sink first.
         """
-        detail = (detail or "summary").strip().lower()
+        detail = detail or "summary"
         if detail not in TRACE_DETAILS:
             raise TraceConfigError(
                 f"trace detail must be one of {TRACE_DETAILS}, got {detail!r}"
             )
-        if self._file is not None:
-            self.close()
+        self.close()
         try:
-            handle = open(path, "w", encoding="utf-8")
+            self._file = (
+                io.StringIO() if path is None else open(path, "w", encoding="utf-8")
+            )
         except OSError as exc:
             raise TraceConfigError(
                 f"trace path {path!r} is not writable: {exc}"
             ) from exc
-        self._file = handle
         self._pid = os.getpid()
         self._perf_start = time.perf_counter()
-        self.path = path
         self.detail = detail
         self.full = detail == "full"
         self.enabled = True
@@ -157,12 +139,22 @@ class Tracer:
         self._file = None
         self.enabled = False
         self.full = False
-        self.path = None
 
     def flush(self) -> None:
-        """Push buffered records to disk (workers flush after every task)."""
+        """Push buffered records to the sink."""
         if self._file is not None:
             self._file.flush()
+
+    def drain(self) -> str:
+        """Close an in-memory sink and return the JSONL lines it recorded."""
+        lines = self._file.getvalue()
+        self.close()
+        return lines
+
+    def append(self, lines: str) -> None:
+        """Write JSONL lines another process recorded (a pool chunk's)."""
+        if self.enabled:
+            self._file.write(lines)
 
     # ------------------------------------------------------------------ #
     # recording
@@ -232,49 +224,3 @@ class Tracer:
 #: The process-wide tracer every subsystem emits through.
 TRACER = Tracer()
 
-
-def configure_tracing(path: str, detail: Optional[str] = None) -> None:
-    """Enable tracing to ``path`` and export it to child processes.
-
-    Sets :data:`TRACE_ENV`/:data:`TRACE_OWNER_ENV` so process-pool workers
-    (which inherit the environment) route their own records to per-worker
-    siblings of ``path`` — see :func:`trace_from_env`.
-    """
-    if detail is None:
-        detail = os.environ.get(TRACE_DETAIL_ENV, "summary")
-    TRACER.configure(path, detail=detail)
-    os.environ[TRACE_ENV] = path
-    os.environ[TRACE_DETAIL_ENV] = TRACER.detail
-    os.environ[TRACE_OWNER_ENV] = str(os.getpid())
-
-
-def trace_from_env() -> bool:
-    """Configure the tracer from the environment if routing is requested.
-
-    Idempotent and cheap when :data:`TRACE_ENV` is unset or the tracer is
-    already configured.  A process whose pid differs from
-    :data:`TRACE_OWNER_ENV` is a pool worker: it writes to the per-worker
-    sibling path so concurrent writers never collide.  Returns whether the
-    tracer is enabled afterwards.
-    """
-    pid = os.getpid()
-    if TRACER.enabled and TRACER._pid != pid:
-        # A fork-started pool worker inherited the parent's live sink.
-        # Writing there would interleave with the parent (shared file
-        # offset) and stamp the parent's pid in every record, so close our
-        # copy — the parent flushes right before spawning workers, leaving
-        # the inherited buffer empty — and re-route below.
-        TRACER.close()
-    path = os.environ.get(TRACE_ENV, "").strip()
-    if not path:
-        return TRACER.enabled
-    if TRACER.enabled:
-        return True
-    detail = os.environ.get(TRACE_DETAIL_ENV, "summary")
-    owner = os.environ.get(TRACE_OWNER_ENV, "").strip()
-    if owner and owner != str(pid):
-        path = worker_trace_path(path, pid)
-    else:
-        os.environ[TRACE_OWNER_ENV] = str(pid)
-    TRACER.configure(path, detail=detail)
-    return True

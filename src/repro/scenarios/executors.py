@@ -10,8 +10,11 @@ identical to the serial one.
 
 :class:`ProcessPoolExecutor` makes that fan-out explicit as
 ``map(fn, items)``: the items split into one contiguous chunk per worker,
-each ``(fn, items)`` chunk is shipped to :func:`run_chunk` in a worker
-process, and the outputs come back in item order.
+each ``(fn, items, detail)`` chunk is shipped to :func:`run_chunk` in a worker
+process, and the outputs come back in item order — with the chunk's counter
+delta and, when the parent traces, the trace lines the chunk recorded, so
+a pooled campaign's counters and trace end up in the parent's registry and
+trace file.
 :class:`~repro.tomography.measurement.MeasurementCampaign` maps its own
 iteration method over the pending iterations, so a pool worker runs exactly
 the code the in-process loop runs; ``executor=None`` is that in-process
@@ -33,34 +36,36 @@ from concurrent import futures
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.observability.metrics import METRICS, MetricsSnapshot
-from repro.observability.tracer import TRACER, trace_from_env
+from repro.observability.tracer import TRACER
 
 
-def run_chunk(chunk: Tuple[Callable, Sequence]) -> Tuple[list, MetricsSnapshot]:
-    """Apply ``fn`` to every item of a ``(fn, items)`` chunk, in item order
-    (the worker entry point).
+def run_chunk(
+    chunk: Tuple[Callable, Sequence, Optional[str]]
+) -> Tuple[list, MetricsSnapshot, str]:
+    """Apply ``fn`` to every item of a ``(fn, items, detail)`` chunk, in
+    item order (the worker entry point).
 
-    Returns the outputs plus the :class:`~repro.observability.metrics
-    .MetricsSnapshot` *delta* the chunk accumulated in its process.  The
-    parent merges that delta only when it crossed a process boundary — a
-    chunk run in-process already recorded into the global registry, and
-    merging again would double-count.  In a pool worker
-    :func:`~repro.observability.tracer.trace_from_env` routes trace records
-    to a per-worker file (the worker inherits ``REPRO_TRACE`` from the
-    parent).
+    Returns the outputs, the :class:`~repro.observability.metrics
+    .MetricsSnapshot` *delta* the chunk accumulated in its process, and the
+    trace lines it recorded.  ``detail`` is the parent tracer's level:
+    given one, the chunk records into memory — a block that opens with this
+    process's own ``meta`` record — and returns the lines; given ``None``
+    (the parent does not trace, or runs the chunk itself) it records into
+    this process's tracer as it stands and returns none.  The parent merges
+    the delta and appends the lines only when they crossed a process
+    boundary — a chunk run in-process already recorded into the global
+    registry and tracer, and merging again would double-count.
     """
-    fn, items = chunk
-    tracing = trace_from_env()
+    fn, items, detail = chunk
+    if detail is not None:
+        TRACER.configure(None, detail)
     before = METRICS.snapshot()
-    started = TRACER.now() if tracing else 0.0
+    started = TRACER.now()
     outputs = [fn(item) for item in items]
     METRICS.count("executor.tasks")
-    if tracing:
-        TRACER.span_record("executor.task", started, items=len(items))
-        # Pool workers persist across chunks; flushing here makes the worker
-        # file complete even if the pool is later terminated mid-round.
-        TRACER.flush()
-    return outputs, METRICS.snapshot().delta_since(before)
+    TRACER.span_record("executor.task", started, items=len(items))
+    lines = TRACER.drain() if detail is not None else ""
+    return outputs, METRICS.snapshot().delta_since(before), lines
 
 
 class CampaignExecutionError(RuntimeError):
@@ -88,7 +93,8 @@ class ProcessPoolExecutor:
     task_fn:
         Worker entry point override (tests inject crashing/hanging chunks);
         must be a picklable module-level callable that takes a
-        ``(fn, items)`` chunk and returns what :func:`run_chunk` returns.
+        ``(fn, items, detail)`` chunk and returns what :func:`run_chunk`
+        returns.
 
     Determinism: ``fn`` travels by value with its items, and outputs are
     reassembled in item order, so whenever ``fn(item)`` depends on nothing
@@ -132,14 +138,16 @@ class ProcessPoolExecutor:
         if not items:
             return []
         size = math.ceil(len(items) / self.workers)
-        chunks = [(fn, items[i : i + size]) for i in range(0, len(items), size)]
+        detail = TRACER.detail if TRACER.enabled else None
+        chunks = [(fn, items[i : i + size], detail) for i in range(0, len(items), size)]
         if (
             len(chunks) == 1
             and self.task_timeout is None
             and self.task_fn is run_chunk
         ):
-            # A single well-behaved chunk gains nothing from a pool.
-            return run_chunk(chunks[0])[0]
+            # A single well-behaved chunk gains nothing from a pool; it
+            # records straight into this process's tracer.
+            return run_chunk((fn, items, None))[0]
 
         outputs: List[Optional[list]] = [None] * len(chunks)
         pending = list(range(len(chunks)))
@@ -164,7 +172,7 @@ class ProcessPoolExecutor:
 
     def _run_round(
         self,
-        chunks: Sequence[Tuple[Callable, Sequence]],
+        chunks: Sequence[Tuple[Callable, Sequence, Optional[str]]],
         pending: List[int],
         outputs: List[Optional[list]],
     ) -> Tuple[List[int], List[str]]:
@@ -179,10 +187,9 @@ class ProcessPoolExecutor:
         errors: List[str] = []
         round_started = TRACER.now() if TRACER.enabled else 0.0
         max_workers = min(self.workers, len(pending))
-        # Fork-started workers inherit the tracer's open sink; flush it so
-        # the copy they inherit holds no buffered records (each worker then
-        # closes its copy and re-routes to a per-pid sibling file — see
-        # trace_from_env).
+        # Fork-started workers inherit the tracer's open sink and close it
+        # when they start recording a chunk into memory; flush it first, or
+        # each worker's close writes the parent's buffered records again.
         TRACER.flush()
         pool = futures.ProcessPoolExecutor(max_workers=max_workers)
         future_index = {
@@ -196,7 +203,7 @@ class ProcessPoolExecutor:
         for future in done:
             index = future_index[future]
             try:
-                chunk_outputs, delta = future.result()
+                chunk_outputs, delta, lines = future.result()
             except Exception as exc:  # noqa: BLE001 — any worker death retries
                 failed.append(index)
                 errors.append(f"chunk {index}: {type(exc).__name__}: {exc}")
@@ -210,9 +217,11 @@ class ProcessPoolExecutor:
             else:
                 outputs[index] = chunk_outputs
                 # Only here — outputs that crossed a process boundary — are
-                # worker registry deltas folded in; a chunk run in-process
-                # already recorded straight into the parent registry.
+                # worker registry deltas and trace lines folded in; a chunk
+                # run in-process already recorded straight into the parent's
+                # registry and tracer.  A failed attempt contributes nothing.
                 METRICS.merge(delta)
+                TRACER.append(lines)
         for future in not_done:
             index = future_index[future]
             failed.append(index)

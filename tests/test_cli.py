@@ -301,6 +301,40 @@ class TestKnobTypes:
         assert captured.err.strip().splitlines() == [line]
 
 
+class TestNoSettingDropped:
+    """An option without the one it needs, and an empty ``--values``, exit 2
+    with one line before anything runs or prints: an explicit request is
+    never silently dropped."""
+
+    SMALL = ["--iterations", "1", "--fragments", "40", "--per-site", "2"]
+    SWEEP = ["sweep", "G-T", "--param", "seed", "--values", "1", *SMALL]
+
+    @pytest.mark.parametrize(
+        "argv, line",
+        [
+            (["run", "G-T", *SMALL, "--workers", "3"],
+             "--workers needs --executor process"),
+            ([*SWEEP, "--workers", "3"], "--workers needs --executor process"),
+            (["run", "G-T", *SMALL, "--trace-detail", "full"],
+             "--trace-detail needs --trace"),
+            ([*SWEEP, "--trace-detail", "full"], "--trace-detail needs --trace"),
+            (["sweep", "G-T", "--param", "per_site", "--values", ","],
+             "--values needs at least one value"),
+            (["sweep", "G-T", "--param", "iterations", "--values", ",",
+              "--fragments", "40", "--per-site", "2"],
+             "--values needs at least one value"),
+        ],
+        ids=["run-workers", "sweep-workers", "run-trace-detail",
+             "sweep-trace-detail", "sweep-tunable-values",
+             "sweep-iterations-values"],
+    )
+    def test_exits_2_before_anything_runs(self, capsys, argv, line):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.strip().splitlines() == [line]
+
+
 class TestDetectionKnobs:
     """Fail-fast validation of --detect-factor/--quorum and `faults list`."""
 

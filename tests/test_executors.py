@@ -321,16 +321,20 @@ class TestWorkerFaultTolerance:
         TRACER.close()
 
     @staticmethod
-    def _trace_names(trace_path):
-        import json
-
+    def _trace(trace_path):
+        """The trace's record names, and how many broadcast spans the pool's
+        workers recorded (the serial reference record is traced in this
+        process too, so those are counted by pid)."""
+        from repro.observability.export import load_records
         from repro.observability.tracer import TRACER
 
         TRACER.flush()
-        return [
-            json.loads(line).get("name")
-            for line in trace_path.read_text().splitlines()
-        ]
+        records = load_records(str(trace_path))
+        worker_broadcasts = sum(
+            r.get("name") == "swarm.broadcast" and r["pid"] != os.getpid()
+            for r in records
+        )
+        return [r.get("name") for r in records], worker_broadcasts
 
     def test_recovers_from_crashed_worker(
         self, two_site_topology, tiny_swarm_config, chaos_trace
@@ -350,9 +354,12 @@ class TestWorkerFaultTolerance:
         delta = METRICS.snapshot().delta_since(before)
         assert delta.counter("executor.worker_crashes") >= 1
         assert delta.counter("executor.retries") >= 1
-        names = self._trace_names(chaos_trace)
+        names, worker_broadcasts = self._trace(chaos_trace)
         assert "executor.worker_crash" in names
         assert "executor.retry" in names
+        # The crashed attempt returned nothing: only its retry's records
+        # arrived, once.
+        assert worker_broadcasts == 3
 
     def test_recovers_from_hung_worker(
         self, two_site_topology, tiny_swarm_config, chaos_trace
@@ -371,9 +378,10 @@ class TestWorkerFaultTolerance:
         delta = METRICS.snapshot().delta_since(before)
         assert delta.counter("executor.timeouts") >= 1
         assert delta.counter("executor.retries") >= 1
-        names = self._trace_names(chaos_trace)
+        names, worker_broadcasts = self._trace(chaos_trace)
         assert "executor.timeout" in names
         assert "executor.retry" in names
+        assert worker_broadcasts == 3
 
     def test_persistent_crash_raises_after_retries(
         self, two_site_topology, tiny_swarm_config

@@ -1,5 +1,5 @@
 """Unit tests for the telemetry layer: metrics algebra, tracer lifecycle,
-environment routing, and the Chrome trace-event export.
+the one-file trace of a pooled campaign, and the Chrome trace-event export.
 
 The integration-level guarantees live elsewhere: seed-replay neutrality in
 ``tests/test_seed_replay.py`` (tracing on/off goldens), cross-executor
@@ -31,17 +31,13 @@ from repro.observability.metrics import (
     MetricsSnapshot,
 )
 from repro.observability.tracer import (
-    TRACE_DETAIL_ENV,
-    TRACE_ENV,
-    TRACE_OWNER_ENV,
     TRACE_SCHEMA,
     TRACER,
     TraceConfigError,
     Tracer,
-    configure_tracing,
-    trace_from_env,
-    worker_trace_path,
 )
+from repro.scenarios.executors import ProcessPoolExecutor
+from repro.tomography.measurement import MeasurementCampaign
 
 
 # ---------------------------------------------------------------------- #
@@ -95,7 +91,7 @@ class TestMetricsSnapshot:
 
 
 # ---------------------------------------------------------------------- #
-# tracer: lifecycle, fail-fast, environment routing
+# tracer: lifecycle, fail-fast
 # ---------------------------------------------------------------------- #
 class TestTracer:
     def test_disabled_tracer_is_a_noop(self, tmp_path):
@@ -140,77 +136,58 @@ class TestTracer:
         with pytest.raises(TraceConfigError, match="detail"):
             tracer.configure(str(tmp_path / "t.jsonl"), detail="verbose")
 
-    def test_worker_trace_path_suffixes_the_stem(self):
-        assert worker_trace_path("trace.jsonl", 42) == "trace.w42.jsonl"
-        assert worker_trace_path("/a/b/t.jsonl", 7) == "/a/b/t.w7.jsonl"
-        assert worker_trace_path("bare", 9) == "bare.w9.jsonl"
+
+# ---------------------------------------------------------------------- #
+# one file: pool workers return their records to the parent
+# ---------------------------------------------------------------------- #
+class TestPooledTrace:
+    """A traced campaign on the process pool writes one file: each worker
+    records its chunk into memory and returns the lines with its counter
+    delta, and the parent appends them to its own sink."""
 
     @pytest.fixture
-    def clean_trace_env(self, monkeypatch):
-        for var in (TRACE_ENV, TRACE_DETAIL_ENV, TRACE_OWNER_ENV):
-            monkeypatch.delenv(var, raising=False)
-        yield monkeypatch
+    def trace_path(self, tmp_path):
+        path = tmp_path / "t.jsonl"
+        TRACER.configure(str(path))
+        yield path
         TRACER.close()
 
-    def test_trace_from_env_unset_is_noop(self, clean_trace_env):
-        assert trace_from_env() is False
-        assert not TRACER.enabled
+    @staticmethod
+    def _pooled_campaign(topology, config):
+        executor = ProcessPoolExecutor(workers=2)
+        MeasurementCampaign(topology, config, seed=42, executor=executor).run(4)
 
-    def test_trace_from_env_owner_uses_the_path_verbatim(
-        self, clean_trace_env, tmp_path
-    ):
-        path = tmp_path / "t.jsonl"
-        clean_trace_env.setenv(TRACE_ENV, str(path))
-        clean_trace_env.setenv(TRACE_DETAIL_ENV, "full")
-        assert trace_from_env() is True
-        assert TRACER.path == str(path)
-        assert TRACER.full
-        assert os.environ[TRACE_OWNER_ENV] == str(os.getpid())
-        # Idempotent: a second call does not re-open (and truncate) the sink.
-        TRACER.event("probe")
-        assert trace_from_env() is True
-        TRACER.close()
-        assert any(
-            r.get("name") == "probe" for r in load_records(str(path))
-        )
+    @staticmethod
+    def _broadcasts(path):
+        TRACER.flush()
+        records = load_records(str(path))
+        return records, [r for r in records if r.get("name") == "swarm.broadcast"]
 
-    def test_trace_from_env_worker_writes_a_per_pid_sibling(
-        self, clean_trace_env, tmp_path
+    def test_one_file_holds_every_worker_broadcast(
+        self, trace_path, two_site_topology, tiny_swarm_config
     ):
-        path = tmp_path / "t.jsonl"
-        clean_trace_env.setenv(TRACE_ENV, str(path))
-        # Pretend another process owns the path: we are a pool worker.
-        clean_trace_env.setenv(TRACE_OWNER_ENV, str(os.getpid() + 1))
-        assert trace_from_env() is True
-        assert TRACER.path == worker_trace_path(str(path), os.getpid())
-        assert not path.exists()
+        self._pooled_campaign(two_site_topology, tiny_swarm_config)
+        assert list(trace_path.parent.iterdir()) == [trace_path]
+        records, broadcasts = self._broadcasts(trace_path)
+        assert len(broadcasts) == 4
+        assert os.getpid() not in {r["pid"] for r in broadcasts}
+        # The parent's meta heads the file, and every worker's block opens
+        # with that worker's own meta.
+        assert trace_meta(records)["pid"] == os.getpid()
+        first_of_pid = {}
+        for record in records:
+            first_of_pid.setdefault(record["pid"], record["type"])
+        assert set(first_of_pid.values()) == {"meta"}
 
-    def test_trace_from_env_reroutes_a_fork_inherited_sink(
-        self, clean_trace_env, tmp_path
+    def test_two_campaigns_record_each_broadcast_once(
+        self, trace_path, two_site_topology, tiny_swarm_config
     ):
-        """Fork-started pool workers inherit the parent's *enabled* tracer;
-        trace_from_env must close the inherited sink and re-route to the
-        per-pid sibling instead of interleaving with the parent."""
-        path = tmp_path / "t.jsonl"
-        configure_tracing(str(path))
-        parent_pid = os.getpid() + 1
-        # Pretend this process is a fork of `parent_pid`: the tracer is
-        # enabled but stamped with the (fake) parent's pid, and the
-        # environment names the parent as the owner.
-        TRACER._pid = parent_pid
-        clean_trace_env.setenv(TRACE_OWNER_ENV, str(parent_pid))
-        assert trace_from_env() is True
-        assert TRACER.path == worker_trace_path(str(path), os.getpid())
-
-    def test_configure_tracing_exports_the_environment(
-        self, clean_trace_env, tmp_path
-    ):
-        path = tmp_path / "t.jsonl"
-        configure_tracing(str(path), detail="full")
-        assert os.environ[TRACE_ENV] == str(path)
-        assert os.environ[TRACE_DETAIL_ENV] == "full"
-        assert os.environ[TRACE_OWNER_ENV] == str(os.getpid())
-        assert TRACER.enabled and TRACER.full
+        """The parent flushes before each round's pool forks, so no worker's
+        copy of the sink writes the first campaign's records again."""
+        self._pooled_campaign(two_site_topology, tiny_swarm_config)
+        self._pooled_campaign(two_site_topology, tiny_swarm_config)
+        _, broadcasts = self._broadcasts(trace_path)
+        assert len(broadcasts) == 8
 
 
 # ---------------------------------------------------------------------- #
@@ -274,11 +251,12 @@ class TestExport:
 # CLI: fail-fast and telemetry surfaces
 # ---------------------------------------------------------------------- #
 class TestCli:
-    def _repro(self, *argv, cwd=None):
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.path.join(os.path.dirname(__file__), "..", "src")
-        for var in (TRACE_ENV, TRACE_DETAIL_ENV, TRACE_OWNER_ENV):
-            env.pop(var, None)
+    def _repro(self, *argv, cwd=None, **env):
+        env = {
+            **os.environ,
+            "PYTHONPATH": os.path.join(os.path.dirname(__file__), "..", "src"),
+            **env,
+        }
         return subprocess.run(
             [sys.executable, "-m", "repro", *argv],
             capture_output=True,
@@ -298,6 +276,26 @@ class TestCli:
         )
         assert proc.returncode == 2
         assert "not writable" in proc.stderr
+
+    POOLED_G_T = ["run", "G-T", "--iterations", "8", "--fragments", "40",
+                  "--per-site", "2", "--executor", "process", "--workers", "2"]
+
+    def test_pooled_run_writes_one_trace_file(self, tmp_path):
+        proc = self._repro(*self.POOLED_G_T, "--trace", "t.jsonl", cwd=tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        assert [p.name for p in tmp_path.iterdir()] == ["t.jsonl"]
+        records = load_records(str(tmp_path / "t.jsonl"))
+        assert trace_meta(records)["detail"] == "summary"
+        assert summarize(records)["swarm.broadcast"]["count"] == 8
+
+    def test_the_environment_turns_no_trace_on(self, tmp_path):
+        """``REPRO_TRACE`` is not read: a pooled run without ``--trace``
+        writes no file."""
+        proc = self._repro(
+            *self.POOLED_G_T, cwd=tmp_path, REPRO_TRACE=str(tmp_path / "t.jsonl")
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert list(tmp_path.iterdir()) == []
 
     def test_metrics_subcommand_lists_the_catalogue(self, tmp_path):
         out = tmp_path / "catalogue.json"
