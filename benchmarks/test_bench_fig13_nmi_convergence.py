@@ -19,26 +19,24 @@ def test_fig13_nmi_convergence_curves():
         seed=SEED,
     )
 
+    curves = {name: study["curve"] for name, study in studies.items()}
     rows = {}
-    for name, study in studies.items():
-        rows[name] = (
-            f"final NMI {study.final_nmi:.2f}, curve "
-            f"{[round(v, 2) for v in study.curve]}"
-        )
+    for name, curve in curves.items():
+        rows[name] = f"final NMI {curve[-1]:.2f}, curve {[round(v, 2) for v in curve]}"
     rows["paper"] = "B, G-T, B-G-T, B-G-T-L -> 1.0; B-T -> ~0.7"
     report("Fig. 13 — NMI convergence", rows)
 
-    # Perfect recovery for the four non-hierarchical datasets.
+    # Perfect recovery for the four non-hierarchical datasets (a final NMI
+    # of at least 0.99 is itself an iteration that reached it).
     for name in ("B", "G-T", "B-G-T", "B-G-T-L"):
-        assert studies[name].final_nmi >= 0.99, name
-        assert studies[name].iterations_to_reach(0.99) is not None, name
+        assert curves[name][-1] >= 0.99, name
     # The hierarchical mismatch keeps B-T clearly below 1 but well above chance.
-    assert 0.4 <= studies["B-T"].final_nmi <= 0.95
+    assert 0.4 <= curves["B-T"][-1] <= 0.95
 
     # The NMI "generally improves as the number of iterations performed
     # increases, converging on a stable value": the late part of every curve
     # is at least as good as the early part.
-    for name, study in studies.items():
-        early = sum(study.curve[:3]) / 3.0
-        late = sum(study.curve[-3:]) / 3.0
+    for name, curve in curves.items():
+        early = sum(curve[:3]) / 3.0
+        late = sum(curve[-3:]) / 3.0
         assert late >= early - 1e-9, name

@@ -14,9 +14,9 @@ The package provides:
   classical saturation-tomography baselines;
 * :mod:`repro.clustering` — Louvain modularity clustering, Infomap, and NMI
   evaluation measures;
-* :mod:`repro.analysis` — layouts, convergence curves and rendering;
+* :mod:`repro.analysis` — layouts and rendering;
 * :mod:`repro.experiments` — the paper's named datasets and per-figure
-  runners;
+  runners (Fig. 13's NMI-per-iteration curves among them);
 * :mod:`repro.scenarios` — the declarative scenario registry and the
   process-pool campaign executor behind ``python -m repro run <scenario>``.
 

@@ -1,15 +1,12 @@
-"""Analysis and presentation helpers: layouts, convergence curves, rendering."""
+"""Analysis and presentation helpers: layouts and rendering."""
 
 from repro.analysis.layout import fruchterman_reingold_layout, kamada_kawai_layout, layout_cluster_separation
-from repro.analysis.convergence import ConvergenceStudy, nmi_convergence
 from repro.analysis.visualize import ascii_cluster_table, render_dot, render_fig4_bars
 
 __all__ = [
     "kamada_kawai_layout",
     "fruchterman_reingold_layout",
     "layout_cluster_separation",
-    "ConvergenceStudy",
-    "nmi_convergence",
     "ascii_cluster_table",
     "render_dot",
     "render_fig4_bars",

@@ -73,23 +73,5 @@ class FragmentMatrix:
         i, j = self.index[u], self.index[v]
         return float(self.counts[i, j] + self.counts[j, i])
 
-    # ------------------------------------------------------------------ #
-    # combination
-    # ------------------------------------------------------------------ #
-    def copy(self) -> "FragmentMatrix":
-        return FragmentMatrix(self.labels, self.counts)
-
-    @staticmethod
-    def mean(matrices: Sequence["FragmentMatrix"]) -> "FragmentMatrix":
-        """Element-wise mean over iterations (the aggregation of Eq. 2)."""
-        if not matrices:
-            raise ValueError("cannot average zero matrices")
-        labels = matrices[0].labels
-        for m in matrices[1:]:
-            if m.labels != labels:
-                raise ValueError("all matrices must share the same label order")
-        stacked = np.stack([m.counts for m in matrices])
-        return FragmentMatrix(labels, stacked.mean(axis=0))
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"FragmentMatrix(hosts={len(self.labels)}, fragments={self.total_fragments():.0f})"

@@ -50,25 +50,6 @@ class TorrentMeta:
         """Total file size in bytes."""
         return self.num_fragments * self.fragment_size
 
-    @property
-    def size_megabytes(self) -> float:
-        """Total file size in (decimal) megabytes."""
-        return self.size / 1e6
-
-    @classmethod
-    def paper_default(cls) -> "TorrentMeta":
-        """The exact file used in the paper: 15 259 fragments of 16 KiB (≈239 MB)."""
-        return cls(num_fragments=PAPER_FRAGMENT_COUNT, name="paper-239MB")
-
-    @classmethod
-    def from_size(cls, size_bytes: float, fragment_size: int = FRAGMENT_SIZE,
-                  name: str = "broadcast-file") -> "TorrentMeta":
-        """Build metadata for a file of roughly ``size_bytes`` bytes."""
-        if size_bytes <= 0:
-            raise ValueError(f"size_bytes must be positive, got {size_bytes}")
-        fragments = max(1, int(round(size_bytes / fragment_size)))
-        return cls(num_fragments=fragments, fragment_size=fragment_size, name=name)
-
     @classmethod
     def scaled(cls, num_fragments: int, name: str = "scaled-broadcast") -> "TorrentMeta":
         """A scaled-down file keeping the 16 KiB fragment size (for fast experiments)."""

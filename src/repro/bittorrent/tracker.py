@@ -79,11 +79,3 @@ class Tracker:
         count = min(self.max_peers, len(others))
         picks = rng.choice(len(others), size=count, replace=False)
         return {others[i] for i in picks}
-
-    def connection_density(self, connections: Dict[str, Set[str]]) -> float:
-        """Fraction of all possible peer pairs that are connected."""
-        n = len(connections)
-        if n < 2:
-            return 0.0
-        edges = sum(len(v) for v in connections.values()) / 2.0
-        return edges / (n * (n - 1) / 2.0)

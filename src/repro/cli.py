@@ -158,12 +158,16 @@ def _prologue(
     an empty ``--values``), resolves the scenario, parses ``--set`` with
     ``--per-site`` merged in, rejects a run knob set as a tunable, tunables
     the scenario does not take and values not of their default's type,
-    checks the detection knobs and configures ``--trace``: an unwritable
-    path must not surface hours into a campaign.  A sweep passes its axis
-    as ``param``/``values``: a tunable axis is checked like a ``--set``
-    key, and an ``iterations`` axis bounds ``--quorum`` by its least value.
-    Returns ``(spec, overrides)``; raises ``ValueError`` with the one line
-    the command prints before exiting 2.
+    checks the detection knobs, builds the executor and configures
+    ``--trace``: an unwritable path must not surface hours into a campaign.
+    The trace is configured last, so a rejected command leaves an existing
+    trace file as it was.  A sweep passes its axis as ``param``/``values``:
+    a tunable axis is checked like a ``--set`` key, an ``iterations`` axis
+    bounds ``--quorum`` by its least value, and a campaign parameter the
+    body does not take is rejected (a run ignores it, and an axis of
+    identical rows must not pass for a sweep).  Returns ``(spec,
+    overrides, knobs)``; raises ``ValueError`` with the one line the
+    command prints before exiting 2.
     """
     if args.workers is not None and args.executor != "process":
         raise ValueError("--workers needs --executor process")
@@ -209,9 +213,12 @@ def _prologue(
     _validate_detection_args(
         args, spec, min(values) if param == "iterations" else args.iterations
     )
+    if param in CAMPAIGN_PARAMS and param not in defaults:
+        raise ValueError(f"scenario {spec.name} does not take {param}")
+    knobs = _knobs(args)
     if args.trace:
         TRACER.configure(args.trace, detail=args.trace_detail)
-    return spec, overrides
+    return spec, overrides, knobs
 
 
 #: Each ``ScenarioSpec.run`` knob and the option that sets it: ``--set``
@@ -263,7 +270,6 @@ def _cmd_list(args: argparse.Namespace) -> int:
                 "family": spec.family,
                 "kind": spec.kind,
                 "description": spec.description,
-                "tags": list(spec.tags),
                 **{k: defaults[k] for k in CAMPAIGN_PARAMS if k in defaults},
             }
         )
@@ -273,9 +279,9 @@ def _cmd_list(args: argparse.Namespace) -> int:
 
 def _cmd_run(args: argparse.Namespace) -> int:
     try:
-        spec, overrides = _prologue(args)
+        spec, overrides, knobs = _prologue(args)
         before = METRICS.snapshot()
-        summary = spec.run(**{**_knobs(args), **overrides})
+        summary = spec.run(**{**knobs, **overrides})
     except ValueError as exc:
         print(str(exc), file=sys.stderr)
         return 2
@@ -298,16 +304,11 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         values = (values,)
     param = args.param.replace("-", "_")
     try:
-        spec, overrides = _prologue(args, param, values)
-        defaults = spec.defaults()
-        if param in CAMPAIGN_PARAMS and param not in defaults:
-            # A run ignores a campaign knob its body does not take; an axis
-            # of identical rows must not pass for a sweep.
-            raise ValueError(f"scenario {spec.name} does not take {param}")
-        knobs = _knobs(args)
+        spec, overrides, knobs = _prologue(args, param, values)
     except ValueError as exc:
         print(str(exc), file=sys.stderr)
         return 2
+    defaults = spec.defaults()
     rows: List[Dict[str, object]] = []
     print(f"sweep {spec.name} over {param} = {list(values)}")
     for value in values:

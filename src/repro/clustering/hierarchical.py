@@ -77,10 +77,6 @@ class HierarchicalClustering:
     roots: List[ClusterNode]
 
     # ------------------------------------------------------------------ #
-    def top_level(self) -> Partition:
-        """The coarsest level: one cluster per root (the single-level result)."""
-        return Partition([set(root.members) for root in self.roots])
-
     def flatten(self) -> Partition:
         """The finest level: one cluster per leaf of the tree."""
         leaves = [set(leaf.members) for root in self.roots for leaf in root.leaves()]
@@ -116,9 +112,6 @@ class HierarchicalClustering:
             if not cuts or cuts[-1] != partition:
                 cuts.append(partition)
         return cuts
-
-    def num_levels(self) -> int:
-        return len(self.levels())
 
     def best_match(self, reference: Partition) -> tuple:
         """``(partition, nmi)`` of the depth cut that best matches ``reference``.

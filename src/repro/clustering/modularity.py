@@ -97,20 +97,3 @@ def modularity_matrix_form(weights: np.ndarray, labels, partition: Partition) ->
             block = weights[np.ix_(community == i, community == j)]
             e[i, j] = block.sum() / total
     return float(np.trace(e) - np.sum(e @ e))
-
-
-def modularity_gain_of_merge(
-    graph: WeightedGraph, partition: Partition, cluster_a: int, cluster_b: int
-) -> float:
-    """Change in modularity if two clusters of ``partition`` were merged.
-
-    Utility used by tests and by the greedy agglomerative fallback; the
-    Louvain implementation uses its own incremental bookkeeping.
-    """
-    if cluster_a == cluster_b:
-        return 0.0
-    clusters = list(partition.clusters)
-    merged = clusters[cluster_a] | clusters[cluster_b]
-    rest = [c for i, c in enumerate(clusters) if i not in (cluster_a, cluster_b)]
-    new_partition = Partition(rest + [merged])
-    return modularity(graph, new_partition) - modularity(graph, partition)

@@ -113,12 +113,6 @@ class Partition:
         clusters = [cluster & keep for cluster in self._clusters if cluster & keep]
         return Partition(clusters)
 
-    def relabel(self, mapping: Mapping[Node, Node]) -> "Partition":
-        """Apply a node renaming (used when aggregating graphs in Louvain)."""
-        return Partition(
-            [{mapping.get(node, node) for node in cluster} for cluster in self._clusters]
-        )
-
     # ------------------------------------------------------------------ #
     # comparisons
     # ------------------------------------------------------------------ #

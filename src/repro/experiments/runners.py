@@ -21,12 +21,8 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.analysis.convergence import ConvergenceStudy
 from repro.bittorrent.swarm import BitTorrentBroadcast, BroadcastResult
-from repro.clustering.louvain import louvain
-from repro.clustering.partition import Partition
 from repro.experiments.datasets import Dataset, bordeaux_split, dataset, dataset_b
-from repro.graph.wgraph import WeightedGraph
 from repro.network.grid5000 import Grid5000Builder, build_multi_site, default_cluster_of
 from repro.scenarios.executors import ProcessPoolExecutor
 from repro.simulation.rng import derive_seed
@@ -40,12 +36,8 @@ from repro.tomography.netpipe import NetPipeProbe
 from repro.tomography.pipeline import TomographyPipeline, default_swarm_config
 
 
-def _default_clusterer(graph: WeightedGraph) -> Partition:
-    return louvain(graph).partition
-
-
 # ---------------------------------------------------------------------- #
-# the campaign study (Figs. 8-12, 2x2, interference and fault scenarios)
+# the campaign study (Figs. 4 and 8-13, 2x2, interference and fault scenarios)
 # ---------------------------------------------------------------------- #
 def run_dataset_clustering(
     ds: Dataset,
@@ -172,15 +164,9 @@ def run_fig4(
     :func:`~repro.experiments.datasets.bordeaux_split`.
     """
     ds = dataset_b(**bordeaux_split(per_site))
-    pipeline = TomographyPipeline(
-        ds.topology,
-        hosts=ds.hosts,
-        ground_truth=ds.ground_truth,
-        config=default_swarm_config(num_fragments, stepping=stepping),
-        seed=seed,
-        executor=executor,
-    )
-    result = pipeline.run(iterations, track_convergence=False)
+    result = run_dataset_clustering(
+        ds, iterations, num_fragments, seed, executor=executor, stepping=stepping
+    )["result"]
     if focus_host is None:
         # A non-root Bordeplage node, as the paper fixes a random node.
         bordeplage_hosts = [
@@ -266,26 +252,24 @@ def run_fig13(
     seed: int = 5,
     executor: Optional[ProcessPoolExecutor] = None,
     stepping: Optional[str] = None,
-) -> Dict[str, ConvergenceStudy]:
-    """NMI-vs-iterations curves for the Fig. 13 datasets (scaled down)."""
-    studies: Dict[str, ConvergenceStudy] = {}
+) -> Dict[str, Dict[str, object]]:
+    """NMI-vs-iterations curves for the Fig. 13 datasets (scaled down).
+
+    ``{name: {"dataset": name, "curve": [...]}}``, where ``curve[k - 1]`` is
+    the overlapping NMI of the clustering of the first ``k`` iterations.
+    """
+    curves: Dict[str, Dict[str, object]] = {}
     for name in datasets:
         if name == "B":
             ds = dataset_b(**bordeaux_split(per_site))
         else:
             ds = dataset(name, per_site=per_site)
-        campaign = MeasurementCampaign(
-            ds.topology,
-            default_swarm_config(num_fragments, stepping=stepping),
-            hosts=ds.hosts,
-            seed=seed,
-            executor=executor,
+        summary = run_dataset_clustering(
+            ds, iterations, num_fragments, seed, track_convergence=True,
+            executor=executor, stepping=stepping,
         )
-        record = campaign.run(iterations)
-        studies[name] = ConvergenceStudy.from_record(
-            name, record, ds.ground_truth, _default_clusterer
-        )
-    return studies
+        curves[name] = {"dataset": name, "curve": summary["nmi_per_iteration"]}
+    return curves
 
 
 # ---------------------------------------------------------------------- #

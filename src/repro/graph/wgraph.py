@@ -5,10 +5,8 @@ tomography pipeline all operate on the same structure: an undirected graph
 whose nodes are arbitrary hashable labels (host names in practice) and whose
 edges carry a non-negative weight (the aggregated fragment metric ``w(e)``).
 
-``networkx`` is available in the environment, but the algorithmic core of the
-reproduction is implemented against this class so that the clustering and
-layout substrates are self-contained; a :meth:`to_networkx` converter is
-provided for interoperability and visualisation.
+The clustering and layout substrates are implemented against this class
+alone, so the package needs no graph library.
 """
 
 from __future__ import annotations
@@ -58,41 +56,6 @@ class WeightedGraph:
             graph.add_edge(u, v, w, accumulate=True)
         return graph
 
-    @classmethod
-    def from_weight_matrix(
-        cls, matrix: np.ndarray, labels: Optional[List[Node]] = None, tol: float = 0.0
-    ) -> "WeightedGraph":
-        """Build a graph from a symmetric weight matrix.
-
-        Parameters
-        ----------
-        matrix:
-            Square, symmetric array; entry ``[i, j]`` is the edge weight.
-        labels:
-            Node labels; defaults to ``range(n)``.
-        tol:
-            Entries with absolute value ``<= tol`` are treated as absent edges.
-        """
-        matrix = np.asarray(matrix, dtype=float)
-        if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
-            raise ValueError(f"weight matrix must be square, got shape {matrix.shape}")
-        if not np.allclose(matrix, matrix.T, atol=1e-9):
-            raise ValueError("weight matrix must be symmetric")
-        n = matrix.shape[0]
-        if labels is None:
-            labels = list(range(n))
-        if len(labels) != n:
-            raise ValueError("labels length must match matrix size")
-        graph = cls()
-        for node in labels:
-            graph.add_node(node)
-        for i in range(n):
-            for j in range(i, n):
-                w = float(matrix[i, j])
-                if abs(w) > tol:
-                    graph.add_edge(labels[i], labels[j], w)
-        return graph
-
     def copy(self) -> "WeightedGraph":
         clone = WeightedGraph()
         for node, nbrs in self._adj.items():
@@ -127,17 +90,6 @@ class WeightedGraph:
             self._total_weight += weight
         else:
             self._total_weight += weight - previous
-
-    def remove_edge(self, u: Node, v: Node) -> None:
-        try:
-            weight = self._adj[u][v]
-            del self._adj[u][v]
-            if u != v:
-                del self._adj[v][u]
-        except KeyError as exc:
-            raise KeyError(f"edge {u!r} -- {v!r} not in graph") from exc
-        self._num_edges -= 1
-        self._total_weight -= weight
 
     # ------------------------------------------------------------------ #
     # queries
@@ -245,26 +197,6 @@ class WeightedGraph:
                     sub.add_edge(u, v, w)
         return sub
 
-    def connected_components(self) -> List[List[Node]]:
-        """Connected components as lists of nodes (weights ignored)."""
-        seen = set()
-        components: List[List[Node]] = []
-        for start in self._adj:
-            if start in seen:
-                continue
-            stack = [start]
-            comp = []
-            seen.add(start)
-            while stack:
-                node = stack.pop()
-                comp.append(node)
-                for nbr in self._adj[node]:
-                    if nbr not in seen:
-                        seen.add(nbr)
-                        stack.append(nbr)
-            components.append(comp)
-        return components
-
     # ------------------------------------------------------------------ #
     # conversions
     # ------------------------------------------------------------------ #
@@ -281,16 +213,6 @@ class WeightedGraph:
                 matrix[i, j] = w
                 matrix[j, i] = w
         return matrix, labels
-
-    def to_networkx(self):
-        """Convert to a :class:`networkx.Graph` (weights on the ``weight`` key)."""
-        import networkx as nx
-
-        graph = nx.Graph()
-        graph.add_nodes_from(self.nodes())
-        for u, v, w in self.edges():
-            graph.add_edge(u, v, weight=w)
-        return graph
 
     def top_weight_fraction(self, fraction: float) -> "WeightedGraph":
         """Keep only the top ``fraction`` of edges by weight (paper's Fig. 8 rendering)."""

@@ -6,12 +6,13 @@ shortest-path routing, and max-min fair bandwidth sharing among concurrent
 flows.  That fluid abstraction is exactly what produces the phenomenon the
 paper's metric exploits — flows crossing a shared bottleneck get a small
 share of it, so BitTorrent moves fewer fragments across the bottleneck.
+The swarm, the NetPIPE probes and the saturation baselines all drive
+:class:`FluidNetwork` directly.
 """
 
 from repro.network.topology import Host, Link, Switch, Topology, TopologyError
 from repro.network.routing import RoutingTable
 from repro.network.fluid import FluidNetwork, FluidTransfer
-from repro.network.transfer import PointToPointNetwork, TransferResult
 from repro.network.grid5000 import (
     GRID5000_SITES,
     Grid5000Builder,
@@ -30,8 +31,6 @@ __all__ = [
     "RoutingTable",
     "FluidNetwork",
     "FluidTransfer",
-    "PointToPointNetwork",
-    "TransferResult",
     "GRID5000_SITES",
     "Grid5000Builder",
     "SiteSpec",

@@ -358,12 +358,6 @@ class FluidNetwork:
         self._dirty = False
         self._completion_known = False
 
-    def rates(self) -> Dict[int, float]:
-        """Current allocation ``transfer_id -> bytes/second``."""
-        if self._dirty:
-            self._reallocate()
-        return {tid: float(self._rate[t._slot]) for tid, t in self._active.items()}
-
     def transferred_at(self, slots: np.ndarray, t: float) -> np.ndarray:
         """Bulk analytic read of transferred bytes at absolute time ``t``.
 
@@ -473,12 +467,3 @@ class FluidNetwork:
                 )
             self.advance_to(min(transition, max_time))
         return self.now
-
-    def transfer_time(self, src: str, dst: str, size: float) -> float:
-        """Time to move ``size`` bytes in isolation (no other active transfers)."""
-        if self._active:
-            raise RuntimeError("transfer_time requires an idle network")
-        start = self.now
-        self.start_transfer(src, dst, size)
-        self.run_until_complete()
-        return self.now - start

@@ -166,9 +166,3 @@ class RoutingTable:
         if not links:
             return float("inf")
         return min(link.capacity for link in links)
-
-    def shared_links(self, pair_a: Tuple[str, str], pair_b: Tuple[str, str]) -> List[str]:
-        """Link names common to the routes of two host pairs (interference test)."""
-        route_a = set(self.route(*pair_a))
-        route_b = set(self.route(*pair_b))
-        return sorted(route_a & route_b)

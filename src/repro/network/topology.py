@@ -11,7 +11,7 @@ Units
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 MBPS = 1e6 / 8.0
 """Megabit per second, expressed in bytes/second."""
@@ -73,9 +73,6 @@ class Link:
             raise TopologyError(f"link {self.a}--{self.b} must have non-negative latency")
         if not self.name:
             self.name = f"{self.a}--{self.b}"
-
-    def endpoints(self) -> Tuple[str, str]:
-        return (self.a, self.b)
 
     def other(self, element: str) -> str:
         if element == self.a:
@@ -182,32 +179,11 @@ class Topology:
         """Return ``(neighbour, link)`` pairs for every link incident to ``element``."""
         return [(link.other(element), link) for link in self.incident_links(element)]
 
-    def hosts_in_site(self, site: str) -> List[Host]:
-        return [h for h in self._hosts.values() if h.site == site]
-
     def hosts_in_cluster(self, site: str, cluster: str) -> List[Host]:
         return [h for h in self._hosts.values() if h.site == site and h.cluster == cluster]
 
     def sites(self) -> List[str]:
         return sorted({h.site for h in self._hosts.values() if h.site})
-
-    def ground_truth_by(self, level: str = "site") -> Dict[str, Set[str]]:
-        """Group host names by ``"site"`` or ``"cluster"`` membership.
-
-        This is the *physical* grouping; experiment datasets refine it into the
-        logical ground truth (e.g. merging Bordereau and Borderline, which the
-        paper's administrator identified as one logical cluster).
-        """
-        groups: Dict[str, Set[str]] = {}
-        for host in self._hosts.values():
-            if level == "site":
-                key = host.site or "unknown"
-            elif level == "cluster":
-                key = f"{host.site}/{host.cluster}" if host.cluster else (host.site or "unknown")
-            else:
-                raise TopologyError(f"unknown grouping level {level!r}")
-            groups.setdefault(key, set()).add(host.name)
-        return groups
 
     def validate_connected(self) -> None:
         """Raise :class:`TopologyError` unless every host can reach every other."""

@@ -10,10 +10,14 @@ line.  This module turns such a file into
 
 Clock mapping in the Chrome export: every record keeps its originating
 ``pid``; wall-time spans become complete events (``ph: "X"``) on thread 0
-with microsecond ``ts``/``dur`` relative to tracer start, while sim-time
-events become instant events (``ph: "i"``) on a dedicated thread 1 whose
-timeline is *simulation* microseconds — the two clocks share one view but
-never mix on a track.  Thread-name metadata records label the tracks.
+with microsecond ``ts``/``dur`` relative to the file's first ``meta``
+record, while sim-time events become instant events (``ph: "i"``) on a
+dedicated thread 1 whose timeline is *simulation* microseconds — the two
+clocks share one view but never mix on a track.  Each block of a pooled
+trace counts its ``wall_ts`` from its own ``meta``, so its wall-clock
+records are shifted by that ``meta``'s ``wall_start`` minus the first
+one's: worker tracks line up with the parent's.  Thread-name metadata
+records label the tracks.
 """
 
 from __future__ import annotations
@@ -52,9 +56,17 @@ def to_chrome(records: Iterable[dict]) -> Dict[str, object]:
     """
     events: List[dict] = []
     named_pids = set()
+    origin: Optional[float] = None
+    # Per pid, the wall-clock offset of its current block from the origin.
+    offsets: Dict[int, float] = {}
     for record in records:
         kind = record.get("type")
         pid = int(record.get("pid", 0))
+        if kind == "meta":
+            if origin is None:
+                origin = record["wall_start"]
+            offsets[pid] = record["wall_start"] - origin
+        offset = offsets.get(pid, 0.0)
         if pid not in named_pids:
             named_pids.add(pid)
             for tid, label in ((WALL_TID, "wall"), (SIM_TID, "sim")):
@@ -74,7 +86,7 @@ def to_chrome(records: Iterable[dict]) -> Dict[str, object]:
                     "ph": "X",
                     "pid": pid,
                     "tid": WALL_TID,
-                    "ts": record["wall_ts"] * 1e6,
+                    "ts": (record["wall_ts"] + offset) * 1e6,
                     "dur": record["wall_dur"] * 1e6,
                     "args": record.get("args", {}),
                 }
@@ -88,7 +100,7 @@ def to_chrome(records: Iterable[dict]) -> Dict[str, object]:
                     "s": "t",
                     "pid": pid,
                     "tid": SIM_TID if sim_ts is not None else WALL_TID,
-                    "ts": (sim_ts if sim_ts is not None else record["wall_ts"])
+                    "ts": (sim_ts if sim_ts is not None else record["wall_ts"] + offset)
                     * 1e6,
                     "args": record.get("args", {}),
                 }

@@ -207,13 +207,16 @@ def _format_fig5(summary: Dict[str, object]) -> str:
 def _format_fig13(summary: Dict[str, object]) -> str:
     lines = []
     for name, study in summary.items():
-        if not hasattr(study, "curve"):
+        if not isinstance(study, dict):
             continue
-        reached = study.iterations_to_reach(0.99)
+        curve = study["curve"]
+        reached = next(
+            (k for k, value in enumerate(curve, start=1) if value >= 0.99 - 1e-12), None
+        )
         lines.append(
-            f"{name:8s} final NMI {study.final_nmi:.2f} "
+            f"{name:8s} final NMI {curve[-1]:.2f} "
             f"(>=0.99 after {reached if reached else '-'} iterations) "
-            f"curve {[round(v, 2) for v in study.curve]}"
+            f"curve {[round(v, 2) for v in curve]}"
         )
     return "\n".join(lines)
 
@@ -328,7 +331,6 @@ runner_scenario(
 # generated families beyond the paper
 # ---------------------------------------------------------------------- #
 @scenario("FATTREE-4x4", family="fat-tree", formatter=format_campaign,
-          tags=("beyond-paper", "sweepable"),
           description="4 racks x 4 hosts, 4:1 oversubscribed edge uplinks")
 def _scenario_fattree(
     racks: int = 4, hosts_per_rack: int = 4, oversubscription: float = 4.0
@@ -339,7 +341,6 @@ def _scenario_fattree(
 
 
 @scenario("FATTREE-NB", family="fat-tree", formatter=format_campaign,
-          tags=("beyond-paper",),
           description="non-blocking fat-tree control: no contrast, one cluster")
 def _scenario_fattree_nb(racks: int = 4, hosts_per_rack: int = 4) -> Dataset:
     return fat_tree_dataset(
@@ -348,7 +349,6 @@ def _scenario_fattree_nb(racks: int = 4, hosts_per_rack: int = 4) -> Dataset:
 
 
 @scenario("RANDBOT-1", family="random-bottleneck", formatter=format_campaign,
-          tags=("beyond-paper", "sweepable"),
           description="random bottleneck placement, layout seed 1")
 def _scenario_randbot1(
     clusters: int = 5,
@@ -365,7 +365,6 @@ def _scenario_randbot1(
 
 
 @scenario("RANDBOT-2", family="random-bottleneck", formatter=format_campaign,
-          tags=("beyond-paper",),
           description="random bottleneck placement, layout seed 2")
 def _scenario_randbot2(
     clusters: int = 5,
@@ -381,7 +380,6 @@ def _scenario_randbot2(
 
 
 @scenario("HETERO-UPLINK", family="hetero-uplink", formatter=format_campaign,
-          tags=("beyond-paper", "sweepable"),
           description="three sites with heterogeneously provisioned Renater uplinks")
 def _scenario_hetero(
     per_site: int = 6, squeeze: float = 1.0
@@ -443,7 +441,6 @@ def _localization_dataset(per_site: int, backup: bool = False) -> Dataset:
 
 @runner_scenario("RIVAL-BROADCAST", family="rival-broadcast",
                  formatter=format_campaign,
-                 tags=("beyond-paper", "interference", "sweepable"),
                  description="concurrent-broadcast contention: rival swarms "
                              "share clock and links with the measured one")
 def _scenario_rival(
@@ -474,7 +471,6 @@ def _scenario_rival(
 
 @runner_scenario("CROSS-TRAFFIC", family="cross-traffic",
                  formatter=format_campaign,
-                 tags=("beyond-paper", "interference", "sweepable"),
                  description="generative Poisson/on-off cross traffic; sweep "
                              "`intensity` to chart where recovery degrades")
 def _scenario_cross_traffic(
@@ -506,7 +502,6 @@ def _scenario_cross_traffic(
 
 @runner_scenario("CHURN", family="churn",
                  formatter=format_campaign,
-                 tags=("beyond-paper", "interference", "sweepable"),
                  description="peer churn: leave/rejoin mid-broadcast; sweep "
                              "`churn_rate` for the degradation curve")
 def _scenario_churn(
@@ -537,7 +532,6 @@ def _scenario_churn(
 
 @runner_scenario("MIXED-TENANCY", family="cross-traffic",
                  formatter=format_campaign,
-                 tags=("beyond-paper", "interference"),
                  description="everything at once: rival broadcast, cross "
                              "traffic, capacity drift and churn")
 def _scenario_mixed_tenancy(
@@ -574,7 +568,6 @@ def _scenario_mixed_tenancy(
 # ---------------------------------------------------------------------- #
 @runner_scenario("FAULT-INJECTION", family="fault-injection",
                  formatter=format_campaign,
-                 tags=("beyond-paper", "faults", "sweepable"),
                  description="tomography under injected failures; sweep "
                              "`intensity` to map NMI vs failure intensity")
 def _scenario_fault_injection(
@@ -609,7 +602,6 @@ def _scenario_fault_injection(
 
 @runner_scenario("LINK-BLACKOUT", family="fault-injection",
                  formatter=format_campaign,
-                 tags=("beyond-paper", "faults", "sweepable"),
                  description="persistent bottleneck failure mid-campaign; "
                              "headline metrics: time to detect and time to "
                              "localize the dead link")
@@ -644,7 +636,6 @@ def _scenario_link_blackout(
 
 @runner_scenario("MIGRATING-BOTTLENECK", family="fault-injection",
                  formatter=format_campaign,
-                 tags=("beyond-paper", "faults", "sweepable"),
                  description="self-healing routing under a relocating "
                              "failure: the control plane reroutes around "
                              "each epoch's victim, the tomography must "

@@ -44,11 +44,10 @@ def scenario(
     *,
     family: str,
     description: str = "",
-    tags: tuple = (),
     formatter: Optional[Callable] = None,
 ) -> Callable[[Callable], Callable]:
     """Register the decorated dataset factory as a campaign scenario."""
-    return _registrar("dataset_factory", name, family, description, tags, formatter)
+    return _registrar("dataset_factory", name, family, description, formatter)
 
 
 def runner_scenario(
@@ -56,11 +55,10 @@ def runner_scenario(
     *,
     family: str,
     description: str = "",
-    tags: tuple = (),
     formatter: Optional[Callable] = None,
 ) -> Callable[[Callable], Callable]:
     """Register the decorated callable as a custom-runner scenario."""
-    return _registrar("runner", name, family, description, tags, formatter)
+    return _registrar("runner", name, family, description, formatter)
 
 
 def _registrar(
@@ -68,7 +66,6 @@ def _registrar(
     name: str,
     family: str,
     description: str,
-    tags: tuple,
     formatter: Optional[Callable],
 ) -> Callable[[Callable], Callable]:
     """The decorator both helpers return: register ``fn`` as the spec's
@@ -80,7 +77,6 @@ def _registrar(
                 name=name,
                 family=family,
                 description=description or _first_doc_line(fn),
-                tags=tuple(tags),
                 formatter=formatter,
                 **{body_field: fn},
             )

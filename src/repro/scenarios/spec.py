@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import inspect
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Mapping, Optional, Tuple
+from typing import Callable, Dict, List, Mapping, Optional
 
 import numpy as np
 
@@ -63,8 +63,6 @@ class ScenarioSpec:
         per-run overrides plus whichever of ``iterations``,
         ``num_fragments``, ``seed``, ``executor`` and ``stepping`` the caller
         set and it takes, and must return a summary dict.
-    tags:
-        Free-form labels (``"beyond-paper"``, ``"sweepable"``, ...).
     formatter:
         Optional summary → human-readable text renderer used by the CLI.
     """
@@ -74,7 +72,6 @@ class ScenarioSpec:
     description: str = ""
     dataset_factory: Optional[Callable[..., Dataset]] = None
     runner: Optional[Callable[..., Dict[str, object]]] = None
-    tags: Tuple[str, ...] = ()
     formatter: Optional[Callable[[Dict[str, object]], str]] = None
 
     def __post_init__(self) -> None:
@@ -282,11 +279,6 @@ def to_jsonable(value: object) -> object:
     if isinstance(value, (list, tuple, set, frozenset)):
         items = [to_jsonable(item) for item in value]
         return [item for item in items if item is not _OMIT]
-    # Convergence studies appear as values in fig13-style summaries.
-    curve = getattr(value, "curve", None)
-    dataset = getattr(value, "dataset", None)
-    if curve is not None and dataset is not None:
-        return {"dataset": dataset, "curve": [float(v) for v in curve]}
     return _OMIT
 
 

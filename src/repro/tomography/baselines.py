@@ -16,6 +16,8 @@ Both account the *simulated wall-clock cost* of their measurement phase so
 that the efficiency comparison in the paper's Section II-B can be
 regenerated, and both feed their measured bandwidth graph to the same
 Louvain clustering used by the BitTorrent method so quality is comparable.
+Each probe set runs to completion on a fresh, idle
+:class:`~repro.network.fluid.FluidNetwork`.
 """
 
 from __future__ import annotations
@@ -29,9 +31,9 @@ import numpy as np
 from repro.clustering.louvain import louvain
 from repro.clustering.partition import Partition
 from repro.graph.wgraph import WeightedGraph
+from repro.network.fluid import FluidNetwork
 from repro.network.routing import RoutingTable
 from repro.network.topology import Topology
-from repro.network.transfer import PointToPointNetwork
 from repro.simulation.rng import derive_seed
 
 
@@ -61,7 +63,7 @@ class BaselineResult:
 
 
 class _SaturationBase:
-    """Shared plumbing: probe accounting and clustering of bandwidth graphs."""
+    """Shared plumbing: saturation probes and clustering of bandwidth graphs."""
 
     def __init__(
         self,
@@ -77,16 +79,29 @@ class _SaturationBase:
             raise ValueError("probe_size must be positive")
         self.probe_size = float(probe_size)
         self.routing = RoutingTable(topology)
-        self.network = PointToPointNetwork(topology, self.routing)
+
+    def _probe(self, pairs: Sequence[Tuple[str, str]]) -> Tuple[List[float], float]:
+        """Saturate ``pairs`` concurrently from a common start.
+
+        Returns each pair's achieved bandwidth (bytes/second, in the order
+        of ``pairs``) and the set's makespan: the duration of its slowest
+        transfer, which is what the probe set adds to the measurement time.
+        """
+        network = FluidNetwork(self.topology, self.routing)
+        transfers = [
+            network.start_transfer(src, dst, self.probe_size) for src, dst in pairs
+        ]
+        network.run_until_complete()
+        durations = [
+            max((transfer.finish_time or network.now) - transfer.start_time, 1e-12)
+            for transfer in transfers
+        ]
+        return [self.probe_size / duration for duration in durations], max(durations)
 
     def _cluster(self, graph: WeightedGraph) -> Partition:
         if graph.total_weight() <= 0:
             return Partition.whole(self.hosts)
         return louvain(graph).partition
-
-    def pair_count(self) -> int:
-        n = len(self.hosts)
-        return n * (n - 1) // 2
 
     def all_pairs(self) -> List[Tuple[str, str]]:
         return list(itertools.combinations(self.hosts, 2))
@@ -133,17 +148,13 @@ class PairwiseSaturationTomography(_SaturationBase):
         graph = WeightedGraph()
         for host in self.hosts:
             graph.add_node(host)
-        start_time = self.network.total_busy_time
+        measurement_time = 0.0
         probes = 0
-        for idx, (a, b) in enumerate(self.all_pairs()):
-            background = self._background_pairs((a, b))
-            requests = [(a, b, self.probe_size)] + [
-                (u, v, self.probe_size) for u, v in background
-            ]
-            results = self.network.run_concurrent(requests)
+        for a, b in self.all_pairs():
+            bandwidths, makespan = self._probe([(a, b)] + self._background_pairs((a, b)))
+            measurement_time += makespan
             probes += 1
-            graph.add_edge(a, b, results[0].bandwidth)
-        measurement_time = self.network.total_busy_time - start_time
+            graph.add_edge(a, b, bandwidths[0])
         return BaselineResult(
             partition=self._cluster(graph),
             bandwidth_graph=graph,
@@ -151,11 +162,6 @@ class PairwiseSaturationTomography(_SaturationBase):
             measurement_time=measurement_time,
             interference=[],
         )
-
-    def estimated_probe_count(self, n: Optional[int] = None) -> int:
-        """Number of probes the method needs for ``n`` hosts (O(N²) scaling)."""
-        n = n if n is not None else len(self.hosts)
-        return n * (n - 1) // 2
 
 
 class TripletSaturationTomography(_SaturationBase):
@@ -193,28 +199,24 @@ class TripletSaturationTomography(_SaturationBase):
         # Track, per pair, the lowest bandwidth observed under interference.
         best_estimate: Dict[Tuple[str, str], float] = {}
         interference: List[Tuple[Tuple[str, str], Tuple[str, str]]] = []
-        start_time = self.network.total_busy_time
+        measurement_time = 0.0
         probes = 0
 
         def key(u: str, v: str) -> Tuple[str, str]:
             return (u, v) if u <= v else (v, u)
 
         for a, b, c in self.all_triplets():
-            isolated = self.network.measure_pair(a, b, self.probe_size)
-            probes += 1
-            concurrent = self.network.run_concurrent(
-                [(a, b, self.probe_size), (a, c, self.probe_size)]
-            )
-            probes += 1
-            loaded_ab = concurrent[0].bandwidth
-            loaded_ac = concurrent[1].bandwidth
-            if loaded_ab < isolated.bandwidth * self.interference_threshold:
+            (isolated,), makespan = self._probe([(a, b)])
+            measurement_time += makespan
+            (loaded_ab, loaded_ac), makespan = self._probe([(a, b), (a, c)])
+            measurement_time += makespan
+            probes += 2
+            if loaded_ab < isolated * self.interference_threshold:
                 interference.append((key(a, b), key(a, c)))
             for pair, bandwidth in ((key(a, b), loaded_ab), (key(a, c), loaded_ac)):
                 previous = best_estimate.get(pair)
                 best_estimate[pair] = bandwidth if previous is None else min(previous, bandwidth)
 
-        measurement_time = self.network.total_busy_time - start_time
         graph = WeightedGraph()
         for host in self.hosts:
             graph.add_node(host)
@@ -227,8 +229,3 @@ class TripletSaturationTomography(_SaturationBase):
             measurement_time=measurement_time,
             interference=interference,
         )
-
-    def estimated_probe_count(self, n: Optional[int] = None) -> int:
-        """Number of probes for ``n`` hosts (two per triplet, O(N³) scaling)."""
-        n = n if n is not None else len(self.hosts)
-        return 2 * (n * (n - 1) * (n - 2)) // 6

@@ -48,16 +48,6 @@ class BottleneckReport:
     link_pair_counts: Dict[str, int]
     pair_count: int
 
-    def ranked_links(self) -> List[Tuple[str, int]]:
-        """Links ordered by how many inter-cluster pairs cross them."""
-        return sorted(
-            self.link_pair_counts.items(), key=lambda item: (-item[1], item[0])
-        )
-
-    def primary_bottleneck(self) -> Optional[str]:
-        """The narrowest link crossed by every inter-cluster pair, if any."""
-        return self.shared_links[0] if self.shared_links else None
-
 
 def find_bottleneck_links(
     topology: Topology,

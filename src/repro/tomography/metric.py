@@ -76,9 +76,6 @@ class EdgeMetric:
             if j != i
         }
 
-    def nonzero_edge_count(self) -> int:
-        return int(np.count_nonzero(np.triu(self.weights, k=1)))
-
     def total_weight(self) -> float:
         return float(np.triu(self.weights, k=1).sum())
 
@@ -95,11 +92,6 @@ def aggregate_mean(matrices: Sequence[FragmentMatrix]) -> EdgeMetric:
     mean = stacked.mean(axis=0)
     np.fill_diagonal(mean, 0.0)
     return EdgeMetric(labels=tuple(labels), weights=mean, iterations=len(matrices))
-
-
-def single_run_metric(matrix: FragmentMatrix) -> EdgeMetric:
-    """The (noisy) metric of a single broadcast, per Eq. 1."""
-    return aggregate_mean([matrix])
 
 
 def metric_graph(metric: EdgeMetric, drop_zero: bool = True) -> WeightedGraph:

@@ -11,7 +11,7 @@ their agreement with the ground truth (overlapping NMI, as in Fig. 13).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.bittorrent.swarm import SwarmConfig
 from repro.bittorrent.torrent import TorrentMeta
@@ -131,23 +131,6 @@ def _cluster(
     return clusterer(graph)
 
 
-def prefix_clusterings(
-    record: MeasurementRecord, clusterer: Callable[[WeightedGraph], Partition]
-) -> Iterator[Tuple[EdgeMetric, WeightedGraph, Partition]]:
-    """``(aggregate, metric graph, partition)`` after 1, 2, ..., n iterations.
-
-    The Fig. 13 prefix loop of :meth:`TomographyPipeline.analyze` and
-    :func:`~repro.analysis.convergence.nmi_convergence`, over the
-    incremental :meth:`~repro.tomography.measurement.MeasurementRecord
-    .cumulative_aggregates`.  The last prefix's aggregate equals
-    :meth:`~repro.tomography.measurement.MeasurementRecord.aggregate`
-    bitwise (fragment counts are integers, so the running sum is exact).
-    """
-    for metric in record.cumulative_aggregates():
-        graph = metric_graph(metric)
-        yield metric, graph, _cluster(graph, metric.labels, clusterer)
-
-
 class TomographyPipeline:
     """The two-phase tomography method of the paper.
 
@@ -262,17 +245,23 @@ class TomographyPipeline:
     ) -> TomographyResult:
         """Phase 2 applied to an existing measurement record.
 
-        When the convergence curve is tracked, the last prefix is the whole
-        record: its aggregate, graph, partition and overlapping NMI are the
-        result's, so no graph is built, clustered or scored twice.
+        When the convergence curve is tracked, every prefix of 1, 2, ..., n
+        iterations is aggregated (incrementally, by
+        :meth:`~repro.tomography.measurement.MeasurementRecord
+        .cumulative_aggregates`), clustered and scored.  The last prefix is
+        the whole record, and its aggregate equals :meth:`~repro.tomography
+        .measurement.MeasurementRecord.aggregate` bitwise (fragment counts
+        are integers, so the running sum is exact): its aggregate, graph,
+        partition and overlapping NMI are the result's, so no graph is
+        built, clustered or scored twice.
         """
         analyze_started = TRACER.now() if TRACER.enabled else 0.0
         convergence: List[float] = []
         if self.ground_truth is not None and track_convergence:
             tracing = TRACER.enabled
-            for k, (metric, graph, partition) in enumerate(
-                prefix_clusterings(record, self._clusterer), start=1
-            ):
+            for k, metric in enumerate(record.cumulative_aggregates(), start=1):
+                graph = metric_graph(metric)
+                partition = _cluster(graph, metric.labels, self._clusterer)
                 value = overlapping_nmi(partition, self.ground_truth)
                 convergence.append(value)
                 if tracing:

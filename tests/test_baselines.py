@@ -15,7 +15,6 @@ class TestPairwiseBaseline:
         result = baseline.run()
         n = len(dumbbell_topology.host_names)
         assert result.probes == n * (n - 1) // 2
-        assert baseline.estimated_probe_count(20) == 190
 
     def test_measurement_time_is_positive_and_grows_with_probe_size(self, dumbbell_topology):
         small = PairwiseSaturationTomography(dumbbell_topology, probe_size=1e6).run()
@@ -61,7 +60,6 @@ class TestTripletBaseline:
         baseline = TripletSaturationTomography(dumbbell_topology, hosts=hosts, probe_size=1e6)
         result = baseline.run()
         assert result.probes == 2 * 4  # 2 probes per C(4,3)=4 triplets
-        assert baseline.estimated_probe_count(10) == 2 * 120
 
     def test_max_triplets_cap(self, dumbbell_topology):
         baseline = TripletSaturationTomography(

@@ -26,18 +26,9 @@ class TestFindBottleneckLinks:
         reports = find_bottleneck_links(dumbbell_topology, dumbbell_partition(dumbbell_topology))
         assert len(reports) == 1
         report = reports[0]
-        assert report.primary_bottleneck() == "bottleneck"
-        assert "bottleneck" in report.shared_links
+        assert report.shared_links[0] == "bottleneck"
         # Every considered pair crosses the bottleneck link.
         assert report.link_pair_counts["bottleneck"] == report.pair_count == 9
-
-    def test_ranked_links_puts_shared_link_first(self, dumbbell_topology):
-        report = find_bottleneck_links(
-            dumbbell_topology, dumbbell_partition(dumbbell_topology)
-        )[0]
-        top_link, top_count = report.ranked_links()[0]
-        assert top_link == "bottleneck"
-        assert top_count == report.pair_count
 
     def test_intra_cluster_partition_has_no_shared_wan_link(self, dumbbell_topology):
         partition = Partition([{"left-0", "left-1"}, {"left-2"}])
@@ -100,5 +91,5 @@ class TestEndToEndDiagnosis:
         result = pipeline.run(iterations=6, track_convergence=False)
         assert result.num_clusters == 2
         reports = find_bottleneck_links(ds.topology, result.partition)
-        primary = reports[0].primary_bottleneck()
+        primary = reports[0].shared_links[0]
         assert primary == "bordeaux.bordeplage.bottleneck"

@@ -334,6 +334,27 @@ class TestNoSettingDropped:
         assert captured.out == ""
         assert captured.err.strip().splitlines() == [line]
 
+    @pytest.mark.parametrize(
+        "argv, line",
+        [
+            (["run", "G-T", *SMALL, "--executor", "process", "--workers", "0"],
+             "workers must be at least 1"),
+            ([*SWEEP, "--executor", "process", "--workers", "0"],
+             "workers must be at least 1"),
+            (["sweep", "netpipe", "--param", "seed", "--values", "1,2"],
+             "scenario netpipe does not take seed"),
+        ],
+        ids=["run-workers", "sweep-workers", "sweep-ignored-knob"],
+    )
+    def test_a_rejected_command_leaves_the_trace_file_as_it_was(
+        self, capsys, tmp_path, argv, line
+    ):
+        trace = tmp_path / "t.jsonl"
+        trace.write_bytes(b'{"kind": "meta"}\n{"kind": "span"}\n')
+        assert main([*argv, "--trace", str(trace)]) == 2
+        assert capsys.readouterr().err.strip().splitlines() == [line]
+        assert trace.read_bytes() == b'{"kind": "meta"}\n{"kind": "span"}\n'
+
 
 class TestDetectionKnobs:
     """Fail-fast validation of --detect-factor/--quorum and `faults list`."""

@@ -9,16 +9,21 @@ from repro.network.routing import RoutingTable
 from repro.network.topology import MBPS, Host, Switch, Topology
 
 
+def isolated_duration(topology, src, dst, size):
+    network = FluidNetwork(topology)
+    transfer = network.start_transfer(src, dst, size)
+    network.run_until_complete()
+    return transfer.finish_time - transfer.start_time
+
+
 class TestSingleTransfer:
     def test_transfer_time_matches_bottleneck(self, dumbbell_topology):
-        network = FluidNetwork(dumbbell_topology)
         # 10 MB over a 100 Mb/s access path = 10e6 / 12.5e6 = 0.8 s
-        duration = network.transfer_time("left-0", "left-1", 10e6)
+        duration = isolated_duration(dumbbell_topology, "left-0", "left-1", 10e6)
         assert duration == pytest.approx(10e6 / (100 * MBPS), rel=1e-6)
 
     def test_transfer_across_bottleneck_is_slower(self, dumbbell_topology):
-        network = FluidNetwork(dumbbell_topology)
-        duration = network.transfer_time("left-0", "right-0", 10e6)
+        duration = isolated_duration(dumbbell_topology, "left-0", "right-0", 10e6)
         assert duration == pytest.approx(10e6 / (10 * MBPS), rel=1e-6)
 
     def test_rate_cap_limits_single_flow(self, dumbbell_topology):
@@ -42,12 +47,6 @@ class TestSingleTransfer:
             network.start_transfer("left-0", "left-1", 0.0)
         with pytest.raises(ValueError):
             network.start_transfer("sw-left", "left-1", 1e6)
-
-    def test_transfer_time_requires_idle_network(self, dumbbell_topology):
-        network = FluidNetwork(dumbbell_topology)
-        network.start_transfer("left-0", "left-1", 1e6)
-        with pytest.raises(RuntimeError):
-            network.transfer_time("left-1", "left-2", 1e6)
 
 
 class TestSharing:
@@ -122,9 +121,9 @@ class TestAdvance:
         network = FluidNetwork(dumbbell_topology)
         t1 = network.start_transfer("left-0", "right-0", 50e6)
         t2 = network.start_transfer("left-1", "right-1", 50e6)
-        rates = network.rates()
-        assert rates[t1.transfer_id] == pytest.approx(5 * MBPS, rel=1e-6)
-        assert rates[t2.transfer_id] == pytest.approx(5 * MBPS, rel=1e-6)
+        network.next_transition()  # allocates the rates
+        assert t1.rate == pytest.approx(5 * MBPS, rel=1e-6)
+        assert t2.rate == pytest.approx(5 * MBPS, rel=1e-6)
 
 
 # ---------------------------------------------------------------------- #

@@ -41,7 +41,7 @@ class TestRecursiveLouvain:
     def test_top_level_matches_single_level_louvain(self):
         graph, sub_a, sub_b, flat = nested_graph()
         hierarchy = recursive_louvain(graph)
-        top = hierarchy.top_level()
+        top = hierarchy.levels()[0]
         assert top.num_clusters == 2
         assert top.same_cluster(sub_a[0], sub_b[0])
         assert not top.same_cluster(sub_a[0], flat[0])
@@ -76,7 +76,6 @@ class TestRecursiveLouvain:
         levels = hierarchy.levels()
         counts = [level.num_clusters for level in levels]
         assert counts == sorted(counts)
-        assert hierarchy.num_levels() == len(levels)
 
     def test_min_cluster_size_blocks_small_splits(self):
         graph, sub_a, sub_b, flat = nested_graph()
@@ -100,4 +99,4 @@ class TestRecursiveLouvain:
         graph, *_ = nested_graph()
         hierarchy = recursive_louvain(graph, min_cluster_size=3)
         assert hierarchy.flatten().nodes() == set(graph.nodes())
-        assert hierarchy.top_level().nodes() == set(graph.nodes())
+        assert hierarchy.levels()[0].nodes() == set(graph.nodes())

@@ -52,30 +52,6 @@ class TestFragmentMatrix:
         with pytest.raises(ValueError):
             FragmentMatrix(["a", "b"], counts=-np.ones((2, 2)))
 
-    def test_mean_over_iterations_implements_eq2(self):
-        m1 = FragmentMatrix(["a", "b"])
-        m1.record("a", "b", 10)
-        m2 = FragmentMatrix(["a", "b"])
-        m2.record("a", "b", 0)
-        m2.record("b", "a", 6)
-        mean = FragmentMatrix.mean([m1, m2])
-        assert mean.edge_weight("a", "b") == pytest.approx((10 + 6) / 2.0)
-
-    def test_mean_requires_matching_labels(self):
-        m1 = FragmentMatrix(["a", "b"])
-        m2 = FragmentMatrix(["a", "c"])
-        with pytest.raises(ValueError):
-            FragmentMatrix.mean([m1, m2])
-        with pytest.raises(ValueError):
-            FragmentMatrix.mean([])
-
-    def test_copy_is_independent(self):
-        m = FragmentMatrix(["a", "b"])
-        m.record("a", "b", 1)
-        clone = m.copy()
-        clone.record("a", "b", 10)
-        assert m.edge_weight("a", "b") == pytest.approx(1.0)
-
 
 @given(
     st.lists(

@@ -110,7 +110,9 @@ class TestEndToEnd:
             ds.topology, default_swarm_config(200), hosts=ds.hosts, seed=11
         )
         record = campaign.run(5)
-        edge_counts = [m.nonzero_edge_count() for m in record.cumulative_aggregates()]
+        edge_counts = [
+            metric_graph(m).number_of_edges() for m in record.cumulative_aggregates()
+        ]
         # Aggregating more iterations can only add observed edges.
         assert edge_counts == sorted(edge_counts)
         assert all(m.labels == tuple(ds.hosts) for m in record.cumulative_aggregates())

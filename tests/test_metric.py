@@ -10,7 +10,6 @@ from repro.tomography.metric import (
     edge_weight_history,
     local_remote_split,
     metric_graph,
-    single_run_metric,
 )
 
 
@@ -34,7 +33,7 @@ class TestEdgeMetric:
         assert metric.weight("b", "c") == pytest.approx(8 / 2.0)
 
     def test_single_run_metric_is_eq1(self):
-        metric = single_run_metric(make_matrices()[0])
+        metric = aggregate_mean(make_matrices()[:1])
         assert metric.weight("a", "b") == pytest.approx(12.0)
         assert metric.iterations == 1
 
@@ -54,7 +53,7 @@ class TestEdgeMetric:
 
     def test_counts_and_totals(self):
         metric = aggregate_mean(make_matrices())
-        assert metric.nonzero_edge_count() == 3
+        assert metric_graph(metric).number_of_edges() == 3
         assert metric.total_weight() == pytest.approx(
             metric.weight("a", "b") + metric.weight("a", "c") + metric.weight("b", "c")
         )

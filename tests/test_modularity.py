@@ -4,11 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.clustering.modularity import (
-    modularity,
-    modularity_gain_of_merge,
-    modularity_matrix_form,
-)
+from repro.clustering.modularity import modularity, modularity_matrix_form
 from repro.clustering.partition import Partition
 from repro.graph.wgraph import WeightedGraph
 
@@ -53,17 +49,6 @@ class TestModularity:
             modularity_matrix_form(
                 np.array([[0.0, 1.0], [2.0, 0.0]]), ["a", "b"], Partition.whole(["a", "b"])
             )
-
-    def test_merge_gain_matches_direct_difference(self, two_community_graph):
-        singles = Partition.singletons(two_community_graph.nodes())
-        gain = modularity_gain_of_merge(two_community_graph, singles, 0, 1)
-        clusters = list(singles.clusters)
-        merged = Partition([clusters[0] | clusters[1]] + clusters[2:])
-        direct = modularity(two_community_graph, merged) - modularity(
-            two_community_graph, singles
-        )
-        assert gain == pytest.approx(direct, abs=1e-12)
-        assert modularity_gain_of_merge(two_community_graph, singles, 2, 2) == 0.0
 
 
 @st.composite

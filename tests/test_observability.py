@@ -232,6 +232,36 @@ class TestExport:
         span = by_name["swarm.broadcast"]
         assert span["ph"] == "X" and span["tid"] == 0 and "dur" in span
 
+    def test_chrome_shifts_each_pooled_block_by_its_own_meta(self):
+        def meta(pid, wall_start):
+            return {"type": "meta", "pid": pid, "wall_start": wall_start}
+
+        def span(name, pid, wall_ts):
+            return {"type": "span", "name": name, "pid": pid,
+                    "wall_ts": wall_ts, "wall_dur": 0.01}
+
+        records = [
+            meta(1, 1000.0),
+            span("executor.round", 1, 0.1),
+            meta(2, 1000.25),  # a worker block starting 0.25 s later
+            span("first-chunk", 2, 0.05),
+            {"type": "event", "name": "fault", "pid": 2, "wall_ts": 0.06,
+             "sim_ts": 2.0},
+            meta(2, 1000.75),  # the same worker's second block
+            span("second-chunk", 2, 0.05),
+            {"type": "event", "name": "executor.retry", "pid": 2, "wall_ts": 0.07},
+            span("pipeline.analyze", 1, 1.0),
+        ]
+        events = to_chrome(records)["traceEvents"]
+        ts = {e["name"]: e["ts"] for e in events if e["ph"] != "M"}
+        assert ts["first-chunk"] == pytest.approx(0.30e6)
+        assert ts["second-chunk"] == pytest.approx(0.80e6)
+        assert ts["executor.retry"] == pytest.approx(0.82e6)
+        # The parent's spans and sim-time events do not move.
+        assert ts["executor.round"] == 0.1e6
+        assert ts["pipeline.analyze"] == 1.0e6
+        assert ts["fault"] == 2.0e6
+
     def test_summarize_counts_and_span_seconds(self, tmp_path):
         records = load_records(str(write_trace(tmp_path)))
         summary = summarize(records)

@@ -83,12 +83,6 @@ class TestQueries:
         with pytest.raises(KeyError):
             p.restrict(["a", "zzz"])
 
-    def test_relabel(self):
-        p = Partition([{"a", "b"}, {"c"}])
-        renamed = p.relabel({"a": "A", "b": "B", "c": "C"})
-        assert renamed.same_cluster("A", "B")
-        assert "a" not in renamed
-
 
 @given(
     st.dictionaries(

@@ -64,13 +64,6 @@ class TestRouting:
         inter = routing.path_latency("left-0", "right-0")
         assert inter > intra > 0
 
-    def test_shared_links_detects_common_bottleneck(self, dumbbell_topology):
-        routing = RoutingTable(dumbbell_topology)
-        shared = routing.shared_links(("left-0", "right-0"), ("left-1", "right-1"))
-        assert "bottleneck" in shared
-        disjoint = routing.shared_links(("left-0", "left-1"), ("right-0", "right-1"))
-        assert disjoint == []
-
     def test_prefers_lower_latency_path(self):
         topo = Topology()
         topo.add_host(Host(name="a"))

@@ -56,9 +56,19 @@ class TestFig13Runner:
         )
         assert set(studies) == {"G-T"}
         study = studies["G-T"]
-        assert study.iterations == 5
-        assert study.final_nmi == pytest.approx(1.0)
-        assert study.iterations_to_reach(0.99) <= 5
+        assert study["dataset"] == "G-T"
+        assert len(study["curve"]) == 5
+        assert study["curve"][-1] == pytest.approx(1.0)
+
+    def test_curves_are_pinned(self):
+        studies = run_fig13(per_site=3, iterations=4, num_fragments=120)
+        assert {name: study["curve"] for name, study in studies.items()} == {
+            "B": [1.0] * 4,
+            "B-T": [0.5] * 4,
+            "G-T": [1.0] * 4,
+            "B-G-T": [1.0] * 4,
+            "B-G-T-L": [0.8025895297136099] * 3 + [1.0],
+        }
 
 
 class TestEfficiencyRunners:
@@ -85,6 +95,29 @@ class TestEfficiencyRunners:
         assert pairwise_growth > bt_growth
         assert triplet_growth > pairwise_growth
         assert large["triplet_probes"] > large["pairwise_probes"]
+
+    def test_baseline_cost_rows_are_pinned(self):
+        outcome = run_baseline_cost(
+            node_counts=(4, 6), probe_size=4e6, num_fragments=60, iterations=2
+        )
+        assert outcome["rows"] == [
+            {
+                "nodes": 4,
+                "bittorrent_time_s": 0.030927101123595507,
+                "pairwise_time_s": 0.21573033707865172,
+                "pairwise_probes": 6,
+                "triplet_time_s": 0.43146067415730344,
+                "triplet_probes": 8,
+            },
+            {
+                "nodes": 6,
+                "bittorrent_time_s": 0.03667070561797753,
+                "pairwise_time_s": 0.5393258426966292,
+                "pairwise_probes": 15,
+                "triplet_time_s": 2.157303370786516,
+                "triplet_probes": 40,
+            },
+        ]
 
     def test_netpipe_reference_numbers(self):
         outcome = run_netpipe_reference(repeats=3)

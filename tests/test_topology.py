@@ -73,20 +73,7 @@ class TestTopology:
     def test_hosts_in_site_and_cluster(self, bordeaux_small):
         bordeplage = bordeaux_small.hosts_in_cluster("bordeaux", "bordeplage")
         assert len(bordeplage) == 4
-        assert len(bordeaux_small.hosts_in_site("bordeaux")) == 8
         assert bordeaux_small.sites() == ["bordeaux"]
-
-    def test_ground_truth_grouping_levels(self, bordeaux_small):
-        by_site = bordeaux_small.ground_truth_by("site")
-        assert set(by_site) == {"bordeaux"}
-        by_cluster = bordeaux_small.ground_truth_by("cluster")
-        assert set(by_cluster) == {
-            "bordeaux/bordeplage",
-            "bordeaux/bordereau",
-            "bordeaux/borderline",
-        }
-        with pytest.raises(TopologyError):
-            bordeaux_small.ground_truth_by("rack")
 
     def test_validate_connected_detects_islands(self):
         topo = Topology()

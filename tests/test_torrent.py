@@ -12,20 +12,11 @@ from repro.bittorrent.torrent import (
 
 class TestTorrentMeta:
     def test_paper_default_matches_reported_fragment_count(self):
-        torrent = TorrentMeta.paper_default()
+        torrent = TorrentMeta(num_fragments=PAPER_FRAGMENT_COUNT)
         assert torrent.num_fragments == 15_259
         assert torrent.fragment_size == 16_384
         # 15 259 fragments of 16 KiB is the paper's "239 MB" file.
         assert torrent.size == PAPER_FILE_SIZE
-        assert torrent.size_megabytes == pytest.approx(250.0, rel=0.01)
-
-    def test_from_size_rounds_to_fragments(self):
-        torrent = TorrentMeta.from_size(1_000_000)
-        assert torrent.num_fragments == round(1_000_000 / FRAGMENT_SIZE)
-        assert torrent.size == torrent.num_fragments * FRAGMENT_SIZE
-
-    def test_from_size_minimum_one_fragment(self):
-        assert TorrentMeta.from_size(1.0).num_fragments == 1
 
     def test_scaled_keeps_fragment_size(self):
         torrent = TorrentMeta.scaled(500)
@@ -37,8 +28,6 @@ class TestTorrentMeta:
             TorrentMeta(num_fragments=0)
         with pytest.raises(ValueError):
             TorrentMeta(num_fragments=10, fragment_size=0)
-        with pytest.raises(ValueError):
-            TorrentMeta.from_size(0)
 
     def test_paper_constants_consistent(self):
         assert PAPER_FILE_SIZE == PAPER_FRAGMENT_COUNT * FRAGMENT_SIZE

@@ -17,21 +17,6 @@ class TestConstruction:
         assert "c" in graph
         assert graph.number_of_edges() == 1
 
-    def test_from_weight_matrix_roundtrip(self):
-        matrix = np.array([[0.0, 2.0, 0.0], [2.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
-        graph = WeightedGraph.from_weight_matrix(matrix, labels=["x", "y", "z"])
-        back, labels = graph.to_weight_matrix(order=["x", "y", "z"])
-        assert np.allclose(back, matrix)
-        assert labels == ["x", "y", "z"]
-
-    def test_from_weight_matrix_rejects_asymmetric(self):
-        with pytest.raises(ValueError):
-            WeightedGraph.from_weight_matrix(np.array([[0.0, 1.0], [2.0, 0.0]]))
-
-    def test_from_weight_matrix_rejects_non_square(self):
-        with pytest.raises(ValueError):
-            WeightedGraph.from_weight_matrix(np.zeros((2, 3)))
-
     def test_negative_weight_rejected(self):
         graph = WeightedGraph()
         with pytest.raises(ValueError):
@@ -74,13 +59,6 @@ class TestQueries:
         with pytest.raises(KeyError):
             graph.degree_weight("ghost")
 
-    def test_remove_edge(self):
-        graph = WeightedGraph.from_edges([("a", "b", 1.0)])
-        graph.remove_edge("a", "b")
-        assert not graph.has_edge("a", "b")
-        with pytest.raises(KeyError):
-            graph.remove_edge("a", "b")
-
     def test_subgraph_keeps_internal_edges_only(self):
         graph = WeightedGraph.from_edges(
             [("a", "b", 1.0), ("b", "c", 2.0), ("c", "d", 3.0)]
@@ -94,12 +72,6 @@ class TestQueries:
         graph = WeightedGraph.from_edges([("a", "b", 1.0)])
         with pytest.raises(KeyError):
             graph.subgraph(["a", "zzz"])
-
-    def test_connected_components(self):
-        graph = WeightedGraph.from_edges([("a", "b", 1.0), ("c", "d", 1.0)])
-        graph.add_node("e")
-        components = sorted(sorted(c) for c in graph.connected_components())
-        assert components == [["a", "b"], ["c", "d"], ["e"]]
 
     def test_top_weight_fraction(self):
         graph = WeightedGraph.from_edges(
@@ -115,11 +87,6 @@ class TestQueries:
         graph = WeightedGraph.from_edges([("a", "b", 1.0)])
         with pytest.raises(ValueError):
             graph.top_weight_fraction(0.0)
-
-    def test_to_networkx(self):
-        graph = WeightedGraph.from_edges([("a", "b", 2.0)])
-        nx_graph = graph.to_networkx()
-        assert nx_graph["a"]["b"]["weight"] == pytest.approx(2.0)
 
 
 # --------------------------------------------------------------------- #
@@ -151,9 +118,11 @@ def test_matrix_roundtrip_preserves_weights(edges):
     if graph.number_of_edges() == 0:
         return
     matrix, labels = graph.to_weight_matrix()
-    rebuilt = WeightedGraph.from_weight_matrix(matrix, labels=labels)
+    index = {node: i for i, node in enumerate(labels)}
+    assert np.array_equal(matrix, matrix.T)
+    assert np.count_nonzero(np.triu(matrix)) == graph.number_of_edges()
     for u, v, w in graph.edges():
-        assert rebuilt.edge_weight(u, v) == pytest.approx(w, rel=1e-9)
+        assert matrix[index[u], index[v]] == w
 
 
 @given(edge_lists)
