@@ -8,7 +8,7 @@ benchmark harness print.
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Hashable, List, Mapping, Optional
 
 import numpy as np
 

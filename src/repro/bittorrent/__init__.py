@@ -8,14 +8,15 @@ discrete-event / fluid simulation over the :mod:`repro.network` substrate:
 
 * :mod:`repro.bittorrent.torrent` — file and fragment metadata;
 * :mod:`repro.bittorrent.tracker` — bounded random peer sets (max 35 peers);
-* :mod:`repro.bittorrent.peer` — per-peer choking state (unchoke list,
-  optimistic slot, round credits);
+* :mod:`repro.bittorrent.peer` — per-peer choking state (optimistic slot,
+  round credits);
 * :mod:`repro.bittorrent.choking` — tit-for-tat choker with 4 upload slots and
   optimistic unchoke;
 * :mod:`repro.bittorrent.selection` — rarest-first piece selection;
 * :mod:`repro.bittorrent.swarm` — the synchronized broadcast simulation,
-  whose session owns the bitfields, fragment counts, finish times and the
-  neighbour mask;
+  whose session owns the bitfields, fragment counts, finish times, the
+  neighbour mask, the unchoke relation and the pipes, each by host index
+  or host pair;
 * :mod:`repro.bittorrent.instrumentation` — the per-peer fragment counters
   that produce the paper's measurement matrix.
 """

@@ -20,7 +20,7 @@ The policy implemented here follows the standard description:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Set
+from typing import Sequence, Set
 
 import numpy as np
 

@@ -8,7 +8,7 @@ a directed matrix ``counts[receiver, sender]``; the paper's per-edge metric
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 

@@ -1,12 +1,13 @@
-"""Per-peer choking state: unchoke list, optimistic slot, round credits.
+"""Per-peer choking state: optimistic slot and round credits.
 
 A :class:`PeerState` is the choker's memory of one instrumented BitTorrent
-client in the paper's measurement phase: whom it is currently unchoking,
-its optimistic-unchoke target, and how much it downloaded from each peer
-during the current choking round (the tit-for-tat reciprocation signal).
-Everything else about a peer is a swarm-wide fact that the broadcast
-session (:class:`repro.bittorrent.swarm.BroadcastSession`) keeps once: the
-bitfields, the fragment counts, the finish times and the neighbour mask.
+client in the paper's measurement phase: its optimistic-unchoke target and
+how much it downloaded from each peer during the current choking round
+(the tit-for-tat reciprocation signal).  Everything else about a peer is a
+swarm-wide fact that the broadcast session
+(:class:`repro.bittorrent.swarm.BroadcastSession`) keeps once: the
+bitfields, the fragment counts, the finish times, the neighbour mask and
+the unchoke relation.
 """
 
 from __future__ import annotations
@@ -23,18 +24,15 @@ class PeerState:
     ----------
     name:
         Host name of the node running the client.
-    unchoked:
-        Peers this client is currently uploading to (at most ``upload_slots``),
-        sorted by name.
     optimistic:
-        The current optimistic-unchoke target, if any (member of ``unchoked``).
+        The current optimistic-unchoke target, if any (one of the peers the
+        client unchokes).
     downloaded_this_round:
         Bytes received per peer during the current choking round; reset
         at every rechoke.  This is the reciprocation metric of the choker.
     """
 
     name: str
-    unchoked: List[str] = field(default_factory=list)
     optimistic: Optional[str] = None
     downloaded_this_round: Dict[str, float] = field(default_factory=dict)
 

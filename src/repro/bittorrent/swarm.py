@@ -48,7 +48,6 @@ and peer churn on one fluid network — see docs/workloads.md.
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
@@ -209,9 +208,9 @@ class BroadcastSession:
         self.finished = False
         self._request: Optional[Tuple] = None
         #: Pipe transfers that ran their whole byte budget during a fluid
-        #: advance, appended by the fluid network: the loop must rebuild its
-        #: slot-aligned vectors before the next read.  A list's ``append`` as
-        #: the callback keeps the network from referencing the session, so a
+        #: advance, appended by the fluid network: the loop parks them before
+        #: the next read of a fluid slot.  A list's ``append`` as the
+        #: callback keeps the network from referencing the session, so a
         #: finished session is freed as soon as its driver drops it.
         self._completed_pipes: List[FluidTransfer] = []
         self._pending_churn: List[Tuple[str, str, Optional[np.random.Generator]]] = []
@@ -309,7 +308,7 @@ class BroadcastSession:
         # bitfield matrix, ``held`` the fragment counts (the list
         # ``convert_pass`` updates in place), ``completion`` the finish
         # times and ``neighbor_mask`` the symmetric tracker relation; a
-        # PeerState keeps only its choking state.
+        # PeerState keeps only its optimistic slot and round credits.
         have = self.have = np.zeros((n, num_fragments), dtype=bool)
         have[root_index] = True
         self.held = [0] * n
@@ -349,27 +348,32 @@ class BroadcastSession:
         self.have_changed = False
         self.fragments = FragmentMatrix(hosts)
 
-        # Active fluid pipes keyed by (uploader, downloader); ``pipe_order``
-        # mirrors the keys in sorted order (maintained by bisect on
-        # open/close) so the per-step scans never re-sort.  Aligned with
-        # ``pipe_order`` are contiguous per-pipe vectors (fluid slot, host
-        # indices, consumed-byte base, tit-for-tat credit base, fragment
-        # progress base) rebuilt lazily after membership changes.  The bases
-        # are *anchored*: ``pipe_consumed``/``pipe_progress`` are only
-        # written at a pipe's conversion events (and ``pipe_credit_base`` at
-        # credit flushes), so the byte state observed at any control point is
-        # an analytic function of the last event — identical whether or not
-        # the inert points in between were visited.  That anchoring is what
-        # makes the event-stepped mode replay the fixed loop bit for bit.
-        self.pipes: Dict[Tuple[str, str], FluidTransfer] = {}
-        self.pipe_order: List[Tuple[str, str]] = []
-        self.pipe_pos: Dict[Tuple[str, str], int] = {}
-        # Fragment progress of currently-closed pipes (progress survives a
-        # close/reopen cycle, as in the scalar implementation).
-        self.progress_carry: Dict[Tuple[str, str], float] = {}
-        # The first rebuild reads empty previous vectors.
-        self.pipe_progress = self.pipe_consumed = self.pipe_credit_base = np.empty(0)
-        self.rebuild_pipe_vectors()
+        # The unchoke relation: unchoked[u, d] when u uploads to d.
+        self.unchoked = np.zeros((n, n), dtype=bool)
+        # Pipes by host pair: pair u * n + d is the pipe from uploader u to
+        # downloader d, open[u, d] when it holds a transfer.  By pair, too:
+        # its fluid slot (-1 once parked), the byte bases ``consumed`` and
+        # ``credit_base``, the fragment ``progress`` (kept across a close, so
+        # a reopened pair resumes from it) and the ``frozen`` bytes of a
+        # parked pipe.  The bases are *anchored*: an open pipe's
+        # ``consumed``/``progress`` are only written at its conversion events
+        # (and ``credit_base`` at credit flushes), so the byte state observed
+        # at any control point is an analytic function of the last event —
+        # identical whether or not the inert points in between were visited.
+        # That anchoring is what makes the event-stepped mode replay the
+        # fixed loop bit for bit.
+        self.open = np.zeros((n, n), dtype=bool)
+        self.transfers: Dict[int, FluidTransfer] = {}
+        self.slot = np.full(n * n, -1, dtype=np.int64)
+        self.consumed = np.zeros(n * n)
+        self.progress = np.zeros(n * n)
+        self.credit_base = np.zeros(n * n)
+        self.frozen = np.zeros(n * n)
+        # Every pair in pipe order (uploader name, then downloader name):
+        # the order in which a conversion pass runs the ready pipes.
+        lex_order = self.lex_order
+        self.pair_order = (lex_order[:, None] * n + lex_order[None, :]).ravel()
+        self.order_pipes()
 
         self.incomplete: Set[str] = {name for name in hosts if name != root}
         self.incomplete_mask = np.arange(n) != root_index
@@ -401,9 +405,9 @@ class BroadcastSession:
             control_steps += 1
             if self._completed_pipes:
                 # Pipe transfers that ran their byte budget were detached in
-                # the advance or landing that led here, and the pipe vectors
-                # were rebuilt right after it; the list only made the visit
-                # rule stop here.
+                # the advance or landing that led here, and their pipes were
+                # parked right after it; the list only made the visit rule
+                # stop here.
                 self._completed_pipes.clear()
             if self._pending_churn:
                 ops, self._pending_churn = self._pending_churn, []
@@ -416,10 +420,6 @@ class BroadcastSession:
                         self.churn_applied[op] += 1
                 if not incomplete:
                     break
-                if self.pipes_dirty:
-                    # Realign the slot vectors now, before flush_credits/
-                    # moved_at read the old layout.
-                    self.rebuild_pipe_vectors()
 
             # --- choking -------------------------------------------------- #
             # One interest matrix per control step, which neither the
@@ -429,9 +429,7 @@ class BroadcastSession:
                 self.rechoke(interest)
             else:
                 self.fill_slots(interest)
-            self.sync_pipes()
-            if self.pipes_dirty:
-                self.rebuild_pipe_vectors()
+            self.sync_pipes(interest)
 
             # --- data movement -------------------------------------------- #
             self.time = time = start + (step + 1) * dt
@@ -439,13 +437,13 @@ class BroadcastSession:
             if self._completed_pipes:
                 # A pipe that ran its budget in the advance freed its fluid
                 # slot, which another tenant's transfer may already hold.
-                self.rebuild_pipe_vectors()
+                self.park_exhausted_pipes()
             self.convert(time)
 
             # --- next control point ---------------------------------------- #
             # The event mode visits the next point only when its control
             # phase can act: queued churn lands there, as in the fixed loop; a
-            # pipe out of budget is rebuilt before a landing reads a slot
+            # pipe out of budget is parked before a landing reads a slot
             # another tenant may recycle; a due rechoke only saves a sleep
             # round trip (the jump's cap lands there too); and on the same
             # interest matrix the fill and the sync change nothing.
@@ -464,7 +462,7 @@ class BroadcastSession:
             # case in conversion-dense configs), one predicate evaluation
             # replaces the whole jump prediction.  A conservative answer only
             # ever visits a point the fixed loop visits too.
-            if self.pipe_order and self.conversion_due(start + (step + 2) * dt):
+            if self.pipe_pairs.size and self.conversion_due(start + (step + 2) * dt):
                 step += 1
                 continue
             # Jump straight to the earliest of the three event sources — the
@@ -496,11 +494,11 @@ class BroadcastSession:
             self.time = time = start + step * dt
             self.fluid.advance_to(time)
             if self._completed_pipes:
-                self.rebuild_pipe_vectors()
+                self.park_exhausted_pipes()
             self.convert(time)
         # The broadcast is over: stop its pipes loading the network.  No
         # credit or progress is read again, so nothing is settled.
-        for transfer in self.pipes.values():
+        for transfer in self.transfers.values():
             self.fluid.cancel_transfer(transfer)
         return self._report(step, control_steps, broadcast_started)
 
@@ -580,167 +578,132 @@ class BroadcastSession:
         """Full tit-for-tat rechoke of every peer, in a random host order.
 
         Each peer's candidates are its interested neighbours (its row of
-        ``interest``) in name order; its unchoke list is the choker's
-        answer, sorted.
+        ``interest``) in name order; the choker's answers are the new rows
+        of ``unchoked``.
         """
-        if self.pipe_order:
+        if self.pipe_pairs.size:
             self.flush_credits()
         peers, index, rng, held = self.peers, self.index, self.rng, self.held
-        policy = self.broadcast.choking
+        policy, n = self.broadcast.choking, len(self.hosts)
         round_index, num_fragments = self.round_index, self.num_fragments
+        chosen_pairs: List[int] = []
         for name in rng.permutation(self.hosts):
             peer = peers[name]
             i = index[name]
-            peer.unchoked = sorted(policy.rechoke(
+            chosen = policy.rechoke(
                 peer, self._names(interest[i]), held[i] == num_fragments,
                 round_index, rng,
-            ))
+            )
+            chosen_pairs += [i * n + index[other] for other in chosen]
             peer.reset_round()
+        unchoked = np.zeros(n * n, dtype=bool)
+        unchoked[chosen_pairs] = True
+        self.unchoked = unchoked.reshape(n, n)
         self.round_index = round_index + 1
         self.next_rechoke += self.broadcast.config.rechoke_interval
 
     def fill_slots(self, interest: np.ndarray) -> None:
-        """Between rechokes: drop finished peers from the unchoke lists and
-        fill idle upload slots with newly interested neighbours."""
-        hosts, peers, root = self.hosts, self.peers, self.root
-        incomplete, upload_slots = self.incomplete, self.broadcast.choking.upload_slots
-        rng, names, held = self.rng, self._names, self.held
-        has_candidates = interest.any(axis=1).tolist()
-        for uploader_index, name in enumerate(hosts):
-            if not held[uploader_index]:
-                continue
-            unchoked = peers[name].unchoked
-            for d in [d for d in unchoked if d not in incomplete and d != root]:
-                unchoked.remove(d)
-            free = upload_slots - len(unchoked)
-            if free <= 0 or not has_candidates[uploader_index]:
-                continue
-            waiting = [d for d in names(interest[uploader_index]) if d not in unchoked]
-            if not waiting:
-                continue
-            picks = rng.choice(len(waiting), size=min(free, len(waiting)), replace=False)
-            for i in picks:
-                bisect.insort(unchoked, waiting[i])
+        """Between rechokes: drop finished peers from the unchoke relation and
+        fill idle upload slots with newly interested neighbours, uploaders
+        in index order and each one's candidates in name order."""
+        unchoked, lex_order, rng = self.unchoked, self.lex_order, self.rng
+        # The root is never incomplete, so it is never unchoked: the mask
+        # drops exactly the peers that finished.
+        unchoked &= self.incomplete_mask
+        waiting = interest & ~unchoked
+        free = self.broadcast.choking.upload_slots - unchoked.sum(axis=1)
+        for uploader in ((free > 0) & waiting.any(axis=1)).nonzero()[0].tolist():
+            candidates = lex_order[waiting[uploader, lex_order]]
+            picks = rng.choice(
+                len(candidates), size=min(int(free[uploader]), len(candidates)),
+                replace=False,
+            )
+            unchoked[uploader, candidates[picks]] = True
 
     # ------------------------------------------------------------------ #
     # pipes
     # ------------------------------------------------------------------ #
-    def open_pipe(self, uploader: str, downloader: str) -> None:
-        key = (uploader, downloader)
-        if key in self.pipes:
-            return
+    def open_pipe(self, pair: int) -> None:
+        """Start the pair's transfer; its byte bases start from zero and its
+        fragment progress from what the pair carried."""
+        uploader, downloader = divmod(pair, len(self.hosts))
+        uploader, downloader = self.hosts[uploader], self.hosts[downloader]
         transfer = self.fluid.start_transfer(
             uploader, downloader, size=self.pipe_budget,
             rate_cap=self.broadcast._rate_cap(uploader, downloader),
             on_complete=self._completed_pipes.append,
         )
-        self.pipes[key] = transfer
-        bisect.insort(self.pipe_order, key)
-        self.pipes_dirty = True
+        self.transfers[pair] = transfer
+        self.slot[pair] = transfer._slot
+        self.consumed[pair] = self.credit_base[pair] = 0.0
 
-    def close_pipe(self, uploader: str, downloader: str, keep_progress: bool = True) -> None:
-        key = (uploader, downloader)
-        transfer = self.pipes.pop(key, None)
-        position = None
-        if transfer is not None:
-            self.fluid.cancel_transfer(transfer)
-            del self.pipe_order[bisect.bisect_left(self.pipe_order, key)]
-            self.pipes_dirty = True
-            # None when opened and closed before the vectors were ever
-            # rebuilt: no bytes moved, nothing to flush.
-            position = self.pipe_pos.pop(key, None)
-        if position is None:
-            if not keep_progress:
-                self.progress_carry.pop(key, None)
-            return
-        # Settle the anchored bases at the close time: the cancelled
-        # transfer's frozen byte count is exact as of the current clock.
+    def close_pipe(self, pair: int) -> None:
+        """Cancel the pair's transfer, credit the round's bytes and carry its
+        fragment progress."""
+        transfer = self.transfers.pop(pair)
+        self.fluid.cancel_transfer(transfer)
+        # The cancelled (or parked) transfer's byte count is frozen at the
+        # current clock.
         moved = transfer.transferred
-        # Flush the round's tit-for-tat credit before the pipe vanishes.
-        delta = moved - self.pipe_credit_base[position]
+        delta = moved - self.credit_base[pair]
         if delta > 0:
-            self.peers[downloader].credit_download(uploader, float(delta))
-        if keep_progress:
-            self.progress_carry[key] = float(
-                self.pipe_progress[position] + (moved - self.pipe_consumed[position])
-            )
-        else:
-            self.progress_carry.pop(key, None)
+            self.peers[transfer.dst].credit_download(transfer.src, float(delta))
+        self.progress[pair] += moved - self.consumed[pair]
 
-    def sync_pipes(self) -> None:
-        """Make the fluid flow set match the current unchoke/interest state:
-        a pipe is open exactly when its downloader is unchoked, incomplete
-        and interested.
+    def sync_pipes(self, interest: np.ndarray) -> None:
+        """Make the fluid flow set match the step's unchoke and interest: a
+        pipe is open exactly when its uploader unchokes its downloader and
+        the downloader is interested.
 
-        Unchoke lists hold only neighbours (the rechoke and the fill pick
-        from ``neighbor_mask`` rows, and a leave removes the peer from every
-        neighbour's list), so no neighbour test is made here.  Iteration
-        follows the sorted unchoke lists and pipe order so that the order
-        in which pipes are opened — and therefore the consumption of the
-        random stream — is identical across processes regardless of
-        string-hash randomisation; campaigns replay bit-for-bit from their
-        seed.
+        One diff against the open mask finds the pairs that change, and
+        only those call the fluid network.  The opens and closes of one
+        sync happen at one instant, so their order reaches no result: the
+        max-min rates depend on the set of flows and not on their slots, a
+        close reads bytes frozen at the current clock, and each close
+        credits its own (downloader, uploader) key.
         """
-        peers, index, held = self.peers, self.index, self.held
-        incomplete, wanted = self.incomplete, self.wanted
-        open_pipe, close_pipe = self.open_pipe, self.close_pipe
-        for uploader_index, uploader in enumerate(self.hosts):
-            if not held[uploader_index]:
-                continue
-            row = wanted[uploader_index]
-            for downloader in peers[uploader].unchoked:
-                if downloader in incomplete and row[index[downloader]] > 0:
-                    open_pipe(uploader, downloader)
-                else:
-                    close_pipe(uploader, downloader)
-        # Drop pipes whose uploader revoked the unchoke.
-        for uploader, downloader in list(self.pipe_order):
-            if downloader not in peers[uploader].unchoked:
-                close_pipe(uploader, downloader)
+        target = self.unchoked & interest
+        changed = (target != self.open).ravel().nonzero()[0]
+        if not changed.size:
+            return
+        opening = target.ravel()
+        for pair in changed.tolist():
+            if opening[pair]:
+                self.open_pipe(pair)
+            else:
+                self.close_pipe(pair)
+        self.open = target
+        self.order_pipes()
 
-    def rebuild_pipe_vectors(self) -> None:
-        """Realign the per-pipe vectors with ``pipe_order``: a kept pipe keeps
-        its bases, a new one starts from its carried progress."""
-        order, index = self.pipe_order, self.index
-        transfers = [self.pipes[key] for key in order]
-        old_pos = self.pipe_pos
-        previous = np.array([old_pos.get(key, -1) for key in order], dtype=np.int64)
-        kept = previous >= 0
-        source = previous[kept]
-        progress = np.array(
-            [0.0 if p >= 0 else self.progress_carry.pop(key, 0.0)
-             for key, p in zip(order, previous.tolist())],
-            dtype=np.float64,
-        )
-        progress[kept] = self.pipe_progress[source]
-        consumed = np.zeros(len(order))
-        consumed[kept] = self.pipe_consumed[source]
-        credit_base = np.zeros(len(order))
-        credit_base[kept] = self.pipe_credit_base[source]
-        # A pipe whose transfer ran its whole byte budget is detached from the
-        # FlowSet (its slot is recycled) but, exactly as in the scalar
-        # implementation, stays open and simply starves: park it on slot 0
-        # and patch its frozen byte count over the vector read.
-        slots = np.array([t._slot for t in transfers], dtype=np.int64)
-        dead = np.flatnonzero(slots < 0)
+    def order_pipes(self) -> None:
+        """Gather the open pipes in pipe order with their fluid slots.
+
+        A pipe whose transfer ran its whole byte budget is detached from the
+        FlowSet (its slot is recycled) but, exactly as in the scalar
+        implementation, stays open and simply starves: it reads slot 0 and
+        :meth:`moved_at` patches its frozen bytes over that read.
+        """
+        order = self.pair_order
+        pairs = self.pipe_pairs = order[self.open.ravel()[order]]
+        slots = self.slot[pairs]
+        dead = self.pipe_dead_positions = (slots < 0).nonzero()[0]
         slots[dead] = 0
-        self.pipe_pos = {key: position for position, key in enumerate(order)}
         self.pipe_slots = slots
-        self.pipe_up = np.array([index[u] for u, _ in order], dtype=np.int64)
-        self.pipe_down = np.array([index[d] for _, d in order], dtype=np.int64)
-        self.pipe_consumed = consumed
-        self.pipe_credit_base = credit_base
-        self.pipe_progress = progress
-        self.pipe_dead_positions = dead
-        self.pipe_dead_values = np.array(
-            [transfers[p].transferred for p in dead.tolist()], dtype=np.float64
-        )
-        self.pipes_dirty = False
+
+    def park_exhausted_pipes(self) -> None:
+        """Park the pipes whose transfers ran their byte budget in the last
+        advance: each keeps its frozen bytes and gives up its slot."""
+        n, index = len(self.hosts), self.index
+        for transfer in self._completed_pipes:
+            pair = index[transfer.src] * n + index[transfer.dst]
+            self.slot[pair] = -1
+            self.frozen[pair] = transfer.transferred
+        self.order_pipes()
 
     def moved_at(self, t: float) -> np.ndarray:
         """Exact per-pipe transferred bytes at absolute time ``t``.
 
-        Detached (budget-exhausted) pipes read their frozen totals; live
+        Parked (budget-exhausted) pipes read their frozen totals; live
         pipes read the fluid network's anchored-analytic state.  Pure —
         valid at any time up to the next fluid transition, which is what
         the event mode's jump predicates extrapolate with.
@@ -748,7 +711,7 @@ class BroadcastSession:
         moved = self.fluid.transferred_at(self.pipe_slots, t)
         dead = self.pipe_dead_positions
         if dead.size:
-            moved[dead] = self.pipe_dead_values
+            moved[dead] = self.frozen[self.pipe_pairs[dead]]
         return moved
 
     def flush_credits(self) -> None:
@@ -759,12 +722,14 @@ class BroadcastSession:
         on pipe close) preserves the reciprocation ranking.
         """
         moved = self.moved_at(self.time)
-        owed = moved - self.pipe_credit_base
-        pipe_order, peers = self.pipe_order, self.peers
-        for position in np.flatnonzero(owed > 0):
-            uploader, downloader = pipe_order[position]
-            peers[downloader].credit_download(uploader, float(owed[position]))
-        np.copyto(self.pipe_credit_base, moved)
+        pairs = self.pipe_pairs
+        owed = moved - self.credit_base[pairs]
+        owing = (owed > 0).nonzero()[0]
+        hosts, peers, n = self.hosts, self.peers, len(self.hosts)
+        for pair, amount in zip(pairs[owing].tolist(), owed[owing].tolist()):
+            uploader, downloader = divmod(pair, n)
+            peers[hosts[downloader]].credit_download(hosts[uploader], amount)
+        self.credit_base[pairs] = moved
 
     # ------------------------------------------------------------------ #
     # churn (peer leave/rejoin mid-broadcast)
@@ -779,21 +744,23 @@ class BroadcastSession:
             return False
         self.departed.add(name)
         i = self.index[name]
-        for key in [k for k in self.pipe_order if name in k]:
-            self.close_pipe(key[0], key[1], keep_progress=False)
-        for key in [k for k in self.progress_carry if name in k]:
-            self.progress_carry.pop(key)
+        leaving = np.zeros_like(self.open)
+        leaving[i] = leaving[:, i] = True
+        closing = np.flatnonzero(self.open & leaving)
+        for pair in closing.tolist():
+            self.close_pipe(pair)
+        self.open &= ~leaving
+        self.progress[leaving.ravel()] = 0.0
+        if closing.size:
+            self.order_pipes()
         peers, hosts = self.peers, self.hosts
         for j in np.flatnonzero(self.neighbor_mask[i]).tolist():
             other_peer = peers[hosts[j]]
-            if name in other_peer.unchoked:
-                other_peer.unchoked.remove(name)
             if other_peer.optimistic == name:
                 other_peer.optimistic = None
-        self.neighbor_mask[i, :] = False
-        self.neighbor_mask[:, i] = False
+        self.neighbor_mask &= ~leaving
+        self.unchoked &= ~leaving
         peer = peers[name]
-        peer.unchoked = []
         peer.optimistic = None
         peer.downloaded_this_round.clear()
         # A departed peer must not gate broadcast completion while away.
@@ -857,8 +824,9 @@ class BroadcastSession:
 
     def conversion_due(self, t: float) -> bool:
         """Would the conversion check fire if evaluated at time ``t``?"""
-        deltas = self.moved_at(t) - self.pipe_consumed
-        progress = self.pipe_progress + deltas
+        pairs = self.pipe_pairs
+        deltas = self.moved_at(t) - self.consumed[pairs]
+        progress = self.progress[pairs] + deltas
         return bool(((deltas > 0) & (progress >= self.fragment_size)).any())
 
     def next_conversion_step(self, current: int, cap: int) -> int:
@@ -869,7 +837,8 @@ class BroadcastSession:
         analytic ``need / (rate · dt)``; the walk pins the estimate to
         the exact grid comparison the step body performs.
         """
-        if not self.pipe_order or current + 1 >= cap:
+        pairs = self.pipe_pairs
+        if not pairs.size or current + 1 >= cap:
             return cap
         rates = self.fluid._rate[self.pipe_slots]
         if self.pipe_dead_positions.size:
@@ -878,7 +847,7 @@ class BroadcastSession:
         if not moving.any():
             return cap
         start, dt = self.start_time, self.dt
-        progress = self.pipe_progress + (self.moved_at(self.time) - self.pipe_consumed)
+        progress = self.progress[pairs] + (self.moved_at(self.time) - self.consumed[pairs])
         need = self.fragment_size - progress[moving]
         steps_needed = np.ceil(need / (rates[moving] * dt))
         # The estimate can be off by a grid step when a boundary lands
@@ -902,14 +871,14 @@ class BroadcastSession:
         function of its last conversion event.  When no pipe is ready,
         nothing changes and no random number is drawn.
         """
-        if not self.pipe_order:
+        pairs = self.pipe_pairs
+        if not pairs.size:
             return
         moved = self.moved_at(time)
-        pipe_consumed = self.pipe_consumed
-        deltas = moved - pipe_consumed
-        progress_now = self.pipe_progress + deltas
+        deltas = moved - self.consumed[pairs]
+        progress_now = self.progress[pairs] + deltas
         fragment_size = self.fragment_size
-        ready = np.flatnonzero((deltas > 0) & (progress_now >= fragment_size))
+        ready = ((deltas > 0) & (progress_now >= fragment_size)).nonzero()[0]
         if not ready.size:
             return
         trace_full = self.trace_full
@@ -922,13 +891,13 @@ class BroadcastSession:
         num_fragments, held, completion = self.num_fragments, self.held, self.completion
         hosts, trace = self.hosts, self.trace
         incomplete, incomplete_mask = self.incomplete, self.incomplete_mask
-        ready_up = self.pipe_up[ready]
-        ready_down = self.pipe_down[ready]
+        ready_pairs = pairs[ready]
+        ready_up, ready_down = np.divmod(ready_pairs, len(hosts))
         uploaders, downloaders = ready_up.tolist(), ready_down.tolist()
         surpluses = progress_now[ready].tolist()
         # One kernel call per pass; it updates the bitsets and ``held`` in
-        # place, and nothing in it reads the per-pipe vectors or ``have``,
-        # so those are written after it.
+        # place, and nothing in it reads the pipe state or ``have``, so
+        # those are written after it.
         received = convert_pass(
             self.host_bits, below, lowest, uploaders, downloaders, held,
             surpluses, fragment_size, self.random_first_threshold,
@@ -951,8 +920,8 @@ class BroadcastSession:
                 for fragment in fragments:
                     trace.append((time, downloader, uploader, fragment))
             receipts.extend(fragments)
-        pipe_consumed[ready] = moved[ready]
-        self.pipe_progress[ready] = surpluses
+        self.consumed[ready_pairs] = moved[ready]
+        self.progress[ready_pairs] = surpluses
         self.fragments.counts[ready_down, ready_up] += counts
         if receipts:
             self.have[ready_down.repeat(counts), receipts] = True

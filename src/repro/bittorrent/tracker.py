@@ -8,7 +8,7 @@ edges, and aggregation over iterations fills in the rest.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Set
+from typing import Dict, Sequence, Set
 
 import numpy as np
 

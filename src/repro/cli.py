@@ -158,14 +158,16 @@ def _prologue(
     an empty ``--values``), resolves the scenario, parses ``--set`` with
     ``--per-site`` merged in, rejects a run knob set as a tunable, tunables
     the scenario does not take and values not of their default's type,
-    checks the detection knobs, builds the executor and configures
-    ``--trace``: an unwritable path must not surface hours into a campaign.
-    The trace is configured last, so a rejected command leaves an existing
-    trace file as it was.  A sweep passes its axis as ``param``/``values``:
-    a tunable axis is checked like a ``--set`` key, an ``iterations`` axis
-    bounds ``--quorum`` by its least value, and a campaign parameter the
-    body does not take is rejected (a run ignores it, and an axis of
-    identical rows must not pass for a sweep).  Returns ``(spec,
+    checks the detection knobs, builds the executor, routes the knobs to
+    the scenario's body (:meth:`ScenarioSpec.route_knobs`, which rejects a
+    knob the body does not take) and configures ``--trace``: an unwritable
+    path must not surface hours into a campaign.  The trace is configured
+    last, so a rejected command leaves an existing trace file as it was.
+    A sweep passes its axis as ``param``/``values``: a tunable axis is
+    checked like a ``--set`` key, an ``iterations`` axis bounds
+    ``--quorum`` by its least value, and a campaign parameter the body
+    does not take is rejected (a run ignores it, and an axis of identical
+    rows must not pass for a sweep).  Returns ``(spec,
     overrides, knobs)``; raises ``ValueError`` with the one line the
     command prints before exiting 2.
     """
@@ -216,6 +218,7 @@ def _prologue(
     if param in CAMPAIGN_PARAMS and param not in defaults:
         raise ValueError(f"scenario {spec.name} does not take {param}")
     knobs = _knobs(args)
+    spec.route_knobs(knobs)
     if args.trace:
         TRACER.configure(args.trace, detail=args.trace_detail)
     return spec, overrides, knobs

@@ -24,7 +24,7 @@ This module provides that extension in its simplest useful form:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence
+from typing import List, Optional
 
 import numpy as np
 

@@ -21,7 +21,7 @@ implementation easy to verify).
 from __future__ import annotations
 
 import math
-from typing import Dict, Hashable, List, Optional
+from typing import Dict, Hashable, Optional
 
 import numpy as np
 

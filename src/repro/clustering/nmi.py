@@ -16,7 +16,7 @@ test-suite checks their mutual consistency.
 from __future__ import annotations
 
 import math
-from typing import Dict, Hashable, Iterable, List, Sequence, Set
+from typing import Hashable, List, Sequence, Set
 
 import numpy as np
 

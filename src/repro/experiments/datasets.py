@@ -39,7 +39,7 @@ the unscaled, physical capacities.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Mapping, Optional, Tuple
+from typing import Callable, Dict, List, Mapping, Optional
 
 from repro.clustering.partition import Partition
 from repro.network.grid5000 import (

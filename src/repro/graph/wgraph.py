@@ -11,7 +11,7 @@ alone, so the package needs no graph library.
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Iterable, Iterator, List, Mapping, Optional, Tuple
+from typing import Dict, Hashable, Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
 

@@ -21,8 +21,8 @@ numbers quoted in the paper hold on the simulator:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, Mapping, Optional, Tuple
 
 from repro.network.routing import RoutingTable
 from repro.network.topology import GBPS, MBPS, Host, Switch, Topology, TopologyError

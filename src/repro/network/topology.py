@@ -10,8 +10,8 @@ Units
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Tuple
 
 MBPS = 1e6 / 8.0
 """Megabit per second, expressed in bytes/second."""

@@ -23,7 +23,7 @@ records label the tracks.
 from __future__ import annotations
 
 import json
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional
 
 #: Chrome "thread" ids used to keep the two clocks on separate tracks.
 WALL_TID = 0

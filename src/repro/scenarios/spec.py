@@ -131,6 +131,44 @@ class ScenarioSpec:
             return []
         return sorted(k for k in overrides if k not in parameters)
 
+    def route_knobs(self, knobs: Mapping[str, object]) -> Dict[str, object]:
+        """The knobs a run passes to the :attr:`body`, out of ``run``'s nine.
+
+        A knob left at ``None`` is not passed, so the body's own default
+        applies.  The campaign parameters, the executor and ``stepping``
+        reach the body only if it takes them (swarm-less experiments such
+        as the NetPIPE probes have no campaign and no control loop, so a
+        suite-wide ``--seed`` or ``--stepping`` must not break them); the
+        other four are passed if it takes them and otherwise raise
+        ``ValueError``, so an explicit request is never silently dropped.
+        A body that takes ``faults`` has a failure detector only under a
+        fault plan that injects something (``--faults none`` has none); a
+        body with its own plan takes no ``faults``.  The CLI calls this
+        before it opens ``--trace``, so a rejected command leaves the trace
+        file as it was.
+        """
+        parameters = inspect.signature(self.body).parameters
+        takes_all = any(p.kind == p.VAR_KEYWORD for p in parameters.values())
+        kwargs: Dict[str, object] = {}
+        for name, value in knobs.items():
+            if value is None:
+                continue
+            if name == "detect_factor" and "faults" in parameters:
+                from repro.faults import fault_plan_from_name
+
+                if not fault_plan_from_name(knobs.get("faults")):
+                    raise ValueError(
+                        f"scenario {self.name} has no failure detector; "
+                        "--detect-factor needs a fault plan (--faults)"
+                    )
+            if takes_all or name in parameters:
+                kwargs[name] = value
+            elif name in ("workload", "faults", "quorum", "detect_factor"):
+                raise ValueError(
+                    f"scenario {self.name} does not take --{name.replace('_', '-')}"
+                )
+        return kwargs
+
     def run(
         self,
         executor: Optional[ProcessPoolExecutor] = None,
@@ -147,59 +185,28 @@ class ScenarioSpec:
         """Execute the scenario and return its summary dictionary.
 
         ``overrides`` are forwarded to the dataset factory (campaign
-        scenarios) or the custom runner; a knob left at ``None`` is not
-        passed, so the body's own default applies.  ``workload`` (a preset
-        name or :class:`~repro.workloads.WorkloadSpec`) layers a
-        multi-tenant interference workload under the measurement campaign;
-        ``faults``
+        scenarios) or the custom runner.  ``workload`` (a preset name or
+        :class:`~repro.workloads.WorkloadSpec`) layers a multi-tenant
+        interference workload under the measurement campaign; ``faults``
         (a preset name or a fault plan, also a ``WorkloadSpec``) injects
         deterministic failures, ``quorum`` lets the campaign proceed with
         ≥k surviving iterations, and ``detect_factor`` sets the failure
         detector's spike ratio.  Campaign scenarios run
         :func:`~repro.experiments.runners.run_dataset_clustering` with
         convergence tracking, and runner scenarios their runner
-        (:attr:`body`).  One rule routes the knobs to that body: the
-        campaign parameters, the executor and ``stepping`` reach it only if
-        it takes them (swarm-less experiments such as the NetPIPE probes
-        have no campaign and no control loop, so a suite-wide ``--seed`` or
-        ``--stepping`` must not break them); the other four are forwarded
-        if it takes them and otherwise raise
-        ``ValueError``, so an explicit request is never silently dropped.
-        A body that takes ``faults`` has a failure detector only under a
-        fault plan that injects something (``--faults none`` has none); a
-        body with its own plan takes no ``faults``.  The summary always
-        carries ``scenario``, ``family``, ``executor`` and ``stepping`` keys
-        so downstream records know what produced them, and
-        ``iterations_run`` and ``seed_used`` (the value passed, else the
-        body's default) when the body takes that knob.
+        (:attr:`body`); :meth:`route_knobs` decides which knobs reach it.
+        The summary always carries ``scenario``, ``family``, ``executor``
+        and ``stepping`` keys so downstream records know what produced
+        them, and ``iterations_run`` and ``seed_used`` (the value passed,
+        else the body's default) when the body takes that knob.
         """
         body = self.body
-        parameters = inspect.signature(body).parameters
-        takes_all = any(p.kind == p.VAR_KEYWORD for p in parameters.values())
-        routed = {"iterations": iterations, "num_fragments": num_fragments,
-                  "seed": seed, "executor": executor, "stepping": stepping}
-        kwargs: Dict[str, object] = {
-            name: value for name, value in routed.items()
-            if value is not None and (takes_all or name in parameters)
-        }
-        for name, value in (("workload", workload), ("faults", faults),
-                            ("quorum", quorum), ("detect_factor", detect_factor)):
-            if value is None:
-                continue
-            if name == "detect_factor" and "faults" in parameters:
-                from repro.faults import fault_plan_from_name
-
-                if not fault_plan_from_name(faults):
-                    raise ValueError(
-                        f"scenario {self.name} has no failure detector; "
-                        "--detect-factor needs a fault plan (--faults)"
-                    )
-            if not (takes_all or name in parameters):
-                raise ValueError(
-                    f"scenario {self.name} does not take "
-                    f"--{name.replace('_', '-')}"
-                )
-            kwargs[name] = value
+        kwargs = self.route_knobs({
+            "executor": executor, "iterations": iterations,
+            "num_fragments": num_fragments, "seed": seed, "stepping": stepping,
+            "workload": workload, "faults": faults, "quorum": quorum,
+            "detect_factor": detect_factor,
+        })
         if self.runner is None:
             kwargs.update(ds=self.build_dataset(**overrides), track_convergence=True)
         else:

@@ -21,7 +21,7 @@ and the benchmarks treat them identically.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Sequence
 
 import numpy as np
 

@@ -343,8 +343,16 @@ class TestNoSettingDropped:
              "workers must be at least 1"),
             (["sweep", "netpipe", "--param", "seed", "--values", "1,2"],
              "scenario netpipe does not take seed"),
+            (["run", "netpipe", "--quorum", "1"],
+             "scenario netpipe does not take --quorum"),
+            (["run", "fig4", *SMALL, "--faults", "blackout"],
+             "scenario fig4 does not take --faults"),
+            (["run", "G-T", *SMALL, "--detect-factor", "2"],
+             "scenario G-T has no failure detector; "
+             "--detect-factor needs a fault plan (--faults)"),
         ],
-        ids=["run-workers", "sweep-workers", "sweep-ignored-knob"],
+        ids=["run-workers", "sweep-workers", "sweep-ignored-knob",
+             "run-untaken-quorum", "run-untaken-faults", "run-no-detector"],
     )
     def test_a_rejected_command_leaves_the_trace_file_as_it_was(
         self, capsys, tmp_path, argv, line

@@ -320,6 +320,52 @@ def test_flow_set_operations_are_certified(scenario):
         assert rates.tobytes() == twin.solve().tobytes()
 
 
+@st.composite
+def reordered_flows(draw):
+    """Link capacities, flows (some linkless), and two orders of the same
+    operations: every flow is added, and the flows listed twice are removed
+    again at their second appearance."""
+    num_links = draw(st.integers(min_value=1, max_value=6))
+    capacities = draw(st.lists(VALUE, min_size=num_links, max_size=num_links))
+    link = st.integers(min_value=0, max_value=num_links - 1)
+    route = st.one_of(
+        st.lists(link, min_size=1, max_size=num_links).map(lambda r: tuple(dict.fromkeys(r))),
+        st.just(()),
+    )
+    cap = st.one_of(st.none(), st.just(draw(VALUE)), VALUE)
+    flows = draw(st.lists(st.tuples(route, cap), min_size=1, max_size=30))
+    removed = draw(st.lists(st.sampled_from(range(len(flows))), unique=True))
+    operations = list(range(len(flows))) + removed
+    return capacities, flows, draw(st.permutations(operations)), draw(st.permutations(operations))
+
+
+def rates_by_flow(capacities, flows, order):
+    """Apply ``order`` to a fresh flow set; each live flow's solved rate."""
+    flow_set = FlowSet(capacities)
+    slots = {}
+    for flow in order:
+        if flow in slots:
+            flow_set.remove(slots.pop(flow))
+        else:
+            route, cap = flows[flow]
+            slots[flow] = flow_set.add(route, cap, assume_unique=True)
+    rates = flow_set.solve()
+    return {flow: rates[slot].tobytes() for flow, slot in slots.items()}
+
+
+@given(reordered_flows())
+@settings(max_examples=200, deadline=None)
+def test_a_flows_rate_does_not_depend_on_the_order_of_operations(scenario):
+    """The same flows added, and some removed, in two orders land on other
+    slots but get the same bits: the solve depends only on the set of
+    flows.  The swarm's pipe sync relies on it, opening and closing the
+    pipes of one instant in pair order."""
+    capacities, flows, first, second = scenario
+    assert rates_by_flow(capacities, flows, first) == rates_by_flow(
+        capacities, flows, second
+    )
+
+
 # --------------------------------------------------------------------- #
 # every solve of a campaign is max-min fair
 # --------------------------------------------------------------------- #

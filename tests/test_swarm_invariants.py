@@ -4,16 +4,18 @@ A :class:`~repro.bittorrent.swarm.BroadcastSession` keeps the same facts in
 several shapes for speed: the ``have`` bitfield matrix, one Python-int
 bitset per host and one per availability bound (``below[c]``, the
 fragments held by at most ``c`` hosts), the fragment counts ``held``, the
-finish times ``completion``, the ``wanted`` interest counts, and the
-slot-aligned pipe vectors; unchoke lists must stay inside the symmetric
-``neighbor_mask``.  The seed goldens only hash the end result;
+finish times ``completion``, the ``wanted`` interest counts, and the pipe
+state by host pair with its gather in pipe order; the ``unchoked`` matrix
+must stay inside the symmetric ``neighbor_mask``.  The seed goldens only
+hash the end result;
 these tests wrap ``start``/``resume`` the way perfbench does and check,
 after every call on an unfinished session, that the shapes agree and that
 no link is allocated past its capacity.
 
 A pipe whose transfer runs its whole byte budget is detached from the flow
-set but stays open; the relay broadcast below is built so that such a pipe
-survives into a rebuild of the pipe vectors, which no golden input does.
+set but stays open, parked with its frozen bytes; the relay broadcast below
+is built so that such a pipe stays open across later changes of the open
+set, which no golden input does.
 With a bulk transfer from another tenant it also pins why the event mode
 visits the point after such a budget runs out.
 """
@@ -72,33 +74,44 @@ def check_invariants(session, seen):
 
     # An uploader unchokes only neighbours, so sync_pipes never has to
     # drop a stranger: the rechoke and the fill pick from neighbor_mask
-    # rows, and a leave removes the peer from every neighbour's list.
+    # rows, and a leave clears the peer's row and column.
     upload_slots = session.broadcast.choking.upload_slots
-    mask, index = session.neighbor_mask, session.index
+    mask, unchoked = session.neighbor_mask, session.unchoked
     assert np.array_equal(mask, mask.T)
-    for i, name in enumerate(session.hosts):
-        unchoked = session.peers[name].unchoked
-        assert all(a < b for a, b in zip(unchoked, unchoked[1:])), unchoked
-        assert len(unchoked) <= upload_slots
-        assert all(mask[i, index[other]] for other in unchoked), name
+    assert not (unchoked & ~mask).any()
+    assert unchoked.sum(axis=1).max() <= upload_slots
 
-    if not session.pipes_dirty and not session._completed_pipes:
-        order = session.pipe_order
-        assert order == sorted(session.pipes)
-        for vector in (
-            session.pipe_slots, session.pipe_up, session.pipe_down,
-            session.pipe_consumed, session.pipe_credit_base, session.pipe_progress,
-        ):
-            assert len(vector) == len(order)
-        dead = set(session.pipe_dead_positions.tolist())
-        for position, key in enumerate(order):
-            assert session.pipe_pos[key] == position
-            slot = session.pipes[key]._slot
-            if slot >= 0:
-                assert session.pipe_slots[position] == slot
-            else:
-                assert position in dead
-        seen["dead"] = max(seen["dead"], len(dead))
+    # The open mask is the set of pairs holding a transfer.  A live pipe
+    # reads its transfer's slot; a pipe out of budget is parked (slot -1)
+    # with its transfer's frozen bytes.
+    hosts, n = session.hosts, len(session.hosts)
+    assert sorted(session.transfers) == np.flatnonzero(session.open).tolist()
+    parked = 0
+    for pair, transfer in session.transfers.items():
+        assert (transfer.src, transfer.dst) == (hosts[pair // n], hosts[pair % n])
+        if transfer._slot >= 0:
+            assert session.slot[pair] == transfer._slot, pair
+        else:
+            assert session.slot[pair] == -1, pair
+            assert session.frozen[pair] == transfer.transferred, pair
+            parked += 1
+    seen["dead"] = max(seen["dead"], parked)
+    # The gather in pipe order (uploader name, then downloader name) reads
+    # each open pipe's bytes, and no pipe consumed or credited more bytes
+    # than its transfer moved.
+    pairs = session.pipe_pairs
+    assert pairs.tolist() == sorted(
+        session.transfers, key=lambda pair: (hosts[pair // n], hosts[pair % n])
+    )
+    moved = session.moved_at(session.fluid.now)
+    assert moved.tolist() == [session.transfers[pair].transferred for pair in pairs.tolist()]
+    assert (session.consumed[pairs] <= moved).all()
+    assert (session.credit_base[pairs] <= moved).all()
+    # A peer that left lost its in-flight progress with every neighbour.
+    for name in session.departed:
+        i = session.index[name]
+        assert not session.progress.reshape(n, n)[i].any(), name
+        assert not session.progress.reshape(n, n)[:, i].any(), name
 
     fluid = session.fluid
     if not fluid._dirty:
@@ -193,6 +206,7 @@ def relay_topology(root_capacity=10 * MBPS):
 
 
 def test_detached_pipes_keep_their_vectors_consistent(checked):
+    """A parked pipe stays open while other pipes open and close."""
     meta = TorrentMeta(name="relay", fragment_size=16384, num_fragments=60)
     matrices = []
     for stepping in STEPPING_MODES:
@@ -226,10 +240,10 @@ def relay_with_bulk(stepping, bulk_start):
 def test_a_tenant_recycling_an_exhausted_pipes_slot_changes_nothing(checked):
     """In the advance after step 4 a relay-to-leaf pipe runs out of budget
     while every interest holds and no rechoke is due, so only that pipe
-    makes the event mode visit step 5.  A jump instead would leave the freed
-    fluid slot in the pipe vectors; the bulk transfer starting during that
-    jump takes the slot, and the landing's conversion check would read its
-    bytes as the dead pipe's."""
+    makes the event mode visit step 5.  The pipe is parked right after that
+    advance: were it left on its freed fluid slot, the bulk transfer
+    starting during a jump would take the slot, and the landing's
+    conversion check would read its bytes as the dead pipe's."""
     outcomes = {}
     for stepping in STEPPING_MODES:
         result = relay_with_bulk(stepping, 0.27)
@@ -259,20 +273,22 @@ def test_no_conversion_check_reads_a_recycled_slot(stepping):
 
 @pytest.mark.parametrize("stepping", STEPPING_MODES)
 def test_no_rebuild_repeats_the_previous_pipe_layout(monkeypatch, stepping):
-    """A pipe that runs out of budget is rebuilt once, right after the
-    advance or landing that detached it, not again at the next visit."""
+    """The open pipes are gathered in pipe order only when the open set
+    changes or a pipe runs out of budget, and a pipe out of budget is
+    parked once, right after the advance or landing that detached it, not
+    again at the next visit."""
     layouts = []
-    rebuild = BroadcastSession.rebuild_pipe_vectors
+    order_pipes = BroadcastSession.order_pipes
 
     def recorded(self):
-        rebuild(self)
+        order_pipes(self)
         layouts.append((
-            tuple(self.pipe_order),
+            self.pipe_pairs.tolist(),
             self.pipe_slots.tolist(),
             self.pipe_dead_positions.tolist(),
         ))
 
-    monkeypatch.setattr(BroadcastSession, "rebuild_pipe_vectors", recorded)
+    monkeypatch.setattr(BroadcastSession, "order_pipes", recorded)
     relay_with_bulk(stepping, 0.27)
     assert any(dead for _, _, dead in layouts)
     repeats = sum(a == b for a, b in zip(layouts, layouts[1:]))
