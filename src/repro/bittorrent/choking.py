@@ -20,11 +20,9 @@ The policy implemented here follows the standard description:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence, Set
+from typing import List, Sequence, Tuple
 
 import numpy as np
-
-from repro.bittorrent.peer import PeerState
 
 #: Default number of parallel upload slots of the reference client.
 DEFAULT_UPLOAD_SLOTS = 4
@@ -54,69 +52,67 @@ class ChokingPolicy:
     # ------------------------------------------------------------------ #
     def rechoke(
         self,
-        peer: PeerState,
-        candidates: Sequence[str],
+        candidates: List[int],
+        credits: Sequence[float],
+        optimistic: int,
         seeding: bool,
         round_index: int,
         rng: np.random.Generator,
-    ) -> Set[str]:
-        """Compute the new unchoke set for ``peer``.
+    ) -> Tuple[List[int], int]:
+        """Compute one peer's new unchoke set.
 
         Parameters
         ----------
-        peer:
-            The uploading peer whose slots are being assigned.
         candidates:
-            Neighbours currently interested in ``peer``, in name order.
+            Indices of the neighbours currently interested in the peer, in
+            name order.
+        credits:
+            The peer's round credits by host index: the bytes each peer
+            uploaded to it since the last rechoke.
+        optimistic:
+            The peer's optimistic-unchoke target, -1 for none.
         seeding:
-            Whether ``peer`` holds the whole file: a seed rotates randomly
+            Whether the peer holds the whole file: a seed rotates randomly
             whatever it downloaded this round.
         round_index:
             Zero-based index of the choking round (drives optimistic rotation).
         rng:
-            Random stream of this peer for this broadcast iteration.
+            Random stream of this broadcast iteration.
 
         Returns
         -------
-        set of str
-            Peers to unchoke; its size is at most ``upload_slots``.
+        (list of int, int)
+            The peers to unchoke (at most ``upload_slots``) and the new
+            optimistic target (-1 for none).
         """
         if not candidates:
-            peer.optimistic = None
-            return set()
+            return [], -1
         slots = min(self.upload_slots, len(candidates))
 
-        if seeding or not peer.downloaded_this_round:
+        if seeding or not any(credits):
             # No reciprocation signal: random rotation (seed mode / first round).
             picks = rng.choice(len(candidates), size=slots, replace=False)
-            chosen = {candidates[i] for i in picks}
-            peer.optimistic = None
-            return chosen
+            return [candidates[i] for i in picks.tolist()], -1
 
         # Tit-for-tat: keep the fastest uploaders to us, one slot optimistic.
-        ranking = [p for p in peer.reciprocation_ranking() if p in candidates]
-        regular_slots = max(slots - 1, 0)
-        chosen = set(ranking[:regular_slots])
+        # The sort is stable, so equal credits keep name order.
+        ranking = sorted(
+            (p for p in candidates if credits[p] > 0), key=lambda p: -credits[p]
+        )
+        chosen = ranking[: slots - 1]
 
-        rotate = round_index % self.optimistic_every == 0
-        optimistic = peer.optimistic
+        # At most slots - 1 candidates are chosen, so each pool is non-empty.
         if (
-            rotate
-            or optimistic is None
+            round_index % self.optimistic_every == 0
             or optimistic not in candidates
             or optimistic in chosen
         ):
             pool = [p for p in candidates if p not in chosen]
-            optimistic = candidates[int(rng.integers(0, len(candidates)))] if not pool else (
-                pool[int(rng.integers(0, len(pool)))]
-            )
-        peer.optimistic = optimistic
-        chosen.add(optimistic)
+            optimistic = pool[int(rng.integers(0, len(pool)))]
+        chosen.append(optimistic)
 
         # Fill any remaining slots (e.g. short ranking) with random candidates.
         while len(chosen) < slots:
             pool = [p for p in candidates if p not in chosen]
-            if not pool:
-                break
-            chosen.add(pool[int(rng.integers(0, len(pool)))])
-        return chosen
+            chosen.append(pool[int(rng.integers(0, len(pool)))])
+        return chosen, optimistic

@@ -50,13 +50,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.bittorrent.choking import DEFAULT_UPLOAD_SLOTS, ChokingPolicy
 from repro.bittorrent.instrumentation import FragmentMatrix
-from repro.bittorrent.peer import PeerState
 from repro.bittorrent.selection import bitset, convert_pass
 from repro.bittorrent.torrent import TorrentMeta
 from repro.bittorrent.tracker import DEFAULT_MAX_PEERS, Tracker
@@ -147,24 +146,24 @@ class BroadcastResult:
 class BroadcastSession:
     """One externally-clockable broadcast run: its state and its layers.
 
-    The session owns one broadcast's state between control points, and its
-    methods are the swarm's layers (:meth:`convert`, :meth:`sync_pipes`,
-    :meth:`rechoke`, :meth:`fill_slots`, pipe bookkeeping, churn and the
-    event mode's jump predicates).  :meth:`start` sets the run up and runs
-    the first control phase; from then on the step loop *requests* clock
-    movement instead of owning it.  A driver fulfils each request and
-    resumes the session:
-
-    * ``("advance", step, time)`` — the loop committed to its next control
-      point; the driver must bring the shared fluid network to absolute
-      ``time`` (processing in-flight completions) and resume with ``None``.
-    * ``("sleep", from_step, target_step, time)`` — the event-stepped loop
-      proved the grid points up to ``target_step`` inert *under the current
-      rates* and wants to jump.  The driver resumes with the granted step:
-      ``target_step`` when nothing intervened, or any earlier grid step when
-      the environment changed (cross traffic, churn, capacity drift) —
-      landing early is always exact, since the fixed-dt oracle visits every
-      grid point.
+    The session owns one broadcast's state between control points, each
+    fact once and by host index or host pair (inside a broadcast a peer is
+    its host index), and its methods are the swarm's layers
+    (:meth:`convert`, :meth:`sync_pipes`, :meth:`rechoke`,
+    :meth:`fill_slots`, pipe bookkeeping, churn and the event mode's jump
+    predicates).  :meth:`start` sets the run up and runs the first control
+    phase; from then on the step loop *requests* clock movement instead of
+    owning it.  Each request is ``(from_step, target_step, time)``: after
+    the control phase of ``from_step`` the loop wants the clock at
+    ``target_step``, whose absolute time is ``time``.  An advance asks for
+    ``from_step + 1``; a jump asks for a later step, because the event-
+    stepped loop proved the grid points before ``target_step`` inert *under
+    the current rates*.  A driver brings the fluid network to the time of
+    the step it grants (processing in-flight completions) and resumes with
+    that step: ``target_step`` when nothing intervened, or any earlier grid
+    step after ``from_step`` when the environment changed (cross traffic,
+    churn, capacity drift) — landing early is always exact, since the
+    fixed-dt oracle visits every grid point.
 
     All times are absolute; the control grid starts at ``start_time``.
     :meth:`run_to_completion` is the degenerate driver behind
@@ -197,8 +196,6 @@ class BroadcastSession:
         self.root: str = root if root is not None else broadcast.hosts[0]
         self.rng = rng if rng is not None else np.random.default_rng()
         self.trace = trace
-        #: Peers currently churned out of the swarm.
-        self.departed: Set[str] = set()
         self.churn_events = 0
         #: Applied (not merely requested) churn operations, by kind — a
         #: queued request can still no-op at apply time (duplicate victim,
@@ -206,7 +203,7 @@ class BroadcastSession:
         self.churn_applied = {"leave": 0, "rejoin": 0}
         self.result: Optional[BroadcastResult] = None
         self.finished = False
-        self._request: Optional[Tuple] = None
+        self._request: Optional[Tuple[int, int, float]] = None
         #: Pipe transfers that ran their whole byte budget during a fluid
         #: advance, appended by the fluid network: the loop parks them before
         #: the next read of a fluid slot.  A list's ``append`` as the
@@ -233,19 +230,14 @@ class BroadcastSession:
         would no-op at apply time)."""
         queued = {name for op, name, _ in self._pending_churn if op == "leave"}
         return [
-            h for h in self.hosts
-            if h != self.root and h not in self.departed and h not in queued
+            h for h, away in zip(self.hosts, self.away.tolist())
+            if h != self.root and not away and h not in queued
         ]
 
     # ------------------------------------------------------------------ #
     # driving
     # ------------------------------------------------------------------ #
-    @property
-    def request(self) -> Optional[Tuple]:
-        """The pending clock request, or ``None`` before start / after finish."""
-        return self._request
-
-    def start(self) -> Optional[Tuple]:
+    def start(self) -> Optional[Tuple[int, int, float]]:
         """Set the run up, run the first control phase and return its request.
 
         Must be called with the shared clock at :attr:`start_time`: the
@@ -258,17 +250,17 @@ class BroadcastSession:
         self._steps = self._step_loop()
         return self._resume(None)
 
-    def resume(self, value=None) -> Optional[Tuple]:
+    def resume(self, step: int) -> Optional[Tuple[int, int, float]]:
         """Fulfil the pending request and run the loop to its next one.
 
-        ``value`` is the granted step for ``"sleep"`` requests and ``None``
-        for ``"advance"``.
+        ``step`` is the granted step: after the request's ``from_step`` and
+        at most its ``target_step``.
         """
-        return self._resume(value)
+        return self._resume(step)
 
-    def _resume(self, value) -> Optional[Tuple]:
+    def _resume(self, step: Optional[int]) -> Optional[Tuple[int, int, float]]:
         try:
-            self._request = self._steps.send(value)
+            self._request = self._steps.send(step)
         except StopIteration as stop:
             self._request = None
             self.result = stop.value
@@ -279,11 +271,10 @@ class BroadcastSession:
         """Standalone driver: fulfil every request against the own fluid clock."""
         request = self.start() if not self._started else self._request
         while not self.finished:
-            if request[0] == "advance":
-                self.fluid.advance_to(request[2])
-                request = self.resume(None)
-            else:  # "sleep": nothing can intervene, grant the full jump
-                request = self.resume(request[2])
+            # Nothing can intervene: grant the whole move.
+            _, target_step, time = request
+            self.fluid.advance_to(time)
+            request = self.resume(target_step)
         return self.result
 
     def _setup(self) -> None:
@@ -307,15 +298,19 @@ class BroadcastSession:
         # Each swarm fact is kept once, by host index: ``have`` is the
         # bitfield matrix, ``held`` the fragment counts (the list
         # ``convert_pass`` updates in place), ``completion`` the finish
-        # times and ``neighbor_mask`` the symmetric tracker relation; a
-        # PeerState keeps only its optimistic slot and round credits.
+        # times, ``neighbor_mask`` the symmetric tracker relation and
+        # ``away`` the peers churned out.  The choker's memory: credits[d, u]
+        # counts the bytes u uploaded to d this choking round, and
+        # optimistic[i] is peer i's optimistic-unchoke target (-1 for none).
         have = self.have = np.zeros((n, num_fragments), dtype=bool)
         have[root_index] = True
         self.held = [0] * n
         self.held[root_index] = num_fragments
         self.completion: List[Optional[float]] = [None] * n
         self.completion[root_index] = self.start_time
-        self.peers = {name: PeerState(name) for name in hosts}
+        self.away = np.zeros(n, dtype=bool)
+        self.credits = np.zeros((n, n))
+        self.optimistic = [-1] * n
 
         # The conversion step's state as Python-int bitsets (see
         # selection.convert_pass): host_bits[i] mirrors have[i], and
@@ -327,25 +322,7 @@ class BroadcastSession:
         self.below = [bitset(held_by <= c) for c in range(n + 1)]
         self.lowest = 0
 
-        connections = broadcast.tracker.build_connections(hosts, self.rng)
-        neighbor_mask = self.neighbor_mask = np.zeros((n, n), dtype=bool)
-        for name, neighbor_set in connections.items():
-            i = index[name]
-            for other in neighbor_set:
-                neighbor_mask[i, index[other]] = True
-
-        # wanted[u, d] counts the fragments u holds that d lacks, so "d is
-        # interested in u" is the O(1) test wanted[u, d] > 0 (equivalent to
-        # the wire-protocol rule: seeds want nothing, empty peers offer
-        # nothing, and a seeding uploader always has something an incomplete
-        # downloader needs).  It depends only on ``have``, which only
-        # ``convert`` changes, so one matmul refreshes it at the first
-        # control step after a pass that received something; the initial
-        # value is that matmul of the seeded bitfields.
-        wanted = self.wanted = np.zeros((n, n), dtype=np.int64)
-        wanted[root_index, :] = num_fragments
-        wanted[root_index, root_index] = 0
-        self.have_changed = False
+        self.neighbor_mask = broadcast.tracker.build_connections(n, self.rng)
         self.fragments = FragmentMatrix(hosts)
 
         # The unchoke relation: unchoked[u, d] when u uploads to d.
@@ -375,8 +352,11 @@ class BroadcastSession:
         self.pair_order = (lex_order[:, None] * n + lex_order[None, :]).ravel()
         self.order_pipes()
 
-        self.incomplete: Set[str] = {name for name in hosts if name != root}
         self.incomplete_mask = np.arange(n) != root_index
+        # The interest matrix, the one derived fact the session caches: a
+        # pure function of neighbor_mask, incomplete_mask and have, dropped
+        # wherever one of them changes (see interest_matrix).
+        self._interest: Optional[np.ndarray] = None
         self.time = self.start_time
         self.round_index = 0
         self.next_rechoke = self.start_time
@@ -390,16 +370,16 @@ class BroadcastSession:
         """The broadcast loop as a generator of clock requests."""
         start, dt, max_steps = self.start_time, self.dt, self.max_steps
         event_mode = self.broadcast.config.stepping == "event"
-        incomplete = self.incomplete
+        incomplete = self.incomplete_mask
         broadcast_started = TRACER.now() if TRACER.enabled else 0.0
         step = 0
         control_steps = 0
-        while incomplete:
+        while incomplete.any():
             if step >= max_steps:
                 raise RuntimeError(
                     f"broadcast did not complete within max_sim_time="
                     f"{self.broadcast.config.max_sim_time}s "
-                    f"({len(incomplete)} hosts incomplete)"
+                    f"({int(incomplete.sum())} hosts incomplete)"
                 )
             self.time = time = start + step * dt
             control_steps += 1
@@ -418,12 +398,11 @@ class BroadcastSession:
                     ):
                         self.churn_events += 1
                         self.churn_applied[op] += 1
-                if not incomplete:
+                if not incomplete.any():
                     break
 
             # --- choking -------------------------------------------------- #
-            # One interest matrix per control step, which neither the
-            # rechoke nor the fill changes.
+            # Neither the rechoke nor the fill changes the interest matrix.
             interest = self.interest_matrix()
             if time >= self.next_rechoke - 1e-12:
                 self.rechoke(interest)
@@ -432,19 +411,16 @@ class BroadcastSession:
             self.sync_pipes(interest)
 
             # --- data movement -------------------------------------------- #
+            # An advance: no driver lands it before step + 1.
             self.time = time = start + (step + 1) * dt
-            yield ("advance", step + 1, time)
-            if self._completed_pipes:
-                # A pipe that ran its budget in the advance freed its fluid
-                # slot, which another tenant's transfer may already hold.
-                self.park_exhausted_pipes()
-            self.convert(time)
+            yield (step, step + 1, time)
+            self.land(time)
 
             # --- next control point ---------------------------------------- #
             # The event mode visits the next point only when its control
             # phase can act: queued churn lands there, as in the fixed loop; a
             # pipe out of budget is parked before a landing reads a slot
-            # another tenant may recycle; a due rechoke only saves a sleep
+            # another tenant may recycle; a due rechoke only saves a jump's
             # round trip (the jump's cap lands there too); and on the same
             # interest matrix the fill and the sync change nothing.
             if (
@@ -452,7 +428,8 @@ class BroadcastSession:
                 or self._pending_churn
                 or self._completed_pipes
                 or time >= self.next_rechoke - 1e-12
-                or not np.array_equal(self.interest_matrix(), interest)
+                or (self.interest_matrix() is not interest
+                    and not np.array_equal(self._interest, interest))
             ):
                 step += 1
                 continue
@@ -473,34 +450,40 @@ class BroadcastSession:
             # extra visits are exact, since the fixed loop visits them all.
             cap = min(self.next_rechoke_step(step), self.next_fluid_step(step))
             target = self.next_conversion_step(step, min(cap, max_steps))
-            granted = yield ("sleep", step, target, start + target * dt)
-            if granted is not None:
-                target = max(min(granted, target), step + 1)
+            granted = yield (step, target, start + target * dt)
+            target = max(min(granted, target), step + 1)
             if self.trace_full and target > step + 1:
                 # Control steps jumped rather than visited: the span
                 # (step, target) is provably inert under the current rates.
                 TRACER.event("swarm.jump", sim_time=start + target * dt,
                              from_step=step, to_step=target)
             step = target
-            # Bring the fluid clock to the landing point before its control
-            # logic runs: pipe opens/closes at the landing step must anchor
-            # their rate change at the landing time, exactly as the fixed
-            # loop (whose clock always sits at the current grid point) does.
-            # Then run the conversion check the fixed loop evaluates at this
-            # point (at the end of the previous step).  Under the predicted
-            # rates nothing is ready, but another tenant may have raised
-            # them during the jump (a repaired link, a settled flap, a
-            # cancelled foreign flow), and those receipts land here.
+            # The driver brought the fluid clock to the landing point, so
+            # pipe opens/closes at the landing step anchor their rate change
+            # at the landing time, exactly as the fixed loop (whose clock
+            # always sits at the current grid point) does.  The landing runs
+            # the conversion check the fixed loop evaluates at this point
+            # (at the end of the previous step).  Under the predicted rates
+            # nothing is ready, but another tenant may have raised them
+            # during the jump (a repaired link, a settled flap, a cancelled
+            # foreign flow), and those receipts land here.
             self.time = time = start + step * dt
-            self.fluid.advance_to(time)
-            if self._completed_pipes:
-                self.park_exhausted_pipes()
-            self.convert(time)
+            self.land(time)
         # The broadcast is over: stop its pipes loading the network.  No
         # credit or progress is read again, so nothing is settled.
         for transfer in self.transfers.values():
             self.fluid.cancel_transfer(transfer)
         return self._report(step, control_steps, broadcast_started)
+
+    def land(self, time: float) -> None:
+        """Run the conversion check at ``time``, where the clock landed.
+
+        A pipe that ran its budget on the way freed its fluid slot, which
+        another tenant's transfer may already hold: it is parked first.
+        """
+        if self._completed_pipes:
+            self.park_exhausted_pipes()
+        self.convert(time)
 
     def _report(self, step: int, control_steps: int, started: float) -> BroadcastResult:
         """Count the finished broadcast and build its result."""
@@ -531,8 +514,8 @@ class BroadcastSession:
         # Peers still churned out at the end never finished downloading; they
         # must not stretch the broadcast duration to the last control point.
         finishers = [
-            t for name, t in completion_times.items()
-            if name != root and name not in self.departed
+            t for (name, t), away in zip(completion_times.items(), self.away.tolist())
+            if name != root and not away
         ]
         # Duration is the broadcast's span on its own clock (absolute end
         # minus start); identical to the absolute end for zero-start runs.
@@ -553,52 +536,46 @@ class BroadcastSession:
     # choking and interest
     # ------------------------------------------------------------------ #
     def recompute_wanted(self) -> np.ndarray:
-        """``wanted`` from scratch: counts[u] - |u ∩ d| via one float32
-        matmul; exact because the counts are far below 2**24."""
+        """wanted[u, d] counts the fragments u holds that d lacks:
+        counts[u] - |u ∩ d| via one float32 matmul, exact because the
+        counts are far below 2**24."""
         have_f = self.have.astype(np.float32)
         common = have_f @ have_f.T
         return common.diagonal()[:, None] - common
 
     def interest_matrix(self) -> np.ndarray:
-        """"d is interested in u" for every pair (neighbour ∧ incomplete ∧
-        ``wanted > 0``), refreshing ``wanted`` after a receiving pass."""
-        if self.have_changed:
-            self.wanted = self.recompute_wanted()
-            self.have_changed = False
-        interest = self.neighbor_mask & self.incomplete_mask[None, :]
-        np.logical_and(interest, self.wanted > 0, out=interest)
-        return interest
-
-    def _names(self, row: np.ndarray) -> List[str]:
-        """The hosts flagged in ``row``, in lexicographic name order."""
-        hosts, lex_order = self.hosts, self.lex_order
-        return [hosts[i] for i in lex_order[row[lex_order]]]
+        """"d is interested in u" for every pair: neighbours, d incomplete,
+        and u holding a fragment d lacks (the wire-protocol rule: seeds want
+        nothing, empty peers offer nothing).  Built on demand and kept until
+        a receiving pass, a leave or a rejoin drops it."""
+        if self._interest is None:
+            interest = self.neighbor_mask & self.incomplete_mask[None, :]
+            np.logical_and(interest, self.recompute_wanted() > 0, out=interest)
+            self._interest = interest
+        return self._interest
 
     def rechoke(self, interest: np.ndarray) -> None:
         """Full tit-for-tat rechoke of every peer, in a random host order.
 
         Each peer's candidates are its interested neighbours (its row of
         ``interest``) in name order; the choker's answers are the new rows
-        of ``unchoked``.
+        of ``unchoked``.  A peer's rechoke reads only its own credit row, so
+        the round's credits are cleared after the loop.
         """
         if self.pipe_pairs.size:
             self.flush_credits()
-        peers, index, rng, held = self.peers, self.index, self.rng, self.held
-        policy, n = self.broadcast.choking, len(self.hosts)
+        rng, held, optimistic, credits = self.rng, self.held, self.optimistic, self.credits
+        policy, n, lex_order = self.broadcast.choking, len(self.hosts), self.lex_order
         round_index, num_fragments = self.round_index, self.num_fragments
-        chosen_pairs: List[int] = []
-        for name in rng.permutation(self.hosts):
-            peer = peers[name]
-            i = index[name]
-            chosen = policy.rechoke(
-                peer, self._names(interest[i]), held[i] == num_fragments,
-                round_index, rng,
+        unchoked = np.zeros((n, n), dtype=bool)
+        for i in rng.permutation(n).tolist():
+            chosen, optimistic[i] = policy.rechoke(
+                lex_order[interest[i, lex_order]].tolist(), credits[i].tolist(),
+                optimistic[i], held[i] == num_fragments, round_index, rng,
             )
-            chosen_pairs += [i * n + index[other] for other in chosen]
-            peer.reset_round()
-        unchoked = np.zeros(n * n, dtype=bool)
-        unchoked[chosen_pairs] = True
-        self.unchoked = unchoked.reshape(n, n)
+            unchoked[i, chosen] = True
+        credits.fill(0.0)
+        self.unchoked = unchoked
         self.round_index = round_index + 1
         self.next_rechoke += self.broadcast.config.rechoke_interval
 
@@ -647,7 +624,8 @@ class BroadcastSession:
         moved = transfer.transferred
         delta = moved - self.credit_base[pair]
         if delta > 0:
-            self.peers[transfer.dst].credit_download(transfer.src, float(delta))
+            uploader, downloader = divmod(pair, len(self.hosts))
+            self.credits[downloader, uploader] += delta
         self.progress[pair] += moved - self.consumed[pair]
 
     def sync_pipes(self, interest: np.ndarray) -> None:
@@ -723,12 +701,10 @@ class BroadcastSession:
         """
         moved = self.moved_at(self.time)
         pairs = self.pipe_pairs
-        owed = moved - self.credit_base[pairs]
-        owing = (owed > 0).nonzero()[0]
-        hosts, peers, n = self.hosts, self.peers, len(self.hosts)
-        for pair, amount in zip(pairs[owing].tolist(), owed[owing].tolist()):
-            uploader, downloader = divmod(pair, n)
-            peers[hosts[downloader]].credit_download(hosts[uploader], amount)
+        # Each open pair credits its own (downloader, uploader) entry, with
+        # a positive amount or with nothing.
+        uploaders, downloaders = np.divmod(pairs, len(self.hosts))
+        self.credits[downloaders, uploaders] += np.maximum(moved - self.credit_base[pairs], 0.0)
         self.credit_base[pairs] = moved
 
     # ------------------------------------------------------------------ #
@@ -740,10 +716,10 @@ class BroadcastSession:
     def apply_leave(self, name: str) -> bool:
         """Tear a peer out of the swarm; in-flight pipe progress is lost,
         its fragment bitfield is kept (BitTorrent resume semantics)."""
-        if name == self.root or name in self.departed or name not in self.index:
+        i = self.index.get(name)
+        if i is None or name == self.root or self.away[i]:
             return False
-        self.departed.add(name)
-        i = self.index[name]
+        self.away[i] = True
         leaving = np.zeros_like(self.open)
         leaving[i] = leaving[:, i] = True
         closing = np.flatnonzero(self.open & leaving)
@@ -753,39 +729,30 @@ class BroadcastSession:
         self.progress[leaving.ravel()] = 0.0
         if closing.size:
             self.order_pipes()
-        peers, hosts = self.peers, self.hosts
-        for j in np.flatnonzero(self.neighbor_mask[i]).tolist():
-            other_peer = peers[hosts[j]]
-            if other_peer.optimistic == name:
-                other_peer.optimistic = None
+        # No peer keeps the leaver as its optimistic target, and the leaver
+        # keeps neither a target nor the round's credits.
+        self.optimistic = [-1 if target == i else target for target in self.optimistic]
+        self.optimistic[i] = -1
+        self.credits[i] = 0.0
         self.neighbor_mask &= ~leaving
         self.unchoked &= ~leaving
-        peer = peers[name]
-        peer.optimistic = None
-        peer.downloaded_this_round.clear()
         # A departed peer must not gate broadcast completion while away.
-        self.incomplete.discard(name)
         self.incomplete_mask[i] = False
+        self._interest = None
         return True
 
     def apply_rejoin(self, name: str, churn_rng: np.random.Generator) -> bool:
         """Re-admit a departed peer with a fresh tracker announce."""
-        if name not in self.departed:
+        i = self.index.get(name)
+        if i is None or not self.away[i]:
             return False
-        self.departed.discard(name)
-        i = self.index[name]
-        present = [h for h in self.hosts if h != name and h not in self.departed]
-        picks = (
-            self.broadcast.tracker.announce(name, present, churn_rng)
-            if present else set()
-        )
-        for other in picks:
-            j = self.index[other]
-            self.neighbor_mask[i, j] = True
-            self.neighbor_mask[j, i] = True
+        present = np.flatnonzero(~self.away)
+        self.away[i] = False
+        picks = self.broadcast.tracker.announce(present, churn_rng)
+        self.neighbor_mask[i, picks] = self.neighbor_mask[picks, i] = True
         if self.held[i] < self.num_fragments:
-            self.incomplete.add(name)
             self.incomplete_mask[i] = True
+        self._interest = None
         return True
 
     # ------------------------------------------------------------------ #
@@ -889,8 +856,7 @@ class BroadcastSession:
             lowest += 1
         self.lowest = lowest
         num_fragments, held, completion = self.num_fragments, self.held, self.completion
-        hosts, trace = self.hosts, self.trace
-        incomplete, incomplete_mask = self.incomplete, self.incomplete_mask
+        hosts, trace, incomplete = self.hosts, self.trace, self.incomplete_mask
         ready_pairs = pairs[ready]
         ready_up, ready_down = np.divmod(ready_pairs, len(hosts))
         uploaders, downloaders = ready_up.tolist(), ready_down.tolist()
@@ -910,13 +876,11 @@ class BroadcastSession:
         ):
             if not fragments:
                 continue
-            downloader = hosts[downloader_index]
             if held[downloader_index] == num_fragments:
                 completion[downloader_index] = time
-                incomplete.discard(downloader)
-                incomplete_mask[downloader_index] = False
+                incomplete[downloader_index] = False
             if trace is not None:
-                uploader = hosts[uploader_index]
+                uploader, downloader = hosts[uploader_index], hosts[downloader_index]
                 for fragment in fragments:
                     trace.append((time, downloader, uploader, fragment))
             receipts.extend(fragments)
@@ -925,7 +889,7 @@ class BroadcastSession:
         self.fragments.counts[ready_down, ready_up] += counts
         if receipts:
             self.have[ready_down.repeat(counts), receipts] = True
-            self.have_changed = True
+            self._interest = None
         if trace_full:
             # Per-receipt conversion cost: wall seconds of the pass over
             # the number of fragments it converted (sim-time stamped).

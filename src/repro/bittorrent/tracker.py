@@ -3,12 +3,11 @@
 The original client limits the number of peers a client knows to 35; the
 paper notes this is one source of measurement sparsity — for swarms larger
 than ~35 nodes a single broadcast only exercises a subset of all possible
-edges, and aggregation over iterations fills in the rest.
+edges, and aggregation over iterations fills in the rest.  Peers are host
+indices, as everywhere inside a broadcast.
 """
 
 from __future__ import annotations
-
-from typing import Dict, Sequence, Set
 
 import numpy as np
 
@@ -30,52 +29,34 @@ class Tracker:
             raise ValueError(f"max_peers must be at least 1, got {max_peers}")
         self.max_peers = max_peers
 
-    def build_connections(
-        self, peer_names: Sequence[str], rng: np.random.Generator
-    ) -> Dict[str, Set[str]]:
-        """Return the symmetric connection sets for every peer.
+    def build_connections(self, n: int, rng: np.random.Generator) -> np.ndarray:
+        """The symmetric ``n × n`` neighbour mask of an ``n``-peer swarm.
 
-        Parameters
-        ----------
-        peer_names:
-            All peers in the swarm (including the seed).
-        rng:
-            Random generator for this broadcast iteration.
+        Each peer, in index order, learns a random subset of the others (in
+        index order); ``rng`` is the broadcast iteration's generator.
         """
-        names = list(peer_names)
-        if len(set(names)) != len(names):
-            raise ValueError("peer names must be unique")
-        if len(names) < 2:
+        if n < 2:
             raise ValueError("a swarm needs at least two peers")
-        known: Dict[str, Set[str]] = {name: set() for name in names}
-        for name in names:
-            others = [p for p in names if p != name]
-            count = min(self.max_peers, len(others))
-            picks = rng.choice(len(others), size=count, replace=False)
-            known[name].update(others[i] for i in picks)
+        known = np.zeros((n, n), dtype=bool)
+        count = min(self.max_peers, n - 1)
+        for i in range(n):
+            picks = rng.choice(n - 1, size=count, replace=False)
+            # The others in index order skip peer i itself.
+            known[i, picks + (picks >= i)] = True
         # Symmetric closure: a connection exists if either side knows the other.
-        connections: Dict[str, Set[str]] = {name: set() for name in names}
-        for name, peers in known.items():
-            for other in peers:
-                connections[name].add(other)
-                connections[other].add(name)
-        return connections
+        return known | known.T
 
-    def announce(
-        self, name: str, present: Sequence[str], rng: np.random.Generator
-    ) -> Set[str]:
+    def announce(self, present: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         """Peer set handed to a peer (re)joining a live swarm.
 
         Mirrors one row of :meth:`build_connections`: the joiner learns a
-        bounded random subset of the currently-present peers.  The symmetric
-        closure (the discovered side also opening the connection) is the
-        caller's job, as it owns the live neighbour state.  Used by the
-        churn actors of :mod:`repro.workloads` when a departed peer rejoins
-        mid-broadcast.
+        bounded random subset of ``present``, the indices of the other
+        peers in the swarm.  The symmetric closure (the discovered side also
+        opening the connection) is the caller's job, as it owns the live
+        neighbour state.  Used by the churn actors of :mod:`repro.workloads`
+        when a departed peer rejoins mid-broadcast.
         """
-        others = [p for p in present if p != name]
-        if not others:
-            return set()
-        count = min(self.max_peers, len(others))
-        picks = rng.choice(len(others), size=count, replace=False)
-        return {others[i] for i in picks}
+        if not len(present):
+            return present
+        count = min(self.max_peers, len(present))
+        return present[rng.choice(len(present), size=count, replace=False)]

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import Dict, List, Optional, Sequence
 
@@ -45,6 +46,7 @@ from repro.scenarios import (
 )
 from repro.faults import FAULT_NAMES
 from repro.observability import METRIC_CATALOGUE, METRICS, TRACE_DETAILS, TRACER
+from repro.observability.tracer import TraceConfigError
 from repro.scenarios.spec import CAMPAIGN_PARAMS
 from repro.workloads import WORKLOAD_NAMES
 
@@ -160,9 +162,9 @@ def _prologue(
     the scenario does not take and values not of their default's type,
     checks the detection knobs, builds the executor, routes the knobs to
     the scenario's body (:meth:`ScenarioSpec.route_knobs`, which rejects a
-    knob the body does not take) and configures ``--trace``: an unwritable
-    path must not surface hours into a campaign.  The trace is configured
-    last, so a rejected command leaves an existing trace file as it was.
+    knob the body does not take) and configures ``--trace``
+    (:func:`_stage_trace`): an unwritable path must not surface hours into a
+    campaign.
     A sweep passes its axis as ``param``/``values``: a tunable axis is
     checked like a ``--set`` key, an ``iterations`` axis bounds
     ``--quorum`` by its least value, and a campaign parameter the body
@@ -220,8 +222,24 @@ def _prologue(
     knobs = _knobs(args)
     spec.route_knobs(knobs)
     if args.trace:
-        TRACER.configure(args.trace, detail=args.trace_detail)
+        _stage_trace(args)
     return spec, overrides, knobs
+
+
+def _stage_trace(args: argparse.Namespace) -> None:
+    """Record ``--trace PATH`` into the sibling file ``PATH.part``.
+
+    :func:`main` moves it onto ``PATH`` when the command ends, and deletes
+    it instead when the command is rejected (exit 2, which the scenario's
+    body can still decide), so a rejected command leaves ``PATH`` as it
+    was, or absent.  A directory, a file that is not writable and a
+    missing directory fail here, before anything runs.
+    """
+    path = args.trace
+    if os.path.isdir(path) or (os.path.exists(path) and not os.access(path, os.W_OK)):
+        raise TraceConfigError(f"trace path {path!r} is not writable")
+    TRACER.configure(path + ".part", detail=args.trace_detail)
+    args.trace_part = path + ".part"
 
 
 #: Each ``ScenarioSpec.run`` knob and the option that sets it: ``--set``
@@ -554,12 +572,20 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     handler = _COMMANDS[args.command]
+    code = 1
     try:
-        return handler(args)
+        code = handler(args)
+        return code
     finally:
         # A --trace sink must be complete on exit whatever path the command
         # took; close() is a no-op when tracing was never enabled.
         TRACER.close()
+        part = getattr(args, "trace_part", None)
+        if part is not None:
+            if code == 2:
+                os.remove(part)
+            else:
+                os.replace(part, args.trace)
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via __main__.py

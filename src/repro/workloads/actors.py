@@ -144,15 +144,14 @@ class LinkWatcher(WorkloadActor):
 class BroadcastActor(WorkloadActor):
     """Adapter running a swarm broadcast as one tenant of the shared clock.
 
-    The session generator's requests map onto agenda events:
-
-    * ``("advance", step, T)`` → an event at ``T``; the engine brings the
-      shared fluid network to ``T`` before the callback resumes the loop.
-    * ``("sleep", from, target, T)`` → an event at ``T`` carrying the
-      granted landing step.  :meth:`on_network_change` (cross traffic,
-      churn, capacity drift) reschedules it to the first grid point after
-      the disturbance — the conservative landing that keeps the event-
-      stepped loop exact in a changing network.
+    Each request ``(from_step, target_step, T)`` of the session generator
+    is an agenda event at ``T`` carrying the granted landing step; the
+    engine brings the shared fluid network to the event's time before the
+    callback resumes the loop.  :meth:`on_network_change` (cross traffic,
+    churn, capacity drift) reschedules a jump to the first grid point after
+    the disturbance — the conservative landing that keeps the event-
+    stepped loop exact in a changing network.  An advance
+    (``target_step = from_step + 1``) is never cut short.
     """
 
     kind = "broadcast"
@@ -177,8 +176,8 @@ class BroadcastActor(WorkloadActor):
         self.session: Optional[BroadcastSession] = None
         self.root = root
         self._event = None
-        self._pending_sleep: Optional[Tuple] = None
-        self._granted: Optional[int] = None
+        #: The request the scheduled event fulfils, with its granted step.
+        self._pending: Optional[Tuple[int, int, float]] = None
 
     def bind(self, engine) -> None:
         super().bind(engine)
@@ -211,39 +210,33 @@ class BroadcastActor(WorkloadActor):
     def _on_start(self) -> None:
         self._handle(self.session.start())
 
-    def _on_advance(self) -> None:
-        # The engine advanced the shared fluid clock to this event's time.
-        self._handle(self.session.resume(None))
-
     def _on_wake(self) -> None:
-        self._handle(self.session.resume(self._granted))
+        # The engine advanced the shared fluid clock to this event's time.
+        self._handle(self.session.resume(self._pending[1]))
 
-    def _handle(self, request: Optional[Tuple]) -> None:
-        self._event = None
-        self._pending_sleep = None
-        self._granted = None
-        if self.session.finished:
-            return
-        if request[0] == "advance":
-            self._event = self.engine.schedule(self, request[2], self._on_advance)
-        else:  # ("sleep", from_step, target_step, time)
-            self._pending_sleep = request
-            self._granted = request[2]
-            self._event = self.engine.schedule(self, request[3], self._on_wake)
+    def _handle(self, request: Optional[Tuple[int, int, float]]) -> None:
+        # A finished session requests nothing.
+        self._pending = request
+        self._event = (
+            None if request is None
+            else self.engine.schedule(self, request[2], self._on_wake)
+        )
 
     # -------------------------------------------------------------- #
     def wake_at(self, time: float) -> None:
         """Cut a planned jump short: land at the first grid point >= ``time``.
 
-        No-op unless the session is sleeping past ``time``.  Early landings
-        are exact — the session runs the landing point's conversion check
-        before its control phase, as the fixed-dt oracle does — so callers
-        may wake conservatively (e.g. on every foreign transition).
+        No-op unless the session is jumping past ``time``: the landing is
+        after the request's ``from_step``, so an advance is never cut short.
+        Early landings are exact — the session runs the landing point's
+        conversion check before its control phase, as the fixed-dt oracle
+        does — so callers may wake conservatively (e.g. on every foreign
+        transition).
         """
-        pending = self._pending_sleep
+        pending = self._pending
         if pending is None:
             return
-        _, from_step, target_step, target_time = pending
+        from_step, target_step, target_time = pending
         if time >= target_time - 1e-12:
             return
         k = self.session.grid_step(time - 1e-12, from_step + 1)
@@ -251,8 +244,7 @@ class BroadcastActor(WorkloadActor):
             return
         wake_time = max(self.start_time + k * self.config.control_dt, time)
         self._event.cancel()
-        self._granted = k
-        self._pending_sleep = ("sleep", from_step, k, wake_time)
+        self._pending = (from_step, k, wake_time)
         self._event = self.engine.schedule(self, wake_time, self._on_wake)
 
     def on_network_change(self, time: float) -> None:

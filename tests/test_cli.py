@@ -334,34 +334,62 @@ class TestNoSettingDropped:
         assert captured.out == ""
         assert captured.err.strip().splitlines() == [line]
 
+    OLD_TRACE = b'{"kind": "meta"}\n{"kind": "span"}\n'
+
     @pytest.mark.parametrize(
-        "argv, line",
+        "argv, line, old",
         [
             (["run", "G-T", *SMALL, "--executor", "process", "--workers", "0"],
-             "workers must be at least 1"),
+             "workers must be at least 1", OLD_TRACE),
             ([*SWEEP, "--executor", "process", "--workers", "0"],
-             "workers must be at least 1"),
+             "workers must be at least 1", OLD_TRACE),
             (["sweep", "netpipe", "--param", "seed", "--values", "1,2"],
-             "scenario netpipe does not take seed"),
+             "scenario netpipe does not take seed", OLD_TRACE),
             (["run", "netpipe", "--quorum", "1"],
-             "scenario netpipe does not take --quorum"),
+             "scenario netpipe does not take --quorum", OLD_TRACE),
             (["run", "fig4", *SMALL, "--faults", "blackout"],
-             "scenario fig4 does not take --faults"),
+             "scenario fig4 does not take --faults", OLD_TRACE),
             (["run", "G-T", *SMALL, "--detect-factor", "2"],
              "scenario G-T has no failure detector; "
-             "--detect-factor needs a fault plan (--faults)"),
+             "--detect-factor needs a fault plan (--faults)", OLD_TRACE),
+            # Rejected by the scenario's body, after the trace is configured.
+            (["run", "B", "--per-site", "0"], "per_site must be at least 1", OLD_TRACE),
+            (["run", "MIGRATING-BOTTLENECK", "--iterations", "2"],
+             "MIGRATING-BOTTLENECK needs at least 3 iterations (a healthy "
+             "baseline plus one measurement per epoch)", OLD_TRACE),
+            (["run", "B", "--per-site", "0"], "per_site must be at least 1", None),
         ],
         ids=["run-workers", "sweep-workers", "sweep-ignored-knob",
-             "run-untaken-quorum", "run-untaken-faults", "run-no-detector"],
+             "run-untaken-quorum", "run-untaken-faults", "run-no-detector",
+             "run-body-per-site", "run-body-iterations", "run-body-no-file"],
     )
     def test_a_rejected_command_leaves_the_trace_file_as_it_was(
-        self, capsys, tmp_path, argv, line
+        self, capsys, tmp_path, argv, line, old
     ):
+        """An existing trace file keeps its bytes, a missing one stays
+        missing, and no other file is left behind."""
         trace = tmp_path / "t.jsonl"
-        trace.write_bytes(b'{"kind": "meta"}\n{"kind": "span"}\n')
+        if old is not None:
+            trace.write_bytes(old)
         assert main([*argv, "--trace", str(trace)]) == 2
         assert capsys.readouterr().err.strip().splitlines() == [line]
-        assert trace.read_bytes() == b'{"kind": "meta"}\n{"kind": "span"}\n'
+        if old is not None:
+            assert trace.read_bytes() == old
+        assert list(tmp_path.iterdir()) == ([] if old is None else [trace])
+
+    def test_a_traced_command_replaces_the_trace_file(self, tmp_path):
+        trace = tmp_path / "t.jsonl"
+        trace.write_bytes(self.OLD_TRACE)
+        assert main(["run", "netpipe", "--trace", str(trace)]) == 0
+        assert json.loads(trace.read_text().splitlines()[0])["type"] == "meta"
+        assert list(tmp_path.iterdir()) == [trace]
+
+    def test_a_directory_as_trace_path_fails_before_anything_runs(self, capsys, tmp_path):
+        assert main(["run", "netpipe", "--trace", str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "is not writable" in captured.err
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestDetectionKnobs:

@@ -4,10 +4,11 @@ A :class:`~repro.bittorrent.swarm.BroadcastSession` keeps the same facts in
 several shapes for speed: the ``have`` bitfield matrix, one Python-int
 bitset per host and one per availability bound (``below[c]``, the
 fragments held by at most ``c`` hosts), the fragment counts ``held``, the
-finish times ``completion``, the ``wanted`` interest counts, and the pipe
-state by host pair with its gather in pipe order; the ``unchoked`` matrix
-must stay inside the symmetric ``neighbor_mask``.  The seed goldens only
-hash the end result;
+finish times ``completion``, the ``incomplete_mask``, the cached interest
+matrix, and the pipe state by host pair with its gather in pipe order; the
+``unchoked`` matrix and the optimistic targets must stay inside the
+symmetric ``neighbor_mask``, and a peer churned out (``away``) keeps no
+round credits.  The seed goldens only hash the end result;
 these tests wrap ``start``/``resume`` the way perfbench does and check,
 after every call on an unfinished session, that the shapes agree and that
 no link is allocated past its capacity.
@@ -64,22 +65,33 @@ def check_invariants(session, seen):
         count == num_fragments for count in session.held
     ]
     assert have.sum() - num_fragments == session.fragments.counts.sum()
+    away = session.away
+    assert np.array_equal(
+        session.incomplete_mask, (np.array(session.held) < num_fragments) & ~away
+    )
     # The wire-protocol interest rule: d wants u exactly when u holds a
     # fragment d lacks (so a seed wants nothing and an empty peer offers
-    # nothing).
+    # nothing).  A cached interest matrix is what a fresh build gives.
     wanted = session.recompute_wanted()
     assert np.array_equal(wanted > 0, (have[:, None] & ~have[None]).any(axis=2))
-    if not session.have_changed:
-        assert np.array_equal(session.wanted, wanted)
+    mask = session.neighbor_mask
+    if session._interest is not None:
+        fresh = mask & session.incomplete_mask[None, :] & (wanted > 0)
+        assert np.array_equal(session._interest, fresh)
 
     # An uploader unchokes only neighbours, so sync_pipes never has to
     # drop a stranger: the rechoke and the fill pick from neighbor_mask
-    # rows, and a leave clears the peer's row and column.
+    # rows, and a leave clears the peer's row and column.  An optimistic
+    # target is a neighbour too, and a peer that left has no round credits.
     upload_slots = session.broadcast.choking.upload_slots
-    mask, unchoked = session.neighbor_mask, session.unchoked
+    unchoked = session.unchoked
     assert np.array_equal(mask, mask.T)
     assert not (unchoked & ~mask).any()
     assert unchoked.sum(axis=1).max() <= upload_slots
+    for peer, target in enumerate(session.optimistic):
+        assert target == -1 or mask[peer, target], (peer, target)
+    assert (session.credits >= 0).all()
+    assert not session.credits[away].any()
 
     # The open mask is the set of pairs holding a transfer.  A live pipe
     # reads its transfer's slot; a pipe out of budget is parked (slot -1)
@@ -108,10 +120,9 @@ def check_invariants(session, seen):
     assert (session.consumed[pairs] <= moved).all()
     assert (session.credit_base[pairs] <= moved).all()
     # A peer that left lost its in-flight progress with every neighbour.
-    for name in session.departed:
-        i = session.index[name]
-        assert not session.progress.reshape(n, n)[i].any(), name
-        assert not session.progress.reshape(n, n)[:, i].any(), name
+    progress = session.progress.reshape(n, n)
+    assert not progress[away].any()
+    assert not progress[:, away].any()
 
     fluid = session.fluid
     if not fluid._dirty:
@@ -293,6 +304,39 @@ def test_no_rebuild_repeats_the_previous_pipe_layout(monkeypatch, stepping):
     assert any(dead for _, _, dead in layouts)
     repeats = sum(a == b for a, b in zip(layouts, layouts[1:]))
     assert repeats == 0
+
+
+def test_a_leave_and_a_rejoin_reset_what_they_change():
+    """A leave clears every optimistic target at the leaver.  Kept, it
+    would survive a rejoin within the same choking round: the rejoined
+    peer, interested again, would hold its old neighbour's optimistic slot
+    at the next rechoke without a draw.  A leave and a rejoin each change
+    the interest matrix's inputs, so neither may leave a cached matrix."""
+    topology = build_bordeaux_site(bordeplage=4, bordereau=3, borderline=2)
+    meta = TorrentMeta(name="optimistic", fragment_size=16384, num_fragments=2000)
+    config = SwarmConfig(torrent=meta, rechoke_interval=0.3)
+    session = BroadcastSession(
+        BitTorrentBroadcast(topology, config), rng=np.random.default_rng(3)
+    )
+
+    def fresh_interest():
+        wanted = session.recompute_wanted()
+        return session.neighbor_mask & session.incomplete_mask[None, :] & (wanted > 0)
+
+    request = session.start()
+    # The first tit-for-tat round (the third rechoke) draws optimistic targets.
+    while max(session.optimistic) < 0:
+        session.fluid.advance_to(request[2])
+        request = session.resume(request[1])
+    leaver = max(session.optimistic)
+    name = session.hosts[leaver]
+    assert session.apply_leave(name)
+    assert leaver not in session.optimistic
+    assert np.array_equal(session.interest_matrix(), fresh_interest())
+    assert session.apply_rejoin(name, np.random.default_rng(0))
+    assert leaver not in session.optimistic
+    assert np.array_equal(session.interest_matrix(), fresh_interest())
+    assert session.run_to_completion().fragments.total_fragments() == 8 * 2000
 
 
 @pytest.mark.parametrize("stepping", STEPPING_MODES)
