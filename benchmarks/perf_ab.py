@@ -23,7 +23,18 @@ The chain is raw JSON → CSV → table:
   verdict added;
 * the raw files are reduced to ``OUT/runs.csv``, one row per run and
   metric;
-* the per-metric medians of the untraced runs are printed.
+* the per-metric medians of the untraced runs are printed, with the claim
+  rule's columns, and the printed report is also written to
+  ``OUT/table.txt``.
+
+The claim rule (docs/performance.md) is reported, never enforced: for
+each workload and ``end_to_end`` metric the table gives the base's first
+and third quartiles and the pairs the head won, pair ``i`` being base run
+``i`` against head run ``i`` in the metric's ``better`` direction (a tie
+counts for neither side).  A row is marked ``claim`` when at least
+``CLAIM_PAIRS`` pairs ran, the head won at least 9 in 10 of them, and its
+median is better than the base's by more than the base's interquartile
+range.
 
 The gate fails (exit status 1) when, on any workload, the head's median of
 an ``end_to_end`` metric in the base tree's BENCHMARK.json is worse than
@@ -47,6 +58,8 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 SIDES = ("base", "head")
 DEFAULT_WORKLOADS = ("paper-4site", "paper-scale", "blackout")
 CSV_FIELDS = ("side", "workload", "run", "traced", "metric", "value")
+#: Pairs a claimed gain needs on its workload.
+CLAIM_PAIRS = 10
 
 
 def run_perfbench(
@@ -124,14 +137,36 @@ def write_csv(rows: Sequence[dict], path: Path) -> None:
         writer.writerows(rows)
 
 
-def medians(rows: Iterable[dict]) -> Dict[Tuple[str, str, str], float]:
-    """(workload, metric, side) -> median over the untraced runs."""
-    samples: Dict[Tuple[str, str, str], List[float]] = {}
+def samples(rows: Iterable[dict]) -> Dict[Tuple[str, str, str], Dict[int, float]]:
+    """(workload, metric, side) -> {run: value} over the untraced runs."""
+    runs: Dict[Tuple[str, str, str], Dict[int, float]] = {}
     for row in rows:
         if not int(row["traced"]):
             key = (row["workload"], row["metric"], row["side"])
-            samples.setdefault(key, []).append(float(row["value"]))
-    return {key: statistics.median(values) for key, values in samples.items()}
+            runs.setdefault(key, {})[int(row["run"])] = float(row["value"])
+    return runs
+
+
+def claim_rule(base: Dict[int, float], head: Dict[int, float], better: str) -> dict:
+    """The claim rule on one metric's runs, by run index.
+
+    Returns the base's quartiles ``q1`` and ``q3`` (linear interpolation,
+    numpy's default), the ``pairs`` with both runs, the pairs the head
+    ``won`` (strictly better in the ``better`` direction), and ``meets``:
+    at least ``CLAIM_PAIRS`` pairs, at least 9 in 10 won, and a median gap
+    in the head's favour wider than ``q3 - q1``.
+    """
+    values = list(base.values())
+    if len(values) > 1:
+        q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    else:
+        q1 = q3 = values[0]
+    sign = 1.0 if better == "lower" else -1.0
+    pairs = set(base) & set(head)
+    won = sum(sign * (base[run] - head[run]) > 0 for run in pairs)
+    gap = sign * (statistics.median(values) - statistics.median(head.values()))
+    meets = len(pairs) >= CLAIM_PAIRS and 10 * won >= 9 * len(pairs) and gap > q3 - q1
+    return {"q1": q1, "q3": q3, "pairs": len(pairs), "won": won, "meets": meets}
 
 
 def compare(rows: Sequence[dict], end_to_end: Sequence[dict]) -> Tuple[List[str], List[str]]:
@@ -140,26 +175,34 @@ def compare(rows: Sequence[dict], end_to_end: Sequence[dict]) -> Tuple[List[str]
     A metric fails when the head's median is worse than the base's by more
     than its bound, relative to the base: above ``base * (1 + bound)`` when
     lower is better, below ``base * (1 - bound)`` when higher is better.
+    Each row also reports :func:`claim_rule`, which fails nothing.
     """
-    table = medians(rows)
+    runs = samples(rows)
     lines = [f"{'workload':<13} {'metric':<16} {'base':>10} {'head':>10} "
-             f"{'head/base':>9} {'bound':>6}  verdict"]
+             f"{'head/base':>9} {'bound':>6}  {'verdict':<7} "
+             f"{'base q1':>10} {'base q3':>10} {'won':>6}  claim"]
     failures = []
     for workload in sorted({row["workload"] for row in rows}):
         for spec in end_to_end:
             name, bound = spec["name"], float(spec["bound"])
-            base = table.get((workload, name, "base"))
-            head = table.get((workload, name, "head"))
-            if base is None or head is None:
+            base_runs = runs.get((workload, name, "base"))
+            head_runs = runs.get((workload, name, "head"))
+            if not base_runs or not head_runs:
                 failures.append(f"{workload} {name}: no measurement")
                 continue
+            base = statistics.median(base_runs.values())
+            head = statistics.median(head_runs.values())
             if spec["better"] == "lower":
                 worse = head > base * (1.0 + bound)
             else:
                 worse = head < base * (1.0 - bound)
             ratio = head / base if base else float("nan")
+            rule = claim_rule(base_runs, head_runs, spec["better"])
+            won = f"{rule['won']}/{rule['pairs']}"
             lines.append(f"{workload:<13} {name:<16} {base:>10.4g} {head:>10.4g} "
-                         f"{ratio:>9.3f} {bound:>6.2f}  {'WORSE' if worse else 'ok'}")
+                         f"{ratio:>9.3f} {bound:>6.2f}  {'WORSE' if worse else 'ok':<7} "
+                         f"{rule['q1']:>10.4g} {rule['q3']:>10.4g} {won:>6}  "
+                         f"{'claim' if rule['meets'] else '-'}")
             if worse:
                 failures.append(f"{workload} {name}: head median {head:.4g} is "
                                 f"worse than base {base:.4g} by more than {bound:g}")
@@ -206,7 +249,8 @@ def main(argv=None) -> int:
                         help="perfbench workload (repeatable; default "
                              f"{', '.join(DEFAULT_WORKLOADS)})")
     parser.add_argument("--out", type=Path, default=Path("perf_ab"),
-                        help="directory for raw/ and runs.csv (default perf_ab)")
+                        help="directory for raw/, runs.csv and table.txt "
+                             "(default perf_ab)")
     parser.add_argument("--seed", type=int, default=None,
                         help="workload seed for both trees' perfbench runs "
                              "(default: perfbench's own)")
@@ -223,14 +267,13 @@ def main(argv=None) -> int:
     rows = reduce_reports(reports)
     write_csv(rows, args.out / "runs.csv")
     lines, failures = compare(rows, end_to_end)
-    print("\n".join(lines))
-    diffs = behaviour_diffs(reports)
-    print("\n".join(diffs) if diffs else "digests and swarm.* counters equal")
-    if failures:
-        print("perf gate FAILED:\n  " + "\n  ".join(failures))
-        return 1
-    print("perf gate passed")
-    return 0
+    lines += behaviour_diffs(reports) or ["digests and swarm.* counters equal"]
+    lines.append("perf gate FAILED:\n  " + "\n  ".join(failures) if failures
+                 else "perf gate passed")
+    report = "\n".join(lines)
+    print(report)
+    (args.out / "table.txt").write_text(report + "\n", encoding="utf-8")
+    return 1 if failures else 0
 
 
 if __name__ == "__main__":

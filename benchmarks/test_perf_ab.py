@@ -8,8 +8,10 @@ import json
 import subprocess
 from pathlib import Path
 
+import pytest
+
 from benchmarks import perf_ab
-from benchmarks.perf_ab import behaviour_diffs, compare, reduce_reports
+from benchmarks.perf_ab import behaviour_diffs, claim_rule, compare, reduce_reports
 
 END_TO_END = [
     {"name": "campaign_s", "unit": "s", "better": "lower", "bound": 0.25},
@@ -30,6 +32,11 @@ def _rows(base_times, head_times, **head_kwargs):
     reports = [_report("base", i, t) for i, t in enumerate(base_times)]
     reports += [_report("head", i, t, **head_kwargs) for i, t in enumerate(head_times)]
     return reduce_reports(reports)
+
+
+def _runs(base_values, head_values):
+    """Base and head values by run index, as ``claim_rule`` takes them."""
+    return dict(enumerate(base_values)), dict(enumerate(head_values))
 
 
 def test_reduce_gives_one_row_per_run_and_metric():
@@ -135,3 +142,75 @@ def test_seed_reaches_both_trees_perfbench_runs(tmp_path, monkeypatch):
     commands.clear()
     assert perf_ab.main(argv) == 0
     assert all("--seed" not in args for _, args in commands)
+
+
+# ---------------------------------------------------------------------- #
+# the claim rule: reported per row, never a failure
+# ---------------------------------------------------------------------- #
+BASE_TEN = [10.0, 10.1, 9.9, 10.2, 9.8, 10.05, 9.95, 10.15, 9.85, 10.0]
+
+
+def _row(lines, metric):
+    (line,) = [line for line in lines if f" {metric} " in line]
+    return line
+
+
+def test_a_ten_of_ten_win_wider_than_the_base_iqr_meets_the_claim_rule():
+    head = [time - 0.6 for time in BASE_TEN]
+    rule = claim_rule(*_runs(BASE_TEN, head), "lower")
+    assert (rule["won"], rule["pairs"], rule["meets"]) == (10, 10, True)
+    # The base's quartiles by linear interpolation: [9.9125, 10.0875].
+    assert (rule["q1"], rule["q3"]) == (pytest.approx(9.9125), pytest.approx(10.0875))
+    lines, failures = compare(_rows(BASE_TEN, head), END_TO_END)
+    assert failures == []
+    assert " 10/10 " in _row(lines, "campaign_s") and _row(lines, "campaign_s").endswith("claim")
+
+
+def test_an_eight_of_ten_win_does_not_meet_the_claim_rule():
+    head = [time - 0.6 for time in BASE_TEN]
+    head[3] = head[7] = 11.0
+    rule = claim_rule(*_runs(BASE_TEN, head), "lower")
+    assert (rule["won"], rule["pairs"], rule["meets"]) == (8, 10, False)
+    lines, _ = compare(_rows(BASE_TEN, head), END_TO_END)
+    assert " 8/10 " in _row(lines, "campaign_s") and _row(lines, "campaign_s").endswith("-")
+
+
+def test_ties_count_for_neither_side():
+    rule = claim_rule(*_runs(BASE_TEN, BASE_TEN), "lower")
+    assert (rule["won"], rule["pairs"], rule["meets"]) == (0, 10, False)
+    # Every nmi in _rows is 1.0 on both sides: a tie in every pair.
+    lines, _ = compare(_rows(BASE_TEN, BASE_TEN), END_TO_END)
+    assert " 0/10 " in _row(lines, "nmi") and _row(lines, "nmi").endswith("-")
+
+
+def test_a_higher_is_better_metric_is_won_upwards():
+    base = [0.80, 0.82, 0.81, 0.79, 0.80, 0.81, 0.80, 0.82, 0.79, 0.80]
+    up = claim_rule(*_runs(base, [value + 0.1 for value in base]), "higher")
+    assert (up["won"], up["meets"]) == (10, True)
+    down = claim_rule(*_runs(base, [value - 0.1 for value in base]), "higher")
+    assert (down["won"], down["meets"]) == (0, False)
+
+
+def test_a_clean_sweep_of_fewer_than_ten_pairs_is_no_claim():
+    rule = claim_rule(*_runs(BASE_TEN[:3], [5.0, 5.0, 5.0]), "lower")
+    assert (rule["won"], rule["pairs"], rule["meets"]) == (3, 3, False)
+
+
+def test_main_writes_the_table_it_prints(tmp_path, monkeypatch, capsys):
+    for side in ("base", "head"):
+        (tmp_path / side / "perfbench").mkdir(parents=True)
+        (tmp_path / side / "perfbench" / "run.py").write_text("")
+    (tmp_path / "base" / "BENCHMARK.json").write_text(json.dumps({"end_to_end": END_TO_END}))
+
+    def fake_run(tree, workload, traced, seed):
+        return {"workload": workload, "correct": True, "digests": ["d0"],
+                "metrics": {"campaign_s": 8.0, "nmi": 1.0}}
+
+    monkeypatch.setattr(perf_ab, "run_perfbench", fake_run)
+    out = tmp_path / "out"
+    assert perf_ab.main([str(tmp_path / "base"), str(tmp_path / "head"),
+                         "--pairs", "1", "--workload", "blackout", "--out", str(out)]) == 0
+    table = (out / "table.txt").read_text()
+    assert table.splitlines()[0].startswith("workload") and "won" in table
+    assert table.rstrip().endswith("perf gate passed")
+    assert table in capsys.readouterr().out

@@ -24,6 +24,8 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
+from repro.bittorrent.selection import draw_below, sample_below
+
 #: Default number of parallel upload slots of the reference client.
 DEFAULT_UPLOAD_SLOTS = 4
 
@@ -84,15 +86,28 @@ class ChokingPolicy:
         (list of int, int)
             The peers to unchoke (at most ``upload_slots``) and the new
             optimistic target (-1 for none).
+
+        The draws replay numpy's on the bit generator's ``next_uint32``,
+        read once per call from ``rng.bit_generator.ctypes``: the random
+        rotation is :func:`~repro.bittorrent.selection.sample_below`,
+        ``rng.choice(len(candidates), size=slots, replace=False)``, and an
+        optimistic or fill-in pick is
+        :func:`~repro.bittorrent.selection.draw_below`,
+        ``rng.integers(0, len(pool))``.  Each returns the values and
+        consumes the words of numpy's call.  A one-peer pool is taken
+        without a draw, because ``rng.integers(0, 1)`` draws nothing, and
+        an empty candidate list unchokes nobody and draws nothing.
         """
         if not candidates:
             return [], -1
+        interface = rng.bit_generator.ctypes
+        next_uint32, state = interface.next_uint32, interface.state
         slots = min(self.upload_slots, len(candidates))
 
         if seeding or not any(credits):
             # No reciprocation signal: random rotation (seed mode / first round).
-            picks = rng.choice(len(candidates), size=slots, replace=False)
-            return [candidates[i] for i in picks.tolist()], -1
+            picks = sample_below(next_uint32, state, len(candidates), slots)
+            return [candidates[i] for i in picks], -1
 
         # Tit-for-tat: keep the fastest uploaders to us, one slot optimistic.
         # The sort is stable, so equal credits keep name order.
@@ -108,11 +123,13 @@ class ChokingPolicy:
             or optimistic in chosen
         ):
             pool = [p for p in candidates if p not in chosen]
-            optimistic = pool[int(rng.integers(0, len(pool)))]
+            k = len(pool)
+            optimistic = pool[draw_below(next_uint32, state, k) if k > 1 else 0]
         chosen.append(optimistic)
 
         # Fill any remaining slots (e.g. short ranking) with random candidates.
         while len(chosen) < slots:
             pool = [p for p in candidates if p not in chosen]
-            chosen.append(pool[int(rng.integers(0, len(pool)))])
+            k = len(pool)
+            chosen.append(pool[draw_below(next_uint32, state, k) if k > 1 else 0])
         return chosen, optimistic

@@ -18,6 +18,10 @@ generator's own ``next_uint32``, so it consumes the same words as
 the same order and leave the random stream in the same state, so any change
 to the policy — thresholds, tie-breaking, random-stream consumption — must
 be made to both.
+
+The choker's picks of a few peers replay numpy the same way:
+:func:`sample_below` is ``rng.choice(k, size=m, replace=False)`` on the
+bit generator's ``next_uint32``.
 """
 
 from __future__ import annotations
@@ -104,6 +108,32 @@ def draw_below(next_uint32: Callable[[object], int], state: object, k: int) -> i
         while (m & 0xFFFFFFFF) < threshold:
             m = next_uint32(state) * k
     return m >> 32
+
+
+def sample_below(
+    next_uint32: Callable[[object], int], state: object, k: int, m: int
+) -> List[int]:
+    """What ``rng.choice(k, size=m, replace=False)`` returns, as a list, for
+    ``1 <= m <= k <= 10,000``.
+
+    Below numpy's tail-shuffle cutoff (``k > 10,000``) ``choice`` runs
+    Floyd's sampling and then a Fisher–Yates shuffle of the sample, each
+    draw numpy's bounded rule over ``[0, j]``: :func:`draw_below` of
+    ``j + 1``, and no draw for ``j = 0``.  Floyd's step takes ``j`` when
+    the value drawn for it was already picked; the shuffle swaps slot
+    ``i`` with a draw over ``[0, i]``, from the last slot down to slot 1.
+    Replaying both consumes the stream word for word.  The choker picks
+    at most ``upload_slots`` peers, where this costs less than numpy's
+    per-call dispatch.
+    """
+    picks: List[int] = []
+    for j in range(k - m, k):
+        value = draw_below(next_uint32, state, j + 1) if j else 0
+        picks.append(j if value in picks else value)
+    for i in range(m - 1, 0, -1):
+        j = draw_below(next_uint32, state, i + 1)
+        picks[i], picks[j] = picks[j], picks[i]
+    return picks
 
 
 def bitset(mask: np.ndarray) -> int:

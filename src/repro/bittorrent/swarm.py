@@ -50,13 +50,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import compress
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.bittorrent.choking import DEFAULT_UPLOAD_SLOTS, ChokingPolicy
 from repro.bittorrent.instrumentation import FragmentMatrix
-from repro.bittorrent.selection import bitset, convert_pass
+from repro.bittorrent.selection import bitset, convert_pass, sample_below
 from repro.bittorrent.torrent import TorrentMeta
 from repro.bittorrent.tracker import DEFAULT_MAX_PEERS, Tracker
 from repro.network.fluid import FluidNetwork, FluidTransfer
@@ -557,44 +558,76 @@ class BroadcastSession:
     def rechoke(self, interest: np.ndarray) -> None:
         """Full tit-for-tat rechoke of every peer, in a random host order.
 
-        Each peer's candidates are its interested neighbours (its row of
-        ``interest``) in name order; the choker's answers are the new rows
-        of ``unchoked``.  A peer's rechoke reads only its own credit row, so
-        the round's credits are cleared after the loop.
+        One pass over host-indexed Python lists: the interest matrix is
+        read once with its columns in name order, so a peer's candidates
+        (the neighbours interested in it) come out of its row in name
+        order, and the credits are read once, so the choker gets the
+        peer's credit row.  A peer without candidates unchokes nobody,
+        drops its optimistic target and draws nothing, so the choker is not
+        called for it.  The chosen pairs become a fresh ``unchoked`` in one
+        scatter.  A peer's rechoke reads only its own credit row, so the
+        round's credits are cleared after the loop.
         """
+        trace_full = self.trace_full
+        if trace_full:
+            started = TRACER.now()
         if self.pipe_pairs.size:
             self.flush_credits()
-        rng, held, optimistic, credits = self.rng, self.held, self.optimistic, self.credits
+        rng, held, optimistic = self.rng, self.held, self.optimistic
         policy, n, lex_order = self.broadcast.choking, len(self.hosts), self.lex_order
         round_index, num_fragments = self.round_index, self.num_fragments
-        unchoked = np.zeros((n, n), dtype=bool)
+        names, rows = lex_order.tolist(), interest[:, lex_order].tolist()
+        credits = self.credits.tolist()
+        uploaders: List[int] = []
+        downloaders: List[int] = []
         for i in rng.permutation(n).tolist():
+            candidates = list(compress(names, rows[i]))
+            if not candidates:
+                optimistic[i] = -1
+                continue
             chosen, optimistic[i] = policy.rechoke(
-                lex_order[interest[i, lex_order]].tolist(), credits[i].tolist(),
-                optimistic[i], held[i] == num_fragments, round_index, rng,
+                candidates, credits[i], optimistic[i], held[i] == num_fragments,
+                round_index, rng,
             )
-            unchoked[i, chosen] = True
-        credits.fill(0.0)
-        self.unchoked = unchoked
+            uploaders += [i] * len(chosen)
+            downloaders += chosen
+        unchoked = self.unchoked = np.zeros((n, n), dtype=bool)
+        unchoked[uploaders, downloaders] = True
+        self.credits.fill(0.0)
         self.round_index = round_index + 1
         self.next_rechoke += self.broadcast.config.rechoke_interval
+        if trace_full:
+            TRACER.span_record(
+                "swarm.rechoke", started, round=round_index, sim_time=self.time,
+                peers=int(interest.any(axis=1).sum()),
+            )
 
     def fill_slots(self, interest: np.ndarray) -> None:
         """Between rechokes: drop finished peers from the unchoke relation and
         fill idle upload slots with newly interested neighbours, uploaders
-        in index order and each one's candidates in name order."""
-        unchoked, lex_order, rng = self.unchoked, self.lex_order, self.rng
+        in index order and each one's candidates in name order.
+
+        Each fill is :func:`~repro.bittorrent.selection.sample_below`, the
+        values and stream words of ``rng.choice(len(candidates),
+        size=free, replace=False)``, read from the bit generator's
+        ``next_uint32``; the interface is read only when some uploader is
+        idle.
+        """
+        unchoked, lex_order = self.unchoked, self.lex_order
         # The root is never incomplete, so it is never unchoked: the mask
         # drops exactly the peers that finished.
         unchoked &= self.incomplete_mask
         waiting = interest & ~unchoked
         free = self.broadcast.choking.upload_slots - unchoked.sum(axis=1)
-        for uploader in ((free > 0) & waiting.any(axis=1)).nonzero()[0].tolist():
+        idle = ((free > 0) & waiting.any(axis=1)).nonzero()[0].tolist()
+        if not idle:
+            return
+        interface = self.rng.bit_generator.ctypes
+        next_uint32, state = interface.next_uint32, interface.state
+        for uploader in idle:
             candidates = lex_order[waiting[uploader, lex_order]]
-            picks = rng.choice(
-                len(candidates), size=min(int(free[uploader]), len(candidates)),
-                replace=False,
-            )
+            k = len(candidates)
+            picks = sample_below(next_uint32, state, k, min(int(free[uploader]), k))
             unchoked[uploader, candidates[picks]] = True
 
     # ------------------------------------------------------------------ #

@@ -3,14 +3,109 @@
 A peer is its host index: the choker reads the interested candidates in
 name order, the peer's credit row by host index and its optimistic target
 (-1 for none), and returns the chosen indices with the new target.
+
+:func:`reference_rechoke` is the choker with numpy's own draws
+(``rng.choice`` and ``rng.integers``), kept as the reference the way
+``PieceSelector`` is kept for ``convert_pass``: the property test below
+asserts that :meth:`ChokingPolicy.rechoke`, which replays those draws on
+the bit generator, returns the same answer and leaves the same state.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.bittorrent.choking import DEFAULT_UPLOAD_SLOTS, ChokingPolicy
 
 NO_CREDITS = [0.0] * 12
+
+
+def reference_rechoke(policy, candidates, credits, optimistic, seeding, round_index, rng):
+    """``ChokingPolicy.rechoke`` drawing through ``rng.choice`` and
+    ``rng.integers``."""
+    if not candidates:
+        return [], -1
+    slots = min(policy.upload_slots, len(candidates))
+
+    if seeding or not any(credits):
+        picks = rng.choice(len(candidates), size=slots, replace=False)
+        return [candidates[i] for i in picks.tolist()], -1
+
+    ranking = sorted(
+        (p for p in candidates if credits[p] > 0), key=lambda p: -credits[p]
+    )
+    chosen = ranking[: slots - 1]
+
+    if (
+        round_index % policy.optimistic_every == 0
+        or optimistic not in candidates
+        or optimistic in chosen
+    ):
+        pool = [p for p in candidates if p not in chosen]
+        optimistic = pool[int(rng.integers(0, len(pool)))]
+    chosen.append(optimistic)
+
+    while len(chosen) < slots:
+        pool = [p for p in candidates if p not in chosen]
+        chosen.append(pool[int(rng.integers(0, len(pool)))])
+    return chosen, optimistic
+
+
+#: Hosts of the property test's swarm.
+HOSTS = 64
+
+
+@st.composite
+def rechoke_inputs(draw):
+    """One peer's rechoke: 0-40 of 64 hosts as name-ordered candidates, a
+    credit row that is all zero, tied, sparse or credits only peers that
+    are not candidates, and an optimistic target of -1, a candidate or a
+    non-candidate."""
+    name_order = draw(st.permutations(range(HOSTS)))
+    members = set(draw(st.lists(st.integers(0, HOSTS - 1), max_size=40, unique=True)))
+    candidates = [host for host in name_order if host in members]
+    outsiders = [host for host in range(HOSTS) if host not in members]
+    credits = [0.0] * HOSTS
+    kind = draw(st.sampled_from(("zero", "tied", "sparse", "outsiders")))
+    if kind == "tied":
+        for host in draw(st.lists(st.integers(0, HOSTS - 1), max_size=12, unique=True)):
+            credits[host] = draw(st.sampled_from((16384.0, 32768.0)))
+    elif kind == "sparse":
+        for host in draw(st.lists(st.integers(0, HOSTS - 1), max_size=6, unique=True)):
+            credits[host] = draw(st.floats(1e-3, 1e9))
+    elif kind == "outsiders" and outsiders:
+        for host in draw(st.lists(st.sampled_from(outsiders), min_size=1, max_size=5,
+                                  unique=True)):
+            credits[host] = draw(st.floats(1.0, 1e6))
+    targets = [-1]
+    if candidates:
+        targets.append(draw(st.sampled_from(candidates)))
+    if outsiders:
+        targets.append(draw(st.sampled_from(outsiders)))
+    return candidates, credits, draw(st.sampled_from(targets))
+
+
+@given(
+    inputs=rechoke_inputs(),
+    seeding=st.booleans(),
+    round_index=st.integers(0, 12),
+    slots=st.integers(1, 5),
+    optimistic_every=st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=400, deadline=None)
+def test_rechoke_matches_the_reference_choker(
+    inputs, seeding, round_index, slots, optimistic_every, seed
+):
+    candidates, credits, optimistic = inputs
+    policy = ChokingPolicy(upload_slots=slots, optimistic_every=optimistic_every)
+    rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
+    answer = policy.rechoke(list(candidates), credits, optimistic, seeding, round_index, rng)
+    expected = reference_rechoke(
+        policy, list(candidates), credits, optimistic, seeding, round_index, twin
+    )
+    assert answer == expected
+    assert rng.bit_generator.state == twin.bit_generator.state
 
 
 def credit_row(credits):

@@ -11,6 +11,7 @@ from repro.bittorrent.selection import (
     convert_pass,
     draw_below,
     rarest_level,
+    sample_below,
     set_bits,
 )
 
@@ -352,6 +353,38 @@ def test_draw_below_matches_numpys_integers(bit_generator):
     assert set(bounds) >= set(DRAW_BOUNDS)
     differ = np.flatnonzero(np.asarray(drawn) != np.asarray(expected))
     assert not differ.size, f"draw {differ[0]} of {draws} differs (k = {bounds[differ[0]]})"
+    assert plain(rng.bit_generator.state) == plain(twin.bit_generator.state)
+
+
+@pytest.mark.parametrize("bit_generator", [
+    np.random.PCG64, np.random.PCG64DXSM, np.random.MT19937, np.random.Philox,
+    np.random.SFC64,
+])
+def test_sample_below_matches_numpys_choice(bit_generator):
+    """25,000 samples per bit generator: each equals a twin generator's
+    ``choice(k, size=m, replace=False)`` for ``k`` in [1, 130] and ``m`` in
+    [1, min(k, 8)], ``k = 1`` and ``m = k`` among them, with other draws
+    interleaved on both, and the two end in the same state."""
+    samples = 25_000
+    plan = np.random.default_rng(23)
+    sizes = plan.integers(1, 131, size=samples).tolist()
+    fractions = plan.random(samples).tolist()
+    cases = [(k, 1 + int(fraction * min(k, 8))) for k, fraction in zip(sizes, fractions)]
+    # The corners: one peer, and a sample of the whole population.
+    cases[:10] = [(1, 1), (2, 2), (3, 3), (5, 5), (8, 8), (2, 1), (9, 8), (130, 8),
+                  (130, 1), (4, 4)]
+    interleaved = (plan.random(samples) < 0.05).tolist()
+    rng = np.random.Generator(bit_generator(2012))
+    twin = np.random.Generator(bit_generator(2012))
+    interface = rng.bit_generator.ctypes
+    next_uint32, state = interface.next_uint32, interface.state
+    for (k, m), interleave in zip(cases, interleaved):
+        expected = twin.choice(k, size=m, replace=False).tolist()
+        assert sample_below(next_uint32, state, k, m) == expected, (k, m)
+        if interleave:
+            assert other_draws(rng) == other_draws(twin)
+    assert {k for k, _ in cases} == set(range(1, 131))
+    assert sum(m == k for k, m in cases) > 100
     assert plain(rng.bit_generator.state) == plain(twin.bit_generator.state)
 
 

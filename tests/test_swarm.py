@@ -1,11 +1,15 @@
 """Tests for the synchronized BitTorrent broadcast simulation."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from repro.bittorrent.swarm import BitTorrentBroadcast, SwarmConfig
+from repro.bittorrent.swarm import BitTorrentBroadcast, BroadcastSession, SwarmConfig
 from repro.bittorrent.torrent import TorrentMeta
 from repro.network.grid5000 import build_flat_site
+from repro.observability.export import load_records, summarize
+from repro.observability.tracer import TRACER
 from repro.tomography.pipeline import default_swarm_config
 
 
@@ -174,3 +178,32 @@ class TestBroadcastExecution:
         result = broadcast.run(rng=np.random.default_rng(13))
         n = len(topo.host_names)
         assert result.distinct_edges < n * (n - 1) // 2
+
+
+@pytest.mark.parametrize("stepping", ["fixed", "event"])
+def test_a_full_trace_holds_one_span_per_choking_round(tmp_path, stepping):
+    """At full detail each choking round records one ``swarm.rechoke``
+    span: rounds 0 to R - 1 in order, at their control points, each with
+    the number of peers that had candidates."""
+    config = default_swarm_config(300, stepping=stepping)
+    config = dataclasses.replace(config, rechoke_interval=4 * config.control_dt)
+    broadcast = BitTorrentBroadcast(build_flat_site("grenoble", 12), config)
+    session = BroadcastSession(broadcast, rng=np.random.default_rng(14))
+    path = tmp_path / "rechoke.jsonl"
+    TRACER.configure(str(path), detail="full")
+    try:
+        session.run_to_completion()
+    finally:
+        TRACER.close()
+    spans = [record for record in load_records(str(path))
+             if record.get("name") == "swarm.rechoke"]
+    assert session.round_index >= 5
+    assert [span["args"]["round"] for span in spans] == list(range(session.round_index))
+    times = [span["args"]["sim_time"] for span in spans]
+    assert times[0] == 0.0
+    assert times == sorted(times) and len(set(times)) == len(times)
+    assert all(0 <= span["args"]["peers"] <= 12 for span in spans)
+    assert spans[0]["args"]["peers"] == 1  # only the root holds anything
+    assert all(span["type"] == "span" and span["wall_dur"] >= 0 for span in spans)
+    summary = summarize(load_records(str(path)))["swarm.rechoke"]
+    assert summary["count"] == session.round_index and summary["wall_s"] > 0
